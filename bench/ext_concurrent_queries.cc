@@ -1,28 +1,21 @@
 // Extension (Section 7): "Scheduling concurrent database operators in a
 // distributed setup remains an open research area." This harness captures
-// the traces of N identical 1024M x 1024M joins and studies co-scheduling
-// them on the QDR cluster, two ways:
+// the traces of N identical 1024M x 1024M joins and runs them through the
+// multi-query scheduler (src/sched/) under the serial, phase-aligned and
+// overlap policies side by side.
 //
-// 1. The contended replay (ReplayConcurrent): cores time-shared fairly, all
-//    traffic in one fabric, one receiver core servicing the combined stream.
-//    This models PHASE-ALIGNED co-scheduling and reproduces the finding that
-//    on a saturated cluster it gains exactly nothing over serial execution
-//    (vs_serial = 1.00): sharing a saturated resource divides it.
-//
-// 2. The multi-query scheduler (src/sched/): the same captured traces run
-//    under the serial, phase-aligned and overlap policies side by side. The
-//    overlap policy grants the fabric to one query at a time while the
-//    others burn their compute-bound phases, so one query's network pass
-//    hides behind the others' histogram/local-partition/build work -- the
-//    win the paper's open problem asks for, now measured in the same gated
-//    bench that documents the naive policy's failure.
+// Phase-aligned co-scheduling gains exactly nothing over serial execution on
+// a saturated cluster (its rows equal the serial rows): sharing a saturated
+// resource divides it. The overlap policy grants the fabric to one query at
+// a time while the others burn their compute-bound phases, so one query's
+// network pass hides behind the others' histogram/local-partition/build
+// work -- the win the paper's open problem asks for.
 
 #include "bench/bench_common.h"
 #include "cluster/presets.h"
 #include "join/distributed_join.h"
 #include "sched/query_profile.h"
 #include "sched/scheduler.h"
-#include "timing/replay.h"
 #include "util/table_printer.h"
 #include "workload/generator.h"
 
@@ -47,39 +40,7 @@ int main(int argc, char** argv) {
 
   bench::BenchReporter reporter("ext_concurrent_queries", opt);
 
-  // ---- Part 1: the contended phase-aligned replay (the PR 3-era rows). ----
-  const double solo_total =
-      ReplayTrace(cluster, jc, (*traces)[0]).phases.TotalSeconds();
-  TablePrinter table("co-running N identical joins (phase-aligned replay)");
-  table.SetHeader({"queries", "combined_total_s", "vs_solo", "vs_serial",
-                   "network_part_s"});
-  for (size_t n = 1; n <= traces->size(); ++n) {
-    const std::string label =
-        TablePrinter::Int(static_cast<long long>(n)) + " queries";
-    const bench::BenchReporter::Config config = {
-        {"queries", TablePrinter::Int(static_cast<long long>(n))},
-        {"mtuples", "1024"}};
-    std::vector<RunTrace> subset(traces->begin(), traces->begin() + n);
-    auto report = ReplayConcurrent(cluster, jc, subset);
-    if (!report.ok()) {
-      reporter.AddError(label, config, report.status().ToString());
-      continue;
-    }
-    const double total = report->phases.TotalSeconds();
-    reporter.AddMeasurement(label, config, total);
-    table.AddRow({TablePrinter::Int(static_cast<long long>(n)),
-                  TablePrinter::Num(total),
-                  TablePrinter::Num(total / solo_total, 2) + "x",
-                  TablePrinter::Num(total / (solo_total * n), 2) + "x",
-                  TablePrinter::Num(report->phases.network_partition_seconds)});
-  }
-  if (opt.csv) {
-    table.PrintCsv();
-  } else {
-    table.Print();
-  }
-
-  // ---- Part 2: scheduler policy comparison on the same traces. ----
+  // Scheduler policy comparison on the captured traces.
   std::vector<QueryProfile> profiles;
   for (size_t q = 0; q < traces->size(); ++q) {
     profiles.push_back(BuildQueryProfile(
@@ -92,9 +53,9 @@ int main(int argc, char** argv) {
   const SchedPolicy policies[] = {SchedPolicy::kSerial,
                                   SchedPolicy::kPhaseAligned,
                                   SchedPolicy::kOverlap};
-  TablePrinter ptable("scheduler policy comparison (same N queries)");
-  ptable.SetHeader({"queries", "serial_s", "phase_aligned_s", "overlap_s",
-                    "overlap_vs_serial"});
+  TablePrinter table("scheduler policy comparison (same N queries)");
+  table.SetHeader({"queries", "serial_s", "phase_aligned_s", "overlap_s",
+                   "overlap_vs_serial"});
   for (size_t n = 2; n <= traces->size(); ++n) {
     std::vector<SchedQuery> queries;
     for (size_t q = 0; q < n; ++q) {
@@ -129,22 +90,22 @@ int main(int argc, char** argv) {
       reporter.AddMeasurement(label, config, sched->makespan_seconds);
     }
     if (ok) {
-      ptable.AddRow({TablePrinter::Int(static_cast<long long>(n)),
-                     TablePrinter::Num(makespan[0]),
-                     TablePrinter::Num(makespan[1]),
-                     TablePrinter::Num(makespan[2]),
-                     TablePrinter::Num(makespan[2] / makespan[0], 2) + "x"});
+      table.AddRow({TablePrinter::Int(static_cast<long long>(n)),
+                    TablePrinter::Num(makespan[0]),
+                    TablePrinter::Num(makespan[1]),
+                    TablePrinter::Num(makespan[2]),
+                    TablePrinter::Num(makespan[2] / makespan[0], 2) + "x"});
     }
   }
   if (opt.csv) {
-    ptable.PrintCsv();
+    table.PrintCsv();
   } else {
-    ptable.Print();
+    table.Print();
   }
   std::printf(
-      "Reading: the phase-aligned rows show vs_serial = 1.00 -- naive\n"
-      "co-scheduling buys nothing on a saturated cluster. The policy rows\n"
-      "show what does: the overlap policy hides one query's network pass\n"
+      "Reading: the phase-aligned rows equal the serial rows -- naive\n"
+      "co-scheduling buys nothing on a saturated cluster. The overlap\n"
+      "policy shows what does: it hides one query's network pass\n"
       "behind the others' compute-bound phases (overlap_vs_serial < 1),\n"
       "the scheduler the paper's Section 7 calls an open problem.\n");
   return reporter.Finish();

@@ -11,7 +11,7 @@
 
 #include "bench/bench_common.h"
 #include "cluster/presets.h"
-#include "sim/fabric.h"
+#include "sim/link_fabric.h"
 #include "util/table_printer.h"
 #include "util/units.h"
 
@@ -21,18 +21,20 @@ using namespace rdmajoin;
 
 /// Streams `total_bytes` in `msg_bytes` messages from host 0 to host 1 with
 /// up to `window` outstanding messages and returns the achieved bandwidth.
+/// The messages share one link, so the HCA message rate caps the stream as a
+/// whole, not each outstanding message.
 double MeasureBandwidth(const FabricConfig& config, double msg_bytes,
                         double total_bytes, int window = 32) {
-  Fabric fabric(config);
+  LinkFabric fabric(config);
   const uint64_t messages = static_cast<uint64_t>(total_bytes / msg_bytes);
   uint64_t sent = 0;
   uint64_t completed = 0;
   double now = 0;
-  std::vector<Fabric::Completion> done;
+  std::vector<LinkFabric::Completion> done;
   int in_flight = 0;
   while (completed < messages) {
     while (in_flight < window && sent < messages) {
-      fabric.Inject(0, 1, msg_bytes, now);
+      fabric.Enqueue(0, 1, msg_bytes, now);
       ++sent;
       ++in_flight;
     }

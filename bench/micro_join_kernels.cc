@@ -23,7 +23,6 @@
 #include "join/hash_table.h"
 #include "join/histogram.h"
 #include "join/local_partition.h"
-#include "join/swwc_scatter.h"
 #include "operators/radix_sort.h"
 #include "operators/sort_utils.h"
 #include "rdma/buffer_pool.h"
@@ -64,17 +63,6 @@ void BM_RadixScatter(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * n * kNarrowTupleBytes);
 }
 BENCHMARK(BM_RadixScatter)->Arg(1 << 16)->Arg(1 << 20);
-
-void BM_RadixScatterSwwc(benchmark::State& state) {
-  const uint64_t n = state.range(0);
-  Relation r = MakeRelation(n);
-  for (auto _ : state) {
-    auto parts = RadixScatterSwwc(r, 0, 10);
-    benchmark::DoNotOptimize(parts.data());
-  }
-  state.SetBytesProcessed(state.iterations() * n * kNarrowTupleBytes);
-}
-BENCHMARK(BM_RadixScatterSwwc)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_RadixSort(benchmark::State& state) {
   const uint64_t n = state.range(0);
@@ -225,11 +213,6 @@ int RunBenchJson(int argc, char** argv) {
     auto parts = RadixScatter(rel, 0, 10);
     benchmark::DoNotOptimize(parts.data());
   }));
-  reporter.AddMeasurement("radix_scatter_swwc", kernel_cfg,
-                          BestOfThreeSeconds([&] {
-                            auto parts = RadixScatterSwwc(rel, 0, 10);
-                            benchmark::DoNotOptimize(parts.data());
-                          }));
   reporter.AddMeasurement("radix_sort", kernel_cfg, BestOfThreeSeconds([&] {
     Relation copy(kNarrowTupleBytes);
     copy.AppendRaw(rel.data(), rel.num_tuples());

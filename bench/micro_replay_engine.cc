@@ -1,8 +1,8 @@
-// Host-time (wall-clock) microbenchmarks of the discrete-event engine: how
-// many simulated events per host-second the event queue sustains, what a
-// rate reshare costs at replay-like flow counts, and the heap-vs-calendar /
-// full-vs-incremental speedups. Unlike every fig/abl harness (which reports
-// *virtual* seconds and is byte-identical across machines), these rows
+// Host-time (wall-clock) microbenchmarks of the fluid network engine
+// (LinkFabric): what a rate reshare costs at replay-like flow counts, what
+// flow telemetry adds, and the full-vs-incremental reshare speedups. Unlike
+// every fig/abl harness (which reports *virtual* seconds and is
+// byte-identical across machines), these rows
 // measure the machine they run on; the committed baseline is gated in CI
 // with a generous tolerance (see .github/workflows/ci.yml perf-smoke) so it
 // catches order-of-magnitude engine regressions, not scheduler noise.
@@ -17,11 +17,8 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "sim/event_queue.h"
-#include "sim/fabric.h"
 #include "sim/link_fabric.h"
 #include "timing/span_trace.h"
-#include "util/random.h"
 
 namespace rdmajoin {
 namespace {
@@ -46,44 +43,7 @@ double BestOfThreeSeconds(const Fn& fn) {
   return best;
 }
 
-// --- Event queue: sustained schedule/fire throughput -----------------------
-
-constexpr uint64_t kQueueEvents = 1000000;
-constexpr int kQueueDepth = 65536;
-
-/// Schedules kQueueDepth initial events; every firing schedules one
-/// successor until kQueueEvents have fired, holding the pending population
-/// (and with it the heap depth) constant.
-template <typename Q>
-uint64_t PumpQueue(uint64_t seed) {
-  Q q;
-  Random rng(seed);
-  uint64_t fired = 0;
-  // The recursive callback is defined via a small context object so both
-  // queue types (SmallFunction and std::function callbacks) run the exact
-  // same code.
-  struct Pump {
-    Q* q;
-    Random* rng;
-    uint64_t* fired;
-    void Fire() {
-      ++*fired;
-      if (*fired + kQueueDepth > kQueueEvents) return;
-      Pump next = *this;
-      q->ScheduleAfter(rng->NextDouble() * 1e-3,
-                       [next]() mutable { next.Fire(); });
-    }
-  };
-  Pump pump{&q, &rng, &fired};
-  for (int i = 0; i < kQueueDepth; ++i) {
-    Pump p = pump;
-    q.ScheduleAt(rng.NextDouble() * 1e-3, [p]() mutable { p.Fire(); });
-  }
-  q.RunUntilEmpty();
-  return fired;
-}
-
-// --- Fabric / LinkFabric: reshare cost at replay-like flow counts ----------
+// --- LinkFabric: reshare cost at replay-like flow counts -------------------
 
 constexpr uint32_t kReshareHosts = 10;  // 90 ordered pairs >= 64 active links
 constexpr int kReshareRounds = 40;
@@ -143,41 +103,6 @@ LinkPumpStats PumpLinkFabric(bool incremental,
   return stats;
 }
 
-struct FabricPumpStats {
-  uint64_t flows = 0;
-  uint64_t reshares = 0;
-  uint64_t reshared_flows = 0;
-};
-
-/// Per-flow fabric pump holding >= 64 concurrent flows: each round injects a
-/// fresh all-to-all wave while the previous one is still draining.
-FabricPumpStats PumpFabric(bool incremental) {
-  Fabric fabric(EngineConfig(incremental));
-  FabricPumpStats stats;
-  double t = 0.0;
-  std::vector<Fabric::Completion> done;
-  for (int round = 0; round < kReshareRounds; ++round) {
-    uint32_t li = 0;
-    for (uint32_t s = 0; s < kReshareHosts; ++s) {
-      for (uint32_t d = 0; d < kReshareHosts; ++d) {
-        if (s == d) continue;
-        fabric.Inject(s, d, 50.0 + 3.0 * li, t);
-        ++stats.flows;
-        ++li;
-      }
-    }
-    // Advance only partway: the next wave lands while ~90 flows are active.
-    t += 0.02;
-    done.clear();
-    fabric.AdvanceTo(t, &done);
-  }
-  done.clear();
-  fabric.AdvanceTo(t + 1e6, &done);
-  stats.reshares = fabric.reshares();
-  stats.reshared_flows = fabric.reshared_flows();
-  return stats;
-}
-
 // --- Max-min engine pump: the asymptotic reshare win ----------------------
 
 constexpr uint32_t kMaxMinHosts = 128;
@@ -187,66 +112,49 @@ constexpr uint64_t kMaxMinEvents = 60000;
 struct MaxMinPumpStats {
   uint64_t events = 0;
   uint64_t reshares = 0;
-  uint64_t reshared_flows = 0;
+  uint64_t reshared_links = 0;
 };
 
-/// Steady-state max-min engine pump: 64 concurrent flows on disjoint host
-/// pairs with per-host distinct capacities, every completion immediately
-/// replaced. Each event dirties one two-host component, so the incremental
-/// path re-levels O(1) flows while the full path reruns progressive filling
-/// over all 64 demands (one round per distinct bottleneck) -- the
-/// quadratic-vs-constant gap this PR's engine rework removes.
-MaxMinPumpStats PumpFabricMaxMin(bool incremental) {
+/// Steady-state max-min engine pump: 64 concurrent one-message links on
+/// disjoint host pairs with per-host distinct capacities, every completion
+/// immediately replaced. Each event dirties one two-host component, so the
+/// incremental path re-levels O(1) links while the full path reruns
+/// progressive filling over all 64 demands (one round per distinct
+/// bottleneck).
+MaxMinPumpStats PumpMaxMin(bool incremental) {
   FabricConfig cfg = EngineConfig(incremental);
   cfg.num_hosts = kMaxMinHosts;
   cfg.sharing = SharingPolicy::kMaxMin;
-  Fabric fabric(cfg);
+  LinkFabric fabric(cfg);
   for (uint32_t h = 0; h < kMaxMinHosts; ++h) {
-    // Distinct per-host capacity: every flow is its own bottleneck level, so
-    // full progressive filling freezes one flow per round.
+    // Distinct per-host capacity: every link is its own bottleneck level, so
+    // full progressive filling freezes one link per round.
     const double scale = 0.25 + 0.5 * static_cast<double>(h) / kMaxMinHosts;
     fabric.SetHostCapacityScale(h, scale, scale);
   }
   MaxMinPumpStats stats;
-  std::vector<Fabric::Completion> done;
+  std::vector<LinkFabric::Completion> done;
   for (uint32_t i = 0; i < kMaxMinFlows; ++i) {
-    fabric.Inject(2 * i, 2 * i + 1, 1000.0 + 17.0 * i, 0.0, 2 * i);
+    fabric.Enqueue(2 * i, 2 * i + 1, 1000.0 + 17.0 * i, 0.0, 2 * i);
     ++stats.events;
   }
   while (stats.events < kMaxMinEvents) {
     done.clear();
     fabric.AdvanceTo(fabric.NextCompletionTime(), &done);
-    for (const Fabric::Completion& c : done) {
+    for (const LinkFabric::Completion& c : done) {
       const uint32_t src = static_cast<uint32_t>(c.cookie);
-      fabric.Inject(src, src + 1, 1000.0 + 17.0 * (src / 2), c.time, c.cookie);
-      stats.events += 2;  // one completion + one replacement injection
+      fabric.Enqueue(src, src + 1, 1000.0 + 17.0 * (src / 2), c.time, c.cookie);
+      stats.events += 2;  // one completion + one replacement enqueue
     }
   }
   stats.reshares = fabric.reshares();
-  stats.reshared_flows = fabric.reshared_flows();
+  stats.reshared_links = fabric.reshared_links();
   return stats;
 }
 
 int Run(int argc, char** argv) {
   const bench::Options opt = bench::ParseOptions(argc, argv);
   bench::BenchReporter reporter("micro_replay_engine", opt);
-
-  // Event queue: heap reference vs calendar.
-  uint64_t fired = 0;
-  const double heap_s =
-      BestOfThreeSeconds([&] { fired = PumpQueue<HeapEventQueue>(opt.seed); });
-  const double cal_s =
-      BestOfThreeSeconds([&] { fired = PumpQueue<EventQueue>(opt.seed); });
-  const bench::BenchReporter::Config queue_cfg = {
-      {"events", std::to_string(kQueueEvents)},
-      {"pending_depth", std::to_string(kQueueDepth)}};
-  reporter.AddMeasurement("event_queue_heap", queue_cfg, heap_s);
-  reporter.AddMeasurement("event_queue_calendar", queue_cfg, cal_s);
-  reporter.AddMeasurement("event_queue_calendar_events_per_sec", queue_cfg,
-                          static_cast<double>(fired) / cal_s, "events_per_sec");
-  reporter.AddMeasurement("event_queue_speedup", queue_cfg, heap_s / cal_s, "x");
-  std::printf("event queue: heap %.3fs, calendar %.3fs (%.2fx, %.0f events/s)\n",
-              heap_s, cal_s, heap_s / cal_s, static_cast<double>(fired) / cal_s);
 
   // LinkFabric reshare cost (the replay hot path).
   LinkPumpStats link_full, link_inc;
@@ -295,39 +203,13 @@ int Run(int argc, char** argv) {
       "incremental)\n",
       link_tel_s, link_tel_s / link_inc_s);
 
-  // Per-flow fabric reshare cost at >= 64 concurrent flows.
-  FabricPumpStats fab_full, fab_inc;
-  const double fab_full_s =
-      BestOfThreeSeconds([&] { fab_full = PumpFabric(false); });
-  const double fab_inc_s =
-      BestOfThreeSeconds([&] { fab_inc = PumpFabric(true); });
-  const bench::BenchReporter::Config fab_cfg = {
-      {"hosts", std::to_string(kReshareHosts)},
-      {"flows", std::to_string(fab_full.flows)}};
-  reporter.AddMeasurement("fabric_reshare_full", fab_cfg, fab_full_s);
-  reporter.AddMeasurement("fabric_reshare_incremental", fab_cfg, fab_inc_s);
-  reporter.AddMeasurement("fabric_reshare_speedup", fab_cfg,
-                          fab_full_s / fab_inc_s, "x");
-  reporter.AddMeasurement(
-      "fabric_reshared_assignments_full", fab_cfg,
-      static_cast<double>(fab_full.reshared_flows), "assignments");
-  reporter.AddMeasurement(
-      "fabric_reshared_assignments_incremental", fab_cfg,
-      static_cast<double>(fab_inc.reshared_flows), "assignments");
-  std::printf(
-      "fabric: full %.3fs (%llu assignments), incremental %.3fs "
-      "(%llu assignments)\n",
-      fab_full_s, static_cast<unsigned long long>(fab_full.reshared_flows),
-      fab_inc_s, static_cast<unsigned long long>(fab_inc.reshared_flows));
-
-  // Steady-state max-min engine: the acceptance gate for this PR's engine
-  // rework. full = the pre-incremental engine (every event reruns
-  // progressive filling over all flows); incremental = the shipped engine.
+  // Steady-state max-min engine. full = every event reruns progressive
+  // filling over all links; incremental = the shipped engine.
   MaxMinPumpStats mm_full, mm_inc;
   const double mm_full_s =
-      BestOfThreeSeconds([&] { mm_full = PumpFabricMaxMin(false); });
+      BestOfThreeSeconds([&] { mm_full = PumpMaxMin(false); });
   const double mm_inc_s =
-      BestOfThreeSeconds([&] { mm_inc = PumpFabricMaxMin(true); });
+      BestOfThreeSeconds([&] { mm_inc = PumpMaxMin(true); });
   const bench::BenchReporter::Config mm_cfg = {
       {"hosts", std::to_string(kMaxMinHosts)},
       {"concurrent_flows", std::to_string(kMaxMinFlows)},
@@ -344,10 +226,10 @@ int Run(int argc, char** argv) {
                           "events_per_sec");
   reporter.AddMeasurement(
       "maxmin_reshared_assignments_full", mm_cfg,
-      static_cast<double>(mm_full.reshared_flows), "assignments");
+      static_cast<double>(mm_full.reshared_links), "assignments");
   reporter.AddMeasurement(
       "maxmin_reshared_assignments_incremental", mm_cfg,
-      static_cast<double>(mm_inc.reshared_flows), "assignments");
+      static_cast<double>(mm_inc.reshared_links), "assignments");
   std::printf(
       "maxmin engine: full %.3fs (%.0f events/s), incremental %.3fs "
       "(%.0f events/s) -- %.2fx\n",

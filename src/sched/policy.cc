@@ -57,9 +57,8 @@ class SerialPolicy : public SchedulerPolicy {
 };
 
 /// Lockstep phase alignment: only the queries at the minimum phase index
-/// run. This reproduces the ReplayConcurrent sharing model -- and with it
-/// the bench finding that phase-aligned co-scheduling of identical queries
-/// on a saturated cluster equals serial execution.
+/// run. Phase-aligned co-scheduling of identical queries on a saturated
+/// cluster equals serial execution (bench/ext_concurrent_queries.cc).
 class PhaseAlignedPolicy : public SchedulerPolicy {
  public:
   SchedPolicy kind() const override { return SchedPolicy::kPhaseAligned; }

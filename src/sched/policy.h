@@ -20,8 +20,8 @@ enum class SchedPolicy : uint8_t {
   kSerial = 0,
   /// All queries advance through the join's phases in lockstep: only the
   /// queries at the minimum phase index run, everyone else waits at the
-  /// inter-query barrier. This is the ReplayConcurrent model -- and the
-  /// bench-proven "gains exactly nothing on a saturated cluster" baseline.
+  /// inter-query barrier. This is the bench-proven "gains exactly nothing on
+  /// a saturated cluster" baseline.
   kPhaseAligned,
   /// Gap-fill overlap: compute stages always run (time-sharing cores), but
   /// the fabric is granted to one query at a time in FIFO order, so one

@@ -1,29 +1,6 @@
 #include "sim/fabric.h"
 
-#include <algorithm>
-#include <cassert>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-
-#include "util/metrics.h"
-
 namespace rdmajoin {
-
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-// Relative tolerance for "this flow finished at time t" comparisons. Rate
-// (bytes/sec) comparisons in the fair-share solver use the dedicated
-// kRateEps from sim/rate_sharing.h instead -- the units are unrelated.
-constexpr double kTimeEps = 1e-12;
-
-/// kRateEps-relative equality for the incremental-vs-full cross-check.
-bool RatesMatch(double a, double b) {
-  if (a == b) return true;
-  const double scale = std::max(std::fabs(a), std::fabs(b));
-  return std::fabs(a - b) <= kRateEps * scale;
-}
-}  // namespace
 
 Status FabricConfig::Validate() const {
   if (num_hosts == 0) return Status::InvalidArgument("fabric needs at least one host");
@@ -38,418 +15,6 @@ Status FabricConfig::Validate() const {
     return Status::InvalidArgument("message rate and latency must be non-negative");
   }
   return Status::OK();
-}
-
-Fabric::Fabric(const FabricConfig& config) : config_(config) {
-  assert(config.Validate().ok());
-  bytes_from_host_.assign(config_.num_hosts, 0.0);
-  egress_scale_.assign(config_.num_hosts, 1.0);
-  ingress_scale_.assign(config_.num_hosts, 1.0);
-  src_cnt_.assign(config_.num_hosts, 0);
-  dst_cnt_.assign(config_.num_hosts, 0);
-  host_dirty_.assign(config_.num_hosts, 0);
-  comp_host_.assign(config_.num_hosts, 0);
-}
-
-void Fabric::SetHostCapacityScale(uint32_t host, double egress_scale,
-                                  double ingress_scale) {
-  assert(host < config_.num_hosts);
-  assert(egress_scale >= 0 && ingress_scale >= 0);
-  egress_scale_[host] = egress_scale;
-  ingress_scale_[host] = ingress_scale;
-  MarkDirty(host);
-  ReshareDirty();
-}
-
-double Fabric::FlowCap(const Flow& f) const {
-  if (config_.message_rate_per_host <= 0) return kInf;
-  // A stream of messages of this size cannot exceed size * message_rate.
-  return f.size * config_.message_rate_per_host;
-}
-
-void Fabric::EnableMetrics(MetricsRegistry* registry, const std::string& prefix,
-                           double utilization_bucket_seconds) {
-  host_metrics_.clear();
-  host_metrics_.reserve(config_.num_hosts);
-  for (uint32_t h = 0; h < config_.num_hosts; ++h) {
-    const std::string host = prefix + ".host" + std::to_string(h);
-    host_metrics_.push_back(HostMetrics{
-        registry->GetCounter(host + ".egress_bytes"),
-        registry->GetCounter(host + ".ingress_bytes"),
-        registry->GetTimeSeries(host + ".egress_active_bytes",
-                                utilization_bucket_seconds),
-        registry->GetTimeSeries(host + ".ingress_active_bytes",
-                                utilization_bucket_seconds)});
-  }
-  active_flows_gauge_ = registry->GetGauge(prefix + ".active_flows");
-  messages_counter_ = registry->GetCounter(prefix + ".messages");
-  message_bytes_histogram_ = registry->GetHistogram(prefix + ".message_bytes");
-}
-
-Fabric::FlowId Fabric::Inject(uint32_t src, uint32_t dst, double bytes, double now,
-                              uint64_t cookie, uint32_t tenant) {
-  assert(src < config_.num_hosts && dst < config_.num_hosts);
-  // An "empty message" has no meaning in a fluid byte-flow model; rejecting
-  // it identically in debug and release builds keeps the delivery statistics
-  // (messages_delivered, bytes_delivered_from) trustworthy everywhere.
-  if (!(bytes > 0)) return kInvalidFlow;
-  assert(now + kTimeEps >= now_ && "fabric time cannot move backwards");
-  // Bring transfers up to date before the flow set changes. Completions that
-  // come due are buffered and handed out by the next AdvanceTo call.
-  if (now > now_) AdvanceTo(now, &pending_completions_);
-  Flow f;
-  f.id = next_id_++;
-  f.src = src;
-  f.dst = dst;
-  f.remaining = bytes;
-  f.size = bytes;
-  f.rate = 0.0;
-  f.bound = RateConstraint::kNone;
-  f.bound_host = 0;
-  f.tenant = tenant;
-  f.cookie = cookie;
-  flows_.push_back(f);
-  ++src_cnt_[src];
-  ++dst_cnt_[dst];
-  if (active_flows_gauge_ != nullptr) {
-    active_flows_gauge_->Set(static_cast<double>(flows_.size()));
-    messages_counter_->Increment();
-    message_bytes_histogram_->Observe(bytes);
-  }
-  MarkDirty(src);
-  MarkDirty(dst);
-  ReshareDirty();
-  return f.id;
-}
-
-double Fabric::NextCompletionTime() const {
-  double best = kInf;
-  for (const Completion& c : pending_completions_) best = std::min(best, c.time);
-  for (const Flow& f : flows_) {
-    if (f.rate > 0) best = std::min(best, now_ + f.remaining / f.rate);
-  }
-  for (const LatencyFlow& lf : latency_) best = std::min(best, lf.complete_at);
-  return best;
-}
-
-void Fabric::AdvanceTo(double t, std::vector<Completion>* completed) {
-  assert(t + kTimeEps >= now_);
-  if (t < now_) t = now_;
-  if (!pending_completions_.empty() && completed != &pending_completions_) {
-    completed->insert(completed->end(), pending_completions_.begin(),
-                      pending_completions_.end());
-    pending_completions_.clear();
-  }
-  // Advance in steps: each step ends at the earliest drain within [now_, t],
-  // because draining a flow changes the rates of the others.
-  while (true) {
-    double next_drain = kInf;
-    for (const Flow& f : flows_) {
-      if (f.rate > 0) next_drain = std::min(next_drain, now_ + f.remaining / f.rate);
-    }
-    const double step_end = std::min(t, next_drain);
-    const double dt = step_end - now_;
-    if (dt > 0) {
-      for (Flow& f : flows_) {
-        f.remaining -= f.rate * dt;
-        if (f.rate > 0) {
-          if (!host_metrics_.empty()) {
-            const double moved = f.rate * dt;
-            host_metrics_[f.src].egress_activity->AddRange(now_, step_end, moved);
-            host_metrics_[f.dst].ingress_activity->AddRange(now_, step_end, moved);
-          }
-          if (telemetry_ != nullptr) {
-            telemetry_->OnFlowSegment(f.id, f.src, f.dst, now_, step_end, f.rate,
-                                      f.bound, f.bound_host);
-          }
-        }
-      }
-      now_ = step_end;
-    }
-    bool drained_any = false;
-    if (next_drain <= t * (1 + kTimeEps) + kTimeEps) {
-      for (size_t i = 0; i < flows_.size();) {
-        Flow& f = flows_[i];
-        // The second disjunct guarantees forward progress far from t=0: when
-        // now_ is large enough that the residual's drain time rounds to now_
-        // itself (now_ + eta == now_ in doubles), the clock cannot advance
-        // past this flow, so it must drain now -- without this, a residual
-        // above the size threshold but below one ulp of now_ spins the
-        // advance loop forever.
-        const bool done =
-            f.rate > 0 && (f.remaining <= f.size * kTimeEps + 1e-9 * f.rate ||
-                           now_ + f.remaining / f.rate <= now_);
-        if (done) {
-          latency_.push_back(LatencyFlow{f.id, f.cookie, f.src, f.dst, f.tenant,
-                                         f.size,
-                                         now_ + config_.base_latency_seconds});
-          --src_cnt_[f.src];
-          --dst_cnt_[f.dst];
-          MarkDirty(f.src);
-          MarkDirty(f.dst);
-          flows_[i] = flows_.back();
-          flows_.pop_back();
-          drained_any = true;
-        } else {
-          ++i;
-        }
-      }
-      if (drained_any && active_flows_gauge_ != nullptr) {
-        active_flows_gauge_->Set(static_cast<double>(flows_.size()));
-      }
-      if (drained_any) ReshareDirty();
-    }
-    if (!drained_any && step_end >= t) break;
-    if (!drained_any && next_drain == kInf) {
-      now_ = t;
-      break;
-    }
-  }
-  now_ = t;
-  // Emit latency-stage completions due by t, in time order.
-  std::vector<LatencyFlow> due;
-  for (size_t i = 0; i < latency_.size();) {
-    if (latency_[i].complete_at <= t * (1 + kTimeEps) + kTimeEps) {
-      due.push_back(latency_[i]);
-      latency_[i] = latency_.back();
-      latency_.pop_back();
-    } else {
-      ++i;
-    }
-  }
-  std::sort(due.begin(), due.end(), [](const LatencyFlow& a, const LatencyFlow& b) {
-    if (a.complete_at != b.complete_at) return a.complete_at < b.complete_at;
-    return a.id < b.id;
-  });
-  for (const LatencyFlow& lf : due) {
-    bytes_delivered_ += lf.size;
-    bytes_from_host_[lf.src] += lf.size;
-    if (lf.tenant >= bytes_for_tenant_.size()) {
-      bytes_for_tenant_.resize(lf.tenant + 1, 0.0);
-    }
-    bytes_for_tenant_[lf.tenant] += lf.size;
-    ++messages_delivered_;
-    if (!host_metrics_.empty()) {
-      host_metrics_[lf.src].egress_bytes->Add(lf.size);
-      host_metrics_[lf.dst].ingress_bytes->Add(lf.size);
-    }
-    completed->push_back(Completion{lf.id, lf.cookie, lf.complete_at});
-  }
-}
-
-double Fabric::FlowRate(FlowId id) const {
-  for (const Flow& f : flows_) {
-    if (f.id == id) return f.rate;
-  }
-  return 0.0;
-}
-
-double Fabric::bytes_delivered_from(uint32_t host) const {
-  assert(host < bytes_from_host_.size());
-  return bytes_from_host_[host];
-}
-
-double Fabric::TenantRate(uint32_t tenant) const {
-  double sum = 0.0;
-  for (const Flow& f : flows_) {
-    if (f.tenant == tenant) sum += f.rate;
-  }
-  return sum;
-}
-
-double Fabric::bytes_delivered_for_tenant(uint32_t tenant) const {
-  if (tenant >= bytes_for_tenant_.size()) return 0.0;
-  return bytes_for_tenant_[tenant];
-}
-
-void Fabric::MarkDirty(uint32_t host) {
-  if (host_dirty_[host] != 0) return;
-  host_dirty_[host] = 1;
-  dirty_hosts_.push_back(host);
-}
-
-void Fabric::ReshareDirty() {
-  if (dirty_hosts_.empty()) return;
-  if (!flows_.empty()) {
-    ++reshares_;
-    if (!config_.incremental_reshare) {
-      RecomputeRates();
-      reshared_flows_ += flows_.size();
-    } else {
-      if (config_.sharing == SharingPolicy::kEqualShare) {
-        IncrementalEqualShare();
-      } else {
-        IncrementalMaxMin();
-      }
-      if (config_.verify_incremental_reshare) VerifyAgainstFullReshare();
-    }
-  }
-  for (uint32_t h : dirty_hosts_) host_dirty_[h] = 0;
-  dirty_hosts_.clear();
-}
-
-void Fabric::IncrementalEqualShare() {
-  // A flow's equal-share rate depends only on its endpoints' capacity scales
-  // and active-flow counts, so only flows touching a dirty host can change.
-  // The expressions are the exact ones from RecomputeEqualShare: an
-  // untouched flow's stored rate is bit-identical to what a full recompute
-  // would assign it.
-  const double egress = config_.EffectiveEgress();
-  for (Flow& f : flows_) {
-    if (host_dirty_[f.src] == 0 && host_dirty_[f.dst] == 0) continue;
-    const double e_share = egress * egress_scale_[f.src] / src_cnt_[f.src];
-    const double i_share = config_.ingress_bytes_per_sec * ingress_scale_[f.dst] /
-                           dst_cnt_[f.dst];
-    const double cap = FlowCap(f);
-    f.rate = std::min({e_share, i_share, cap});
-    f.bound = ClassifyEqualShare(e_share, i_share, cap);
-    f.bound_host = f.bound == RateConstraint::kReceiverIngress ? f.dst : f.src;
-    ++reshared_flows_;
-  }
-}
-
-void Fabric::IncrementalMaxMin() {
-  // Max-min filling decomposes over connected components of the host-flow
-  // graph: residual capacity only ever moves between a flow and its own
-  // endpoints, so re-leveling the component(s) containing the dirty hosts
-  // leaves every other component's rates untouched. Close the dirty set
-  // under flow adjacency (fixpoint; flow tables are small and components
-  // smaller), then re-solve just those demands against their hosts' full
-  // capacities.
-  std::fill(comp_host_.begin(), comp_host_.end(), 0);
-  for (uint32_t h : dirty_hosts_) comp_host_[h] = 1;
-  bool grew = true;
-  while (grew) {
-    grew = false;
-    for (const Flow& f : flows_) {
-      const bool s = comp_host_[f.src] != 0;
-      const bool d = comp_host_[f.dst] != 0;
-      if (s != d) {
-        comp_host_[f.src] = 1;
-        comp_host_[f.dst] = 1;
-        grew = true;
-      }
-    }
-  }
-  demand_scratch_.clear();
-  demand_flow_.clear();
-  for (size_t i = 0; i < flows_.size(); ++i) {
-    const Flow& f = flows_[i];
-    if (comp_host_[f.src] == 0) continue;  // closure => dst is out too
-    demand_scratch_.push_back(RateDemand{f.src, f.dst, FlowCap(f), 0.0});
-    demand_flow_.push_back(i);
-  }
-  if (demand_scratch_.empty()) return;
-  egress_left_scratch_.resize(config_.num_hosts);
-  ingress_left_scratch_.resize(config_.num_hosts);
-  for (uint32_t h = 0; h < config_.num_hosts; ++h) {
-    egress_left_scratch_[h] = config_.EffectiveEgress() * egress_scale_[h];
-    ingress_left_scratch_[h] = config_.ingress_bytes_per_sec * ingress_scale_[h];
-  }
-  SolveMaxMinRates(&demand_scratch_, &egress_left_scratch_,
-                   &ingress_left_scratch_);
-  for (size_t k = 0; k < demand_scratch_.size(); ++k) {
-    Flow& f = flows_[demand_flow_[k]];
-    f.rate = demand_scratch_[k].rate;
-    f.bound = demand_scratch_[k].bound;
-    f.bound_host = demand_scratch_[k].bound_host;
-  }
-  reshared_flows_ += demand_scratch_.size();
-}
-
-void Fabric::VerifyAgainstFullReshare() {
-  // Replays the full solver and compares. The incremental rates stay
-  // canonical afterwards, so enabling the check never changes the output
-  // stream -- it can only abort.
-  verify_rates_scratch_.resize(flows_.size());
-  verify_bounds_scratch_.resize(flows_.size());
-  verify_bound_hosts_scratch_.resize(flows_.size());
-  for (size_t i = 0; i < flows_.size(); ++i) {
-    verify_rates_scratch_[i] = flows_[i].rate;
-    verify_bounds_scratch_[i] = flows_[i].bound;
-    verify_bound_hosts_scratch_[i] = flows_[i].bound_host;
-  }
-  RecomputeRates();
-  for (size_t i = 0; i < flows_.size(); ++i) {
-    if (!RatesMatch(verify_rates_scratch_[i], flows_[i].rate)) {
-      std::fprintf(stderr,
-                   "rdmajoin: incremental reshare mismatch: flow %llu "
-                   "(%u->%u) incremental=%.17g full=%.17g\n",
-                   static_cast<unsigned long long>(flows_[i].id), flows_[i].src,
-                   flows_[i].dst, verify_rates_scratch_[i], flows_[i].rate);
-      std::abort();
-    }
-    // Constraint labels are discrete, so the two paths must agree exactly --
-    // a label flip at identical rates would make the forensics layer blame a
-    // different resource depending on which reshare path ran.
-    if (verify_bounds_scratch_[i] != flows_[i].bound ||
-        verify_bound_hosts_scratch_[i] != flows_[i].bound_host) {
-      std::fprintf(stderr,
-                   "rdmajoin: incremental reshare constraint mismatch: flow "
-                   "%llu (%u->%u) incremental=%s@%u full=%s@%u\n",
-                   static_cast<unsigned long long>(flows_[i].id), flows_[i].src,
-                   flows_[i].dst, RateConstraintName(verify_bounds_scratch_[i]),
-                   verify_bound_hosts_scratch_[i],
-                   RateConstraintName(flows_[i].bound), flows_[i].bound_host);
-      std::abort();
-    }
-    flows_[i].rate = verify_rates_scratch_[i];
-    flows_[i].bound = verify_bounds_scratch_[i];
-    flows_[i].bound_host = verify_bound_hosts_scratch_[i];
-  }
-}
-
-void Fabric::RecomputeRates() {
-  if (flows_.empty()) return;
-  if (config_.sharing == SharingPolicy::kEqualShare) {
-    RecomputeEqualShare();
-  } else {
-    RecomputeMaxMin();
-  }
-}
-
-void Fabric::RecomputeEqualShare() {
-  std::vector<uint32_t> src_count(config_.num_hosts, 0);
-  std::vector<uint32_t> dst_count(config_.num_hosts, 0);
-  for (const Flow& f : flows_) {
-    ++src_count[f.src];
-    ++dst_count[f.dst];
-  }
-  const double egress = config_.EffectiveEgress();
-  for (Flow& f : flows_) {
-    // Scale factors are exactly 1.0 without fault injection, so the shares
-    // are bit-identical to the unscaled expressions.
-    const double e_share = egress * egress_scale_[f.src] / src_count[f.src];
-    const double i_share = config_.ingress_bytes_per_sec * ingress_scale_[f.dst] /
-                           dst_count[f.dst];
-    const double cap = FlowCap(f);
-    f.rate = std::min({e_share, i_share, cap});
-    f.bound = ClassifyEqualShare(e_share, i_share, cap);
-    f.bound_host = f.bound == RateConstraint::kReceiverIngress ? f.dst : f.src;
-  }
-}
-
-void Fabric::RecomputeMaxMin() {
-  // Progressive filling over all flows (sim/rate_sharing.h). Constraints:
-  // per-host egress, per-host ingress, and the per-flow message-rate cap.
-  const uint32_t n = config_.num_hosts;
-  std::vector<double> egress_left(n), ingress_left(n);
-  for (uint32_t h = 0; h < n; ++h) {
-    // Fault-injection scales; exactly 1.0 (and thus a no-op) by default.
-    egress_left[h] = config_.EffectiveEgress() * egress_scale_[h];
-    ingress_left[h] = config_.ingress_bytes_per_sec * ingress_scale_[h];
-  }
-  std::vector<RateDemand> demands;
-  demands.reserve(flows_.size());
-  for (const Flow& f : flows_) {
-    demands.push_back(RateDemand{f.src, f.dst, FlowCap(f), 0.0});
-  }
-  SolveMaxMinRates(&demands, &egress_left, &ingress_left);
-  for (size_t i = 0; i < flows_.size(); ++i) {
-    flows_[i].rate = demands[i].rate;
-    flows_[i].bound = demands[i].bound;
-    flows_[i].bound_host = demands[i].bound_host;
-  }
 }
 
 }  // namespace rdmajoin

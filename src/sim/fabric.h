@@ -2,28 +2,20 @@
 #define RDMAJOIN_SIM_FABRIC_H_
 
 #include <cstdint>
-#include <limits>
-#include <string>
-#include <vector>
 
 #include "sim/rate_sharing.h"
 #include "util/status.h"
 
 namespace rdmajoin {
 
-class Counter;
-class Gauge;
-class Histogram;
-class MetricsRegistry;
-class TimeSeries;
-
-/// Observer of per-flow achieved-rate segments. Both fabric models report one
-/// segment per (flow, constant-rate interval): a new segment starts whenever
-/// the max-min / equal-share recompute changes the flow's rate (another flow
-/// was injected or drained) and ends when the flow itself drains. Consumers
-/// that want "who shared my bottleneck, at what rate, when" (the span
-/// recorder in src/timing/span_trace.h) stitch the segments back together by
-/// flow id. Segments with dt == 0 are never reported.
+/// Observer of per-flow achieved-rate segments. The fabric (LinkFabric in
+/// sim/link_fabric.h) reports one segment per (flow, constant-rate
+/// interval): a new segment starts whenever the max-min / equal-share
+/// recompute changes the flow's rate (another link activated or drained) and
+/// ends when the flow itself drains. Consumers that want "who shared my
+/// bottleneck, at what rate, when" (the span recorder in
+/// src/timing/span_trace.h) stitch the segments back together by flow id.
+/// Segments with dt == 0 are never reported.
 class FlowTelemetry {
  public:
   virtual ~FlowTelemetry() = default;
@@ -102,202 +94,6 @@ struct FabricConfig {
 
   /// Validates ranges (positive capacities, at least one host).
   Status Validate() const;
-};
-
-/// Fluid-flow model of the rack network. Messages are injected as flows with
-/// a byte size; the fabric assigns each active flow a rate according to the
-/// sharing policy and reports tentative completion times. The caller (the
-/// discrete-event replay in src/timing, or the verbs layer's latency
-/// bookkeeping) owns the virtual clock and drives the fabric with
-/// Inject / NextCompletionTime / AdvanceTo.
-class Fabric {
- public:
-  using FlowId = uint64_t;
-  static constexpr FlowId kInvalidFlow = 0;
-
-  struct Completion {
-    FlowId id;
-    uint64_t cookie;
-    double time;
-  };
-
-  explicit Fabric(const FabricConfig& config);
-  Fabric(const Fabric&) = delete;
-  Fabric& operator=(const Fabric&) = delete;
-
-  const FabricConfig& config() const { return config_; }
-
-  /// Injects a message of `bytes` bytes from `src` to `dst` at virtual time
-  /// `now` (must be >= the last time passed to AdvanceTo/Inject). `cookie` is
-  /// returned with the completion. Returns the flow id.
-  ///
-  /// `bytes` must be positive: a zero-byte (or negative, or NaN) message is
-  /// rejected with kInvalidFlow in every build mode -- no flow is created and
-  /// nothing is counted in the delivery statistics. Callers that model
-  /// zero-payload control messages should charge base_latency_seconds
-  /// themselves.
-  ///
-  /// `tenant` is an opaque per-flow tag (a query id in multi-tenant replays,
-  /// src/sched/). It never influences the assigned rates -- sharing stays a
-  /// pure function of the (src, dst, cap) demand set -- but the fabric keeps
-  /// per-tenant delivery accounting (bytes_delivered_for_tenant) and can
-  /// report a tenant's aggregate instantaneous rate (TenantRate), which is
-  /// how the scheduler reads per-query bandwidth shares out of the existing
-  /// max-min solver. Tag 0 is the default single-tenant world.
-  FlowId Inject(uint32_t src, uint32_t dst, double bytes, double now,
-                uint64_t cookie = 0, uint32_t tenant = 0);
-
-  /// Attaches observability instrumentation reporting into `registry` under
-  /// `<prefix>.`: per-host delivered-byte counters
-  /// (`<prefix>.host<h>.egress_bytes` / `.ingress_bytes`, which track
-  /// bytes_delivered_from exactly), per-host activity timelines
-  /// (`.egress_active_bytes` / `.ingress_active_bytes`, bytes transferred per
-  /// `utilization_bucket_seconds` bucket), a concurrent-flow gauge
-  /// (`<prefix>.active_flows`), a message counter and a message-size
-  /// histogram. `registry` must outlive the fabric; call before injecting.
-  void EnableMetrics(MetricsRegistry* registry, const std::string& prefix,
-                     double utilization_bucket_seconds);
-
-  /// Attaches a per-flow rate-segment observer (see FlowTelemetry). Pass
-  /// nullptr to detach. `telemetry` must outlive the fabric.
-  void EnableFlowTelemetry(FlowTelemetry* telemetry) { telemetry_ = telemetry; }
-
-  /// Scales `host`'s port capacities (fault injection: degraded or flapping
-  /// links, src/fault/). The scales multiply into the configured
-  /// egress/ingress capacities at every rate recompute; 1.0 is the exact
-  /// nominal behaviour. A scale of 0 stalls the host's traffic entirely --
-  /// callers must eventually restore it or time stops advancing for those
-  /// flows. Takes effect at the current fabric time (advance first).
-  void SetHostCapacityScale(uint32_t host, double egress_scale,
-                            double ingress_scale);
-
-  /// Earliest tentative completion time under current rates; +infinity if no
-  /// flow is active or in its latency stage.
-  double NextCompletionTime() const;
-
-  /// Advances all transfers to virtual time `t` and appends messages that
-  /// completed at or before `t` to `*completed` in completion-time order.
-  /// `t` must be >= the current fabric time.
-  void AdvanceTo(double t, std::vector<Completion>* completed);
-
-  /// Number of flows still draining bytes (excludes latency stage).
-  size_t active_flows() const { return flows_.size(); }
-  /// Flows drained but whose completion latency has not yet elapsed.
-  size_t in_latency_flows() const { return latency_.size(); }
-
-  /// Current assigned rate of a draining flow (bytes/sec); 0 if unknown.
-  double FlowRate(FlowId id) const;
-
-  /// Sum of the current rates of every active flow tagged `tenant` -- the
-  /// tenant's aggregate bandwidth under the current fair-share solution.
-  double TenantRate(uint32_t tenant) const;
-
-  /// Total payload bytes fully delivered so far.
-  double total_bytes_delivered() const { return bytes_delivered_; }
-  /// Total messages completed.
-  uint64_t messages_delivered() const { return messages_delivered_; }
-  /// Payload bytes delivered whose source was `host`.
-  double bytes_delivered_from(uint32_t host) const;
-  /// Payload bytes delivered that carried tenant tag `tenant`.
-  double bytes_delivered_for_tenant(uint32_t tenant) const;
-
-  /// Number of rate recomputations triggered so far (reshare cost metering
-  /// for bench/micro_replay_engine.cc).
-  uint64_t reshares() const { return reshares_; }
-  /// Total flow-rate assignments performed across all reshares; the
-  /// incremental path keeps this near the number of *affected* flows rather
-  /// than reshares * active_flows.
-  uint64_t reshared_flows() const { return reshared_flows_; }
-
- private:
-  struct Flow {
-    FlowId id;
-    uint32_t src;
-    uint32_t dst;
-    double remaining;  // bytes
-    double size;       // original bytes
-    double rate;       // bytes/sec, assigned at last recompute
-    RateConstraint bound;  // constraint binding at last recompute
-    uint32_t bound_host;   // host owning that constraint
-    uint32_t tenant;       // opaque per-query tag (never affects rates)
-    uint64_t cookie;
-  };
-  struct LatencyFlow {
-    FlowId id;
-    uint64_t cookie;
-    uint32_t src;
-    uint32_t dst;
-    uint32_t tenant;
-    double size;
-    double complete_at;
-  };
-  /// Per-host metric handles; empty when metrics are disabled.
-  struct HostMetrics {
-    Counter* egress_bytes;
-    Counter* ingress_bytes;
-    TimeSeries* egress_activity;
-    TimeSeries* ingress_activity;
-  };
-
-  /// Full recompute of every flow's rate (reference path; also the
-  /// cross-check oracle for the incremental path).
-  void RecomputeRates();
-  void RecomputeEqualShare();
-  void RecomputeMaxMin();
-  /// Marks `host`'s constraints changed; the next ReshareDirty() re-levels
-  /// flows affected by it.
-  void MarkDirty(uint32_t host);
-  /// Re-levels the flows affected by the dirty hosts (or everything, when
-  /// incremental resharing is disabled) and clears the dirty set.
-  void ReshareDirty();
-  void IncrementalEqualShare();
-  void IncrementalMaxMin();
-  void VerifyAgainstFullReshare();
-  /// Per-flow rate ceiling from the message-rate limit.
-  double FlowCap(const Flow& f) const;
-
-  FabricConfig config_;
-  /// Per-host fault-injection capacity scales (all 1.0 when no fault).
-  std::vector<double> egress_scale_;
-  std::vector<double> ingress_scale_;
-  /// Active-flow counts per host, maintained on add/remove: the equal-share
-  /// denominators, kept so a reshare does not rescan the flow table to
-  /// recount.
-  std::vector<uint32_t> src_cnt_;
-  std::vector<uint32_t> dst_cnt_;
-  /// Hosts whose constraint set changed since the last reshare.
-  std::vector<uint8_t> host_dirty_;
-  std::vector<uint32_t> dirty_hosts_;
-  /// Scratch for the incremental max-min component solve (kept across calls
-  /// to avoid per-reshare allocation).
-  std::vector<uint8_t> comp_host_;
-  std::vector<RateDemand> demand_scratch_;
-  std::vector<size_t> demand_flow_;
-  std::vector<double> egress_left_scratch_;
-  std::vector<double> ingress_left_scratch_;
-  std::vector<double> verify_rates_scratch_;
-  std::vector<RateConstraint> verify_bounds_scratch_;
-  std::vector<uint32_t> verify_bound_hosts_scratch_;
-  uint64_t reshares_ = 0;
-  uint64_t reshared_flows_ = 0;
-  double now_ = 0.0;
-  FlowId next_id_ = 1;
-  std::vector<Flow> flows_;
-  std::vector<LatencyFlow> latency_;
-  double bytes_delivered_ = 0.0;
-  uint64_t messages_delivered_ = 0;
-  std::vector<double> bytes_from_host_;
-  /// Indexed by tenant tag, grown on demand (tag 0 always present).
-  std::vector<double> bytes_for_tenant_;
-  // Completions that came due while Inject advanced the clock; delivered on
-  // the next AdvanceTo call.
-  std::vector<Completion> pending_completions_;
-  // Metric handles (all null / empty when metrics are disabled).
-  std::vector<HostMetrics> host_metrics_;
-  FlowTelemetry* telemetry_ = nullptr;
-  Gauge* active_flows_gauge_ = nullptr;
-  Counter* messages_counter_ = nullptr;
-  Histogram* message_bytes_histogram_ = nullptr;
 };
 
 }  // namespace rdmajoin

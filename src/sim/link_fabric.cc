@@ -304,8 +304,7 @@ void LinkFabric::RecomputeRates() {
 }
 
 LinkFabric::MessageId LinkFabric::Enqueue(uint32_t src, uint32_t dst, double bytes,
-                                          double now, uint64_t cookie,
-                                          uint32_t tenant) {
+                                          double now, uint64_t cookie) {
   assert(src < config_.num_hosts && dst < config_.num_hosts && src != dst);
   // Reject empty messages identically in debug and release builds so the
   // delivery statistics stay trustworthy everywhere.
@@ -322,7 +321,7 @@ LinkFabric::MessageId LinkFabric::Enqueue(uint32_t src, uint32_t dst, double byt
   }
   Link& l = link(src, dst);
   const bool was_active = l.active();
-  l.queue.push_back(Message{next_id_, cookie, tenant, bytes});
+  l.queue.push_back(Message{next_id_, cookie, bytes});
   ++queued_;
   if (queued_gauge_ != nullptr) {
     queued_gauge_->Set(static_cast<double>(queued_));
@@ -415,10 +414,6 @@ void LinkFabric::AdvanceTo(double t, std::vector<Completion>* completed) {
           l.queue.pop_front();
           --queued_;
           bytes_delivered_ += m.size;
-          if (m.tenant >= bytes_for_tenant_.size()) {
-            bytes_for_tenant_.resize(m.tenant + 1, 0.0);
-          }
-          bytes_for_tenant_[m.tenant] += m.size;
           ++messages_delivered_;
           if (!host_metrics_.empty()) {
             host_metrics_[l.src].egress_bytes->Add(m.size);
@@ -466,20 +461,6 @@ void LinkFabric::AdvanceTo(double t, std::vector<Completion>* completed) {
 
 double LinkFabric::LinkRate(uint32_t src, uint32_t dst) const {
   return link(src, dst).rate;
-}
-
-double LinkFabric::TenantRate(uint32_t tenant) const {
-  double sum = 0.0;
-  for (uint32_t idx : active_idx_) {
-    const Link& l = links_[idx];
-    if (l.rate > 0 && l.queue.front().tenant == tenant) sum += l.rate;
-  }
-  return sum;
-}
-
-double LinkFabric::bytes_delivered_for_tenant(uint32_t tenant) const {
-  if (tenant >= bytes_for_tenant_.size()) return 0.0;
-  return bytes_for_tenant_[tenant];
 }
 
 }  // namespace rdmajoin

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <string>
 #include <vector>
 
 #include "sim/fabric.h"
@@ -10,17 +11,20 @@
 
 namespace rdmajoin {
 
-/// Fluid network model specialized for the join's all-to-all traffic.
+class Counter;
+class Gauge;
+class Histogram;
+class MetricsRegistry;
+class TimeSeries;
+
+/// Fluid network model of the rack: one switch, per-host port limits.
 ///
-/// Where `Fabric` tracks every in-flight message as an independent flow
-/// (exact, but O(active flows) per event -- fine for point-to-point
-/// experiments like Figure 3), LinkFabric aggregates traffic into one FIFO
-/// queue per ordered (src, dst) machine pair. Each active link receives a
-/// bandwidth share (equal-share or max-min over the per-host egress/ingress
-/// capacities, like Fabric) and serves its message queue in order. Rates
-/// change only when a link activates or drains -- not per message -- so a
-/// network partitioning pass with hundreds of thousands of buffer
-/// transmissions replays in O(messages * links).
+/// Traffic is aggregated into one FIFO queue per ordered (src, dst) machine
+/// pair. Each active link receives a bandwidth share (equal-share or max-min
+/// over the per-host egress/ingress capacities) and serves its message queue
+/// in order. Rates change only when a link activates or drains -- not per
+/// message -- so a network partitioning pass with hundreds of thousands of
+/// buffer transmissions replays in O(messages * links).
 ///
 /// Resharing is incremental by default (FabricConfig::incremental_reshare):
 /// the model maintains per-host active-link counts and a sorted index of
@@ -57,22 +61,16 @@ class LinkFabric {
   /// `bytes` must be positive: a zero-byte (or negative, or NaN) message is
   /// rejected with kInvalidMessage in every build mode -- nothing is queued
   /// and nothing is counted in the delivery statistics.
-  ///
-  /// `tenant` is an opaque per-message tag (a query id in multi-tenant
-  /// replays, src/sched/). Like Fabric::Inject's tenant it never influences
-  /// the assigned rates -- only the per-tenant delivery accounting
-  /// (bytes_delivered_for_tenant) and the aggregate share readout
-  /// (TenantRate). Tag 0 is the default single-tenant world.
   MessageId Enqueue(uint32_t src, uint32_t dst, double bytes, double now,
-                    uint64_t cookie = 0, uint32_t tenant = 0);
+                    uint64_t cookie = 0);
 
   /// Attaches observability instrumentation reporting into `registry` under
-  /// `<prefix>.`, with the same metric names as Fabric::EnableMetrics:
-  /// per-host delivered-byte counters (`<prefix>.host<h>.egress_bytes` /
-  /// `.ingress_bytes`), per-host activity timelines
-  /// (`.egress_active_bytes` / `.ingress_active_bytes`), a queued-message
-  /// gauge (`<prefix>.active_flows`), a message counter and a message-size
-  /// histogram. `registry` must outlive the fabric; call before enqueuing.
+  /// `<prefix>.`: per-host delivered-byte counters
+  /// (`<prefix>.host<h>.egress_bytes` / `.ingress_bytes`), per-host activity
+  /// timelines (`.egress_active_bytes` / `.ingress_active_bytes`), a
+  /// queued-message gauge (`<prefix>.active_flows`), a message counter and a
+  /// message-size histogram. `registry` must outlive the fabric; call before
+  /// enqueuing.
   void EnableMetrics(MetricsRegistry* registry, const std::string& prefix,
                      double utilization_bucket_seconds);
 
@@ -98,16 +96,9 @@ class LinkFabric {
   size_t queued_messages() const { return queued_; }
   double total_bytes_delivered() const { return bytes_delivered_; }
   uint64_t messages_delivered() const { return messages_delivered_; }
-  /// Payload bytes delivered that carried tenant tag `tenant`.
-  double bytes_delivered_for_tenant(uint32_t tenant) const;
 
   /// Current service rate of the (src, dst) link; 0 if idle.
   double LinkRate(uint32_t src, uint32_t dst) const;
-
-  /// Sum of the current rates of every active link whose *head* message is
-  /// tagged `tenant` -- the tenant's aggregate instantaneous bandwidth (only
-  /// heads move in the link model).
-  double TenantRate(uint32_t tenant) const;
 
   /// Number of rate recomputations triggered so far (reshare cost metering
   /// for bench/micro_replay_engine.cc).
@@ -121,7 +112,6 @@ class LinkFabric {
   struct Message {
     MessageId id;
     uint64_t cookie;
-    uint32_t tenant;
     double size;
   };
   struct Link {
@@ -197,8 +187,6 @@ class LinkFabric {
   size_t queued_ = 0;
   double bytes_delivered_ = 0;
   uint64_t messages_delivered_ = 0;
-  /// Indexed by tenant tag, grown on demand (tag 0 always present).
-  std::vector<double> bytes_for_tenant_;
   /// Messages drained but still within base latency.
   std::vector<Completion> latency_;
   // Metric handles (all null / empty when metrics are disabled).

@@ -68,6 +68,7 @@ void SolveMaxMinRates(std::vector<RateDemand>* demands,
   std::vector<bool> fixed(ds.size(), false);
   size_t unfixed = ds.size();
   std::vector<uint32_t> src_cnt(n), dst_cnt(n);
+  std::vector<size_t> frozen;  // demands frozen in the current round
   while (unfixed > 0) {
     std::fill(src_cnt.begin(), src_cnt.end(), 0u);
     std::fill(dst_cnt.begin(), dst_cnt.end(), 0u);
@@ -110,7 +111,10 @@ void SolveMaxMinRates(std::vector<RateDemand>* demands,
       continue;
     }
     // Freeze every demand crossing a bottlenecked constraint at the fair
-    // share.
+    // share. The shares are the round's: residuals are charged only after
+    // the scan, so freezing one demand cannot make a port it shares look
+    // saturated to a later demand in the same round.
+    frozen.clear();
     for (size_t i = 0; i < ds.size(); ++i) {
       if (fixed[i]) continue;
       const double e_share = e_left[ds[i].src] / src_cnt[ds[i].src];
@@ -128,11 +132,14 @@ void SolveMaxMinRates(std::vector<RateDemand>* demands,
           ds[i].bound = RateConstraint::kReceiverIngress;
           ds[i].bound_host = ds[i].dst;
         }
-        e_left[ds[i].src] = std::max(0.0, e_left[ds[i].src] - bottleneck);
-        i_left[ds[i].dst] = std::max(0.0, i_left[ds[i].dst] - bottleneck);
-        fixed[i] = true;
-        --unfixed;
+        frozen.push_back(i);
       }
+    }
+    for (size_t i : frozen) {
+      e_left[ds[i].src] = std::max(0.0, e_left[ds[i].src] - bottleneck);
+      i_left[ds[i].dst] = std::max(0.0, i_left[ds[i].dst] - bottleneck);
+      fixed[i] = true;
+      --unfixed;
     }
     if (unfixed == unfixed_before) FailNonProgress(unfixed);
   }

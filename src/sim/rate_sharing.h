@@ -19,7 +19,7 @@ namespace rdmajoin {
 constexpr double kRateEps = 1e-12;
 
 /// Which fair-share constraint was binding when a demand's rate was frozen.
-/// The fabrics attach one of these (plus the constraining host id) to every
+/// The fabric attaches one of these (plus the constraining host id) to every
 /// flow at every reshare; the label rides the FlowTelemetry hook into the
 /// span dataset so the analysis layer can say *why* a flow got its rate, not
 /// just what the rate was.
@@ -47,12 +47,12 @@ const char* RateConstraintName(RateConstraint c);
 /// Parses a RateConstraintName back; returns false on unknown names.
 bool ParseRateConstraintName(const std::string& name, RateConstraint* out);
 
-/// One bandwidth demand between two hosts: a flow (Fabric) or an active link
-/// (LinkFabric). `cap` is the per-demand rate ceiling from the message-rate
-/// limit (+infinity when uncapped); `rate`, `bound` and `bound_host` are the
-/// solver's outputs: the assigned rate, the constraint that froze it, and
-/// the host owning that constraint (src for egress/message-rate, dst for
-/// ingress).
+/// One bandwidth demand between two hosts: an active LinkFabric link, or a
+/// query's stage traffic in the scheduler (src/sched/). `cap` is the
+/// per-demand rate ceiling from the message-rate limit (+infinity when
+/// uncapped); `rate`, `bound` and `bound_host` are the solver's outputs: the
+/// assigned rate, the constraint that froze it, and the host owning that
+/// constraint (src for egress/message-rate, dst for ingress).
 struct RateDemand {
   uint32_t src = 0;
   uint32_t dst = 0;
@@ -84,13 +84,10 @@ inline RateConstraint ClassifyEqualShare(double e_share, double i_share,
 /// within each round, which together with the host-id order of the
 /// bottleneck scan makes the result a pure function of the inputs.
 ///
-/// This is the single shared implementation of the twin loops that used to
-/// live in fabric.cc and link_fabric.cc. If a filling round freezes no
-/// demand (possible only with non-finite capacities or caps -- inputs the
-/// fabrics reject at their boundaries), the process state is undefined going
-/// forward: the old code asserted in debug builds and silently `break`ed in
-/// release builds, leaving stale/zero rates and a quietly wrong simulation.
-/// It now hard-fails (diagnostic to stderr + abort) in every build mode.
+/// If a filling round freezes no demand (possible only with non-finite
+/// capacities or caps -- inputs the callers reject at their boundaries), the
+/// rates would be stale and the simulation quietly wrong, so the solver
+/// hard-fails (diagnostic to stderr + abort) in every build mode.
 void SolveMaxMinRates(std::vector<RateDemand>* demands,
                       std::vector<double>* egress_left,
                       std::vector<double>* ingress_left);

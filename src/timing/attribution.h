@@ -120,9 +120,7 @@ struct AttributionReport {
 /// Fills in barrier waits and the critical-machine chain from the
 /// per-machine phase times: for every machine and phase, barrier_wait is
 /// raised so the four components sum to the global phase time. Called by
-/// ReplayTrace after the per-phase decompositions are recorded, and again by
-/// ReplayConcurrent after it merges the contended network pass into the
-/// barrier-phase replay.
+/// ReplayTrace after the per-phase decompositions are recorded.
 void FinalizeAttribution(const std::vector<PhaseTimes>& machine_phases,
                          const PhaseTimes& phases, AttributionReport* attribution);
 

@@ -417,8 +417,8 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
                                send.retry_delay_seconds);
       }
     }
-    const LinkFabric::MessageId id = fabric.Enqueue(
-        flow_src, send.dst_machine, vbytes, ts.time, /*cookie=*/0, ts.tr->query);
+    const LinkFabric::MessageId id =
+        fabric.Enqueue(flow_src, send.dst_machine, vbytes, ts.time);
     flows.Put(id, FlowInfo{who, send.slot, send.dst_machine, vbytes, ts.pending_span});
     if (recorder != nullptr && ts.pending_span != 0) {
       recorder->MarkStage(ts.pending_span, SpanStage::kFabricAdmitted, ts.time);
@@ -558,137 +558,6 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
     }
   }
 
-  return report;
-}
-
-
-StatusOr<ReplayReport> ReplayConcurrent(const ClusterConfig& cluster,
-                                        const JoinConfig& config,
-                                        const std::vector<RunTrace>& traces,
-                                        const ReplayOptions& options) {
-  if (traces.empty()) return Status::InvalidArgument("no traces to replay");
-  const uint32_t nm = cluster.num_machines;
-  const double scale = traces[0].scale_up;
-  for (const RunTrace& t : traces) {
-    if (t.machines.size() != nm) {
-      return Status::InvalidArgument("trace machine count does not match cluster");
-    }
-    if (t.scale_up != scale) {
-      return Status::InvalidArgument("traces must share one scale factor");
-    }
-  }
-  // Merge: per machine, concatenate the queries' thread traces and work
-  // lists. One receiver core then services the combined message stream and
-  // the fabric carries the combined traffic.
-  RunTrace merged;
-  merged.scale_up = scale;
-  merged.machines.resize(nm);
-  for (size_t qi = 0; qi < traces.size(); ++qi) {
-    const RunTrace& t = traces[qi];
-    for (uint32_t m = 0; m < nm; ++m) {
-      MachineTrace& dst = merged.machines[m];
-      const MachineTrace& src = t.machines[m];
-      dst.histogram_bytes += src.histogram_bytes;
-      dst.histogram_exchange_seconds =
-          std::max(dst.histogram_exchange_seconds, src.histogram_exchange_seconds);
-      // Tag each query's threads so the fabric carries per-query tenant ids
-      // (per-query bandwidth shares are readable via LinkFabric::TenantRate).
-      const size_t first_new = dst.net_threads.size();
-      dst.net_threads.insert(dst.net_threads.end(), src.net_threads.begin(),
-                             src.net_threads.end());
-      for (size_t i = first_new; i < dst.net_threads.size(); ++i) {
-        dst.net_threads[i].query = static_cast<uint32_t>(qi);
-      }
-      dst.recv_bytes += src.recv_bytes;
-      dst.recv_messages += src.recv_messages;
-      dst.local_pass_bytes += src.local_pass_bytes;
-      dst.sort_bytes += src.sort_bytes;
-      dst.merge_tasks.insert(dst.merge_tasks.end(), src.merge_tasks.begin(),
-                             src.merge_tasks.end());
-      dst.tasks.insert(dst.tasks.end(), src.tasks.begin(), src.tasks.end());
-      dst.stolen_in_bytes += src.stolen_in_bytes;
-      dst.materialized_bytes += src.materialized_bytes;
-      dst.setup_registration_seconds =
-          std::max(dst.setup_registration_seconds, src.setup_registration_seconds);
-      dst.per_send_registration_seconds = std::max(
-          dst.per_send_registration_seconds, src.per_send_registration_seconds);
-    }
-  }
-  // Fair time-sharing: with Q queries each thread effectively runs at 1/Q of
-  // its core (the merged trace has Q threads per core).
-  const double q = static_cast<double>(traces.size());
-  ClusterConfig shared = cluster;
-  shared.costs.partition_bytes_per_sec /= q;
-  shared.costs.histogram_bytes_per_sec /= q;
-  shared.costs.build_bytes_per_sec /= q;
-  shared.costs.probe_bytes_per_sec /= q;
-  shared.costs.sort_bytes_per_sec /= q;
-  shared.costs.merge_bytes_per_sec /= q;
-  // The receiver core is one physical core servicing all queries: its copy
-  // rate is NOT divided (the merged stream is serviced sequentially).
-  // Build/probe and local phases are summed workloads on shared cores: the
-  // merged task lists under the scaled rates already model that. But the
-  // histogram and local phases would double-charge (bytes summed AND rate
-  // divided); undo one of the two by restoring the rates for barrier phases.
-  shared.costs.histogram_bytes_per_sec = cluster.costs.histogram_bytes_per_sec;
-  shared.costs.partition_bytes_per_sec = cluster.costs.partition_bytes_per_sec;
-  shared.costs.sort_bytes_per_sec = cluster.costs.sort_bytes_per_sec;
-  shared.costs.build_bytes_per_sec = cluster.costs.build_bytes_per_sec;
-  shared.costs.probe_bytes_per_sec = cluster.costs.probe_bytes_per_sec;
-  shared.costs.merge_bytes_per_sec = cluster.costs.merge_bytes_per_sec;
-  // What remains scaled: the per-thread partitioning rate inside the network
-  // pass, where each query's threads genuinely timeshare the cores.
-  ClusterConfig net_shared = shared;
-  net_shared.costs.partition_bytes_per_sec =
-      cluster.costs.partition_bytes_per_sec / q;
-  // Barrier phases with summed bytes at full rates (cores process the
-  // queries' combined volume either way). Spans are recorded only by the
-  // contended network replay below -- that is the network pass the combined
-  // report describes.
-  ReplayOptions barrier_options;
-  barrier_options.spans.enabled = false;
-  ReplayReport barrier_report = ReplayTrace(shared, config, merged, barrier_options);
-  // Network pass with contention + timesharing. This call carries the
-  // metrics so fabric utilization and the phase gauges reflect the contended
-  // network (the barrier phases were just overwritten below anyway).
-  ReplayReport net_report = ReplayTrace(net_shared, config, merged, options);
-  ReplayReport report = barrier_report;
-  report.phases.network_partition_seconds =
-      net_report.phases.network_partition_seconds;
-  for (uint32_t m = 0; m < nm; ++m) {
-    report.machine_phases[m].network_partition_seconds =
-        net_report.machine_phases[m].network_partition_seconds;
-  }
-  report.receiver_busy_seconds = net_report.receiver_busy_seconds;
-  report.net_thread_finish_seconds = net_report.net_thread_finish_seconds;
-  report.last_completion_seconds = net_report.last_completion_seconds;
-  report.avg_network_rate_bytes_per_sec = net_report.avg_network_rate_bytes_per_sec;
-  report.spans = net_report.spans;
-  // Attribution: barrier phases from the full-rate replay, the network pass
-  // from the contended replay, then re-derive barrier waits and the critical
-  // chain against the combined phase times.
-  constexpr size_t kNetPhase = static_cast<size_t>(JoinPhase::kNetworkPartition);
-  for (uint32_t m = 0; m < nm; ++m) {
-    report.attribution.machines[m].phases[kNetPhase] =
-        net_report.attribution.machines[m].phases[kNetPhase];
-  }
-  FinalizeAttribution(report.machine_phases, report.phases, &report.attribution);
-  if (options.metrics != nullptr) {
-    // Re-emit the gauges from the merged view (histogram/local/build-probe
-    // at full rates, network from the contended pass).
-    for (uint32_t m = 0; m < nm; ++m) {
-      const std::string name = "join.machine" + std::to_string(m);
-      const PhaseTimes& p = report.machine_phases[m];
-      options.metrics->GetGauge(name + ".histogram_seconds")
-          ->Set(p.histogram_seconds);
-      options.metrics->GetGauge(name + ".network_partition_seconds")
-          ->Set(p.network_partition_seconds);
-      options.metrics->GetGauge(name + ".local_partition_seconds")
-          ->Set(p.local_partition_seconds);
-      options.metrics->GetGauge(name + ".build_probe_seconds")
-          ->Set(p.build_probe_seconds);
-    }
-  }
   return report;
 }
 

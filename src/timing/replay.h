@@ -10,7 +10,6 @@
 #include "timing/phase_times.h"
 #include "timing/span_trace.h"
 #include "timing/trace.h"
-#include "util/statusor.h"
 
 namespace rdmajoin {
 
@@ -90,20 +89,6 @@ struct ReplayReport {
 ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
                          const RunTrace& trace,
                          const ReplayOptions& options = ReplayOptions());
-
-/// Replays several independently-captured traces as if their operators ran
-/// concurrently on one cluster (the co-scheduling question the paper's
-/// Section 7 leaves open): every machine's cores are time-shared fairly
-/// across the queries (compute rates divided by the query count) while all
-/// network traffic contends in one fabric and one receiver core services the
-/// combined message stream. Returns the phase times of the combined
-/// workload, i.e. when the last query finishes each phase.
-///
-/// All traces must have the same machine count and scale factor.
-StatusOr<ReplayReport> ReplayConcurrent(const ClusterConfig& cluster,
-                                        const JoinConfig& config,
-                                        const std::vector<RunTrace>& traces,
-                                        const ReplayOptions& options = ReplayOptions());
 
 }  // namespace rdmajoin
 

@@ -36,10 +36,6 @@ struct SendRecord {
 struct ThreadNetTrace {
   /// Total actual input bytes the thread partitioned in the network pass.
   uint64_t compute_bytes = 0;
-  /// Originating query in a merged multi-query trace (ReplayConcurrent,
-  /// src/sched/). Passed to the fabric as the tenant tag so per-query
-  /// bandwidth shares can be read back out; 0 for single-query traces.
-  uint32_t query = 0;
   /// Sends in posting order; compute_bytes_before is non-decreasing.
   std::vector<SendRecord> sends;
 };

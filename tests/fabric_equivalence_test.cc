@@ -1,10 +1,9 @@
-// Differential tests for the incremental-reshare fast paths and the calendar
-// event queue: the same seeded schedule is replayed through the reference
-// implementation (full reshare / binary heap) and the incremental one, and
-// the outputs must agree -- exactly for equal-share (whose incremental rates
-// are bit-identical by construction), within kRateEps for max-min (where the
-// progressive fill couples components only through the epsilon), and exactly
-// for event firing order (FIFO ties included).
+// Differential tests for LinkFabric's incremental-reshare fast paths: the
+// same seeded schedule is replayed through the full-recompute reference and
+// the incremental path, and the outputs must agree -- exactly for
+// equal-share (whose incremental rates are bit-identical by construction),
+// and within kRateEps for max-min (where the progressive fill couples
+// components only through the epsilon).
 //
 // The incremental instances additionally run with
 // verify_incremental_reshare=true, so every reshare is cross-checked against
@@ -17,8 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/event_queue.h"
-#include "sim/fabric.h"
 #include "sim/link_fabric.h"
 #include "util/random.h"
 
@@ -65,132 +62,11 @@ FabricConfig EquivConfig(SharingPolicy sharing, bool incremental) {
   return f;
 }
 
-// One seeded schedule of injects / advances / capacity faults. Identical
-// RNG consumption on every call, so two fabrics fed the same seed see the
-// same operations at the same virtual times.
-struct FabricRun {
-  std::vector<Fabric::Completion> completions;
-  std::vector<std::pair<Fabric::FlowId, double>> rate_probes;
-  std::vector<Seg> segments;
-};
-
-FabricRun RunFabricSchedule(SharingPolicy sharing, bool incremental,
-                            uint64_t seed) {
-  Fabric fabric(EquivConfig(sharing, incremental));
-  SegmentLog log;
-  fabric.EnableFlowTelemetry(&log);
-  Random rng(seed);
-  FabricRun run;
-  double t = 0.0;
-  std::vector<Fabric::FlowId> live;
-  for (int i = 0; i < 250; ++i) {
-    const uint64_t op = rng.Uniform(10);
-    if (op < 6) {
-      const uint32_t src = static_cast<uint32_t>(rng.Uniform(kHosts));
-      uint32_t dst = static_cast<uint32_t>(rng.Uniform(kHosts));
-      if (dst == src) dst = (dst + 1) % kHosts;
-      // Sizes spanning several decades keep many reshares in flight.
-      const double bytes = (1.0 + static_cast<double>(rng.Uniform(1000))) *
-                           std::pow(10.0, static_cast<double>(rng.Uniform(4)));
-      live.push_back(fabric.Inject(src, dst, bytes, t,
-                                   /*cookie=*/static_cast<uint64_t>(i)));
-    } else if (op < 8) {
-      const double nc = fabric.NextCompletionTime();
-      t = std::isfinite(nc) ? nc : t + 0.001;
-      fabric.AdvanceTo(t, &run.completions);
-    } else if (op == 8) {
-      t += rng.NextDouble() * 0.01;
-      fabric.AdvanceTo(t, &run.completions);
-    } else {
-      static const double kScales[] = {1.0, 0.5, 1e-9, 2.0};
-      const uint32_t host = static_cast<uint32_t>(rng.Uniform(kHosts));
-      fabric.SetHostCapacityScale(host, kScales[rng.Uniform(4)],
-                                  kScales[rng.Uniform(4)]);
-    }
-    for (Fabric::FlowId id : live) {
-      run.rate_probes.emplace_back(id, fabric.FlowRate(id));
-    }
-  }
-  // Restore nominal capacities so degraded flows drain in bounded time.
-  for (uint32_t h = 0; h < kHosts; ++h) fabric.SetHostCapacityScale(h, 1.0, 1.0);
-  fabric.AdvanceTo(t + 1e9, &run.completions);
-  EXPECT_EQ(fabric.active_flows(), 0u);
-  run.segments = std::move(log.segs);
-  return run;
-}
-
-void ExpectRunsMatch(const FabricRun& full, const FabricRun& inc, bool exact) {
-  ASSERT_EQ(full.completions.size(), inc.completions.size());
-  for (size_t i = 0; i < full.completions.size(); ++i) {
-    EXPECT_EQ(full.completions[i].id, inc.completions[i].id) << "completion " << i;
-    EXPECT_EQ(full.completions[i].cookie, inc.completions[i].cookie);
-    if (exact) {
-      EXPECT_EQ(full.completions[i].time, inc.completions[i].time)
-          << "completion " << i;
-    } else {
-      EXPECT_NEAR(full.completions[i].time, inc.completions[i].time,
-                  1e-9 * (1.0 + std::abs(full.completions[i].time)));
-    }
-  }
-  ASSERT_EQ(full.rate_probes.size(), inc.rate_probes.size());
-  for (size_t i = 0; i < full.rate_probes.size(); ++i) {
-    EXPECT_EQ(full.rate_probes[i].first, inc.rate_probes[i].first);
-    const double a = full.rate_probes[i].second;
-    const double b = inc.rate_probes[i].second;
-    if (exact) {
-      EXPECT_EQ(a, b) << "rate probe " << i;
-    } else {
-      EXPECT_LE(std::abs(a - b), kRateEps * std::max(std::abs(a), std::abs(b)))
-          << "rate probe " << i << ": " << a << " vs " << b;
-    }
-  }
-  ASSERT_EQ(full.segments.size(), inc.segments.size());
-  for (size_t i = 0; i < full.segments.size(); ++i) {
-    const Seg& a = full.segments[i];
-    const Seg& b = inc.segments[i];
-    EXPECT_EQ(a.flow, b.flow) << "segment " << i;
-    EXPECT_EQ(a.src, b.src);
-    EXPECT_EQ(a.dst, b.dst);
-    // Binding-constraint labels are discrete: both reshare paths must agree
-    // exactly, in every comparison mode (value-based freezing makes the
-    // max-min classification identical too, not just within eps).
-    EXPECT_EQ(RateConstraintName(a.bound), RateConstraintName(b.bound))
-        << "segment " << i;
-    EXPECT_EQ(a.bound_host, b.bound_host) << "segment " << i;
-    if (exact) {
-      // Byte-identical: equal-share incremental rates are the same
-      // expressions over the same operands as the full recompute.
-      EXPECT_EQ(a.t0, b.t0) << "segment " << i;
-      EXPECT_EQ(a.t1, b.t1) << "segment " << i;
-      EXPECT_EQ(a.rate, b.rate) << "segment " << i;
-    } else {
-      EXPECT_NEAR(a.t0, b.t0, 1e-9 * (1.0 + std::abs(a.t0)));
-      EXPECT_NEAR(a.t1, b.t1, 1e-9 * (1.0 + std::abs(a.t1)));
-      EXPECT_LE(std::abs(a.rate - b.rate),
-                kRateEps * std::max(std::abs(a.rate), std::abs(b.rate)))
-          << "segment " << i;
-    }
-  }
-}
-
-TEST(FabricEquivalence, EqualShareIncrementalIsByteIdentical) {
-  for (uint64_t seed : {1u, 7u, 42u, 1234u}) {
-    FabricRun full = RunFabricSchedule(SharingPolicy::kEqualShare, false, seed);
-    FabricRun inc = RunFabricSchedule(SharingPolicy::kEqualShare, true, seed);
-    ExpectRunsMatch(full, inc, /*exact=*/true);
-  }
-}
-
-TEST(FabricEquivalence, MaxMinIncrementalMatchesWithinRateEps) {
-  for (uint64_t seed : {1u, 7u, 42u, 1234u}) {
-    FabricRun full = RunFabricSchedule(SharingPolicy::kMaxMin, false, seed);
-    FabricRun inc = RunFabricSchedule(SharingPolicy::kMaxMin, true, seed);
-    ExpectRunsMatch(full, inc, /*exact=*/false);
-  }
-}
-
-// Same differential over the link-queue model (the replay hot path): FIFO
-// link queues, head pops, and the O(1) message-rate-cap refresh.
+// One seeded schedule of enqueues / advances / capacity faults over the
+// link-queue model (the replay hot path): FIFO link queues, head pops, and
+// the O(1) message-rate-cap refresh. Identical RNG consumption on every call,
+// so two fabrics fed the same seed see the same operations at the same
+// virtual times.
 struct LinkRun {
   std::vector<LinkFabric::Completion> completions;
   std::vector<double> rate_probes;
@@ -339,56 +215,6 @@ TEST(LinkFabricEquivalence, IncrementalReducesResharedLinkAssignments) {
   ASSERT_GT(full.reshares(), 0u);
   ASSERT_GT(inc.reshares(), 0u);
   EXPECT_LT(inc.reshared_links(), full.reshared_links() / 4);
-}
-
-// Heap-vs-calendar event queue differential: identical schedules (including
-// callbacks that schedule more events, and deliberate FIFO ties) must fire
-// in the identical order at identical times.
-template <typename Q>
-struct QueueFuzz {
-  Q q;
-  Random rng;
-  std::vector<std::pair<int, double>> log;
-  int next_label = 1000;
-
-  explicit QueueFuzz(uint64_t seed) : rng(seed) {}
-
-  void Schedule(int label, double time) {
-    q.ScheduleAt(time, [this, label] {
-      log.emplace_back(label, q.now());
-      const uint64_t extra = rng.Uniform(3);
-      for (uint64_t k = 0; k < extra && log.size() < 4000; ++k) {
-        const double delay =
-            rng.NextDouble() * (rng.Uniform(2) != 0 ? 1e-3 : 10.0);
-        Schedule(next_label++, q.now() + delay);
-      }
-    });
-  }
-};
-
-template <typename Q>
-std::vector<std::pair<int, double>> RunQueueSchedule(uint64_t seed) {
-  QueueFuzz<Q> fuzz(seed);
-  Random seeder(seed ^ UINT64_C(0xABCDEF));
-  for (int i = 0; i < 100; ++i) {
-    fuzz.Schedule(i, seeder.NextDouble() * 100.0);
-  }
-  // FIFO ties: many events at one instant, interleaved labels.
-  for (int i = 100; i < 130; ++i) fuzz.Schedule(i, 50.0);
-  fuzz.q.RunUntilEmpty();
-  return fuzz.log;
-}
-
-TEST(EventQueueEquivalence, CalendarMatchesHeapFiringOrder) {
-  for (uint64_t seed : {3u, 11u, 99u}) {
-    const auto heap = RunQueueSchedule<HeapEventQueue>(seed);
-    const auto calendar = RunQueueSchedule<EventQueue>(seed);
-    ASSERT_EQ(heap.size(), calendar.size());
-    for (size_t i = 0; i < heap.size(); ++i) {
-      EXPECT_EQ(heap[i].first, calendar[i].first) << "event " << i;
-      EXPECT_EQ(heap[i].second, calendar[i].second) << "event " << i;
-    }
-  }
 }
 
 }  // namespace

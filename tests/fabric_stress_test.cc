@@ -1,12 +1,9 @@
-#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "sim/fabric.h"
 #include "sim/link_fabric.h"
 
 namespace rdmajoin {
@@ -23,23 +20,21 @@ FabricConfig StressConfig(SharingPolicy sharing, uint32_t hosts = 6) {
   return config;
 }
 
-/// Checks the rate-assignment invariants after a recompute: every draining
-/// flow has a non-negative rate, and the per-host egress/ingress rate sums
-/// stay within capacity (modulo floating-point slack).
-void CheckRateInvariants(const Fabric& fabric,
-                         const std::vector<Fabric::FlowId>& live,
-                         const std::vector<uint32_t>& src_of,
-                         const std::vector<uint32_t>& dst_of) {
+/// Checks the rate-assignment invariants after a recompute: every link has
+/// a finite non-negative rate, and the per-host egress/ingress rate sums stay
+/// within capacity (modulo floating-point slack).
+void CheckRateInvariants(const LinkFabric& fabric) {
   const FabricConfig& config = fabric.config();
   std::vector<double> egress(config.num_hosts, 0.0);
   std::vector<double> ingress(config.num_hosts, 0.0);
-  for (size_t i = 0; i < live.size(); ++i) {
-    const double rate = fabric.FlowRate(live[i]);
-    if (rate == 0.0) continue;  // Flow already drained into its latency stage.
-    ASSERT_GE(rate, 0.0);
-    ASSERT_FALSE(std::isnan(rate));
-    egress[src_of[i]] += rate;
-    ingress[dst_of[i]] += rate;
+  for (uint32_t src = 0; src < config.num_hosts; ++src) {
+    for (uint32_t dst = 0; dst < config.num_hosts; ++dst) {
+      const double rate = fabric.LinkRate(src, dst);
+      ASSERT_GE(rate, 0.0);
+      ASSERT_FALSE(std::isnan(rate));
+      egress[src] += rate;
+      ingress[dst] += rate;
+    }
   }
   const double eps = 1e-6;
   for (uint32_t h = 0; h < config.num_hosts; ++h) {
@@ -50,92 +45,8 @@ void CheckRateInvariants(const Fabric& fabric,
   }
 }
 
-/// Drives a fabric with a long randomized interleaving of Inject and
-/// AdvanceTo calls and checks global invariants: completions arrive in
-/// monotone time order, every injected flow completes exactly once, and
-/// delivered bytes equal injected bytes.
-void RunFabricStress(SharingPolicy sharing, uint32_t seed) {
-  const FabricConfig config = StressConfig(sharing);
-  Fabric fabric(config);
-  std::mt19937 rng(seed);
-  std::uniform_int_distribution<uint32_t> host(0, config.num_hosts - 1);
-  std::uniform_real_distribution<double> size(1.0, 5000.0);
-  std::uniform_real_distribution<double> dt(0.0, 0.5);
-  std::uniform_real_distribution<double> coin(0.0, 1.0);
-
-  double now = 0.0;
-  double injected_bytes = 0.0;
-  uint64_t injected_count = 0;
-  double last_completion = 0.0;
-  std::vector<Fabric::FlowId> live;
-  std::vector<uint32_t> src_of, dst_of;
-  std::vector<Fabric::Completion> done;
-  uint64_t completed_count = 0;
-
-  for (int step = 0; step < 2000; ++step) {
-    if (coin(rng) < 0.6) {
-      const uint32_t src = host(rng);
-      uint32_t dst = host(rng);
-      if (dst == src) dst = (dst + 1) % config.num_hosts;
-      const double bytes = size(rng);
-      const Fabric::FlowId id = fabric.Inject(src, dst, bytes, now, step);
-      ASSERT_NE(id, Fabric::kInvalidFlow);
-      injected_bytes += bytes;
-      ++injected_count;
-      live.push_back(id);
-      src_of.push_back(src);
-      dst_of.push_back(dst);
-    } else {
-      now += dt(rng);
-      done.clear();
-      fabric.AdvanceTo(now, &done);
-      for (const Fabric::Completion& c : done) {
-        EXPECT_GE(c.time, last_completion) << "completion times not monotone";
-        EXPECT_LE(c.time, now);
-        last_completion = c.time;
-        ++completed_count;
-      }
-    }
-    if (step % 50 == 0) {
-      CheckRateInvariants(fabric, live, src_of, dst_of);
-    }
-  }
-
-  // Drain everything that is still in flight.
-  now += 1e6;
-  done.clear();
-  fabric.AdvanceTo(now, &done);
-  for (const Fabric::Completion& c : done) {
-    EXPECT_GE(c.time, last_completion);
-    last_completion = c.time;
-    ++completed_count;
-  }
-  EXPECT_EQ(fabric.active_flows(), 0u);
-  EXPECT_EQ(fabric.in_latency_flows(), 0u);
-  EXPECT_EQ(completed_count, injected_count);
-  EXPECT_EQ(fabric.messages_delivered(), injected_count);
-  EXPECT_NEAR(fabric.total_bytes_delivered(), injected_bytes,
-              injected_bytes * 1e-9);
-  // Per-source attribution also conserves bytes.
-  double per_host = 0.0;
-  for (uint32_t h = 0; h < config.num_hosts; ++h) {
-    per_host += fabric.bytes_delivered_from(h);
-  }
-  EXPECT_NEAR(per_host, injected_bytes, injected_bytes * 1e-9);
-}
-
-TEST(FabricStress, EqualShareConservesBytesAndOrdersCompletions) {
-  RunFabricStress(SharingPolicy::kEqualShare, 1234);
-  RunFabricStress(SharingPolicy::kEqualShare, 99);
-}
-
-TEST(FabricStress, MaxMinConservesBytesAndOrdersCompletions) {
-  RunFabricStress(SharingPolicy::kMaxMin, 1234);
-  RunFabricStress(SharingPolicy::kMaxMin, 7);
-}
-
-/// Regression for the max-min accumulation bug: with many flows sharing a
-/// port, the subtraction of per-flow rates from the residual capacities
+/// Regression for the max-min accumulation bug: with many links sharing a
+/// port, the subtraction of per-link rates from the residual capacities
 /// accumulates floating-point error and used to drive the residuals
 /// negative, which could then assign (tiny) negative rates. The recompute
 /// now clamps residuals at zero; rates must never be negative and hosts must
@@ -143,31 +54,33 @@ TEST(FabricStress, MaxMinConservesBytesAndOrdersCompletions) {
 TEST(FabricStress, MaxMinResidualsNeverGoNegative) {
   FabricConfig config = StressConfig(SharingPolicy::kMaxMin, 8);
   // Capacities chosen to produce non-terminating binary fractions in the
-  // per-flow shares, maximizing accumulation error.
+  // per-link shares, maximizing accumulation error.
   config.egress_bytes_per_sec = 1000.0 / 3.0;
   config.ingress_bytes_per_sec = 700.0 / 3.0;
-  Fabric fabric(config);
+  LinkFabric fabric(config);
   std::mt19937 rng(42);
   std::uniform_int_distribution<uint32_t> host(0, config.num_hosts - 1);
   std::uniform_real_distribution<double> size(1.0, 100.0);
 
-  double now = 0.0;
-  std::vector<Fabric::FlowId> live;
-  std::vector<uint32_t> src_of, dst_of;
-  for (int i = 0; i < 300; ++i) {
+  const int messages = 300;
+  for (int i = 0; i < messages; ++i) {
     const uint32_t src = host(rng);
     uint32_t dst = host(rng);
     if (dst == src) dst = (dst + 1) % config.num_hosts;
-    live.push_back(fabric.Inject(src, dst, size(rng), now, i));
-    src_of.push_back(src);
-    dst_of.push_back(dst);
-    CheckRateInvariants(fabric, live, src_of, dst_of);
+    ASSERT_NE(fabric.Enqueue(src, dst, size(rng), 0.0, i),
+              LinkFabric::kInvalidMessage);
+    CheckRateInvariants(fabric);
   }
-  std::vector<Fabric::Completion> done;
+  std::vector<LinkFabric::Completion> done;
   fabric.AdvanceTo(1e6, &done);
-  EXPECT_EQ(done.size(), live.size());
+  EXPECT_EQ(done.size(), static_cast<size_t>(messages));
 }
 
+/// Drives the fabric with a long randomized interleaving of Enqueue and
+/// AdvanceTo calls under both sharing policies and checks global invariants:
+/// rates stay within capacity, completions arrive in monotone time order,
+/// every message completes exactly once, and delivered bytes equal enqueued
+/// bytes.
 TEST(FabricStress, LinkFabricRandomizedConservation) {
   for (SharingPolicy sharing :
        {SharingPolicy::kEqualShare, SharingPolicy::kMaxMin}) {
@@ -206,6 +119,7 @@ TEST(FabricStress, LinkFabricRandomizedConservation) {
           ++completed_count;
         }
       }
+      if (step % 50 == 0) CheckRateInvariants(fabric);
     }
     done.clear();
     fabric.AdvanceTo(now + 1e6, &done);
@@ -216,25 +130,10 @@ TEST(FabricStress, LinkFabricRandomizedConservation) {
     }
     EXPECT_EQ(fabric.queued_messages(), 0u);
     EXPECT_EQ(completed_count, injected_count);
+    EXPECT_EQ(fabric.messages_delivered(), injected_count);
     EXPECT_NEAR(fabric.total_bytes_delivered(), injected_bytes,
                 injected_bytes * 1e-9);
   }
-}
-
-TEST(FabricStress, ZeroByteInjectIsRejectedInAllBuildModes) {
-  const FabricConfig config = StressConfig(SharingPolicy::kEqualShare, 2);
-  Fabric fabric(config);
-  EXPECT_EQ(fabric.Inject(0, 1, 0.0, 0.0), Fabric::kInvalidFlow);
-  EXPECT_EQ(fabric.Inject(0, 1, -5.0, 0.0), Fabric::kInvalidFlow);
-  EXPECT_EQ(fabric.Inject(0, 1, std::nan(""), 0.0), Fabric::kInvalidFlow);
-  EXPECT_EQ(fabric.active_flows(), 0u);
-  std::vector<Fabric::Completion> done;
-  fabric.AdvanceTo(1.0, &done);
-  EXPECT_TRUE(done.empty());
-  EXPECT_EQ(fabric.messages_delivered(), 0u);
-  EXPECT_DOUBLE_EQ(fabric.total_bytes_delivered(), 0.0);
-  // A valid flow still goes through afterwards.
-  EXPECT_NE(fabric.Inject(0, 1, 10.0, 1.0), Fabric::kInvalidFlow);
 }
 
 TEST(FabricStress, ZeroByteEnqueueIsRejectedInAllBuildModes) {

@@ -1,10 +1,8 @@
-// Tests for the hardware-conscious kernels: LSB radix sort and the
-// software-write-combining radix scatter.
+// Tests for the hardware-conscious kernels: LSB radix sort.
 
 #include <gtest/gtest.h>
 
 #include "join/local_partition.h"
-#include "join/swwc_scatter.h"
 #include "operators/radix_sort.h"
 #include "operators/sort_utils.h"
 #include "util/random.h"
@@ -87,54 +85,6 @@ TEST(RadixSort, LargeKeysUseMorePasses) {
   EXPECT_TRUE(IsSortedByKey(odd));
   EXPECT_TRUE(IsSortedByKey(even));
   EXPECT_TRUE(IsSortedByKey(three));
-}
-
-// ---------- SWWC scatter ----------
-
-TEST(SwwcScatter, MatchesPlainScatter) {
-  Relation in = RandomRelation(30000, 0xFFFFF, 27);
-  auto plain = RadixScatter(in, 2, 5);
-  auto swwc = RadixScatterSwwc(in, 2, 5);
-  ASSERT_EQ(plain.size(), swwc.size());
-  for (size_t p = 0; p < plain.size(); ++p) {
-    ASSERT_EQ(plain[p].num_tuples(), swwc[p].num_tuples()) << p;
-    // SWWC preserves the input order within each partition (stable).
-    for (uint64_t i = 0; i < plain[p].num_tuples(); ++i) {
-      EXPECT_EQ(plain[p].Key(i), swwc[p].Key(i));
-      EXPECT_EQ(plain[p].Rid(i), swwc[p].Rid(i));
-    }
-  }
-}
-
-TEST(SwwcScatter, WorksForAllBufferSizes) {
-  Relation in = RandomRelation(5000, 0xFF, 28);
-  auto reference = RadixScatter(in, 0, 4);
-  for (uint32_t buf : {1u, 2u, 3u, 4u, 8u, 64u}) {
-    auto swwc = RadixScatterSwwc(in, 0, 4, buf);
-    ASSERT_EQ(swwc.size(), reference.size());
-    for (size_t p = 0; p < swwc.size(); ++p) {
-      EXPECT_EQ(swwc[p].num_tuples(), reference[p].num_tuples())
-          << "buf " << buf << " part " << p;
-    }
-  }
-}
-
-TEST(SwwcScatter, WideTuplesKeepPayloads) {
-  Relation in = RandomRelation(3000, 0x3F, 29, 32);
-  auto parts = RadixScatterSwwc(in, 0, 3);
-  uint64_t total = 0;
-  for (const auto& p : parts) {
-    total += p.num_tuples();
-    EXPECT_TRUE(p.VerifyPayloads().ok());
-  }
-  EXPECT_EQ(total, in.num_tuples());
-}
-
-TEST(SwwcScatter, EmptyInput) {
-  Relation in(16);
-  auto parts = RadixScatterSwwc(in, 0, 4);
-  ASSERT_EQ(parts.size(), 16u);
-  for (const auto& p : parts) EXPECT_TRUE(p.empty());
 }
 
 }  // namespace

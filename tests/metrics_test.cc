@@ -11,7 +11,7 @@
 #include "cluster/cost_model.h"
 #include "rdma/buffer_pool.h"
 #include "rdma/verbs.h"
-#include "sim/fabric.h"
+#include "sim/link_fabric.h"
 
 namespace rdmajoin {
 namespace {
@@ -265,22 +265,24 @@ TEST(FabricMetrics, DeliveredBytesAgreeWithFabricCounters) {
   fc.ingress_bytes_per_sec = 1000.0;
   fc.message_rate_per_host = 0.0;
   fc.base_latency_seconds = 0.0;
-  Fabric fabric(fc);
+  LinkFabric fabric(fc);
   MetricsRegistry reg;
   fabric.EnableMetrics(&reg, "fabric", 0.01);
 
-  fabric.Inject(0, 1, 500.0, 0.0);
-  fabric.Inject(0, 2, 250.0, 0.0);
-  fabric.Inject(2, 1, 125.0, 0.1);
-  std::vector<Fabric::Completion> done;
+  fabric.Enqueue(0, 1, 500.0, 0.0);
+  fabric.Enqueue(0, 2, 250.0, 0.0);
+  fabric.Enqueue(2, 1, 125.0, 0.1);
+  std::vector<LinkFabric::Completion> done;
   fabric.AdvanceTo(10.0, &done);
   ASSERT_EQ(done.size(), 3u);
 
+  // Bytes delivered per source host, from the enqueues above.
+  const double sent_from[] = {750.0, 0.0, 125.0};
   for (uint32_t h = 0; h < fc.num_hosts; ++h) {
     const Counter* egress =
         reg.FindCounter("fabric.host" + std::to_string(h) + ".egress_bytes");
     ASSERT_NE(egress, nullptr);
-    EXPECT_DOUBLE_EQ(egress->value(), fabric.bytes_delivered_from(h));
+    EXPECT_DOUBLE_EQ(egress->value(), sent_from[h]);
   }
   double ingress_sum = 0;
   for (uint32_t h = 0; h < fc.num_hosts; ++h) {

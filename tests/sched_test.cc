@@ -9,8 +9,6 @@
 #include "sched/policy.h"
 #include "sched/query_profile.h"
 #include "sched/scheduler.h"
-#include "timing/replay.h"
-#include "timing/span_query.h"
 #include "workload/generator.h"
 
 namespace rdmajoin {
@@ -422,23 +420,6 @@ TEST_F(SchedTest, DeterministicAcrossReruns) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(ScheduleReportToJson(*a), ScheduleReportToJson(*b));
-}
-
-// The scheduled multi-query path and the contended replay path must both
-// keep the flight recorder's invariants: replay the same traces through
-// ReplayConcurrent with spans on and check the dataset.
-TEST_F(SchedTest, ConcurrentReplaySpansKeepInvariants) {
-  ReplayOptions options;
-  options.spans.enabled = true;
-  auto replay = ReplayConcurrent(*cluster_, *jc_, *traces_, options);
-  ASSERT_TRUE(replay.ok());
-  ASSERT_NE(replay->spans, nullptr);
-  const SpanDataset dataset = replay->spans->Snapshot();
-  EXPECT_GT(dataset.spans.size(), 0u);
-  const SpanInvariantReport verdict = CheckSpanInvariants(dataset);
-  EXPECT_TRUE(verdict.ok()) << (verdict.violations.empty()
-                                    ? ""
-                                    : verdict.violations.front());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -60,9 +61,31 @@ std::string ReadFileOrEmpty(const std::string& path) {
   return buf.str();
 }
 
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "tools_smoke_" + name;
+/// Scratch directory private to this process. ctest runs every test in its
+/// own process and each process's SetUpTestSuite rewrites the suite's shared
+/// artifacts, so a path common to all processes would let one of them
+/// overwrite files a sibling is still reading under `ctest -j`.
+const std::string& ScratchDir() {
+  static const std::string* const dir = [] {
+    std::string pattern = testing::TempDir() + "tools_smoke_XXXXXX";
+    if (mkdtemp(pattern.data()) == nullptr) {
+      std::perror("mkdtemp");
+      std::abort();
+    }
+    return new std::string(pattern + "/");
+  }();
+  return *dir;
 }
+
+std::string TempPath(const std::string& name) { return ScratchDir() + name; }
+
+/// Removes the scratch directory after the last test of the process.
+class ScratchCleanup : public testing::Environment {
+ public:
+  void TearDown() override { std::filesystem::remove_all(ScratchDir()); }
+};
+[[maybe_unused]] const testing::Environment* const kScratchCleanup =
+    testing::AddGlobalTestEnvironment(new ScratchCleanup);
 
 /// One shared CLI run whose artifacts several tests inspect.
 class ToolsSmokeTest : public testing::Test {
