@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <string>
 #include <utility>
@@ -17,6 +16,7 @@
 #include "rdma/validator.h"
 #include "timing/attribution.h"
 #include "util/bench_json.h"
+#include "util/file.h"
 #include "util/json.h"
 #include "workload/generator.h"
 
@@ -265,25 +265,21 @@ class BenchReporter {
               const RunOutcome& run, double paper_seconds = 0,
               const ModelEstimate* model = nullptr) {
     std::string row;
-    OpenRow(&row, label, config);
+    JsonWriter w = OpenRow(&row, label, config);
     if (!run.ok) {
-      row += ",\"ok\":false,\"error\":\"" + JsonEscape(run.error) + "\"";
-      CloseRow(&row);
+      w.Key("ok").Bool(false).Key("error").String(run.error);
+      CloseRow(&w, &row);
       return;
     }
-    row += ",\"ok\":true,\"verified\":";
-    row += run.verified ? "true" : "false";
-    row += ",\"measured_seconds\":" + JsonNumber(run.times.TotalSeconds());
-    row += ",\"phases\":" + PhasesJson(run.times);
-    row += ",\"attribution\":" + AttributionJson(run.replay.attribution);
-    row += ",\"protocol_violations\":" + JsonNumber(static_cast<double>(run.protocol_violations));
-    if (paper_seconds > 0) {
-      row += ",\"paper_seconds\":" + JsonNumber(paper_seconds);
-    }
-    if (model != nullptr) {
-      row += ",\"model\":" + ModelJson(*model, run.times);
-    }
-    CloseRow(&row);
+    w.Key("ok").Bool(true).Key("verified").Bool(run.verified);
+    w.Key("measured_seconds").Number(run.times.TotalSeconds());
+    WritePhases(&w.Key("phases"), run.times);
+    WriteAttribution(&w.Key("attribution"), run.replay.attribution);
+    w.Key("protocol_violations")
+        .Number(static_cast<double>(run.protocol_violations));
+    if (paper_seconds > 0) w.Key("paper_seconds").Number(paper_seconds);
+    if (model != nullptr) WriteModel(&w.Key("model"), *model, run.times);
+    CloseRow(&w, &row);
   }
 
   /// Scalar measurement (bandwidth probes, replay-only harnesses) in the
@@ -293,42 +289,39 @@ class BenchReporter {
                       double value, const std::string& unit = "seconds",
                       double paper_value = 0) {
     std::string row;
-    OpenRow(&row, label, config);
-    row += ",\"ok\":true,\"verified\":true";
+    JsonWriter w = OpenRow(&row, label, config);
+    w.Key("ok").Bool(true).Key("verified").Bool(true);
     if (unit == "seconds") {
-      row += ",\"measured_seconds\":" + JsonNumber(value);
+      w.Key("measured_seconds").Number(value);
     } else {
-      row += ",\"measured_value\":" + JsonNumber(value);
-      row += ",\"unit\":\"" + JsonEscape(unit) + "\"";
+      w.Key("measured_value").Number(value).Key("unit").String(unit);
     }
-    if (paper_value > 0) {
-      row += ",\"paper_" + JsonEscape(unit) + "\":" + JsonNumber(paper_value);
-    }
-    CloseRow(&row);
+    if (paper_value > 0) w.Key("paper_" + unit).Number(paper_value);
+    CloseRow(&w, &row);
   }
 
   /// A point that failed to run (out of memory, invalid config, ...).
   void AddError(const std::string& label, const Config& config,
                 const std::string& error) {
     std::string row;
-    OpenRow(&row, label, config);
-    row += ",\"ok\":false,\"error\":\"" + JsonEscape(error) + "\"";
-    CloseRow(&row);
+    JsonWriter w = OpenRow(&row, label, config);
+    w.Key("ok").Bool(false).Key("error").String(error);
+    CloseRow(&w, &row);
   }
 
   std::string ToJson() const {
-    std::string out = "{\n";
-    out += "  \"schema_version\":" + std::to_string(kBenchJsonSchemaVersion) + ",\n";
-    out += "  \"bench\":\"" + JsonEscape(name_) + "\",\n";
-    out += "  \"scale_up\":" + JsonNumber(opt_.scale_up) + ",\n";
-    out += "  \"seed\":" + JsonNumber(static_cast<double>(opt_.seed)) + ",\n";
-    out += "  \"rows\":[\n";
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      out += "    " + rows_[i];
-      if (i + 1 < rows_.size()) out += ",";
-      out += "\n";
-    }
-    out += "  ]\n}\n";
+    std::string out;
+    JsonWriter w(&out);
+    w.BeginObject();
+    w.Break(2).Key("schema_version").Int(kBenchJsonSchemaVersion);
+    w.Break(2).Key("bench").String(name_);
+    w.Break(2).Key("scale_up").Number(opt_.scale_up);
+    w.Break(2).Key("seed").Number(static_cast<double>(opt_.seed));
+    w.Break(2).Key("rows").BeginArray();
+    for (const std::string& row : rows_) w.Break(4).Raw(row);
+    w.Break(2).EndArray();
+    w.Break(0).EndObject();
+    out += "\n";
     return out;
   }
 
@@ -338,15 +331,8 @@ class BenchReporter {
     if (!opt_.json) return true;
     const std::string path =
         opt_.json_out.empty() ? "BENCH_" + name_ + ".json" : opt_.json_out;
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-      return false;
-    }
-    out << ToJson();
-    out.close();
-    if (!out) {
-      std::fprintf(stderr, "error: short write to %s\n", path.c_str());
+    if (const Status st = WriteStringToFile(path, ToJson()); !st.ok()) {
+      std::fprintf(stderr, "error: %s\n", st.message().c_str());
       return false;
     }
     std::printf("# wrote %s (%zu rows)\n", path.c_str(), rows_.size());
@@ -360,101 +346,97 @@ class BenchReporter {
   size_t row_count() const { return rows_.size(); }
 
  private:
-  static std::string ConfigValueJson(const std::string& v) {
-    // Emit numeric-looking values as JSON numbers, everything else quoted.
+  /// Numeric-looking config values are written as JSON numbers, spelled
+  /// as given; everything else is a string.
+  static void WriteConfigValue(JsonWriter* w, const std::string& v) {
     const bool numeric_start =
         !v.empty() && (std::isdigit(static_cast<unsigned char>(v[0])) ||
                        (v[0] == '-' && v.size() > 1 &&
                         std::isdigit(static_cast<unsigned char>(v[1]))));
-    if (numeric_start) {
-      char* end = nullptr;
-      std::strtod(v.c_str(), &end);
-      if (end != nullptr && *end == '\0') return v;
+    JsonTokenizer number(v);
+    if (numeric_start && number.Next().ok() &&
+        number.token() == JsonTokenizer::Token::kNumber &&
+        number.Finish().ok()) {
+      w->Raw(v);
+    } else {
+      w->String(v);
     }
-    return "\"" + JsonEscape(v) + "\"";
   }
 
-  void OpenRow(std::string* row, const std::string& label, const Config& config) {
-    *row = "{\"label\":\"" + JsonEscape(label) + "\"";
-    *row += ",\"config\":{";
-    for (size_t i = 0; i < config.size(); ++i) {
-      if (i > 0) *row += ",";
-      *row += "\"" + JsonEscape(config[i].first) +
-              "\":" + ConfigValueJson(config[i].second);
-    }
-    *row += "}";
+  static JsonWriter OpenRow(std::string* row, const std::string& label,
+                            const Config& config) {
+    JsonWriter w(row);
+    w.BeginObject().Key("label").String(label).Key("config").BeginObject();
+    for (const auto& [key, value] : config) WriteConfigValue(&w.Key(key), value);
+    w.EndObject();
+    return w;
   }
 
-  void CloseRow(std::string* row) {
-    *row += "}";
+  void CloseRow(JsonWriter* w, std::string* row) {
+    w->EndObject();
     rows_.push_back(std::move(*row));
   }
 
-  static std::string PhasesJson(const PhaseTimes& t) {
-    return "{\"histogram_seconds\":" + JsonNumber(t.histogram_seconds) +
-           ",\"network_partition_seconds\":" + JsonNumber(t.network_partition_seconds) +
-           ",\"local_partition_seconds\":" + JsonNumber(t.local_partition_seconds) +
-           ",\"build_probe_seconds\":" + JsonNumber(t.build_probe_seconds) + "}";
+  static void WritePhases(JsonWriter* w, const PhaseTimes& t) {
+    w->BeginObject().Key("histogram_seconds").Number(t.histogram_seconds);
+    w->Key("network_partition_seconds").Number(t.network_partition_seconds);
+    w->Key("local_partition_seconds").Number(t.local_partition_seconds);
+    w->Key("build_probe_seconds").Number(t.build_probe_seconds);
+    w->EndObject();
   }
 
-  static std::string BreakdownJson(const PhaseAttribution& b) {
-    std::string out =
-        "{\"compute_seconds\":" + JsonNumber(b.compute_seconds) +
-        ",\"network_seconds\":" + JsonNumber(b.network_seconds) +
-        ",\"buffer_stall_seconds\":" + JsonNumber(b.buffer_stall_seconds) +
-        ",\"barrier_wait_seconds\":" + JsonNumber(b.barrier_wait_seconds);
+  static void WriteBreakdown(JsonWriter* w, const PhaseAttribution& b) {
+    w->BeginObject().Key("compute_seconds").Number(b.compute_seconds);
+    w->Key("network_seconds").Number(b.network_seconds);
+    w->Key("buffer_stall_seconds").Number(b.buffer_stall_seconds);
+    w->Key("barrier_wait_seconds").Number(b.barrier_wait_seconds);
     // Conditional so fault-free bench JSON stays byte-identical to runs
     // produced before the fault subsystem existed.
     if (b.fault_recovery_seconds != 0) {
-      out += ",\"fault_recovery_seconds\":" + JsonNumber(b.fault_recovery_seconds);
+      w->Key("fault_recovery_seconds").Number(b.fault_recovery_seconds);
     }
-    return out + "}";
+    w->EndObject();
   }
 
-  static std::string AttributionJson(const AttributionReport& attr) {
-    std::string out = "{\"critical_path\":[";
-    bool first = true;
+  static void WriteAttribution(JsonWriter* w, const AttributionReport& attr) {
+    w->BeginObject().Key("critical_path").BeginArray();
     for (const CriticalPathStep& step : attr.CriticalPath()) {
-      if (!first) out += ",";
-      first = false;
-      out += "{\"phase\":\"" + std::string(JoinPhaseName(step.phase)) + "\"";
-      out += ",\"machine\":" + JsonNumber(step.machine);
-      out += ",\"seconds\":" + JsonNumber(step.phase_seconds);
-      out += ",\"breakdown\":" + BreakdownJson(step.breakdown) + "}";
+      w->BeginObject().Key("phase").String(JoinPhaseName(step.phase));
+      w->Key("machine").Number(step.machine);
+      w->Key("seconds").Number(step.phase_seconds);
+      WriteBreakdown(&w->Key("breakdown"), step.breakdown);
+      w->EndObject();
     }
-    out += "]";
+    w->EndArray();
     const PhaseAttribution total = attr.CriticalPathBreakdown();
-    out += ",\"totals\":" + BreakdownJson(total);
+    WriteBreakdown(&w->Key("totals"), total);
     // The invariant the analyzer checks: the critical-path components must
     // reproduce the replayed makespan.
-    out += ",\"makespan_check_seconds\":" + JsonNumber(total.TotalSeconds());
-    out += "}";
-    return out;
+    w->Key("makespan_check_seconds").Number(total.TotalSeconds());
+    w->EndObject();
   }
 
-  static std::string ModelJson(const ModelEstimate& est, const PhaseTimes& measured) {
+  static void WriteModel(JsonWriter* w, const ModelEstimate& est,
+                         const PhaseTimes& measured) {
     PhaseTimes predicted;
     predicted.histogram_seconds = est.histogram_seconds;
     predicted.network_partition_seconds = est.network_partition_seconds;
     predicted.local_partition_seconds = est.local_partition_seconds;
     predicted.build_probe_seconds = est.build_probe_seconds;
     const ModelResidual r = ResidualAgainst(measured, predicted);
-    std::string out = "{\"total_seconds\":" + JsonNumber(predicted.TotalSeconds());
-    out += ",\"phases\":" + PhasesJson(predicted);
-    out += ",\"network_bound\":";
-    out += est.network_bound ? "true" : "false";
-    out += ",\"residual_seconds\":" + JsonNumber(r.total_residual_seconds);
-    out += ",\"residual_phases\":{\"histogram_seconds\":" +
-           JsonNumber(r.histogram_residual_seconds) +
-           ",\"network_partition_seconds\":" +
-           JsonNumber(r.network_partition_residual_seconds) +
-           ",\"local_partition_seconds\":" +
-           JsonNumber(r.local_partition_residual_seconds) +
-           ",\"build_probe_seconds\":" + JsonNumber(r.build_probe_residual_seconds) +
-           "}";
-    out += ",\"relative_error\":" + JsonNumber(r.relative_error);
-    out += "}";
-    return out;
+    w->BeginObject().Key("total_seconds").Number(predicted.TotalSeconds());
+    WritePhases(&w->Key("phases"), predicted);
+    w->Key("network_bound").Bool(est.network_bound);
+    w->Key("residual_seconds").Number(r.total_residual_seconds);
+    w->Key("residual_phases").BeginObject();
+    w->Key("histogram_seconds").Number(r.histogram_residual_seconds);
+    w->Key("network_partition_seconds")
+        .Number(r.network_partition_residual_seconds);
+    w->Key("local_partition_seconds").Number(r.local_partition_residual_seconds);
+    w->Key("build_probe_seconds").Number(r.build_probe_residual_seconds);
+    w->EndObject();
+    w->Key("relative_error").Number(r.relative_error);
+    w->EndObject();
   }
 
   std::string name_;

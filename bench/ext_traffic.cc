@@ -19,7 +19,6 @@
 //                     --utilization --sched=PATH renders the per-query view)
 
 #include <cstring>
-#include <fstream>
 
 #include "bench/bench_common.h"
 #include "cluster/presets.h"
@@ -27,6 +26,7 @@
 #include "sched/query_profile.h"
 #include "sched/scheduler.h"
 #include "sched/workload_mix.h"
+#include "util/file.h"
 #include "util/table_printer.h"
 #include "workload/generator.h"
 
@@ -198,17 +198,9 @@ int main(int argc, char** argv) {
   std::printf("sustainable throughput: %.4f qps (policy=%s)\n",
               sustainable_qps, flags.policy.c_str());
   if (!flags.sched_json.empty() && !last_sched_json.empty()) {
-    std::ofstream out(flags.sched_json);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n",
-                   flags.sched_json.c_str());
-      return 1;
-    }
-    out << last_sched_json;
-    out.close();
-    if (!out) {
-      std::fprintf(stderr, "error: short write to %s\n",
-                   flags.sched_json.c_str());
+    if (const Status st = WriteStringToFile(flags.sched_json, last_sched_json);
+        !st.ok()) {
+      std::fprintf(stderr, "error: %s\n", st.message().c_str());
       return 1;
     }
     std::printf("# wrote %s\n", flags.sched_json.c_str());

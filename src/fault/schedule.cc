@@ -1,9 +1,8 @@
 #include "fault/schedule.h"
 
 #include <cmath>
-#include <fstream>
-#include <sstream>
 
+#include "util/file.h"
 #include "util/json.h"
 
 namespace rdmajoin {
@@ -96,30 +95,27 @@ Status FaultSchedule::Validate(uint32_t num_machines) const {
 }
 
 std::string FaultScheduleToJson(const FaultSchedule& schedule) {
-  std::string out = "{\"version\":1,\"events\":[";
-  for (size_t i = 0; i < schedule.events.size(); ++i) {
-    const FaultEvent& e = schedule.events[i];
-    if (i > 0) out += ',';
-    out += "{\"kind\":\"" + FaultKindName(e.kind) + "\"";
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject().Key("version").Uint(1).Key("events").BeginArray();
+  for (const FaultEvent& e : schedule.events) {
+    w.BeginObject().Key("kind").String(FaultKindName(e.kind));
     if (WindowedKind(e.kind)) {
-      out += ",\"start_seconds\":" + JsonNumber(e.start_seconds);
-      out += ",\"duration_seconds\":" + JsonNumber(e.duration_seconds);
+      w.Key("start_seconds").Number(e.start_seconds);
+      w.Key("duration_seconds").Number(e.duration_seconds);
     }
-    if (e.machine != FaultEvent::kAllMachines) {
-      out += ",\"machine\":" + std::to_string(e.machine);
-    }
+    if (e.machine != FaultEvent::kAllMachines) w.Key("machine").Uint(e.machine);
     if (e.kind == FaultKind::kLinkDegrade || e.kind == FaultKind::kStraggler ||
         e.kind == FaultKind::kCreditShrink) {
-      out += ",\"factor\":" + JsonNumber(e.factor);
+      w.Key("factor").Number(e.factor);
     }
     if (e.kind == FaultKind::kQpError) {
-      out += ",\"ordinal\":" + std::to_string(e.ordinal);
-      out += ",\"count\":" + std::to_string(e.count);
-      if (e.drop) out += ",\"drop\":true";
+      w.Key("ordinal").Uint(e.ordinal).Key("count").Uint(e.count);
+      if (e.drop) w.Key("drop").Bool(true);
     }
-    out += '}';
+    w.EndObject();
   }
-  out += "]}";
+  w.EndArray().EndObject();
   return out;
 }
 
@@ -128,7 +124,8 @@ StatusOr<FaultSchedule> FaultScheduleFromJson(const std::string& text) {
   if (!doc.is_object()) {
     return Status::InvalidArgument("fault schedule must be a JSON object");
   }
-  const double version = doc.NumberOr("version", 1);
+  uint32_t version = 1;
+  RDMAJOIN_RETURN_IF_ERROR(doc.Get("version", &version));
   if (version != 1) {
     return Status::InvalidArgument("unsupported fault schedule version");
   }
@@ -143,18 +140,10 @@ StatusOr<FaultSchedule> FaultScheduleFromJson(const std::string& text) {
     }
     FaultEvent e;
     RDMAJOIN_ASSIGN_OR_RETURN(e.kind, FaultKindFromName(ev.StringOr("kind", "")));
-    e.start_seconds = ev.NumberOr("start_seconds", 0);
-    e.duration_seconds = ev.NumberOr("duration_seconds", 0);
-    const double machine =
-        ev.NumberOr("machine", static_cast<double>(FaultEvent::kAllMachines));
-    if (machine < 0 || machine > static_cast<double>(FaultEvent::kAllMachines)) {
-      return Status::InvalidArgument("fault event machine out of range");
-    }
-    e.machine = static_cast<uint32_t>(machine);
-    e.factor = ev.NumberOr("factor", 1.0);
-    e.ordinal = static_cast<uint64_t>(ev.NumberOr("ordinal", 0));
-    e.count = static_cast<uint32_t>(ev.NumberOr("count", 1));
-    e.drop = ev.BoolOr("drop", false);
+    RDMAJOIN_RETURN_IF_ERROR(ev.Get(
+        "start_seconds", &e.start_seconds, "duration_seconds",
+        &e.duration_seconds, "machine", &e.machine, "factor", &e.factor,
+        "ordinal", &e.ordinal, "count", &e.count, "drop", &e.drop));
     schedule.events.push_back(e);
   }
   RDMAJOIN_RETURN_IF_ERROR(schedule.Validate());
@@ -282,14 +271,12 @@ StatusOr<FaultSchedule> LoadFaultSchedule(const std::string& spec, uint64_t seed
                                           uint32_t num_machines) {
   StatusOr<FaultSchedule> preset = MakeFaultPreset(spec, seed, num_machines);
   if (preset.ok()) return preset;
-  std::ifstream in(spec, std::ios::binary);
-  if (!in) {
+  StatusOr<std::string> text = ReadFileToString(spec);
+  if (!text.ok()) {
     return Status::NotFound("fault schedule \"" + spec +
                             "\" is neither a preset nor a readable file");
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return FaultScheduleFromJson(buf.str());
+  return FaultScheduleFromJson(*text);
 }
 
 }  // namespace rdmajoin

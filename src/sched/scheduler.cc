@@ -510,96 +510,89 @@ std::string FormatScheduleReport(const ScheduleReport& report) {
 }
 
 std::string ScheduleReportToJson(const ScheduleReport& report) {
-  std::string s = "{\n  \"schema\": \"rdmajoin-schedule-v1\",\n";
-  s += "  \"policy\": \"" + std::string(SchedPolicyName(report.policy)) +
-       "\",\n";
-  s += "  \"makespan_seconds\": " + JsonNumber(report.makespan_seconds) + ",\n";
-  s += "  \"completed\": " + std::to_string(report.completed) + ",\n";
-  s += "  \"rejected\": " + std::to_string(report.rejected) + ",\n";
-  s += "  \"queries\": [";
-  for (size_t i = 0; i < report.queries.size(); ++i) {
-    const QueryOutcome& q = report.queries[i];
-    s += i == 0 ? "\n" : ",\n";
-    s += "    {\"id\": " + std::to_string(q.id) + ", \"label\": \"" +
-         JsonEscape(q.label) + "\", \"weight\": " + std::to_string(q.weight) +
-         ",\n";
-    s += "     \"arrival_seconds\": " + JsonNumber(q.arrival_seconds) +
-         ", \"admit_seconds\": " + JsonNumber(q.admit_seconds) +
-         ", \"finish_seconds\": " + JsonNumber(q.finish_seconds) + ",\n";
-    s += std::string("     \"completed\": ") + (q.completed ? "true" : "false") +
-         ", \"rejected\": " + (q.rejected ? "true" : "false") +
-         ", \"latency_seconds\": " + JsonNumber(q.latency_seconds) +
-         ", \"sched_queue_seconds\": " + JsonNumber(q.sched_queue_seconds) +
-         ", \"solo_seconds\": " + JsonNumber(q.solo_seconds) + ",\n";
-    s += "     \"scheduled_phases\": {";
+  std::string s;
+  JsonWriter w(&s);
+  w.BeginObject();
+  w.Break(2).Key("schema").String("rdmajoin-schedule-v1");
+  w.Break(2).Key("policy").String(SchedPolicyName(report.policy));
+  w.Break(2).Key("makespan_seconds").Number(report.makespan_seconds);
+  w.Break(2).Key("completed").Uint(report.completed);
+  w.Break(2).Key("rejected").Uint(report.rejected);
+  w.Break(2).Key("queries").BeginArray();
+  for (const QueryOutcome& q : report.queries) {
+    w.Break(4).BeginObject().Key("id").Uint(q.id);
+    w.Key("label").String(q.label).Key("weight").Uint(q.weight);
+    w.Break(5).Key("arrival_seconds").Number(q.arrival_seconds);
+    w.Key("admit_seconds").Number(q.admit_seconds);
+    w.Key("finish_seconds").Number(q.finish_seconds);
+    w.Break(5).Key("completed").Bool(q.completed);
+    w.Key("rejected").Bool(q.rejected);
+    w.Key("latency_seconds").Number(q.latency_seconds);
+    w.Key("sched_queue_seconds").Number(q.sched_queue_seconds);
+    w.Key("solo_seconds").Number(q.solo_seconds);
+    w.Break(5).Key("scheduled_phases").BeginObject();
     for (size_t p = 0; p < kNumJoinPhases; ++p) {
-      if (p != 0) s += ", ";
-      s += "\"" + std::string(JoinPhaseName(static_cast<JoinPhase>(p))) +
-           "\": " + JsonNumber(PhaseFieldValue(q.scheduled_phases, p));
+      w.Key(JoinPhaseName(static_cast<JoinPhase>(p)))
+          .Number(PhaseFieldValue(q.scheduled_phases, p));
     }
-    s += "},\n     \"attribution\": [";
+    w.EndObject().Break(5).Key("attribution").BeginArray();
     for (size_t p = 0; p < kNumJoinPhases; ++p) {
       const PhaseAttribution& a = q.attribution[p];
-      s += p == 0 ? "" : ", ";
-      s += "{\"phase\": \"" +
-           std::string(JoinPhaseName(static_cast<JoinPhase>(p))) +
-           "\", \"compute_seconds\": " + JsonNumber(a.compute_seconds) +
-           ", \"network_seconds\": " + JsonNumber(a.network_seconds) +
-           ", \"buffer_stall_seconds\": " + JsonNumber(a.buffer_stall_seconds) +
-           ", \"barrier_wait_seconds\": " + JsonNumber(a.barrier_wait_seconds) +
-           ", \"fault_recovery_seconds\": " +
-           JsonNumber(a.fault_recovery_seconds) + "}";
+      w.BeginObject().Key("phase").String(
+          JoinPhaseName(static_cast<JoinPhase>(p)));
+      w.Key("compute_seconds").Number(a.compute_seconds);
+      w.Key("network_seconds").Number(a.network_seconds);
+      w.Key("buffer_stall_seconds").Number(a.buffer_stall_seconds);
+      w.Key("barrier_wait_seconds").Number(a.barrier_wait_seconds);
+      w.Key("fault_recovery_seconds").Number(a.fault_recovery_seconds);
+      w.EndObject();
     }
-    s += "]}";
+    w.EndArray().EndObject();
   }
-  s += "\n  ],\n  \"idle_windows\": [";
-  for (size_t i = 0; i < report.idle_windows.size(); ++i) {
-    const SchedIdleWindow& w = report.idle_windows[i];
-    s += i == 0 ? "\n" : ",\n";
-    s += std::string("    {\"resource\": \"") +
-         (w.network ? "network" : "cores") +
-         "\", \"begin_seconds\": " + JsonNumber(w.begin_seconds) +
-         ", \"end_seconds\": " + JsonNumber(w.end_seconds) +
-         ", \"candidate_query\": " + std::to_string(w.candidate_query) + "}";
+  w.Break(2).EndArray();
+  w.Break(2).Key("idle_windows").BeginArray();
+  for (const SchedIdleWindow& iw : report.idle_windows) {
+    w.Break(4).BeginObject();
+    w.Key("resource").String(iw.network ? "network" : "cores");
+    w.Key("begin_seconds").Number(iw.begin_seconds);
+    w.Key("end_seconds").Number(iw.end_seconds);
+    w.Key("candidate_query").Int(iw.candidate_query).EndObject();
   }
-  s += "\n  ]\n}\n";
+  w.Break(2).EndArray();
+  w.Break(0).EndObject();
+  s += "\n";
   return s;
 }
 
 StatusOr<ScheduleReport> ParseScheduleReport(const std::string& json) {
-  StatusOr<JsonValue> doc = ParseJson(json);
-  if (!doc.ok()) return doc.status();
-  if (doc->StringOr("schema", "") != "rdmajoin-schedule-v1") {
+  RDMAJOIN_ASSIGN_OR_RETURN(const JsonValue doc, ParseJson(json));
+  if (doc.StringOr("schema", "") != "rdmajoin-schedule-v1") {
     return Status::InvalidArgument("not a rdmajoin-schedule-v1 document");
   }
   ScheduleReport report;
-  StatusOr<SchedPolicy> policy = ParseSchedPolicy(doc->StringOr("policy", ""));
-  if (!policy.ok()) return policy.status();
-  report.policy = *policy;
-  report.makespan_seconds = doc->NumberOr("makespan_seconds", 0);
-  report.completed = static_cast<uint32_t>(doc->NumberOr("completed", 0));
-  report.rejected = static_cast<uint32_t>(doc->NumberOr("rejected", 0));
-  const JsonValue* queries = doc->Find("queries");
+  RDMAJOIN_ASSIGN_OR_RETURN(report.policy,
+                            ParseSchedPolicy(doc.StringOr("policy", "")));
+  RDMAJOIN_RETURN_IF_ERROR(doc.Get("makespan_seconds", &report.makespan_seconds,
+                                   "completed", &report.completed, "rejected",
+                                   &report.rejected));
+  const JsonValue* queries = doc.Find("queries");
   if (queries == nullptr || !queries->is_array()) {
     return Status::InvalidArgument("schedule document lacks queries[]");
   }
   for (const JsonValue& jq : queries->array_items) {
     QueryOutcome q;
-    q.id = static_cast<uint32_t>(jq.NumberOr("id", 0));
-    q.label = jq.StringOr("label", "");
-    q.weight = static_cast<uint32_t>(jq.NumberOr("weight", 1));
-    q.arrival_seconds = jq.NumberOr("arrival_seconds", 0);
-    q.admit_seconds = jq.NumberOr("admit_seconds", 0);
-    q.finish_seconds = jq.NumberOr("finish_seconds", 0);
-    q.completed = jq.BoolOr("completed", false);
-    q.rejected = jq.BoolOr("rejected", false);
-    q.latency_seconds = jq.NumberOr("latency_seconds", 0);
-    q.sched_queue_seconds = jq.NumberOr("sched_queue_seconds", 0);
-    q.solo_seconds = jq.NumberOr("solo_seconds", 0);
+    RDMAJOIN_RETURN_IF_ERROR(jq.Get(
+        "id", &q.id, "label", &q.label, "weight", &q.weight, "arrival_seconds",
+        &q.arrival_seconds, "admit_seconds", &q.admit_seconds,
+        "finish_seconds", &q.finish_seconds, "completed", &q.completed,
+        "rejected", &q.rejected, "latency_seconds", &q.latency_seconds,
+        "sched_queue_seconds", &q.sched_queue_seconds, "solo_seconds",
+        &q.solo_seconds));
     if (const JsonValue* phases = jq.Find("scheduled_phases")) {
       for (size_t p = 0; p < kNumJoinPhases; ++p) {
-        PhaseField(q.scheduled_phases, p) = phases->NumberOr(
-            std::string(JoinPhaseName(static_cast<JoinPhase>(p))), 0);
+        RDMAJOIN_RETURN_IF_ERROR(
+            phases->Get(JoinPhaseName(static_cast<JoinPhase>(p)),
+                        &PhaseField(q.scheduled_phases, p)));
       }
     }
     if (const JsonValue* attr = jq.Find("attribution")) {
@@ -608,25 +601,25 @@ StatusOr<ScheduleReport> ParseScheduleReport(const std::string& json) {
              p < std::min(attr->array_items.size(), kNumJoinPhases); ++p) {
           const JsonValue& ja = attr->array_items[p];
           PhaseAttribution& a = q.attribution[p];
-          a.compute_seconds = ja.NumberOr("compute_seconds", 0);
-          a.network_seconds = ja.NumberOr("network_seconds", 0);
-          a.buffer_stall_seconds = ja.NumberOr("buffer_stall_seconds", 0);
-          a.barrier_wait_seconds = ja.NumberOr("barrier_wait_seconds", 0);
-          a.fault_recovery_seconds = ja.NumberOr("fault_recovery_seconds", 0);
+          RDMAJOIN_RETURN_IF_ERROR(ja.Get(
+              "compute_seconds", &a.compute_seconds, "network_seconds",
+              &a.network_seconds, "buffer_stall_seconds",
+              &a.buffer_stall_seconds, "barrier_wait_seconds",
+              &a.barrier_wait_seconds, "fault_recovery_seconds",
+              &a.fault_recovery_seconds));
         }
       }
     }
     report.queries.push_back(std::move(q));
   }
-  if (const JsonValue* windows = doc->Find("idle_windows")) {
+  if (const JsonValue* windows = doc.Find("idle_windows")) {
     if (windows->is_array()) {
       for (const JsonValue& jw : windows->array_items) {
         SchedIdleWindow w;
         w.network = jw.StringOr("resource", "network") == "network";
-        w.begin_seconds = jw.NumberOr("begin_seconds", 0);
-        w.end_seconds = jw.NumberOr("end_seconds", 0);
-        w.candidate_query =
-            static_cast<int32_t>(jw.NumberOr("candidate_query", -1));
+        RDMAJOIN_RETURN_IF_ERROR(jw.Get("begin_seconds", &w.begin_seconds,
+                                        "end_seconds", &w.end_seconds,
+                                        "candidate_query", &w.candidate_query));
         report.idle_windows.push_back(w);
       }
     }

@@ -1,8 +1,7 @@
 #include "timing/chrome_trace.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -12,6 +11,7 @@
 #include "fault/schedule.h"
 #include "timing/span_query.h"
 #include "timing/span_trace.h"
+#include "util/file.h"
 #include "util/json.h"
 #include "util/metrics.h"
 
@@ -19,137 +19,88 @@ namespace rdmajoin {
 
 namespace {
 
-void AppendDouble(std::string* out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out->append(buf);
-}
-
 double Micros(double seconds) { return seconds * 1e6; }
 
-/// The single JSON string-literal emitter: every name, label, or other
-/// free-form string in the trace goes through here (and so through
-/// util/json's JsonEscape) -- no call site builds a quoted string by hand.
-void AppendString(std::string* out, const std::string& s) {
-  out->append("\"");
-  out->append(JsonEscape(s));
-  out->append("\"");
+/// Opens an event object with its name, phase and process row.
+void BeginEvent(JsonWriter* w, std::string_view name, const char* ph,
+                uint32_t pid) {
+  w->BeginObject().Key("name").String(name).Key("ph").String(ph);
+  w->Key("pid").Uint(pid);
 }
 
-/// One "X" (complete) slice.
-void AppendSlice(std::string* out, bool* first, const std::string& name,
-                 uint32_t pid, uint32_t tid, double start_seconds,
-                 double duration_seconds, const std::string& args_json = "") {
-  if (!*first) out->append(",");
-  *first = false;
-  out->append("{\"name\":");
-  AppendString(out, name);
-  out->append(",\"ph\":\"X\",\"pid\":");
-  out->append(std::to_string(pid));
-  out->append(",\"tid\":");
-  out->append(std::to_string(tid));
-  out->append(",\"ts\":");
-  AppendDouble(out, Micros(start_seconds));
-  out->append(",\"dur\":");
-  AppendDouble(out, Micros(duration_seconds));
-  if (!args_json.empty()) {
-    out->append(",\"args\":{");
-    out->append(args_json);
-    out->append("}");
+/// One "X" (complete) slice; `args`, when given, writes the members of
+/// its args object.
+void AppendSlice(JsonWriter* w, const std::string& name, uint32_t pid,
+                 uint32_t tid, double start_seconds, double duration_seconds,
+                 const std::function<void()>& args = nullptr) {
+  BeginEvent(w, name, "X", pid);
+  w->Key("tid").Uint(tid);
+  w->Key("ts").Number(Micros(start_seconds));
+  w->Key("dur").Number(Micros(duration_seconds));
+  if (args) {
+    w->Key("args").BeginObject();
+    args();
+    w->EndObject();
   }
-  out->append("}");
+  w->EndObject();
 }
 
 /// One "C" (counter) sample on machine `pid`.
-void AppendCounter(std::string* out, bool* first, const std::string& name,
-                   uint32_t pid, double ts_seconds, double value) {
-  if (!*first) out->append(",");
-  *first = false;
-  out->append("{\"name\":");
-  AppendString(out, name);
-  out->append(",\"ph\":\"C\",\"pid\":");
-  out->append(std::to_string(pid));
-  out->append(",\"ts\":");
-  AppendDouble(out, Micros(ts_seconds));
-  out->append(",\"args\":{\"MB/s\":");
-  AppendDouble(out, value);
-  out->append("}}");
+void AppendCounter(JsonWriter* w, const std::string& name, uint32_t pid,
+                   double ts_seconds, double value) {
+  BeginEvent(w, name, "C", pid);
+  w->Key("ts").Number(Micros(ts_seconds));
+  w->Key("args").BeginObject().Key("MB/s").Number(value).EndObject();
+  w->EndObject();
 }
 
 /// One flow event: ph "s" (start) at the sender slice or ph "f" (end,
 /// binding point "e" = enclosing slice) at the receiver slice. The pair is
 /// keyed by the span id; Perfetto draws the arrow between the slices that
 /// enclose the two timestamps.
-void AppendFlow(std::string* out, bool* first, bool start, uint64_t id,
-                uint32_t pid, uint32_t tid, double ts_seconds) {
-  if (!*first) out->append(",");
-  *first = false;
-  out->append("{\"name\":");
-  AppendString(out, "wr");
-  out->append(",\"cat\":");
-  AppendString(out, "wr");
-  out->append(start ? ",\"ph\":\"s\"" : ",\"ph\":\"f\",\"bp\":\"e\"");
-  out->append(",\"id\":");
-  out->append(std::to_string(id));
-  out->append(",\"pid\":");
-  out->append(std::to_string(pid));
-  out->append(",\"tid\":");
-  out->append(std::to_string(tid));
-  out->append(",\"ts\":");
-  AppendDouble(out, Micros(ts_seconds));
-  out->append("}");
+void AppendFlow(JsonWriter* w, bool start, uint64_t id, uint32_t pid,
+                uint32_t tid, double ts_seconds) {
+  w->BeginObject().Key("name").String("wr").Key("cat").String("wr");
+  w->Key("ph").String(start ? "s" : "f");
+  if (!start) w->Key("bp").String("e");
+  w->Key("id").Uint(id).Key("pid").Uint(pid).Key("tid").Uint(tid);
+  w->Key("ts").Number(Micros(ts_seconds));
+  w->EndObject();
 }
 
 /// One "i" (instant) event on a thread row (scope "t").
-void AppendInstant(std::string* out, bool* first, const std::string& name,
-                   uint32_t pid, uint32_t tid, double ts_seconds) {
-  if (!*first) out->append(",");
-  *first = false;
-  out->append("{\"name\":");
-  AppendString(out, name);
-  out->append(",\"ph\":\"i\",\"s\":\"t\",\"pid\":");
-  out->append(std::to_string(pid));
-  out->append(",\"tid\":");
-  out->append(std::to_string(tid));
-  out->append(",\"ts\":");
-  AppendDouble(out, Micros(ts_seconds));
-  out->append("}");
+void AppendInstant(JsonWriter* w, const std::string& name, uint32_t pid,
+                   uint32_t tid, double ts_seconds) {
+  w->BeginObject().Key("name").String(name).Key("ph").String("i");
+  w->Key("s").String("t").Key("pid").Uint(pid).Key("tid").Uint(tid);
+  w->Key("ts").Number(Micros(ts_seconds));
+  w->EndObject();
 }
 
 /// "M" metadata event naming a process or thread row.
-void AppendNameMeta(std::string* out, bool* first, const char* what,
-                    uint32_t pid, int tid, const std::string& name) {
-  if (!*first) out->append(",");
-  *first = false;
-  out->append("{\"name\":");
-  AppendString(out, what);
-  out->append(",\"ph\":\"M\",\"pid\":");
-  out->append(std::to_string(pid));
-  if (tid >= 0) {
-    out->append(",\"tid\":");
-    out->append(std::to_string(tid));
-  }
-  out->append(",\"args\":{\"name\":");
-  AppendString(out, name);
-  out->append("}}");
+void AppendNameMeta(JsonWriter* w, const char* what, uint32_t pid, int tid,
+                    const std::string& name) {
+  BeginEvent(w, what, "M", pid);
+  if (tid >= 0) w->Key("tid").Uint(static_cast<uint32_t>(tid));
+  w->Key("args").BeginObject().Key("name").String(name).EndObject();
+  w->EndObject();
 }
 
 /// Emits the utilization counter track of one host from its activity
 /// timeline. Fabric time zero is the network-phase barrier, so samples are
 /// shifted by `offset_seconds`.
-void AppendUtilization(std::string* out, bool* first, const std::string& name,
-                       uint32_t pid, const TimeSeries& series,
-                       double offset_seconds) {
+void AppendUtilization(JsonWriter* w, const std::string& name, uint32_t pid,
+                       const TimeSeries& series, double offset_seconds) {
   const std::vector<double>& buckets = series.buckets();
   const double width = series.bucket_seconds();
   if (buckets.empty() || width <= 0) return;
   for (size_t b = 0; b < buckets.size(); ++b) {
     const double rate_mb = buckets[b] / width / 1e6;
-    AppendCounter(out, first, name, pid,
-                  offset_seconds + static_cast<double>(b) * width, rate_mb);
+    AppendCounter(w, name, pid, offset_seconds + static_cast<double>(b) * width,
+                  rate_mb);
   }
   // Close the track so the last bucket does not extend forever.
-  AppendCounter(out, first, name, pid,
+  AppendCounter(w, name, pid,
                 offset_seconds + static_cast<double>(buckets.size()) * width,
                 0.0);
 }
@@ -160,8 +111,8 @@ void AppendUtilization(std::string* out, bool* first, const std::string& name,
 /// message-rate ceiling) over the congestion-report buckets. Perfetto colors
 /// the series distinctly, so ingress pile-ups (incast) read as a solid band
 /// on the victim host's row.
-void AppendConstraintTracks(std::string* out, bool* first,
-                            const SpanDataset& data, double offset_seconds) {
+void AppendConstraintTracks(JsonWriter* w, const SpanDataset& data,
+                            double offset_seconds) {
   const CongestionReport rep = ComputeCongestion(data, CongestionOptions());
   if (rep.totals.labeled_total() <= 0 || rep.bucket_seconds <= 0) return;
   for (const HostCongestionTimeline& h : rep.hosts) {
@@ -178,22 +129,12 @@ void AppendConstraintTracks(std::string* out, bool* first,
           b < buckets ? h.ingress_bound[b] / rep.bucket_seconds : 0;
       const double mr =
           b < buckets ? h.msg_rate_bound[b] / rep.bucket_seconds : 0;
-      if (!*first) out->append(",");
-      *first = false;
-      out->append("{\"name\":");
-      AppendString(out, "bound flows");
-      out->append(",\"ph\":\"C\",\"pid\":");
-      out->append(std::to_string(h.host));
-      out->append(",\"ts\":");
-      AppendDouble(out, Micros(offset_seconds + rep.t_begin +
-                               static_cast<double>(b) * rep.bucket_seconds));
-      out->append(",\"args\":{\"egress\":");
-      AppendDouble(out, e);
-      out->append(",\"ingress\":");
-      AppendDouble(out, in);
-      out->append(",\"msg_rate\":");
-      AppendDouble(out, mr);
-      out->append("}}");
+      BeginEvent(w, "bound flows", "C", h.host);
+      w->Key("ts").Number(Micros(offset_seconds + rep.t_begin +
+                                 static_cast<double>(b) * rep.bucket_seconds));
+      w->Key("args").BeginObject().Key("egress").Number(e);
+      w->Key("ingress").Number(in).Key("msg_rate").Number(mr);
+      w->EndObject().EndObject();
     }
   }
 }
@@ -207,9 +148,8 @@ constexpr uint32_t kFaultTid = 1001;
 /// machine's fault row. Windows are on the network-pass clock, so they are
 /// shifted to the barrier like the fabric counters. Ordinal-keyed QP faults
 /// have no window and are visible through span retry args instead.
-void AppendFaultWindows(std::string* out, bool* first,
-                        const FaultSchedule& schedule, uint32_t nm,
-                        double offset_seconds) {
+void AppendFaultWindows(JsonWriter* w, const FaultSchedule& schedule,
+                        uint32_t nm, double offset_seconds) {
   std::set<uint32_t> rows;
   for (const FaultEvent& e : schedule.events) {
     if (e.kind == FaultKind::kQpError) continue;
@@ -219,13 +159,13 @@ void AppendFaultWindows(std::string* out, bool* first,
     for (uint32_t m = lo; m < hi && m < nm; ++m) {
       rows.insert(m);
       const double factor = e.kind == FaultKind::kLinkFlap ? 0.0 : e.factor;
-      AppendSlice(out, first, "fault: " + FaultKindName(e.kind), m, kFaultTid,
+      AppendSlice(w, "fault: " + FaultKindName(e.kind), m, kFaultTid,
                   offset_seconds + e.start_seconds, e.duration_seconds,
-                  "\"factor\":" + JsonNumber(factor));
+                  [&] { w->Key("factor").Number(factor); });
     }
   }
   for (uint32_t m : rows) {
-    AppendNameMeta(out, first, "thread_name", m, static_cast<int>(kFaultTid),
+    AppendNameMeta(w, "thread_name", m, static_cast<int>(kFaultTid),
                    "fault windows");
   }
 }
@@ -233,7 +173,7 @@ void AppendFaultWindows(std::string* out, bool* first,
 /// Renders the top spans of the report's recorder as sender/receiver slices
 /// joined by flow arrows. Span timestamps are fabric-relative, so they are
 /// shifted to the network-phase barrier like the utilization counters.
-void AppendSpanEvents(std::string* out, bool* first, const SpanDataset& data,
+void AppendSpanEvents(JsonWriter* w, const SpanDataset& data,
                       size_t max_spans, double offset_seconds) {
   std::vector<WrSpan> spans = TopSpansByDuration(data, max_spans);
   std::sort(spans.begin(), spans.end(),
@@ -252,44 +192,41 @@ void AppendSpanEvents(std::string* out, bool* first, const SpanDataset& data,
     sender_rows.insert({s.machine, sender_tid});
     receiver_rows.insert(s.dst);
 
-    std::string args = "\"slot\":" + std::to_string(s.slot) +
-                       ",\"src\":" + std::to_string(s.src) +
-                       ",\"dst\":" + std::to_string(s.dst) +
-                       ",\"wire_bytes\":" + JsonNumber(s.wire_bytes) +
-                       ",\"pull\":" + (s.pull ? "true" : "false") +
-                       ",\"credit_wait_s\":" +
-                       JsonNumber(s.StageSeconds(SpanStage::kCreditAcquired)) +
-                       ",\"fabric_s\":" +
-                       JsonNumber(s.StageSeconds(SpanStage::kDelivered));
-    if (s.retries > 0 || s.retry_delay_seconds > 0) {
-      args += ",\"retries\":" + std::to_string(s.retries) +
-              ",\"retry_delay_s\":" + JsonNumber(s.retry_delay_seconds);
-    }
+    auto args = [&] {
+      w->Key("slot").Uint(s.slot).Key("src").Uint(s.src).Key("dst").Uint(s.dst);
+      w->Key("wire_bytes").Number(s.wire_bytes).Key("pull").Bool(s.pull);
+      w->Key("credit_wait_s")
+          .Number(s.StageSeconds(SpanStage::kCreditAcquired));
+      w->Key("fabric_s").Number(s.StageSeconds(SpanStage::kDelivered));
+      if (s.retries > 0 || s.retry_delay_seconds > 0) {
+        w->Key("retries").Uint(s.retries);
+        w->Key("retry_delay_s").Number(s.retry_delay_seconds);
+      }
+    };
     const std::string name = "wr " + std::to_string(s.id) + " -> m" +
                              std::to_string(s.dst) +
                              (s.pull ? " (pull)" : "");
-    AppendSlice(out, first, name, s.machine, sender_tid,
-                offset_seconds + posted, admitted - posted, args);
-    AppendFlow(out, first, /*start=*/true, s.id, s.machine, sender_tid,
+    AppendSlice(w, name, s.machine, sender_tid, offset_seconds + posted,
+                admitted - posted, args);
+    AppendFlow(w, /*start=*/true, s.id, s.machine, sender_tid,
                offset_seconds + posted);
 
     const double recv_end =
         s.recv_end != kSpanUnset ? std::max(completed, s.recv_end) : completed;
-    AppendSlice(out, first, "wr " + std::to_string(s.id) + " recv", s.dst,
+    AppendSlice(w, "wr " + std::to_string(s.id) + " recv", s.dst,
                 kReceiverTid, offset_seconds + delivered,
                 recv_end - delivered);
-    AppendFlow(out, first, /*start=*/false, s.id, s.dst, kReceiverTid,
+    AppendFlow(w, /*start=*/false, s.id, s.dst, kReceiverTid,
                offset_seconds + delivered);
   }
 
   for (const auto& row : sender_rows) {
-    AppendNameMeta(out, first, "thread_name", row.first,
-                   static_cast<int>(row.second),
+    AppendNameMeta(w, "thread_name", row.first, static_cast<int>(row.second),
                    "part thread " + std::to_string(row.second - 1));
   }
   for (uint32_t m : receiver_rows) {
-    AppendNameMeta(out, first, "thread_name", m,
-                   static_cast<int>(kReceiverTid), "receiver core");
+    AppendNameMeta(w, "thread_name", m, static_cast<int>(kReceiverTid),
+                   "receiver core");
   }
 
   // Constraint-change instants: one "i" marker on the sender's thread row
@@ -314,7 +251,7 @@ void AppendSpanEvents(std::string* out, bool* first, const SpanDataset& data,
           RateConstraintName(prev->bound) + "@" +
           std::to_string(prev->bound_host) + " -> " +
           RateConstraintName(g.bound) + "@" + std::to_string(g.bound_host);
-      AppendInstant(out, first, name, row->second.first, row->second.second,
+      AppendInstant(w, name, row->second.first, row->second.second,
                     offset_seconds + g.t0);
     }
     prev = &g;
@@ -326,14 +263,14 @@ void AppendSpanEvents(std::string* out, bool* first, const SpanDataset& data,
 std::string ChromeTraceJson(const ReplayReport& report,
                             const MetricsRegistry* metrics,
                             const ChromeTraceOptions& options) {
-  std::string out = "{\"displayTimeUnit\":\"ms\"";
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject().Key("displayTimeUnit").String("ms");
   if (!options.label.empty()) {
-    out.append(",\"otherData\":{\"label\":");
-    AppendString(&out, options.label);
-    out.append("}");
+    w.Key("otherData").BeginObject().Key("label").String(options.label);
+    w.EndObject();
   }
-  out.append(",\"traceEvents\":[");
-  bool first = true;
+  w.Key("traceEvents").BeginArray();
   const uint32_t nm = static_cast<uint32_t>(report.machine_phases.size());
 
   // Barrier starts: each phase begins globally when the slowest machine has
@@ -344,17 +281,14 @@ std::string ChromeTraceJson(const ReplayReport& report,
   const double bp_start = local_start + report.phases.local_partition_seconds;
 
   for (uint32_t m = 0; m < nm; ++m) {
-    AppendNameMeta(&out, &first, "process_name", m, -1,
-                   "machine" + std::to_string(m));
+    AppendNameMeta(&w, "process_name", m, -1, "machine" + std::to_string(m));
     const PhaseTimes& p = report.machine_phases[m];
-    AppendSlice(&out, &first, "histogram", m, 0, hist_start,
-                p.histogram_seconds);
-    AppendSlice(&out, &first, "network_partition", m, 0, net_start,
+    AppendSlice(&w, "histogram", m, 0, hist_start, p.histogram_seconds);
+    AppendSlice(&w, "network_partition", m, 0, net_start,
                 p.network_partition_seconds);
-    AppendSlice(&out, &first, "local_partition", m, 0, local_start,
+    AppendSlice(&w, "local_partition", m, 0, local_start,
                 p.local_partition_seconds);
-    AppendSlice(&out, &first, "build_probe", m, 0, bp_start,
-                p.build_probe_seconds);
+    AppendSlice(&w, "build_probe", m, 0, bp_start, p.build_probe_seconds);
   }
 
   if (metrics != nullptr) {
@@ -365,25 +299,25 @@ std::string ChromeTraceJson(const ReplayReport& report,
       const TimeSeries* ingress =
           metrics->FindTimeSeries(host + ".ingress_active_bytes");
       if (egress != nullptr) {
-        AppendUtilization(&out, &first, "egress MB/s", h, *egress, net_start);
+        AppendUtilization(&w, "egress MB/s", h, *egress, net_start);
       }
       if (ingress != nullptr) {
-        AppendUtilization(&out, &first, "ingress MB/s", h, *ingress, net_start);
+        AppendUtilization(&w, "ingress MB/s", h, *ingress, net_start);
       }
     }
   }
 
   if (options.fault_schedule != nullptr && !options.fault_schedule->empty()) {
-    AppendFaultWindows(&out, &first, *options.fault_schedule, nm, net_start);
+    AppendFaultWindows(&w, *options.fault_schedule, nm, net_start);
   }
 
   if (report.spans != nullptr && options.max_spans > 0) {
     const SpanDataset data = report.spans->Snapshot();
-    AppendSpanEvents(&out, &first, data, options.max_spans, net_start);
-    AppendConstraintTracks(&out, &first, data, net_start);
+    AppendSpanEvents(&w, data, options.max_spans, net_start);
+    AppendConstraintTracks(&w, data, net_start);
   }
 
-  out.append("]}");
+  w.EndArray().EndObject();
   return out;
 }
 
@@ -395,12 +329,7 @@ std::string ChromeTraceJson(const ReplayReport& report,
 Status WriteChromeTraceFile(const std::string& path, const ReplayReport& report,
                             const MetricsRegistry* metrics,
                             const ChromeTraceOptions& options) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::Internal("cannot open " + path + " for writing");
-  const std::string json = ChromeTraceJson(report, metrics, options);
-  out.write(json.data(), static_cast<std::streamsize>(json.size()));
-  if (!out) return Status::Internal("short write to " + path);
-  return Status::OK();
+  return WriteStringToFile(path, ChromeTraceJson(report, metrics, options));
 }
 
 Status WriteChromeTraceFile(const std::string& path, const ReplayReport& report,

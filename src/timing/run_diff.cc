@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 
 #include "timing/span_query.h"
+#include "util/file.h"
+#include "util/json.h"
 
 namespace rdmajoin {
 
@@ -93,8 +93,8 @@ std::string Pct(double delta, double base) {
   return buf;
 }
 
-void DiffPhases(const BenchJsonRow& a, const BenchJsonRow& b, RowDelta* row,
-                bool* exact) {
+Status DiffPhases(const BenchJsonRow& a, const BenchJsonRow& b, RowDelta* row,
+                  bool* exact) {
   for (size_t p = 0; p < kNumJoinPhases; ++p) {
     PhaseDelta pd;
     pd.phase = std::string(JoinPhaseName(static_cast<JoinPhase>(p)));
@@ -106,8 +106,8 @@ void DiffPhases(const BenchJsonRow& a, const BenchJsonRow& b, RowDelta* row,
     const JsonValue* step_a = FindCriticalStep(a.raw, pd.phase);
     const JsonValue* step_b = FindCriticalStep(b.raw, pd.phase);
     if (step_a != nullptr && step_b != nullptr) {
-      pd.a_machine = static_cast<uint32_t>(step_a->NumberOr("machine", 0));
-      pd.b_machine = static_cast<uint32_t>(step_b->NumberOr("machine", 0));
+      RDMAJOIN_RETURN_IF_ERROR(step_a->Get("machine", &pd.a_machine));
+      RDMAJOIN_RETURN_IF_ERROR(step_b->Get("machine", &pd.b_machine));
       const JsonValue* breakdown_a = step_a->Find("breakdown");
       const JsonValue* breakdown_b = step_b->Find("breakdown");
       double best = 0;
@@ -155,6 +155,7 @@ void DiffPhases(const BenchJsonRow& a, const BenchJsonRow& b, RowDelta* row,
     }
     row->narrative = n;
   }
+  return Status::OK();
 }
 
 void DiffSpans(const SpanDataset& a, const SpanDataset& b,
@@ -309,7 +310,7 @@ StatusOr<RunDiffReport> DiffRuns(const RunArtifacts& a, const RunArtifacts& b,
     report.a_total_seconds += rd.a_seconds;
     report.b_total_seconds += rd.b_seconds;
     bool exact = rd.a_seconds == rd.b_seconds;
-    DiffPhases(row_a, *row_b, &rd, &exact);
+    RDMAJOIN_RETURN_IF_ERROR(DiffPhases(row_a, *row_b, &rd, &exact));
     if (!exact) report.zero_divergence = false;
     report.rows.push_back(std::move(rd));
   }
@@ -374,11 +375,9 @@ StatusOr<RunArtifacts> LoadRunArtifacts(const std::string& bench_path,
     artifacts.spans = std::move(*spans);
   }
   if (!metrics_path.empty()) {
-    std::ifstream in(metrics_path);
-    if (!in) return Status::NotFound("cannot open " + metrics_path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    auto metrics = ParseJson(text.str());
+    RDMAJOIN_ASSIGN_OR_RETURN(const std::string text,
+                              ReadFileToString(metrics_path));
+    auto metrics = ParseJson(text);
     if (!metrics.ok()) {
       return Status::InvalidArgument(metrics_path + ": " +
                                      metrics.status().message());
@@ -479,108 +478,93 @@ std::string FormatRunDiff(const RunDiffReport& report, bool report_improvements)
 }
 
 std::string RunDiffToJson(const RunDiffReport& report) {
-  std::string out = "{\"schema_version\":1";
-  out += ",\"bench\":\"" + JsonEscape(report.bench) + "\"";
-  out += ",\"scale_up\":" + JsonNumber(report.scale_up);
-  out += ",\"seed_a\":" + JsonNumber(static_cast<double>(report.seed_a));
-  out += ",\"seed_b\":" + JsonNumber(static_cast<double>(report.seed_b));
-  out += ",\"a_total_seconds\":" + JsonNumber(report.a_total_seconds);
-  out += ",\"b_total_seconds\":" + JsonNumber(report.b_total_seconds);
-  out += ",\"delta_total_seconds\":" + JsonNumber(report.delta_total_seconds);
-  out += ",\"zero_divergence\":";
-  out += report.zero_divergence ? "true" : "false";
-  out += ",\"rows_slower\":" + JsonNumber(static_cast<double>(report.rows_slower));
-  out += ",\"rows_faster\":" + JsonNumber(static_cast<double>(report.rows_faster));
-  out += ",\"rows_missing\":" + JsonNumber(static_cast<double>(report.rows_missing));
-  out += ",\"verdict\":\"" + JsonEscape(report.verdict) + "\"";
-  out += ",\"rows\":[";
-  for (size_t i = 0; i < report.rows.size(); ++i) {
-    const RowDelta& rd = report.rows[i];
-    if (i > 0) out += ",";
-    out += "{\"label\":\"" + JsonEscape(rd.label) + "\"";
-    out += ",\"a_seconds\":" + JsonNumber(rd.a_seconds);
-    out += ",\"b_seconds\":" + JsonNumber(rd.b_seconds);
-    out += ",\"delta_seconds\":" + JsonNumber(rd.delta_seconds);
-    out += ",\"ratio\":" + JsonNumber(rd.ratio);
-    out += ",\"slower\":";
-    out += rd.slower ? "true" : "false";
-    out += ",\"faster\":";
-    out += rd.faster ? "true" : "false";
-    out += ",\"missing_in_b\":";
-    out += rd.missing_in_b ? "true" : "false";
+  std::string out;
+  JsonWriter w(&out);
+  auto count = [&w](const char* key, uint64_t v) {
+    w.Key(key).Number(static_cast<double>(v));
+  };
+  w.BeginObject().Key("schema_version").Uint(1);
+  w.Key("bench").String(report.bench);
+  w.Key("scale_up").Number(report.scale_up);
+  count("seed_a", report.seed_a);
+  count("seed_b", report.seed_b);
+  w.Key("a_total_seconds").Number(report.a_total_seconds);
+  w.Key("b_total_seconds").Number(report.b_total_seconds);
+  w.Key("delta_total_seconds").Number(report.delta_total_seconds);
+  w.Key("zero_divergence").Bool(report.zero_divergence);
+  count("rows_slower", report.rows_slower);
+  count("rows_faster", report.rows_faster);
+  count("rows_missing", report.rows_missing);
+  w.Key("verdict").String(report.verdict);
+  w.Key("rows").BeginArray();
+  for (const RowDelta& rd : report.rows) {
+    w.BeginObject().Key("label").String(rd.label);
+    w.Key("a_seconds").Number(rd.a_seconds);
+    w.Key("b_seconds").Number(rd.b_seconds);
+    w.Key("delta_seconds").Number(rd.delta_seconds);
+    w.Key("ratio").Number(rd.ratio);
+    w.Key("slower").Bool(rd.slower);
+    w.Key("faster").Bool(rd.faster);
+    w.Key("missing_in_b").Bool(rd.missing_in_b);
     if (!rd.dominant_phase.empty()) {
-      out += ",\"dominant_phase\":\"" + JsonEscape(rd.dominant_phase) + "\"";
+      w.Key("dominant_phase").String(rd.dominant_phase);
     }
-    if (!rd.narrative.empty()) {
-      out += ",\"narrative\":\"" + JsonEscape(rd.narrative) + "\"";
-    }
-    out += ",\"phases\":[";
-    for (size_t p = 0; p < rd.phases.size(); ++p) {
-      const PhaseDelta& pd = rd.phases[p];
-      if (p > 0) out += ",";
-      out += "{\"phase\":\"" + JsonEscape(pd.phase) + "\"";
-      out += ",\"a_seconds\":" + JsonNumber(pd.a_seconds);
-      out += ",\"b_seconds\":" + JsonNumber(pd.b_seconds);
-      out += ",\"delta_seconds\":" + JsonNumber(pd.delta_seconds);
-      out += ",\"a_machine\":" + JsonNumber(pd.a_machine);
-      out += ",\"b_machine\":" + JsonNumber(pd.b_machine);
+    if (!rd.narrative.empty()) w.Key("narrative").String(rd.narrative);
+    w.Key("phases").BeginArray();
+    for (const PhaseDelta& pd : rd.phases) {
+      w.BeginObject().Key("phase").String(pd.phase);
+      w.Key("a_seconds").Number(pd.a_seconds);
+      w.Key("b_seconds").Number(pd.b_seconds);
+      w.Key("delta_seconds").Number(pd.delta_seconds);
+      w.Key("a_machine").Number(pd.a_machine);
+      w.Key("b_machine").Number(pd.b_machine);
       if (!pd.dominant_bucket.empty()) {
-        out += ",\"dominant_bucket\":\"" + JsonEscape(pd.dominant_bucket) + "\"";
-        out += ",\"dominant_bucket_share\":" + JsonNumber(pd.dominant_bucket_share);
+        w.Key("dominant_bucket").String(pd.dominant_bucket);
+        w.Key("dominant_bucket_share").Number(pd.dominant_bucket_share);
       }
-      out += ",\"buckets\":[";
-      for (size_t bi = 0; bi < pd.buckets.size(); ++bi) {
-        const BucketDelta& bd = pd.buckets[bi];
-        if (bi > 0) out += ",";
-        out += "{\"bucket\":\"" + JsonEscape(bd.bucket) + "\"";
-        out += ",\"a_seconds\":" + JsonNumber(bd.a_seconds);
-        out += ",\"b_seconds\":" + JsonNumber(bd.b_seconds);
-        out += ",\"delta_seconds\":" + JsonNumber(bd.delta_seconds) + "}";
+      w.Key("buckets").BeginArray();
+      for (const BucketDelta& bd : pd.buckets) {
+        w.BeginObject().Key("bucket").String(bd.bucket);
+        w.Key("a_seconds").Number(bd.a_seconds);
+        w.Key("b_seconds").Number(bd.b_seconds);
+        w.Key("delta_seconds").Number(bd.delta_seconds).EndObject();
       }
-      out += "]}";
+      w.EndArray().EndObject();
     }
-    out += "]}";
+    w.EndArray().EndObject();
   }
-  out += "],\"stages\":[";
-  for (size_t i = 0; i < report.stages.size(); ++i) {
-    const StageDelta& sd = report.stages[i];
-    if (i > 0) out += ",";
-    out += "{\"stage\":\"" + JsonEscape(sd.stage) + "\"";
-    out += ",\"a_count\":" + JsonNumber(static_cast<double>(sd.a_count));
-    out += ",\"b_count\":" + JsonNumber(static_cast<double>(sd.b_count));
-    out += ",\"a_p50\":" + JsonNumber(sd.a_p50);
-    out += ",\"b_p50\":" + JsonNumber(sd.b_p50);
-    out += ",\"a_p99\":" + JsonNumber(sd.a_p99);
-    out += ",\"b_p99\":" + JsonNumber(sd.b_p99);
-    out += ",\"a_total\":" + JsonNumber(sd.a_total);
-    out += ",\"b_total\":" + JsonNumber(sd.b_total);
-    out += ",\"delta_total\":" + JsonNumber(sd.delta_total) + "}";
+  w.EndArray().Key("stages").BeginArray();
+  for (const StageDelta& sd : report.stages) {
+    w.BeginObject().Key("stage").String(sd.stage);
+    count("a_count", sd.a_count);
+    count("b_count", sd.b_count);
+    w.Key("a_p50").Number(sd.a_p50).Key("b_p50").Number(sd.b_p50);
+    w.Key("a_p99").Number(sd.a_p99).Key("b_p99").Number(sd.b_p99);
+    w.Key("a_total").Number(sd.a_total).Key("b_total").Number(sd.b_total);
+    w.Key("delta_total").Number(sd.delta_total).EndObject();
   }
-  out += "],\"flows\":[";
-  for (size_t i = 0; i < report.flows.size(); ++i) {
-    const FlowDelta& fd = report.flows[i];
-    if (i > 0) out += ",";
-    out += "{\"id\":" + JsonNumber(static_cast<double>(fd.id));
-    out += ",\"machine\":" + JsonNumber(fd.machine);
-    out += ",\"src\":" + JsonNumber(fd.src);
-    out += ",\"dst\":" + JsonNumber(fd.dst);
-    out += ",\"a_duration\":" + JsonNumber(fd.a_duration);
-    out += ",\"b_duration\":" + JsonNumber(fd.b_duration);
-    out += ",\"delta_duration\":" + JsonNumber(fd.delta_duration) + "}";
+  w.EndArray().Key("flows").BeginArray();
+  for (const FlowDelta& fd : report.flows) {
+    w.BeginObject();
+    count("id", fd.id);
+    w.Key("machine").Number(fd.machine);
+    w.Key("src").Number(fd.src);
+    w.Key("dst").Number(fd.dst);
+    w.Key("a_duration").Number(fd.a_duration);
+    w.Key("b_duration").Number(fd.b_duration);
+    w.Key("delta_duration").Number(fd.delta_duration).EndObject();
   }
-  out += "],\"metrics\":{";
-  out += "\"compared\":" + JsonNumber(static_cast<double>(report.metrics_compared));
-  out += ",\"diverged\":" + JsonNumber(static_cast<double>(report.metrics_diverged));
-  out += ",\"top\":[";
-  for (size_t i = 0; i < report.metrics.size(); ++i) {
-    const MetricDelta& md = report.metrics[i];
-    if (i > 0) out += ",";
-    out += "{\"name\":\"" + JsonEscape(md.name) + "\"";
-    out += ",\"a_value\":" + JsonNumber(md.a_value);
-    out += ",\"b_value\":" + JsonNumber(md.b_value);
-    out += ",\"delta\":" + JsonNumber(md.delta) + "}";
+  w.EndArray().Key("metrics").BeginObject();
+  count("compared", report.metrics_compared);
+  count("diverged", report.metrics_diverged);
+  w.Key("top").BeginArray();
+  for (const MetricDelta& md : report.metrics) {
+    w.BeginObject().Key("name").String(md.name);
+    w.Key("a_value").Number(md.a_value);
+    w.Key("b_value").Number(md.b_value);
+    w.Key("delta").Number(md.delta).EndObject();
   }
-  out += "]}}";
+  w.EndArray().EndObject().EndObject();
   return out;
 }
 

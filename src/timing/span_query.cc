@@ -611,48 +611,38 @@ std::string FormatCongestionReport(const SpanDataset& dataset,
 }
 
 std::string CongestionReportToJson(const CongestionReport& report) {
-  std::string out = "{\"version\":1";
-  out += ",\"t_begin\":" + JsonNumber(report.t_begin);
-  out += ",\"t_end\":" + JsonNumber(report.t_end);
-  out += ",\"bucket_seconds\":" + JsonNumber(report.bucket_seconds);
-  out += ",\"totals\":{";
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject().Key("version").Uint(1);
+  w.Key("t_begin").Number(report.t_begin);
+  w.Key("t_end").Number(report.t_end);
+  w.Key("bucket_seconds").Number(report.bucket_seconds);
+  w.Key("totals").BeginObject();
   for (int c = 1; c < kNumConstraints; ++c) {
-    if (c > 1) out += ",";
-    out += "\"";
-    out += RateConstraintName(static_cast<RateConstraint>(c));
-    out += "\":" + JsonNumber(report.totals.seconds[c]);
+    w.Key(RateConstraintName(static_cast<RateConstraint>(c)))
+        .Number(report.totals.seconds[c]);
   }
-  out += "},\"hosts\":[";
-  for (size_t h = 0; h < report.hosts.size(); ++h) {
-    const HostCongestionTimeline& t = report.hosts[h];
-    if (h > 0) out += ",";
-    out += "{\"host\":" + std::to_string(t.host);
-    auto track = [&out](const char* name, const std::vector<double>& v) {
-      out += ",\"";
-      out += name;
-      out += "\":[";
-      for (size_t b = 0; b < v.size(); ++b) {
-        if (b > 0) out += ",";
-        out += JsonNumber(v[b]);
-      }
-      out += "]";
+  w.EndObject().Key("hosts").BeginArray();
+  for (const HostCongestionTimeline& t : report.hosts) {
+    w.BeginObject().Key("host").Uint(t.host);
+    auto track = [&w](const char* name, const std::vector<double>& v) {
+      w.Key(name).BeginArray();
+      for (const double x : v) w.Number(x);
+      w.EndArray();
     };
     track("egress_bound", t.egress_bound);
     track("ingress_bound", t.ingress_bound);
     track("msg_rate_bound", t.msg_rate_bound);
-    out += "}";
+    w.EndObject();
   }
-  out += "],\"incasts\":[";
-  for (size_t i = 0; i < report.incasts.size(); ++i) {
-    const IncastEvent& ev = report.incasts[i];
-    if (i > 0) out += ",";
-    out += "{\"dst\":" + std::to_string(ev.dst);
-    out += ",\"t0\":" + JsonNumber(ev.t0);
-    out += ",\"t1\":" + JsonNumber(ev.t1);
-    out += ",\"peak_senders\":" + std::to_string(ev.peak_senders);
-    out += ",\"bytes\":" + JsonNumber(ev.bytes) + "}";
+  w.EndArray().Key("incasts").BeginArray();
+  for (const IncastEvent& ev : report.incasts) {
+    w.BeginObject().Key("dst").Uint(ev.dst);
+    w.Key("t0").Number(ev.t0).Key("t1").Number(ev.t1);
+    w.Key("peak_senders").Uint(ev.peak_senders);
+    w.Key("bytes").Number(ev.bytes).EndObject();
   }
-  out += "]}";
+  w.EndArray().EndObject();
   return out;
 }
 

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <sstream>
 
+#include "util/file.h"
 #include "util/json.h"
 #include "util/logging.h"
 
@@ -25,15 +24,12 @@ size_t RingCapacity(uint64_t budget_bytes, size_t entry_bytes) {
 
 int OpIndex(WorkCompletion::Op op) { return static_cast<int>(op); }
 
-void AppendOpCounts(std::string* out, const char* key, const uint64_t (&c)[4]) {
-  out->append("\"");
-  out->append(key);
-  out->append("\":[");
-  for (int i = 0; i < 4; ++i) {
-    if (i > 0) out->push_back(',');
-    out->append(JsonNumber(static_cast<double>(c[i])));
-  }
-  out->append("]");
+/// Span datasets spell their integer fields through the double formatter
+/// (so e.g. id 14180 reads "1.418e+04"); the readers accept that spelling.
+void WriteOpCounts(JsonWriter* w, const char* key, const uint64_t (&c)[4]) {
+  w->Key(key).BeginArray();
+  for (const uint64_t n : c) w->Number(static_cast<double>(n));
+  w->EndArray();
 }
 
 Status ReadOpCounts(const JsonValue& obj, const char* key, uint64_t (*c)[4]) {
@@ -43,7 +39,7 @@ Status ReadOpCounts(const JsonValue& obj, const char* key, uint64_t (*c)[4]) {
                                    "\" opcode array");
   }
   for (int i = 0; i < 4; ++i) {
-    (*c)[i] = static_cast<uint64_t>(arr->array_items[i].number_value);
+    RDMAJOIN_RETURN_IF_ERROR(arr->array_items[i].As(&(*c)[i], key));
   }
   return Status::OK();
 }
@@ -282,8 +278,10 @@ SpanDataset SpanRecorder::Snapshot() const {
 std::string SpanDatasetToJson(const SpanDataset& dataset) {
   std::string out;
   out.reserve(256 + dataset.spans.size() * 160 + dataset.segments.size() * 80);
-  auto num = [](double v) { return JsonNumber(v); };
-  auto unum = [](uint64_t v) { return JsonNumber(static_cast<double>(v)); };
+  JsonWriter w(&out);
+  auto count = [&w](const char* key, uint64_t v) {
+    w.Key(key).Number(static_cast<double>(v));
+  };
   // Schema v2 (per-segment constraint labels) only when there is a label to
   // write: label-free datasets keep the exact v1 bytes, so disabling
   // constraint recording is byte-identical to the pre-v2 exporter.
@@ -294,93 +292,79 @@ std::string SpanDatasetToJson(const SpanDataset& dataset) {
       break;
     }
   }
-  out += has_constraints ? "{\"version\":2" : "{\"version\":1";
-  out += ",\"spans_recorded\":" + unum(dataset.spans_recorded);
-  out += ",\"spans_dropped\":" + unum(dataset.spans_dropped);
-  out += ",\"segments_recorded\":" + unum(dataset.segments_recorded);
-  out += ",\"segments_dropped\":" + unum(dataset.segments_dropped);
-  out += ",\"late_stage_updates\":" + unum(dataset.late_stage_updates);
-  out += ",\"spans\":[";
-  bool first = true;
+  w.BeginObject().Key("version").Uint(has_constraints ? 2 : 1);
+  count("spans_recorded", dataset.spans_recorded);
+  count("spans_dropped", dataset.spans_dropped);
+  count("segments_recorded", dataset.segments_recorded);
+  count("segments_dropped", dataset.segments_dropped);
+  count("late_stage_updates", dataset.late_stage_updates);
+  w.Key("spans").BeginArray();
   for (const WrSpan& s : dataset.spans) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n{\"id\":" + unum(s.id);
-    out += ",\"machine\":" + unum(s.machine);
-    out += ",\"thread\":" + unum(s.thread);
-    out += ",\"slot\":" + unum(s.slot);
-    out += ",\"src\":" + unum(s.src);
-    out += ",\"dst\":" + unum(s.dst);
-    out += ",\"wire_bytes\":" + num(s.wire_bytes);
-    out += ",\"flow\":" + unum(s.flow);
-    out += ",\"pull\":" + std::string(s.pull ? "true" : "false");
+    w.Break(0).BeginObject();
+    count("id", s.id);
+    count("machine", s.machine);
+    count("thread", s.thread);
+    count("slot", s.slot);
+    count("src", s.src);
+    count("dst", s.dst);
+    w.Key("wire_bytes").Number(s.wire_bytes);
+    count("flow", s.flow);
+    w.Key("pull").Bool(s.pull);
     for (int i = 0; i < kNumSpanStages; ++i) {
-      out += ",\"";
-      out += SpanStageName(static_cast<SpanStage>(i));
-      out += "\":" + num(s.stage[i]);
+      w.Key(SpanStageName(static_cast<SpanStage>(i))).Number(s.stage[i]);
     }
-    out += ",\"recv_start\":" + num(s.recv_start);
-    out += ",\"recv_end\":" + num(s.recv_end);
+    w.Key("recv_start").Number(s.recv_start);
+    w.Key("recv_end").Number(s.recv_end);
     if (s.retries > 0 || s.retry_delay_seconds > 0) {
       // Optional fields: fault-free datasets stay byte-identical.
-      out += ",\"retries\":" + unum(s.retries);
-      out += ",\"retry_delay_seconds\":" + num(s.retry_delay_seconds);
+      count("retries", s.retries);
+      w.Key("retry_delay_seconds").Number(s.retry_delay_seconds);
     }
-    out += "}";
+    w.EndObject();
   }
-  out += "]";
-  out += ",\"segments\":[";
-  first = true;
+  w.EndArray().Key("segments").BeginArray();
   for (const FlowSegment& g : dataset.segments) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n{\"flow\":" + unum(g.flow);
-    out += ",\"src\":" + unum(g.src);
-    out += ",\"dst\":" + unum(g.dst);
-    out += ",\"t0\":" + num(g.t0);
-    out += ",\"t1\":" + num(g.t1);
-    out += ",\"rate\":" + num(g.rate);
+    w.Break(0).BeginObject();
+    count("flow", g.flow);
+    count("src", g.src);
+    count("dst", g.dst);
+    w.Key("t0").Number(g.t0);
+    w.Key("t1").Number(g.t1);
+    w.Key("rate").Number(g.rate);
     if (has_constraints) {
-      out += ",\"bound\":\"";
-      out += RateConstraintName(g.bound);
-      out += "\",\"bound_host\":" + unum(g.bound_host);
+      w.Key("bound").String(RateConstraintName(g.bound));
+      count("bound_host", g.bound_host);
     }
-    out += "}";
+    w.EndObject();
   }
-  out += "]";
-  out += ",\"threads\":[";
-  first = true;
+  w.EndArray().Key("threads").BeginArray();
   for (const ThreadMark& t : dataset.threads) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n{\"machine\":" + unum(t.machine);
-    out += ",\"thread\":" + unum(t.thread);
-    out += ",\"finish_seconds\":" + num(t.finish_seconds);
-    out += ",\"compute_seconds\":" + num(t.compute_seconds);
-    out += ",\"credit_stall_seconds\":" + num(t.credit_stall_seconds);
-    out += ",\"flow_stall_seconds\":" + num(t.flow_stall_seconds);
+    w.Break(0).BeginObject();
+    count("machine", t.machine);
+    count("thread", t.thread);
+    w.Key("finish_seconds").Number(t.finish_seconds);
+    w.Key("compute_seconds").Number(t.compute_seconds);
+    w.Key("credit_stall_seconds").Number(t.credit_stall_seconds);
+    w.Key("flow_stall_seconds").Number(t.flow_stall_seconds);
     if (t.fault_recovery_seconds != 0) {
-      out += ",\"fault_recovery_seconds\":" + num(t.fault_recovery_seconds);
+      w.Key("fault_recovery_seconds").Number(t.fault_recovery_seconds);
     }
-    out += "}";
+    w.EndObject();
   }
-  out += "]";
-  out += ",\"devices\":[";
-  first = true;
+  w.EndArray().Key("devices").BeginArray();
   for (const ExecDeviceCounts& d : dataset.devices) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n{\"device\":" + unum(d.device) + ",";
-    AppendOpCounts(&out, "posted", d.posted);
-    out += ",";
-    AppendOpCounts(&out, "completed", d.completed);
-    out += ",\"failed_completions\":" + unum(d.failed_completions) + ",";
-    AppendOpCounts(&out, "polled", d.polled);
-    out += ",\"buffers_acquired\":" + unum(d.buffers_acquired);
-    out += ",\"buffers_released\":" + unum(d.buffers_released);
-    out += "}";
+    w.Break(0).BeginObject();
+    count("device", d.device);
+    WriteOpCounts(&w, "posted", d.posted);
+    WriteOpCounts(&w, "completed", d.completed);
+    count("failed_completions", d.failed_completions);
+    WriteOpCounts(&w, "polled", d.polled);
+    count("buffers_acquired", d.buffers_acquired);
+    count("buffers_released", d.buffers_released);
+    w.EndObject();
   }
-  out += "]}\n";
+  w.EndArray().EndObject();
+  out += "\n";
   return out;
 }
 
@@ -388,19 +372,16 @@ StatusOr<SpanDataset> SpanDatasetFromJson(const JsonValue& root) {
   if (!root.is_object()) {
     return Status::InvalidArgument("span JSON: document is not an object");
   }
-  const double version = root.NumberOr("version", 0);
+  uint32_t version = 0;
+  RDMAJOIN_RETURN_IF_ERROR(root.Get("version", &version));
   if (version != 1 && version != 2) {
     return Status::InvalidArgument("span JSON: unsupported version");
   }
   SpanDataset ds;
-  ds.spans_recorded = static_cast<uint64_t>(root.NumberOr("spans_recorded", 0));
-  ds.spans_dropped = static_cast<uint64_t>(root.NumberOr("spans_dropped", 0));
-  ds.segments_recorded =
-      static_cast<uint64_t>(root.NumberOr("segments_recorded", 0));
-  ds.segments_dropped =
-      static_cast<uint64_t>(root.NumberOr("segments_dropped", 0));
-  ds.late_stage_updates =
-      static_cast<uint64_t>(root.NumberOr("late_stage_updates", 0));
+  RDMAJOIN_RETURN_IF_ERROR(root.Get(
+      "spans_recorded", &ds.spans_recorded, "spans_dropped", &ds.spans_dropped,
+      "segments_recorded", &ds.segments_recorded, "segments_dropped",
+      &ds.segments_dropped, "late_stage_updates", &ds.late_stage_updates));
   const JsonValue* spans = root.Find("spans");
   if (spans == nullptr || !spans->is_array()) {
     return Status::InvalidArgument("span JSON: missing \"spans\" array");
@@ -411,24 +392,17 @@ StatusOr<SpanDataset> SpanDatasetFromJson(const JsonValue& root) {
       return Status::InvalidArgument("span JSON: span entry is not an object");
     }
     WrSpan s;
-    s.id = static_cast<uint64_t>(item.NumberOr("id", 0));
+    RDMAJOIN_RETURN_IF_ERROR(item.Get("id", &s.id));
     if (s.id == 0) return Status::InvalidArgument("span JSON: span without id");
-    s.machine = static_cast<uint32_t>(item.NumberOr("machine", 0));
-    s.thread = static_cast<uint32_t>(item.NumberOr("thread", 0));
-    s.slot = static_cast<uint32_t>(item.NumberOr("slot", 0));
-    s.src = static_cast<uint32_t>(item.NumberOr("src", 0));
-    s.dst = static_cast<uint32_t>(item.NumberOr("dst", 0));
-    s.wire_bytes = item.NumberOr("wire_bytes", 0);
-    s.flow = static_cast<uint64_t>(item.NumberOr("flow", 0));
-    s.pull = item.BoolOr("pull", false);
+    RDMAJOIN_RETURN_IF_ERROR(item.Get(
+        "machine", &s.machine, "thread", &s.thread, "slot", &s.slot, "src",
+        &s.src, "dst", &s.dst, "wire_bytes", &s.wire_bytes, "flow", &s.flow,
+        "pull", &s.pull, "recv_start", &s.recv_start, "recv_end", &s.recv_end,
+        "retries", &s.retries, "retry_delay_seconds", &s.retry_delay_seconds));
     for (int i = 0; i < kNumSpanStages; ++i) {
-      s.stage[i] =
-          item.NumberOr(SpanStageName(static_cast<SpanStage>(i)), kSpanUnset);
+      RDMAJOIN_RETURN_IF_ERROR(
+          item.Get(SpanStageName(static_cast<SpanStage>(i)), &s.stage[i]));
     }
-    s.recv_start = item.NumberOr("recv_start", kSpanUnset);
-    s.recv_end = item.NumberOr("recv_end", kSpanUnset);
-    s.retries = static_cast<uint32_t>(item.NumberOr("retries", 0));
-    s.retry_delay_seconds = item.NumberOr("retry_delay_seconds", 0);
     ds.spans.push_back(s);
   }
   if (const JsonValue* segments = root.Find("segments")) {
@@ -438,20 +412,17 @@ StatusOr<SpanDataset> SpanDatasetFromJson(const JsonValue& root) {
     ds.segments.reserve(segments->array_items.size());
     for (const JsonValue& item : segments->array_items) {
       FlowSegment g;
-      g.flow = static_cast<uint64_t>(item.NumberOr("flow", 0));
-      g.src = static_cast<uint32_t>(item.NumberOr("src", 0));
-      g.dst = static_cast<uint32_t>(item.NumberOr("dst", 0));
-      g.t0 = item.NumberOr("t0", 0);
-      g.t1 = item.NumberOr("t1", 0);
-      g.rate = item.NumberOr("rate", 0);
       // v1 documents have no "bound": segments default to kNone. In v2
       // documents an unknown name is a schema violation, not a default.
-      const std::string bound_name = item.StringOr("bound", "none");
+      std::string bound_name = "none";
+      RDMAJOIN_RETURN_IF_ERROR(item.Get(
+          "flow", &g.flow, "src", &g.src, "dst", &g.dst, "t0", &g.t0, "t1",
+          &g.t1, "rate", &g.rate, "bound", &bound_name, "bound_host",
+          &g.bound_host));
       if (!ParseRateConstraintName(bound_name, &g.bound)) {
         return Status::InvalidArgument("span JSON: unknown segment bound \"" +
                                        bound_name + "\"");
       }
-      g.bound_host = static_cast<uint32_t>(item.NumberOr("bound_host", 0));
       ds.segments.push_back(g);
     }
   }
@@ -462,13 +433,12 @@ StatusOr<SpanDataset> SpanDatasetFromJson(const JsonValue& root) {
     ds.threads.reserve(threads->array_items.size());
     for (const JsonValue& item : threads->array_items) {
       ThreadMark t;
-      t.machine = static_cast<uint32_t>(item.NumberOr("machine", 0));
-      t.thread = static_cast<uint32_t>(item.NumberOr("thread", 0));
-      t.finish_seconds = item.NumberOr("finish_seconds", 0);
-      t.compute_seconds = item.NumberOr("compute_seconds", 0);
-      t.credit_stall_seconds = item.NumberOr("credit_stall_seconds", 0);
-      t.flow_stall_seconds = item.NumberOr("flow_stall_seconds", 0);
-      t.fault_recovery_seconds = item.NumberOr("fault_recovery_seconds", 0);
+      RDMAJOIN_RETURN_IF_ERROR(item.Get(
+          "machine", &t.machine, "thread", &t.thread, "finish_seconds",
+          &t.finish_seconds, "compute_seconds", &t.compute_seconds,
+          "credit_stall_seconds", &t.credit_stall_seconds, "flow_stall_seconds",
+          &t.flow_stall_seconds, "fault_recovery_seconds",
+          &t.fault_recovery_seconds));
       ds.threads.push_back(t);
     }
   }
@@ -479,16 +449,13 @@ StatusOr<SpanDataset> SpanDatasetFromJson(const JsonValue& root) {
     ds.devices.reserve(devices->array_items.size());
     for (const JsonValue& item : devices->array_items) {
       ExecDeviceCounts d;
-      d.device = static_cast<uint32_t>(item.NumberOr("device", 0));
       RDMAJOIN_RETURN_IF_ERROR(ReadOpCounts(item, "posted", &d.posted));
       RDMAJOIN_RETURN_IF_ERROR(ReadOpCounts(item, "completed", &d.completed));
       RDMAJOIN_RETURN_IF_ERROR(ReadOpCounts(item, "polled", &d.polled));
-      d.failed_completions =
-          static_cast<uint64_t>(item.NumberOr("failed_completions", 0));
-      d.buffers_acquired =
-          static_cast<uint64_t>(item.NumberOr("buffers_acquired", 0));
-      d.buffers_released =
-          static_cast<uint64_t>(item.NumberOr("buffers_released", 0));
+      RDMAJOIN_RETURN_IF_ERROR(item.Get(
+          "device", &d.device, "failed_completions", &d.failed_completions,
+          "buffers_acquired", &d.buffers_acquired, "buffers_released",
+          &d.buffers_released));
       ds.devices.push_back(d);
     }
   }
@@ -503,24 +470,12 @@ StatusOr<SpanDataset> ParseSpanDatasetJson(const std::string& text) {
 
 Status WriteSpanDatasetFile(const std::string& path,
                             const SpanDataset& dataset) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::InvalidArgument("cannot open span output file: " + path);
-  }
-  out << SpanDatasetToJson(dataset);
-  out.flush();
-  if (!out) return Status::Internal("failed writing span file: " + path);
-  return Status::OK();
+  return WriteStringToFile(path, SpanDatasetToJson(dataset));
 }
 
 StatusOr<SpanDataset> ReadSpanDatasetFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::InvalidArgument("cannot open span file: " + path);
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseSpanDatasetJson(buf.str());
+  RDMAJOIN_ASSIGN_OR_RETURN(const std::string text, ReadFileToString(path));
+  return ParseSpanDatasetJson(text);
 }
 
 }  // namespace rdmajoin

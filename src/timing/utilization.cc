@@ -415,59 +415,44 @@ std::string FormatUtilization(const UtilizationReport& report, size_t top_k) {
 }
 
 std::string UtilizationToJson(const UtilizationReport& report) {
-  std::string out = "{\"schema_version\":1";
-  out += ",\"makespan_seconds\":" + JsonNumber(report.makespan_seconds);
-  out += ",\"stall_windows_from_spans\":";
-  out += report.stall_windows_from_spans ? "true" : "false";
-  out += ",\"phase_edges\":[";
-  for (size_t p = 0; p <= kNumJoinPhases; ++p) {
-    if (p > 0) out += ",";
-    out += JsonNumber(report.phase_edges[p]);
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject().Key("schema_version").Uint(1);
+  w.Key("makespan_seconds").Number(report.makespan_seconds);
+  w.Key("stall_windows_from_spans").Bool(report.stall_windows_from_spans);
+  w.Key("phase_edges").BeginArray();
+  for (const double edge : report.phase_edges) w.Number(edge);
+  w.EndArray().Key("machines").BeginArray();
+  for (const MachineUtilization& mu : report.machines) {
+    w.BeginObject().Key("machine").Number(mu.machine);
+    w.Key("active_seconds").Number(mu.active_seconds);
+    w.Key("barrier_wait_seconds").Number(mu.barrier_wait_seconds);
+    w.Key("buffer_stall_seconds").Number(mu.buffer_stall_seconds);
+    w.Key("network_tail_seconds").Number(mu.network_tail_seconds);
+    w.EndObject();
   }
-  out += "],\"machines\":[";
-  for (size_t m = 0; m < report.machines.size(); ++m) {
-    const MachineUtilization& mu = report.machines[m];
-    if (m > 0) out += ",";
-    out += "{\"machine\":" + JsonNumber(mu.machine);
-    out += ",\"active_seconds\":" + JsonNumber(mu.active_seconds);
-    out += ",\"barrier_wait_seconds\":" + JsonNumber(mu.barrier_wait_seconds);
-    out += ",\"buffer_stall_seconds\":" + JsonNumber(mu.buffer_stall_seconds);
-    out += ",\"network_tail_seconds\":" + JsonNumber(mu.network_tail_seconds);
-    out += "}";
+  w.EndArray().Key("idle_windows").BeginArray();
+  for (const IdleWindow& iw : report.idle_windows) {
+    w.BeginObject().Key("machine").Number(iw.machine);
+    w.Key("phase").String(JoinPhaseName(iw.phase));
+    w.Key("cause").String(IdleCauseName(iw.cause));
+    w.Key("t0").Number(iw.t0).Key("t1").Number(iw.t1).EndObject();
   }
-  out += "],\"idle_windows\":[";
-  for (size_t i = 0; i < report.idle_windows.size(); ++i) {
-    const IdleWindow& w = report.idle_windows[i];
-    if (i > 0) out += ",";
-    out += "{\"machine\":" + JsonNumber(w.machine);
-    out += ",\"phase\":\"" + std::string(JoinPhaseName(w.phase)) + "\"";
-    out += ",\"cause\":\"" + std::string(IdleCauseName(w.cause)) + "\"";
-    out += ",\"t0\":" + JsonNumber(w.t0);
-    out += ",\"t1\":" + JsonNumber(w.t1);
-    out += "}";
-  }
-  out += "],\"timelines\":[";
-  for (size_t m = 0; m < report.timelines.size(); ++m) {
-    const HostTimeline& tl = report.timelines[m];
-    if (m > 0) out += ",";
-    out += "{\"machine\":" + JsonNumber(tl.machine);
-    out += ",\"bucket_seconds\":" + JsonNumber(tl.bucket_seconds);
-    auto array = [&out](const char* key, const std::vector<double>& v) {
-      out += ",\"";
-      out += key;
-      out += "\":[";
-      for (size_t i = 0; i < v.size(); ++i) {
-        if (i > 0) out += ",";
-        out += JsonNumber(v[i]);
-      }
-      out += "]";
+  w.EndArray().Key("timelines").BeginArray();
+  for (const HostTimeline& tl : report.timelines) {
+    w.BeginObject().Key("machine").Number(tl.machine);
+    w.Key("bucket_seconds").Number(tl.bucket_seconds);
+    auto array = [&w](const char* key, const std::vector<double>& v) {
+      w.Key(key).BeginArray();
+      for (const double x : v) w.Number(x);
+      w.EndArray();
     };
     array("compute_busy", tl.compute_busy);
     array("egress_bytes_per_sec", tl.egress_bytes_per_sec);
     array("ingress_bytes_per_sec", tl.ingress_bytes_per_sec);
-    out += "}";
+    w.EndObject();
   }
-  out += "]}";
+  w.EndArray().EndObject();
   return out;
 }
 

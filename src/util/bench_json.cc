@@ -4,8 +4,8 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+
+#include "util/file.h"
 
 namespace rdmajoin {
 
@@ -35,19 +35,19 @@ StatusOr<BenchJsonDocument> ParseBenchJson(const std::string& json) {
     return Status::InvalidArgument("bench JSON: top level is not an object");
   }
   BenchJsonDocument doc;
-  doc.schema_version = static_cast<int>(root.NumberOr("schema_version", 0));
+  RDMAJOIN_RETURN_IF_ERROR(root.Get("schema_version", &doc.schema_version));
   if (doc.schema_version != kBenchJsonSchemaVersion) {
     return Status::InvalidArgument(
         "bench JSON: unsupported schema_version " +
         std::to_string(doc.schema_version) + " (expected " +
         std::to_string(kBenchJsonSchemaVersion) + ")");
   }
-  doc.bench = root.StringOr("bench", "");
+  RDMAJOIN_RETURN_IF_ERROR(root.Get("bench", &doc.bench));
   if (doc.bench.empty()) {
     return Status::InvalidArgument("bench JSON: missing 'bench' name");
   }
-  doc.scale_up = root.NumberOr("scale_up", 0);
-  doc.seed = static_cast<uint64_t>(root.NumberOr("seed", 0));
+  RDMAJOIN_RETURN_IF_ERROR(
+      root.Get("scale_up", &doc.scale_up, "seed", &doc.seed));
   const JsonValue* rows = root.Find("rows");
   if (rows == nullptr || !rows->is_array()) {
     return Status::InvalidArgument("bench JSON: missing 'rows' array");
@@ -57,13 +57,12 @@ StatusOr<BenchJsonDocument> ParseBenchJson(const std::string& json) {
       return Status::InvalidArgument("bench JSON: row is not an object");
     }
     BenchJsonRow row;
-    row.label = item.StringOr("label", "");
+    RDMAJOIN_RETURN_IF_ERROR(item.Get(
+        "label", &row.label, "ok", &row.ok, "verified", &row.verified, "error",
+        &row.error, "protocol_violations", &row.protocol_violations));
     if (row.label.empty()) {
       return Status::InvalidArgument("bench JSON: row without a label");
     }
-    row.ok = item.BoolOr("ok", false);
-    row.verified = item.BoolOr("verified", false);
-    row.error = item.StringOr("error", "");
     if (const JsonValue* v = item.Find("measured_seconds");
         v != nullptr && v->is_number()) {
       row.measured_seconds = v->number_value;
@@ -79,11 +78,10 @@ StatusOr<BenchJsonDocument> ParseBenchJson(const std::string& json) {
           v != nullptr && v->is_number()) {
         row.model_seconds = v->number_value;
         row.has_model = true;
-        row.residual_seconds = model->NumberOr("residual_seconds", 0);
+        RDMAJOIN_RETURN_IF_ERROR(
+            model->Get("residual_seconds", &row.residual_seconds));
       }
     }
-    row.protocol_violations =
-        static_cast<uint64_t>(item.NumberOr("protocol_violations", 0));
     row.raw = item;
     doc.rows.push_back(std::move(row));
   }
@@ -91,11 +89,8 @@ StatusOr<BenchJsonDocument> ParseBenchJson(const std::string& json) {
 }
 
 StatusOr<BenchJsonDocument> ReadBenchJsonFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  auto doc = ParseBenchJson(text.str());
+  RDMAJOIN_ASSIGN_OR_RETURN(const std::string text, ReadFileToString(path));
+  auto doc = ParseBenchJson(text);
   if (!doc.ok()) {
     return Status::InvalidArgument(path + ": " + doc.status().message());
   }

@@ -1,8 +1,7 @@
 #include "util/json.h"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -10,242 +9,227 @@ namespace rdmajoin {
 
 namespace {
 
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  StatusOr<JsonValue> ParseDocument() {
-    JsonValue value;
-    RDMAJOIN_RETURN_IF_ERROR(ParseValue(&value, /*depth=*/0));
-    SkipSpace();
-    if (pos_ < text_.size()) {
-      return Error("trailing characters after JSON document");
-    }
-    return value;
-  }
-
- private:
-  static constexpr int kMaxDepth = 64;
-
-  Status Error(const std::string& message) const {
-    return Status::InvalidArgument("JSON: " + message + " at offset " +
-                                   std::to_string(pos_));
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
+void AppendEscaped(std::string* out, std::string_view s) {
+  for (const char c : s) {
+    switch (c) {
+      case '"': out->append("\\\""); break;
+      case '\\': out->append("\\\\"); break;
+      case '\b': out->append("\\b"); break;
+      case '\f': out->append("\\f"); break;
+      case '\n': out->append("\\n"); break;
+      case '\r': out->append("\\r"); break;
+      case '\t': out->append("\\t"); break;
+      default:
+        if (const auto u = static_cast<unsigned char>(c); u < 0x20) {
+          out->append("\\u00");
+          out->push_back("0123456789abcdef"[u >> 4]);
+          out->push_back("0123456789abcdef"[u & 0xF]);
+        } else {
+          out->push_back(c);
+        }
     }
   }
+}
 
-  bool ConsumeLiteral(const char* literal) {
-    const size_t len = std::strlen(literal);
-    if (text_.compare(pos_, len, literal) == 0) {
-      pos_ += len;
-      return true;
+template <typename Int>
+void AppendInteger(std::string* out, Int v) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+/// Appends a finite double as the shortest `%.{p}g` that reads back as `v`.
+/// std::to_chars finds the shortest digits; they are laid out the way %g
+/// lays them out: fixed when -4 <= exponent < digits, else d.ddde±XX.
+void AppendFiniteNumber(std::string* out, double v) {
+  char sci[32];
+  char* end =
+      std::to_chars(sci, sci + sizeof(sci), v, std::chars_format::scientific)
+          .ptr;
+  // At a binade boundary (zero significand, normal exponent) the rounding
+  // interval is lopsided, and %.{p}g's correctly rounded p digits can miss
+  // it where to_chars's shortest p digits do not; %g then needs more digits.
+  // Walk p up exactly as the %g search does.
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  if ((bits & ((uint64_t{1} << 52) - 1)) == 0 && ((bits >> 52) & 0x7FF) > 1) {
+    int digits = 0;
+    for (const char* p = sci; *p != 'e'; ++p) digits += (*p >= '0' && *p <= '9');
+    for (int p = digits; p <= 17; ++p) {
+      end = std::to_chars(sci, sci + sizeof(sci), v,
+                          std::chars_format::scientific, p - 1)
+                .ptr;
+      double back = 0;
+      std::from_chars(sci, end, back);
+      if (back == v) break;
     }
+  }
+
+  const char* p = sci;
+  if (*p == '-') out->push_back(*p++);
+  char digits[24];
+  int nd = 0;
+  for (; *p != 'e'; ++p) {
+    if (*p != '.') digits[nd++] = *p;
+  }
+  while (nd > 1 && digits[nd - 1] == '0') --nd;
+  int exp = 0;
+  std::from_chars(p + (p[1] == '+' ? 2 : 1), end, exp);
+
+  if (exp >= 0 && exp < nd) {
+    out->append(digits, static_cast<size_t>(exp) + 1);
+    if (nd > exp + 1) {
+      out->push_back('.');
+      out->append(digits + exp + 1, static_cast<size_t>(nd - exp - 1));
+    }
+  } else if (exp < 0 && exp >= -4) {
+    out->append("0.");
+    out->append(static_cast<size_t>(-exp - 1), '0');
+    out->append(digits, static_cast<size_t>(nd));
+  } else {
+    out->push_back(digits[0]);
+    if (nd > 1) {
+      out->push_back('.');
+      out->append(digits + 1, static_cast<size_t>(nd - 1));
+    }
+    out->append(exp < 0 ? "e-" : "e+");
+    if (std::abs(exp) < 10) out->push_back('0');
+    AppendInteger(out, std::abs(exp));
+  }
+}
+
+void AppendUtf8(std::string* out, uint32_t cp) {
+  if (cp < 0x80) {
+    out->push_back(static_cast<char>(cp));
+  } else if (cp < 0x800) {
+    out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else {
+    out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
+    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  }
+}
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+/// The one integer decoder: an exact unsigned literal, or a double with an
+/// integral value, within [lo, hi]. Yields the two's-complement bits.
+bool DecodeInteger(const JsonValue& v, int64_t lo, uint64_t hi,
+                   uint64_t* bits) {
+  if (v.kind != JsonValue::Kind::kNumber) return false;
+  if (v.is_uint) {
+    *bits = v.uint_value;
+    return v.uint_value <= hi;
+  }
+  // -2^63 and 2^64 are exact doubles: the range test rejects NaN and
+  // everything a cast could overflow on.
+  const double d = v.number_value;
+  if (!(d >= -9223372036854775808.0 && d < 18446744073709551616.0) ||
+      d != std::floor(d)) {
     return false;
   }
-
-  Status ParseValue(JsonValue* out, int depth) {
-    if (depth > kMaxDepth) return Error("nesting too deep");
-    SkipSpace();
-    if (pos_ >= text_.size()) return Error("unexpected end of input");
-    const char c = text_[pos_];
-    switch (c) {
-      case '{':
-        return ParseObject(out, depth);
-      case '[':
-        return ParseArray(out, depth);
-      case '"':
-        out->kind = JsonValue::Kind::kString;
-        return ParseString(&out->string_value);
-      case 't':
-        if (ConsumeLiteral("true")) {
-          out->kind = JsonValue::Kind::kBool;
-          out->bool_value = true;
-          return Status::OK();
-        }
-        return Error("invalid literal");
-      case 'f':
-        if (ConsumeLiteral("false")) {
-          out->kind = JsonValue::Kind::kBool;
-          out->bool_value = false;
-          return Status::OK();
-        }
-        return Error("invalid literal");
-      case 'n':
-        if (ConsumeLiteral("null")) {
-          out->kind = JsonValue::Kind::kNull;
-          return Status::OK();
-        }
-        return Error("invalid literal");
-      default:
-        return ParseNumber(out);
-    }
+  if (d < 0) {
+    const int64_t i = static_cast<int64_t>(d);
+    *bits = static_cast<uint64_t>(i);
+    return i >= lo;
   }
-
-  Status ParseObject(JsonValue* out, int depth) {
-    ++pos_;  // '{'
-    out->kind = JsonValue::Kind::kObject;
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return Status::OK();
-    }
-    while (true) {
-      SkipSpace();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Error("expected object key");
-      }
-      std::string key;
-      RDMAJOIN_RETURN_IF_ERROR(ParseString(&key));
-      SkipSpace();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return Error("expected ':'");
-      ++pos_;
-      JsonValue value;
-      RDMAJOIN_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
-      out->object_members.emplace_back(std::move(key), std::move(value));
-      SkipSpace();
-      if (pos_ >= text_.size()) return Error("unterminated object");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return Status::OK();
-      }
-      return Error("expected ',' or '}'");
-    }
-  }
-
-  Status ParseArray(JsonValue* out, int depth) {
-    ++pos_;  // '['
-    out->kind = JsonValue::Kind::kArray;
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return Status::OK();
-    }
-    while (true) {
-      JsonValue value;
-      RDMAJOIN_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
-      out->array_items.push_back(std::move(value));
-      SkipSpace();
-      if (pos_ >= text_.size()) return Error("unterminated array");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return Status::OK();
-      }
-      return Error("expected ',' or ']'");
-    }
-  }
-
-  Status ParseString(std::string* out) {
-    ++pos_;  // '"'
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return Status::OK();
-      }
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) break;
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'b': out->push_back('\b'); break;
-          case 'f': out->push_back('\f'); break;
-          case 'n': out->push_back('\n'); break;
-          case 'r': out->push_back('\r'); break;
-          case 't': out->push_back('\t'); break;
-          case 'u': {
-            RDMAJOIN_ASSIGN_OR_RETURN(uint32_t cp, ParseHex4());
-            AppendUtf8(out, cp);
-            break;
-          }
-          default:
-            return Error("invalid escape");
-        }
-        continue;
-      }
-      out->push_back(c);
-      ++pos_;
-    }
-    return Error("unterminated string");
-  }
-
-  StatusOr<uint32_t> ParseHex4() {
-    if (pos_ + 4 > text_.size()) return Error("truncated \\u escape");
-    uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = text_[pos_ + i];
-      value <<= 4;
-      if (c >= '0' && c <= '9') {
-        value |= static_cast<uint32_t>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        value |= static_cast<uint32_t>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        value |= static_cast<uint32_t>(c - 'A' + 10);
-      } else {
-        return Error("invalid \\u escape");
-      }
-    }
-    pos_ += 4;
-    return value;
-  }
-
-  static void AppendUtf8(std::string* out, uint32_t cp) {
-    if (cp < 0x80) {
-      out->push_back(static_cast<char>(cp));
-    } else if (cp < 0x800) {
-      out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
-      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else {
-      out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
-      out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    }
-  }
-
-  Status ParseNumber(JsonValue* out) {
-    const size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Error("expected a value");
-    char* end = nullptr;
-    const std::string token = text_.substr(start, pos_ - start);
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
-      pos_ = start;
-      return Error("malformed number");
-    }
-    out->kind = JsonValue::Kind::kNumber;
-    out->number_value = value;
-    return Status::OK();
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
+  *bits = static_cast<uint64_t>(d);
+  return *bits <= hi;
+}
 
 }  // namespace
 
-const JsonValue* JsonValue::Find(const std::string& key) const {
+// ---------------------------------------------------------------------------
+// Writing.
+// ---------------------------------------------------------------------------
+
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  AppendEscaped(&out, s);
+  return out;
+}
+
+std::string JsonNumber(double v) {
+  std::string out;
+  JsonWriter(&out).Number(v);
+  return out;
+}
+
+void JsonWriter::PendingBreak() {
+  if (break_indent_ < 0) return;
+  out_->push_back('\n');
+  out_->append(static_cast<size_t>(break_indent_), ' ');
+  break_indent_ = -1;
+}
+
+void JsonWriter::Separate() {
+  if (need_comma_) out_->push_back(',');
+  PendingBreak();
+  need_comma_ = true;
+}
+
+JsonWriter& JsonWriter::Open(char bracket) {
+  Separate();
+  out_->push_back(bracket);
+  need_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Close(char bracket) {
+  PendingBreak();
+  out_->push_back(bracket);
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Key(std::string_view key) {
+  String(key);
+  out_->push_back(':');
+  need_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::String(std::string_view s) {
+  Separate();
+  out_->push_back('"');
+  AppendEscaped(out_, s);
+  out_->push_back('"');
+  return *this;
+}
+
+JsonWriter& JsonWriter::Number(double v) {
+  Separate();
+  if (std::isfinite(v)) {
+    AppendFiniteNumber(out_, v);
+  } else {
+    out_->append("null");
+  }
+  return *this;
+}
+
+JsonWriter& JsonWriter::Uint(uint64_t v) {
+  Separate();
+  AppendInteger(out_, v);
+  return *this;
+}
+
+JsonWriter& JsonWriter::Int(int64_t v) {
+  Separate();
+  AppendInteger(out_, v);
+  return *this;
+}
+
+JsonWriter& JsonWriter::Raw(std::string_view json) {
+  Separate();
+  out_->append(json);
+  return *this;
+}
+
+// ---------------------------------------------------------------------------
+// Reading.
+// ---------------------------------------------------------------------------
+
+const JsonValue* JsonValue::Find(std::string_view key) const {
   if (kind != Kind::kObject) return nullptr;
   for (const auto& [name, value] : object_members) {
     if (name == key) return &value;
@@ -253,62 +237,293 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
   return nullptr;
 }
 
-double JsonValue::NumberOr(const std::string& key, double fallback) const {
+double JsonValue::NumberOr(std::string_view key, double fallback) const {
   const JsonValue* v = Find(key);
   return (v != nullptr && v->is_number()) ? v->number_value : fallback;
 }
 
-std::string JsonValue::StringOr(const std::string& key,
+std::string JsonValue::StringOr(std::string_view key,
                                 const std::string& fallback) const {
   const JsonValue* v = Find(key);
   return (v != nullptr && v->is_string()) ? v->string_value : fallback;
 }
 
-bool JsonValue::BoolOr(const std::string& key, bool fallback) const {
+bool JsonValue::BoolOr(std::string_view key, bool fallback) const {
   const JsonValue* v = Find(key);
   return (v != nullptr && v->kind == Kind::kBool) ? v->bool_value : fallback;
 }
 
-StatusOr<JsonValue> ParseJson(const std::string& text) {
-  return Parser(text).ParseDocument();
+Status JsonValue::Mismatch(std::string_view what,
+                           std::string_view expected) const {
+  std::string msg;
+  if (!what.empty()) {
+    msg = "JSON field \"";
+    AppendEscaped(&msg, what);
+    msg += "\": ";
+  }
+  msg += "expected ";
+  msg.append(expected);
+  if (kind == Kind::kNumber) {
+    msg += ", got ";
+    msg += is_uint ? std::to_string(uint_value) : JsonNumber(number_value);
+  }
+  return Status::InvalidArgument(std::move(msg));
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out.append("\\\""); break;
-      case '\\': out.append("\\\\"); break;
-      case '\b': out.append("\\b"); break;
-      case '\f': out.append("\\f"); break;
-      case '\n': out.append("\\n"); break;
-      case '\r': out.append("\\r"); break;
-      case '\t': out.append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out.append(buf);
-        } else {
-          out.push_back(c);
+Status JsonValue::AsInteger(std::string_view what, int64_t lo, uint64_t hi,
+                            uint64_t* bits) const {
+  if (DecodeInteger(*this, lo, hi, bits)) return Status::OK();
+  return Mismatch(what, "an integer in [" + std::to_string(lo) + ", " +
+                            std::to_string(hi) + "]");
+}
+
+Status JsonTokenizer::Error(std::string_view what) const {
+  std::string msg = "JSON: ";
+  msg.append(what);
+  msg += " at offset " + std::to_string(start_);
+  if (!key_.empty()) {
+    msg += " (in \"";
+    AppendEscaped(&msg, key_);
+    msg += "\")";
+  }
+  return Status::InvalidArgument(std::move(msg));
+}
+
+void JsonTokenizer::SkipSpace() {
+  while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\n' ||
+                                 text_[pos_] == '\r' || text_[pos_] == '\t')) {
+    ++pos_;
+  }
+}
+
+Status JsonTokenizer::Next() {
+  SkipSpace();
+  start_ = pos_;
+  const char c = pos_ < text_.size() ? text_[pos_] : '\0';
+  switch (state_) {
+    case State::kValue:
+      return LexValue();
+    case State::kFirstKey:
+      return c == '}' ? Close(c) : LexKey();
+    case State::kFirstElement:
+      return c == ']' ? Close(c) : LexValue();
+    case State::kAfter:
+      if (open_.empty()) {
+        if (pos_ < text_.size()) {
+          return Error("trailing characters after JSON document");
         }
+        token_ = Token::kEnd;
+        return Status::OK();
+      }
+      if (c == ',') {
+        ++pos_;
+        SkipSpace();
+        start_ = pos_;
+        return open_.back() == '{' ? LexKey() : LexValue();
+      }
+      return Close(c);
+  }
+  return Error("unreachable");
+}
+
+Status JsonTokenizer::Close(char closer) {
+  const char opener = open_.back();
+  if (closer != (opener == '{' ? '}' : ']')) {
+    return Error(opener == '{' ? "expected ',' or '}'" : "expected ',' or ']'");
+  }
+  open_.pop_back();
+  ++pos_;
+  token_ = opener == '{' ? Token::kEndObject : Token::kEndArray;
+  state_ = State::kAfter;
+  return Status::OK();
+}
+
+Status JsonTokenizer::LexKey() {
+  if (pos_ >= text_.size() || text_[pos_] != '"') {
+    return Error("expected object key");
+  }
+  RDMAJOIN_RETURN_IF_ERROR(LexString(&key_buf_, &key_));
+  SkipSpace();
+  if (pos_ >= text_.size() || text_[pos_] != ':') return Error("expected ':'");
+  ++pos_;
+  token_ = Token::kKey;
+  state_ = State::kValue;
+  return Status::OK();
+}
+
+Status JsonTokenizer::LexValue() {
+  if (pos_ >= text_.size()) return Error("unexpected end of input");
+  state_ = State::kAfter;
+  switch (text_[pos_]) {
+    case '{':
+    case '[': {
+      if (open_.size() >= 64) return Error("nesting too deep");
+      const bool object = text_[pos_++] == '{';
+      open_.push_back(object ? '{' : '[');
+      token_ = object ? Token::kBeginObject : Token::kBeginArray;
+      state_ = object ? State::kFirstKey : State::kFirstElement;
+      return Status::OK();
+    }
+    case '"':
+      token_ = Token::kString;
+      return LexString(&string_buf_, &string_);
+    case 't':
+      return LexLiteral("true", Token::kTrue);
+    case 'f':
+      return LexLiteral("false", Token::kFalse);
+    case 'n':
+      return LexLiteral("null", Token::kNull);
+    default:
+      return LexNumber();
+  }
+}
+
+Status JsonTokenizer::LexLiteral(std::string_view word, Token token) {
+  if (text_.substr(pos_, word.size()) != word) return Error("invalid literal");
+  pos_ += word.size();
+  token_ = token;
+  return Status::OK();
+}
+
+Status JsonTokenizer::LexString(std::string* buf, std::string_view* view) {
+  const size_t begin = ++pos_;  // past '"'
+  // Fast path: without escapes the contents are a view into the text.
+  while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
+    ++pos_;
+  }
+  if (pos_ < text_.size() && text_[pos_] == '"') {
+    *view = text_.substr(begin, pos_++ - begin);
+    return Status::OK();
+  }
+  buf->assign(text_.data() + begin, pos_ - begin);
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_++];
+    if (c == '"') {
+      *view = *buf;
+      return Status::OK();
+    }
+    if (c != '\\') {
+      buf->push_back(c);
+      continue;
+    }
+    if (pos_ >= text_.size()) break;
+    switch (const char esc = text_[pos_++]) {
+      case '"':
+      case '\\':
+      case '/': buf->push_back(esc); break;
+      case 'b': buf->push_back('\b'); break;
+      case 'f': buf->push_back('\f'); break;
+      case 'n': buf->push_back('\n'); break;
+      case 'r': buf->push_back('\r'); break;
+      case 't': buf->push_back('\t'); break;
+      case 'u': {
+        uint32_t cp = 0;
+        const char* hex = text_.data() + pos_;
+        if (text_.size() - pos_ < 4 ||
+            std::from_chars(hex, hex + 4, cp, 16).ptr != hex + 4) {
+          return Error("invalid \\u escape");
+        }
+        pos_ += 4;
+        AppendUtf8(buf, cp);
+        break;
+      }
+      default:
+        return Error("invalid escape");
     }
   }
-  return out;
+  return Error("unterminated string");
 }
 
-std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Trim to the shortest representation that round-trips.
-  for (int precision = 1; precision < 17; ++precision) {
-    char shorter[64];
-    std::snprintf(shorter, sizeof(shorter), "%.*g", precision, v);
-    if (std::strtod(shorter, nullptr) == v) return shorter;
+Status JsonTokenizer::LexNumber() {
+  // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+  const size_t begin = pos_;
+  auto digits = [this]() {
+    const size_t from = pos_;
+    while (pos_ < text_.size() && IsDigit(text_[pos_])) ++pos_;
+    return pos_ > from;
+  };
+  auto at = [this](char a, char b) {
+    return pos_ < text_.size() && (text_[pos_] == a || text_[pos_] == b);
+  };
+  const bool negative = at('-', '-');
+  if (negative) ++pos_;
+  const size_t int_begin = pos_;
+  if (!digits()) return Error(negative ? "malformed number" : "expected a value");
+  if (text_[int_begin] == '0' && pos_ - int_begin > 1) {
+    return Error("malformed number");
   }
-  return buf;
+  bool plain = !negative;
+  if (at('.', '.')) {
+    ++pos_;
+    if (!digits()) return Error("malformed number");
+    plain = false;
+  }
+  if (at('e', 'E')) {
+    ++pos_;
+    if (at('+', '-')) ++pos_;
+    if (!digits()) return Error("malformed number");
+    plain = false;
+  }
+  const char* first = text_.data() + begin;
+  const char* last = text_.data() + pos_;
+  if (std::from_chars(first, last, number_.number_value).ec != std::errc()) {
+    return Error("number out of range");
+  }
+  number_.is_uint =
+      plain && std::from_chars(first, last, number_.uint_value).ec == std::errc();
+  token_ = Token::kNumber;
+  return Status::OK();
+}
+
+Status JsonTokenizer::Finish() {
+  RDMAJOIN_RETURN_IF_ERROR(Next());
+  return token_ == Token::kEnd ? Status::OK() : Error("trailing characters");
+}
+
+namespace {
+
+/// Builds the value whose first token is current in `in`.
+Status BuildValue(JsonTokenizer* in, JsonValue* out) {
+  using Token = JsonTokenizer::Token;
+  switch (in->token()) {
+    case Token::kBeginObject:
+      out->kind = JsonValue::Kind::kObject;
+      return in->ForEachMember([&](std::string_view key) {
+        return BuildValue(
+            in, &out->object_members.emplace_back(key, JsonValue()).second);
+      });
+    case Token::kBeginArray:
+      out->kind = JsonValue::Kind::kArray;
+      return in->ForEachElement(
+          [&] { return BuildValue(in, &out->array_items.emplace_back()); });
+    case Token::kString:
+      out->kind = JsonValue::Kind::kString;
+      out->string_value = in->string();
+      return Status::OK();
+    case Token::kNumber:
+      *out = in->number();
+      return Status::OK();
+    case Token::kTrue:
+    case Token::kFalse:
+      out->kind = JsonValue::Kind::kBool;
+      out->bool_value = in->token() == Token::kTrue;
+      return Status::OK();
+    case Token::kNull:
+      return Status::OK();
+    default:
+      return in->Error("expected a value");
+  }
+}
+
+}  // namespace
+
+StatusOr<JsonValue> ParseJson(std::string_view text) {
+  JsonTokenizer in(text);
+  RDMAJOIN_RETURN_IF_ERROR(in.Next());
+  JsonValue value;
+  RDMAJOIN_RETURN_IF_ERROR(BuildValue(&in, &value));
+  RDMAJOIN_RETURN_IF_ERROR(in.Finish());
+  return value;
 }
 
 }  // namespace rdmajoin

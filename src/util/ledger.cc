@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <sstream>
 
 #include "util/json.h"
 
@@ -123,65 +122,61 @@ LedgerEntry LedgerEntryFromBench(const BenchJsonDocument& bench,
 }
 
 std::string LedgerEntryToJson(const LedgerEntry& entry) {
-  std::string out = "{\"schema_version\":" + std::to_string(entry.schema_version);
-  out += ",\"bench\":\"" + JsonEscape(entry.bench) + "\"";
-  out += ",\"commit\":\"" + JsonEscape(entry.commit) + "\"";
-  out += ",\"scale_up\":" + JsonNumber(entry.scale_up);
-  out += ",\"seed\":" + JsonNumber(static_cast<double>(entry.seed));
-  out += ",\"total_seconds\":" + JsonNumber(entry.total_seconds);
-  out += ",\"rows\":[";
-  for (size_t i = 0; i < entry.rows.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "{\"label\":\"" + JsonEscape(entry.rows[i].label) + "\"";
-    out += ",\"seconds\":" + JsonNumber(entry.rows[i].seconds) + "}";
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject().Key("schema_version").Int(entry.schema_version);
+  w.Key("bench").String(entry.bench);
+  w.Key("commit").String(entry.commit);
+  w.Key("scale_up").Number(entry.scale_up);
+  w.Key("seed").Number(static_cast<double>(entry.seed));
+  w.Key("total_seconds").Number(entry.total_seconds);
+  w.Key("rows").BeginArray();
+  for (const LedgerRow& row : entry.rows) {
+    w.BeginObject().Key("label").String(row.label);
+    w.Key("seconds").Number(row.seconds).EndObject();
   }
-  out += "]";
+  w.EndArray();
   if (!entry.phase_constraints.empty()) {
-    out += ",\"phase_constraints\":[";
-    for (size_t i = 0; i < entry.phase_constraints.size(); ++i) {
-      if (i > 0) out += ",";
-      out += "{\"phase\":\"" + JsonEscape(entry.phase_constraints[i].phase) +
-             "\"";
-      out += ",\"bound\":\"" + JsonEscape(entry.phase_constraints[i].bound) +
-             "\"}";
+    w.Key("phase_constraints").BeginArray();
+    for (const LedgerPhaseConstraint& pc : entry.phase_constraints) {
+      w.BeginObject().Key("phase").String(pc.phase);
+      w.Key("bound").String(pc.bound).EndObject();
     }
-    out += "]";
+    w.EndArray();
   }
-  out += "}";
+  w.EndObject();
   return out;
 }
 
 StatusOr<LedgerEntry> ParseLedgerEntry(const std::string& line) {
-  auto parsed = ParseJson(line);
-  if (!parsed.ok()) return parsed.status();
-  const JsonValue& root = *parsed;
+  RDMAJOIN_ASSIGN_OR_RETURN(const JsonValue root, ParseJson(line));
   if (!root.is_object()) {
     return Status::InvalidArgument("ledger entry: not a JSON object");
   }
   LedgerEntry entry;
-  entry.schema_version = static_cast<int>(root.NumberOr("schema_version", 0));
+  entry.schema_version = 0;
+  RDMAJOIN_RETURN_IF_ERROR(root.Get("schema_version", &entry.schema_version));
   if (entry.schema_version != kLedgerSchemaVersion) {
     return Status::InvalidArgument(
         "ledger entry: unsupported schema_version " +
         std::to_string(entry.schema_version) + " (expected " +
         std::to_string(kLedgerSchemaVersion) + ")");
   }
-  entry.bench = root.StringOr("bench", "");
+  RDMAJOIN_RETURN_IF_ERROR(root.Get("bench", &entry.bench));
   if (entry.bench.empty()) {
     return Status::InvalidArgument("ledger entry: missing bench name");
   }
-  entry.commit = root.StringOr("commit", "unknown");
-  entry.scale_up = root.NumberOr("scale_up", 0);
-  entry.seed = static_cast<uint64_t>(root.NumberOr("seed", 0));
-  entry.total_seconds = root.NumberOr("total_seconds", 0);
+  RDMAJOIN_RETURN_IF_ERROR(root.Get("commit", &entry.commit, "scale_up",
+                                    &entry.scale_up, "seed", &entry.seed,
+                                    "total_seconds", &entry.total_seconds));
   if (const JsonValue* rows = root.Find("rows"); rows != nullptr && rows->is_array()) {
     for (const JsonValue& row : rows->array_items) {
       LedgerRow lr;
-      lr.label = row.StringOr("label", "");
+      RDMAJOIN_RETURN_IF_ERROR(
+          row.Get("label", &lr.label, "seconds", &lr.seconds));
       if (lr.label.empty()) {
         return Status::InvalidArgument("ledger entry: row without a label");
       }
-      lr.seconds = row.NumberOr("seconds", 0);
       entry.rows.push_back(std::move(lr));
     }
   }
@@ -189,8 +184,7 @@ StatusOr<LedgerEntry> ParseLedgerEntry(const std::string& line) {
       pcs != nullptr && pcs->is_array()) {
     for (const JsonValue& pc : pcs->array_items) {
       LedgerPhaseConstraint c;
-      c.phase = pc.StringOr("phase", "");
-      c.bound = pc.StringOr("bound", "");
+      RDMAJOIN_RETURN_IF_ERROR(pc.Get("phase", &c.phase, "bound", &c.bound));
       if (c.phase.empty() || c.bound.empty()) {
         return Status::InvalidArgument(
             "ledger entry: phase_constraints element without phase or bound");

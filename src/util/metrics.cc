@@ -2,25 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+
+#include "util/json.h"
 
 namespace rdmajoin {
-
-namespace {
-
-void AppendDouble(std::string* out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out->append(buf);
-}
-
-void AppendQuoted(std::string* out, const std::string& s) {
-  out->push_back('"');
-  out->append(s);  // Metric names contain no characters needing escapes.
-  out->push_back('"');
-}
-
-}  // namespace
 
 void Histogram::Observe(double v) {
   if (v < 0 || std::isnan(v)) return;
@@ -142,81 +127,41 @@ const TimeSeries* MetricsRegistry::FindTimeSeries(const std::string& name) const
 }
 
 std::string MetricsRegistry::SnapshotJson() const {
-  std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    if (!first) out += ",";
-    first = false;
-    AppendQuoted(&out, name);
-    out += ":";
-    AppendDouble(&out, c->value());
-  }
-  out += "},\"gauges\":{";
-  first = true;
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject().Key("counters").BeginObject();
+  for (const auto& [name, c] : counters_) w.Key(name).Number(c->value());
+  w.EndObject().Key("gauges").BeginObject();
   for (const auto& [name, g] : gauges_) {
-    if (!first) out += ",";
-    first = false;
-    AppendQuoted(&out, name);
-    out += ":{\"value\":";
-    AppendDouble(&out, g->value());
-    out += ",\"max\":";
-    AppendDouble(&out, g->max());
-    out += "}";
+    w.Key(name).BeginObject().Key("value").Number(g->value());
+    w.Key("max").Number(g->max()).EndObject();
   }
-  out += "},\"histograms\":{";
-  first = true;
+  w.EndObject().Key("histograms").BeginObject();
   for (const auto& [name, h] : histograms_) {
-    if (!first) out += ",";
-    first = false;
-    AppendQuoted(&out, name);
-    out += ":{\"count\":";
-    AppendDouble(&out, static_cast<double>(h->count()));
-    out += ",\"sum\":";
-    AppendDouble(&out, h->sum());
-    out += ",\"min\":";
-    AppendDouble(&out, h->min());
-    out += ",\"max\":";
-    AppendDouble(&out, h->max());
-    out += ",\"p50\":";
-    AppendDouble(&out, h->Percentile(50));
-    out += ",\"p95\":";
-    AppendDouble(&out, h->Percentile(95));
-    out += ",\"p99\":";
-    AppendDouble(&out, h->Percentile(99));
-    out += ",\"buckets\":[";
+    w.Key(name).BeginObject().Key("count").Uint(h->count());
+    w.Key("sum").Number(h->sum());
+    w.Key("min").Number(h->min());
+    w.Key("max").Number(h->max());
+    w.Key("p50").Number(h->Percentile(50));
+    w.Key("p95").Number(h->Percentile(95));
+    w.Key("p99").Number(h->Percentile(99));
     // [upper_bound, count] for non-empty buckets only.
-    bool first_bucket = true;
+    w.Key("buckets").BeginArray();
     for (size_t b = 0; b < Histogram::kBuckets; ++b) {
       if (h->buckets()[b] == 0) continue;
-      if (!first_bucket) out += ",";
-      first_bucket = false;
-      out += "[";
-      AppendDouble(&out, static_cast<double>(uint64_t{1} << b));
-      out += ",";
-      AppendDouble(&out, static_cast<double>(h->buckets()[b]));
-      out += "]";
+      w.BeginArray().Uint(uint64_t{1} << b).Uint(h->buckets()[b]).EndArray();
     }
-    out += "]}";
+    w.EndArray().EndObject();
   }
-  out += "},\"time_series\":{";
-  first = true;
+  w.EndObject().Key("time_series").BeginObject();
   for (const auto& [name, ts] : time_series_) {
-    if (!first) out += ",";
-    first = false;
-    AppendQuoted(&out, name);
-    out += ":{\"bucket_seconds\":";
-    AppendDouble(&out, ts->bucket_seconds());
-    out += ",\"total\":";
-    AppendDouble(&out, ts->total());
-    out += ",\"buckets\":[";
-    const std::vector<double>& buckets = ts->buckets();
-    for (size_t b = 0; b < buckets.size(); ++b) {
-      if (b > 0) out += ",";
-      AppendDouble(&out, buckets[b]);
-    }
-    out += "]}";
+    w.Key(name).BeginObject().Key("bucket_seconds").Number(ts->bucket_seconds());
+    w.Key("total").Number(ts->total());
+    w.Key("buckets").BeginArray();
+    for (const double v : ts->buckets()) w.Number(v);
+    w.EndArray().EndObject();
   }
-  out += "}}";
+  w.EndObject().EndObject();
   return out;
 }
 

@@ -146,8 +146,6 @@ class MetricsRegistry {
   /// and numbers in a fixed format, so identical-seed reruns produce
   /// byte-identical snapshots and snapshots diff cleanly.
   std::string SnapshotJson() const;
-  /// Older name for SnapshotJson().
-  std::string ToJson() const { return SnapshotJson(); }
 
  private:
   std::map<std::string, std::unique_ptr<Counter>> counters_;

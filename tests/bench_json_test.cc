@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -40,6 +46,19 @@ TEST(Json, RejectsTrailingGarbageAndMalformedInput) {
   EXPECT_FALSE(ParseJson("[1,]").ok());
   EXPECT_FALSE(ParseJson("\"unterminated").ok());
   EXPECT_FALSE(ParseJson("").ok());
+  // Numbers: JSON's grammar, and only values a double can hold.
+  for (const char* bad : {"1e999", "-1e999", "[1e999]", "+1", "-", "01", "1.",
+                          ".5", "1e", "--1", "0x10", "{\"a\":-}", "nan",
+                          "Infinity", "[1 2]", "{\"a\" 1}", "{\"a\":1,}"}) {
+    auto parsed = ParseJson(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(parsed.status().message().find("offset"), std::string::npos)
+        << parsed.status().ToString();
+  }
+  EXPECT_TRUE(ParseJson("-0").ok());
+  EXPECT_TRUE(ParseJson("1E+2").ok());
+  EXPECT_TRUE(ParseJson("4.9406564584124654e-324").ok());
 }
 
 TEST(Json, NumberFormattingRoundTrips) {
@@ -54,8 +73,141 @@ TEST(Json, NumberFormattingRoundTrips) {
   EXPECT_EQ(JsonNumber(0.0 / 0.0), "null");
 }
 
+// Reference spelling: the shortest %.{p}g that strtod reads back as the
+// same double, found by snprintf. JsonNumber (on std::to_chars) must
+// reproduce it byte for byte.
+std::string ReferenceJsonNumber(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  for (int precision = 1; precision < 17; ++precision) {
+    char shorter[64];
+    std::snprintf(shorter, sizeof(shorter), "%.*g", precision, v);
+    if (std::strtod(shorter, nullptr) == v) return shorter;
+  }
+  return buf;
+}
+
+TEST(Json, NumberFormatterMatchesPrintfReference) {
+  std::mt19937_64 rng(20150531);
+  size_t checked = 0;
+  size_t mismatches = 0;
+  auto check = [&](double v) {
+    ++checked;
+    const std::string want = ReferenceJsonNumber(v);
+    const std::string got = JsonNumber(v);
+    if (got != want && ++mismatches <= 10) {
+      ADD_FAILURE() << "bits " << std::hex << std::bit_cast<uint64_t>(v)
+                    << ": JsonNumber " << got << ", reference " << want;
+    }
+  };
+  // Random bit patterns (NaN/inf included), scaled integers, powers of ten
+  // and their neighbours.
+  for (int i = 0; i < 200000; ++i) check(std::bit_cast<double>(rng()));
+  for (int i = 0; i < 400000; ++i) {
+    const double mantissa = static_cast<double>(rng() % 100000000);
+    check(mantissa / std::pow(10.0, static_cast<double>(rng() % 16)));
+    check(mantissa * std::pow(10.0, static_cast<double>(rng() % 12)));
+  }
+  for (int e = -324; e <= 308; ++e) {
+    const double p = std::pow(10.0, e);
+    check(p);
+    check(-p);
+    check(std::nextafter(p, 0.0));
+    check(std::nextafter(p, HUGE_VAL));
+  }
+  // Every binade boundary (significand zero), where the shortest digits and
+  // %g's correctly rounded digits can disagree.
+  for (uint64_t exponent = 0; exponent < 2047; ++exponent) {
+    check(std::bit_cast<double>(exponent << 52));
+    check(-std::bit_cast<double>(exponent << 52));
+  }
+  EXPECT_GE(checked, 1000000u);
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Json, NumberFormatterEdgeCases) {
+  EXPECT_EQ(JsonNumber(0.0), "0");
+  EXPECT_EQ(JsonNumber(-0.0), "-0");
+  EXPECT_EQ(JsonNumber(1200), "1.2e+03");
+  EXPECT_EQ(JsonNumber(104), "104");
+  EXPECT_EQ(JsonNumber(0.0001), "0.0001");
+  EXPECT_EQ(JsonNumber(0.00001), "1e-05");
+  EXPECT_EQ(JsonNumber(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(JsonNumber(HUGE_VAL), "null");
+  EXPECT_EQ(JsonNumber(-HUGE_VAL), "null");
+  for (double v : {std::numeric_limits<double>::denorm_min(),
+                   -std::numeric_limits<double>::denorm_min(),
+                   std::numeric_limits<double>::min(),
+                   std::nextafter(std::numeric_limits<double>::min(), 0.0),
+                   std::numeric_limits<double>::max(),
+                   -std::numeric_limits<double>::max(), 1e16, 1e17,
+                   9007199254740993.0, 12345678901234567.0, 1e16 + 2, 1e17 - 16,
+                   0.1, 1.0 / 3.0}) {
+    EXPECT_EQ(JsonNumber(v), ReferenceJsonNumber(v)) << v;
+    auto parsed = ParseJson(JsonNumber(v));
+    ASSERT_TRUE(parsed.ok()) << JsonNumber(v);
+    EXPECT_EQ(parsed->number_value, v) << JsonNumber(v);
+  }
+}
+
 TEST(Json, EscapeCoversControlCharacters) {
   EXPECT_EQ(JsonEscape("a\"b\\c\n\t"), "a\\\"b\\\\c\\n\\t");
+}
+
+TEST(Json, WriterPlacesCommasAndBreaks) {
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject().Key("a").Uint(18446744073709551615u).Key("b").BeginArray();
+  w.Break(2).Number(1.5).Break(2).Int(-3).Break(0).EndArray();
+  w.Key("c").BeginObject().EndObject().Key("d").String("q\"\n");
+  w.Key("e").Bool(false).Key("f").Number(HUGE_VAL).Key("g").Raw("[1,2]");
+  w.EndObject();
+  EXPECT_EQ(out,
+            "{\"a\":18446744073709551615,\"b\":[\n  1.5,\n  -3\n],"
+            "\"c\":{},\"d\":\"q\\\"\\n\",\"e\":false,\"f\":null,\"g\":[1,2]}");
+  auto parsed = ParseJson(out);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  uint64_t a = 0;
+  ASSERT_TRUE(parsed->Get("a", &a).ok());
+  EXPECT_EQ(a, 18446744073709551615u);
+}
+
+TEST(Json, TypedGettersRejectWrongTypesAndOutOfRange) {
+  auto v = ParseJson(
+      R"({"u":4294967295,"big":4294967296,"neg":-1,"frac":2.5,"sci":1.418e+04,)"
+      R"("s":"x","b":true,"n":null,"d":0.25,"huge":1e300})");
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  uint32_t u32 = 7;
+  EXPECT_TRUE(v->Get("u", &u32).ok());
+  EXPECT_EQ(u32, 4294967295u);
+  EXPECT_TRUE(v->Get("sci", &u32).ok());  // span-dataset integer spelling
+  EXPECT_EQ(u32, 14180u);
+  EXPECT_TRUE(v->Get("absent", &u32).ok());  // absent: default stands
+  EXPECT_EQ(u32, 14180u);
+  for (const char* key : {"big", "neg", "frac", "s", "b", "n", "d", "huge"}) {
+    const Status st = v->Get(key, &u32);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << key;
+    EXPECT_NE(st.message().find(std::string("\"") + key + "\""),
+              std::string::npos)
+        << st.ToString();
+  }
+  int32_t i32 = 0;
+  EXPECT_TRUE(v->Get("neg", &i32).ok());
+  EXPECT_EQ(i32, -1);
+  EXPECT_FALSE(v->Get("big", &i32).ok());
+  double d = 9;
+  EXPECT_TRUE(v->Get("n", &d).ok());  // null is how non-finite is spelled
+  EXPECT_EQ(d, 9);
+  EXPECT_TRUE(v->Get("d", &d).ok());
+  EXPECT_EQ(d, 0.25);
+  EXPECT_FALSE(v->Get("s", &d).ok());
+  std::string str;
+  EXPECT_FALSE(v->Get("u", &str).ok());
+  bool flag = false;
+  EXPECT_FALSE(v->Get("u", &flag).ok());
+  EXPECT_TRUE(v->Get("b", &flag).ok());
+  EXPECT_TRUE(flag);
 }
 
 // ---------- BenchReporter schema round trip ----------

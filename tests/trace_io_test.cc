@@ -143,6 +143,51 @@ TEST(TraceIo, RejectsMalformedJson) {
       TraceFromJson("{\"machines\":[{\"net_threads\":[{\"bogus\":1}]}]}").ok());
 }
 
+TEST(TraceIo, MalformedNumbersAreCleanErrors) {
+  // A bare '-', an overflowing exponent and a negative byte count are clean
+  // errors: no exception, and no wrap of -5 to 2^64 - 5.
+  for (const char* json :
+       {"{\"scale_up\":-,\"machines\":[]}",
+        "{\"scale_up\":1e999,\"machines\":[]}",
+        "{\"scale_up\":1,\"machines\":[{\"net_threads\":[{\"compute_bytes\":0,"
+        "\"sends\":[[1,2,-5,0]]}]}]}"}) {
+    auto parsed = TraceFromJson(json);
+    ASSERT_FALSE(parsed.ok()) << json;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << json;
+    EXPECT_NE(parsed.status().message().find("offset"), std::string::npos)
+        << parsed.status().ToString();
+  }
+  // The send error names the array it sits in.
+  auto send = TraceFromJson(
+      "{\"machines\":[{\"net_threads\":[{\"sends\":[[1,2,-5,0]]}]}]}");
+  ASSERT_FALSE(send.ok());
+  EXPECT_NE(send.status().message().find("\"sends\""), std::string::npos)
+      << send.status().ToString();
+}
+
+TEST(TraceIo, IntegerFieldsAreRangeChecked) {
+  // dst_machine is 32-bit: 2^32 must not silently truncate to 0.
+  EXPECT_FALSE(TraceFromJson("{\"machines\":[{\"net_threads\":[{\"sends\":"
+                             "[[4294967296,0,1,0]]}]}]}")
+                   .ok());
+  EXPECT_FALSE(
+      TraceFromJson("{\"machines\":[{\"histogram_bytes\":1.5}]}").ok());
+  EXPECT_FALSE(TraceFromJson("{\"machines\":[{\"recv_bytes\":\"7\"}]}").ok());
+  // A send tuple is 4 or 6 elements long.
+  EXPECT_FALSE(TraceFromJson("{\"machines\":[{\"net_threads\":[{\"sends\":"
+                             "[[1,0,1]]}]}]}")
+                   .ok());
+  EXPECT_FALSE(TraceFromJson("{\"machines\":[{\"net_threads\":[{\"sends\":"
+                             "[[1,0,1,0,2]]}]}]}")
+                   .ok());
+  // Exact 64-bit integers survive the round trip (no detour through double).
+  RunTrace big = SampleTrace();
+  big.machines[0].recv_bytes = (uint64_t{1} << 53) + 1;
+  auto parsed = TraceFromJson(TraceToJson(big));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->machines[0].recv_bytes, (uint64_t{1} << 53) + 1);
+}
+
 TEST(TraceIo, EmptyTraceRoundTrips) {
   RunTrace empty;
   auto parsed = TraceFromJson(TraceToJson(empty));

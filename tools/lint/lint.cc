@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
+#include "util/file.h"
 #include "util/json.h"
 
 namespace rdmajoin::lint {
@@ -744,8 +743,8 @@ StatusOr<LayerModel> LayerModel::FromJson(const std::string& json_text) {
   }
   for (const JsonValue& m : modules->array_items) {
     Module mod;
-    mod.name = m.StringOr("name", "");
-    mod.allow_all = m.BoolOr("allow_all", false);
+    RDMAJOIN_RETURN_IF_ERROR(
+        m.Get("name", &mod.name, "allow_all", &mod.allow_all));
     if (mod.name.empty()) {
       return Status::InvalidArgument("layers.json: module without a name");
     }
@@ -803,9 +802,8 @@ StatusOr<LintConfig> LintConfig::FromJson(const std::string& json_text) {
     }
     for (const JsonValue& a : allow->array_items) {
       Allow entry;
-      entry.rule = a.StringOr("rule", "");
-      entry.file = a.StringOr("file", "");
-      entry.reason = a.StringOr("reason", "");
+      RDMAJOIN_RETURN_IF_ERROR(a.Get("rule", &entry.rule, "file", &entry.file,
+                                     "reason", &entry.reason));
       if (entry.rule.empty() || entry.file.empty() || entry.reason.empty()) {
         return Status::InvalidArgument(
             "lint config: allow entries need rule, file and reason");
@@ -837,9 +835,8 @@ StatusOr<std::vector<BaselineEntry>> ParseBaseline(const std::string& json_text)
   }
   for (const JsonValue& e : entries->array_items) {
     BaselineEntry entry;
-    entry.rule = e.StringOr("rule", "");
-    entry.file = e.StringOr("file", "");
-    entry.count = static_cast<int>(e.NumberOr("count", 0));
+    RDMAJOIN_RETURN_IF_ERROR(e.Get("rule", &entry.rule, "file", &entry.file,
+                                   "count", &entry.count));
     if (entry.rule.empty() || entry.file.empty() || entry.count <= 0) {
       return Status::InvalidArgument(
           "lint baseline: entries need rule, file and a positive count");
@@ -940,33 +937,33 @@ LintResult RunLint(const std::vector<FileInput>& files,
 }
 
 std::string FindingsToJson(const LintResult& result) {
-  std::ostringstream out;
-  out << "{\n";
-  out << "  \"tool\": \"rdmajoin_lint\",\n";
-  out << "  \"version\": 1,\n";
-  out << "  \"total\": " << result.total << ",\n";
-  out << "  \"baselined\": " << result.baselined << ",\n";
-  out << "  \"unsuppressed\": " << result.unsuppressed << ",\n";
-  out << "  \"findings\": [";
-  for (size_t i = 0; i < result.findings.size(); ++i) {
-    const Finding& f = result.findings[i];
-    out << (i == 0 ? "\n" : ",\n");
-    out << "    {\"rule\": \"" << JsonEscape(f.rule) << "\", \"file\": \""
-        << JsonEscape(f.file) << "\", \"line\": " << f.line
-        << ", \"baselined\": " << (f.baselined ? "true" : "false")
-        << ", \"message\": \"" << JsonEscape(f.message) << "\"}";
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject();
+  w.Break(2).Key("tool").String("rdmajoin_lint");
+  w.Break(2).Key("version").Uint(1);
+  w.Break(2).Key("total").Uint(result.total);
+  w.Break(2).Key("baselined").Uint(result.baselined);
+  w.Break(2).Key("unsuppressed").Uint(result.unsuppressed);
+  w.Break(2).Key("findings").BeginArray();
+  for (const Finding& f : result.findings) {
+    w.Break(4).BeginObject().Key("rule").String(f.rule);
+    w.Key("file").String(f.file).Key("line").Int(f.line);
+    w.Key("baselined").Bool(f.baselined);
+    w.Key("message").String(f.message).EndObject();
   }
-  out << (result.findings.empty() ? "],\n" : "\n  ],\n");
-  out << "  \"burn_down\": [";
-  for (size_t i = 0; i < result.burn_down.size(); ++i) {
-    const BaselineEntry& e = result.burn_down[i];
-    out << (i == 0 ? "\n" : ",\n");
-    out << "    {\"rule\": \"" << JsonEscape(e.rule) << "\", \"file\": \""
-        << JsonEscape(e.file) << "\", \"stale\": " << e.count << "}";
+  if (!result.findings.empty()) w.Break(2);
+  w.EndArray();
+  w.Break(2).Key("burn_down").BeginArray();
+  for (const BaselineEntry& e : result.burn_down) {
+    w.Break(4).BeginObject().Key("rule").String(e.rule);
+    w.Key("file").String(e.file).Key("stale").Int(e.count).EndObject();
   }
-  out << (result.burn_down.empty() ? "]\n" : "\n  ]\n");
-  out << "}\n";
-  return out.str();
+  if (!result.burn_down.empty()) w.Break(2);
+  w.EndArray();
+  w.Break(0).EndObject();
+  out += "\n";
+  return out;
 }
 
 StatusOr<std::vector<std::string>> CollectSources(
@@ -1008,13 +1005,8 @@ StatusOr<FileInput> ReadSource(const std::string& repo_root,
                                const std::string& repo_rel) {
   const std::filesystem::path abs =
       std::filesystem::path(repo_root) / repo_rel;
-  std::ifstream in(abs, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("cannot read " + abs.string());
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return FileInput{repo_rel, buf.str()};
+  RDMAJOIN_ASSIGN_OR_RETURN(std::string text, ReadFileToString(abs.string()));
+  return FileInput{repo_rel, std::move(text)};
 }
 
 }  // namespace rdmajoin::lint

@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -24,6 +23,7 @@
 #include "fault/injector.h"
 #include "fault/schedule.h"
 #include "join/distributed_join.h"
+#include "util/file.h"
 #include "util/json.h"
 #include "util/metrics.h"
 #include "util/table_printer.h"
@@ -257,31 +257,27 @@ int main(int argc, char** argv) {
   }
 
   if (!opt.json_out.empty()) {
-    std::string json = "{\"baseline_seconds\":" + JsonNumber(baseline_seconds) +
-                       ",\"seed\":" + JsonNumber(static_cast<double>(opt.seed)) +
-                       ",\"rows\":[";
-    bool first = true;
+    std::string json;
+    JsonWriter w(&json);
+    w.BeginObject().Key("baseline_seconds").Number(baseline_seconds);
+    w.Key("seed").Number(static_cast<double>(opt.seed));
+    w.Key("rows").BeginArray();
     for (const ChaosRow& row : rows) {
-      if (!first) json += ",";
-      first = false;
-      json += "\n{\"preset\":\"" + JsonEscape(row.preset) + "\"";
-      json += ",\"policy\":\"" + JsonEscape(row.policy) + "\"";
-      json += ",\"outcome\":\"" + JsonEscape(row.outcome) + "\"";
-      json += ",\"acceptable\":";
-      json += row.acceptable ? "true" : "false";
-      json += ",\"total_seconds\":" + JsonNumber(row.total_seconds);
-      json += ",\"degradation\":" + JsonNumber(row.degradation);
-      json += ",\"send_retries\":" + JsonNumber(row.send_retries);
-      json += ",\"qp_recoveries\":" + JsonNumber(row.qp_recoveries);
-      if (!row.detail.empty()) {
-        json += ",\"detail\":\"" + JsonEscape(row.detail) + "\"";
-      }
-      json += "}";
+      w.Break(0).BeginObject();
+      w.Key("preset").String(row.preset);
+      w.Key("policy").String(row.policy);
+      w.Key("outcome").String(row.outcome);
+      w.Key("acceptable").Bool(row.acceptable);
+      w.Key("total_seconds").Number(row.total_seconds);
+      w.Key("degradation").Number(row.degradation);
+      w.Key("send_retries").Number(row.send_retries);
+      w.Key("qp_recoveries").Number(row.qp_recoveries);
+      if (!row.detail.empty()) w.Key("detail").String(row.detail);
+      w.EndObject();
     }
-    json += "]}\n";
-    std::ofstream out(opt.json_out, std::ios::binary);
-    out.write(json.data(), static_cast<std::streamsize>(json.size()));
-    if (!out) {
+    w.EndArray().EndObject();
+    json += "\n";
+    if (!WriteStringToFile(opt.json_out, json).ok()) {
       std::fprintf(stderr, "error: cannot write %s\n", opt.json_out.c_str());
       return 1;
     }

@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 
 #include "cluster/presets.h"
@@ -25,6 +24,7 @@
 #include "timing/chrome_trace.h"
 #include "timing/span_trace.h"
 #include "timing/trace_io.h"
+#include "util/file.h"
 #include "util/metrics.h"
 #include "util/table_printer.h"
 #include "workload/generator.h"
@@ -295,10 +295,7 @@ int main(int argc, char** argv) {
     if (!s.ok()) return Fail(s);
   }
   if (!opt.metrics_json.empty()) {
-    std::ofstream out(opt.metrics_json, std::ios::binary);
-    const std::string json = metrics.ToJson();
-    out.write(json.data(), static_cast<std::streamsize>(json.size()));
-    if (!out) {
+    if (!WriteStringToFile(opt.metrics_json, metrics.SnapshotJson()).ok()) {
       std::fprintf(stderr, "error: cannot write %s\n", opt.metrics_json.c_str());
       return 1;
     }

@@ -34,8 +34,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -48,6 +46,8 @@
 #include "timing/span_trace.h"
 #include "timing/trace_io.h"
 #include "timing/utilization.h"
+#include "util/file.h"
+#include "util/json.h"
 #include "util/ledger.h"
 
 namespace {
@@ -112,10 +112,9 @@ int Fail(const Status& status) {
 }
 
 bool WriteFileOrWarn(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary);
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  if (!out) {
-    std::fprintf(stderr, "error: short write to %s\n", path.c_str());
+  const Status st = WriteStringToFile(path, text);
+  if (!st.ok()) {
+    std::fprintf(stderr, "error: %s\n", st.message().c_str());
     return false;
   }
   std::printf("wrote %s\n", path.c_str());
@@ -182,13 +181,9 @@ int RunUtilization(const std::string& trace_path, const std::string& cluster_nam
 // each labeled with the admitted query that could have moved into it.
 int RunSchedUtilization(const std::string& sched_path, bool check,
                         size_t top_k, const std::string& json_out) {
-  std::ifstream in(sched_path, std::ios::binary);
-  if (!in) {
-    return Fail(Status::NotFound("cannot open " + sched_path));
-  }
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  auto report = ParseScheduleReport(text);
+  auto text = ReadFileToString(sched_path);
+  if (!text.ok()) return Fail(text.status());
+  auto report = ParseScheduleReport(*text);
   if (!report.ok()) return Fail(report.status());
 
   std::fputs(FormatScheduleReport(*report).c_str(), stdout);
@@ -338,12 +333,11 @@ int RunLedger(const std::string& path, const std::string& bench_filter,
       FormatLedger(*ledger, bench_filter, tolerance, abs_tolerance).c_str(),
       stdout);
   if (!json_out.empty()) {
-    std::string out = "[";
-    for (size_t i = 0; i < ledger->size(); ++i) {
-      if (i > 0) out += ",";
-      out += LedgerEntryToJson((*ledger)[i]);
-    }
-    out += "]";
+    std::string out;
+    JsonWriter w(&out);
+    w.BeginArray();
+    for (const LedgerEntry& entry : *ledger) w.Raw(LedgerEntryToJson(entry));
+    w.EndArray();
     if (!WriteFileOrWarn(json_out, out)) return 2;
   }
   bool drifted = false;

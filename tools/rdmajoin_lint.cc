@@ -14,13 +14,12 @@
 // byte-identical documents.
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "lint/lint.h"
+#include "util/file.h"
 
 namespace {
 
@@ -31,16 +30,6 @@ using ::rdmajoin::lint::LayerModel;
 using ::rdmajoin::lint::LintConfig;
 using ::rdmajoin::lint::LintOptions;
 using ::rdmajoin::lint::LintResult;
-
-StatusOr<std::string> ReadFileText(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return rdmajoin::Status::NotFound("cannot read " + path);
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
@@ -90,7 +79,7 @@ int main(int argc, char** argv) {
     return (std::filesystem::path(root) / rel).string();
   };
 
-  auto layers_text = ReadFileText(under_root(layers_path));
+  auto layers_text = rdmajoin::ReadFileToString(under_root(layers_path));
   if (!layers_text.ok()) {
     std::cerr << "rdmajoin_lint: " << layers_text.status().ToString() << "\n";
     return 2;
@@ -103,7 +92,7 @@ int main(int argc, char** argv) {
 
   LintOptions options;
   options.layers = &*layers;
-  auto config_text = ReadFileText(under_root(config_path));
+  auto config_text = rdmajoin::ReadFileToString(under_root(config_path));
   if (config_text.ok()) {
     auto config = LintConfig::FromJson(*config_text);
     if (!config.ok()) {
@@ -112,7 +101,7 @@ int main(int argc, char** argv) {
     }
     options.config = *config;
   }
-  auto baseline_text = ReadFileText(under_root(baseline_path));
+  auto baseline_text = rdmajoin::ReadFileToString(under_root(baseline_path));
   if (baseline_text.ok()) {
     auto baseline = rdmajoin::lint::ParseBaseline(*baseline_text);
     if (!baseline.ok()) {
@@ -141,12 +130,11 @@ int main(int argc, char** argv) {
   const LintResult result = rdmajoin::lint::RunLint(files, options);
 
   if (!json_out.empty()) {
-    std::ofstream out(json_out, std::ios::binary);
-    if (!out) {
+    if (!rdmajoin::WriteStringToFile(
+                         json_out, rdmajoin::lint::FindingsToJson(result)).ok()) {
       std::cerr << "rdmajoin_lint: cannot write " << json_out << "\n";
       return 2;
     }
-    out << rdmajoin::lint::FindingsToJson(result);
   }
 
   for (const auto& f : result.findings) {

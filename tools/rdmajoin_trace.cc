@@ -17,7 +17,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 
 #include "cluster/presets.h"
@@ -26,6 +25,7 @@
 #include "timing/replay.h"
 #include "timing/span_trace.h"
 #include "timing/trace_io.h"
+#include "util/file.h"
 #include "util/metrics.h"
 
 namespace {
@@ -144,10 +144,8 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", spans_path.c_str());
   }
   if (!metrics_path.empty()) {
-    std::ofstream out(metrics_path, std::ios::binary);
-    const std::string json = metrics.ToJson();
-    out.write(json.data(), static_cast<std::streamsize>(json.size()));
-    if (!out) return Fail(Status::Internal("short write to " + metrics_path));
+    Status ws = WriteStringToFile(metrics_path, metrics.SnapshotJson());
+    if (!ws.ok()) return Fail(ws);
     std::printf("wrote %s\n", metrics_path.c_str());
   }
   return 0;
