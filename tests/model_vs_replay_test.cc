@@ -16,16 +16,23 @@
 namespace rdmajoin {
 namespace {
 
+// The network is a 4-byte enum, not a bool, so `Case` has no padding bytes:
+// gtest prints parameters byte by byte into the test name, and padding left
+// uninitialized would make that name differ from build to build.
+enum class Network : uint32_t { kFdr = 0, kQdr = 1 };
+
 struct Case {
-  bool qdr;
+  Network network;
   uint32_t machines;
 };
+static_assert(sizeof(Case) == 2 * sizeof(uint32_t), "Case must have no padding");
 
 class ModelVsReplayTest : public ::testing::TestWithParam<Case> {};
 
 TEST_P(ModelVsReplayTest, TotalsAgreeWithinTolerance) {
   const Case c = GetParam();
-  const ClusterConfig cluster = c.qdr ? QdrCluster(c.machines) : FdrCluster(c.machines);
+  const ClusterConfig cluster =
+      c.network == Network::kQdr ? QdrCluster(c.machines) : FdrCluster(c.machines);
   const double paper_mtuples = 2048;
   WorkloadSpec spec;
   const double scale = 2048.0;
@@ -57,10 +64,12 @@ TEST_P(ModelVsReplayTest, TotalsAgreeWithinTolerance) {
 
 INSTANTIATE_TEST_SUITE_P(
     Figure9Grid, ModelVsReplayTest,
-    ::testing::Values(Case{false, 2}, Case{false, 3}, Case{false, 4}, Case{true, 4},
-                      Case{true, 6}, Case{true, 8}, Case{true, 10}),
+    ::testing::Values(Case{Network::kFdr, 2}, Case{Network::kFdr, 3},
+                      Case{Network::kFdr, 4}, Case{Network::kQdr, 4},
+                      Case{Network::kQdr, 6}, Case{Network::kQdr, 8},
+                      Case{Network::kQdr, 10}),
     [](const auto& info) {
-      return std::string(info.param.qdr ? "Qdr" : "Fdr") +
+      return std::string(info.param.network == Network::kQdr ? "Qdr" : "Fdr") +
              std::to_string(info.param.machines);
     });
 
