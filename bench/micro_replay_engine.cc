@@ -72,7 +72,8 @@ struct LinkPumpStats {
 /// All-to-all link pump: every ordered pair keeps a deep queue of
 /// distinct-size messages, so head pops dominate and desynchronize --
 /// the replay hot path at network-partitioning peak. With `telemetry` the
-/// fabric additionally labels and reports every rate segment through it,
+/// fabric additionally tracks each head's open rate segment and reports it
+/// through `telemetry` once its rate or label changes or the head drains,
 /// which is exactly what a replay with span recording enabled pays.
 LinkPumpStats PumpLinkFabric(bool incremental,
                              FlowTelemetry* telemetry = nullptr) {
@@ -187,9 +188,10 @@ int Run(int argc, char** argv) {
       link_inc.flows_at_peak);
 
   // Telemetry overhead: the same incremental link pump with a SpanRecorder
-  // attached, so every reshare additionally classifies each flow's binding
-  // constraint and pushes the labeled segment into the recorder's ring.
-  // This is the marginal cost a replay pays for bottleneck forensics.
+  // attached, so every fabric step additionally extends or closes each
+  // moving head's labeled segment, and every closed one lands in the
+  // recorder's ring. This is the marginal cost a replay pays for
+  // bottleneck forensics.
   LinkPumpStats link_tel;
   const double link_tel_s = BestOfThreeSeconds([&] {
     SpanRecorder recorder;

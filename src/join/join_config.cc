@@ -1,14 +1,16 @@
 #include "join/join_config.h"
 
 #include <algorithm>
+#include <string>
 
 #include "transport/wire_format.h"
 
 namespace rdmajoin {
 
 Status JoinConfig::Validate() const {
-  if (network_radix_bits == 0 || network_radix_bits > 20) {
-    return Status::InvalidArgument("network_radix_bits must be in [1, 20]");
+  if (network_radix_bits == 0 || network_radix_bits > kMaxNetworkRadixBits) {
+    return Status::InvalidArgument("network_radix_bits must be in [1, " +
+                                   std::to_string(kMaxNetworkRadixBits) + "]");
   }
   if (cache_partition_bytes == 0) {
     return Status::InvalidArgument("cache_partition_bytes must be positive");

@@ -35,6 +35,11 @@ enum class AssignmentPolicy {
   kSkewAware,
 };
 
+/// Largest JoinConfig::network_radix_bits. A network-pass credit slot is a
+/// first-pass partition id, so every traced slot is below
+/// 2^kMaxNetworkRadixBits (timing/trace_io.h checks this on read).
+inline constexpr uint32_t kMaxNetworkRadixBits = 20;
+
 /// Algorithm parameters of the distributed radix hash join. Byte quantities
 /// are full-scale (paper units); the executor derives actual sizes through
 /// `scale_up`.

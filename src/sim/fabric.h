@@ -9,13 +9,14 @@
 namespace rdmajoin {
 
 /// Observer of per-flow achieved-rate segments. The fabric (LinkFabric in
-/// sim/link_fabric.h) reports one segment per (flow, constant-rate
-/// interval): a new segment starts whenever the max-min / equal-share
-/// recompute changes the flow's rate (another link activated or drained) and
-/// ends when the flow itself drains. Consumers that want "who shared my
-/// bottleneck, at what rate, when" (the span recorder in
-/// src/timing/span_trace.h) stitch the segments back together by flow id.
-/// Segments with dt == 0 are never reported.
+/// sim/link_fabric.h) makes one call per maximal contiguous interval over
+/// which a flow moves at one rate under one binding constraint and
+/// constraining host. The call comes after the interval has ended: at the
+/// next fabric step that moves the flow differently (another rate or label,
+/// or after a stall at rate 0), or when the flow drains. Reshares that leave
+/// rate and label unchanged -- including several reshares at one instant
+/// that restore the previous values -- do not split an interval. A flow's
+/// intervals are reported in time order; zero-length ones never.
 class FlowTelemetry {
  public:
   virtual ~FlowTelemetry() = default;

@@ -383,10 +383,7 @@ void LinkFabric::AdvanceTo(double t, std::vector<Completion>* completed) {
             host_metrics_[l.src].egress_activity->AddRange(now_, step_end, moved);
             host_metrics_[l.dst].ingress_activity->AddRange(now_, step_end, moved);
           }
-          if (telemetry_ != nullptr) {
-            telemetry_->OnFlowSegment(l.queue.front().id, l.src, l.dst, now_,
-                                      step_end, l.rate, l.bound, l.bound_host);
-          }
+          if (telemetry_ != nullptr) ExtendSegment(l, step_end);
         }
       }
       now_ = step_end;
@@ -410,6 +407,7 @@ void LinkFabric::AdvanceTo(double t, std::vector<Completion>* completed) {
                (l.head_remaining <=
                     l.queue.front().size * 1e-12 + 1e-9 * l.rate ||
                 now_ + l.head_remaining / l.rate <= now_)) {
+          if (telemetry_ != nullptr) ReportSegment(l);
           const Message m = l.queue.front();
           l.queue.pop_front();
           --queued_;
@@ -457,6 +455,28 @@ void LinkFabric::AdvanceTo(double t, std::vector<Completion>* completed) {
     return a.id < b.id;
   });
   completed->insert(completed->end(), due.begin(), due.end());
+}
+
+void LinkFabric::ExtendSegment(Link& l, double step_end) {
+  // Compared lazily, one step after any reshare: reshares at one instant
+  // that end where they started leave the open segment whole.
+  OpenSegment& s = l.segment;
+  const MessageId head = l.queue.front().id;
+  if (s.flow == head && s.t1 == now_ && s.rate == l.rate &&
+      s.bound == l.bound && s.bound_host == l.bound_host) {
+    s.t1 = step_end;
+    return;
+  }
+  ReportSegment(l);
+  s = OpenSegment{head, now_, step_end, l.rate, l.bound, l.bound_host};
+}
+
+void LinkFabric::ReportSegment(Link& l) {
+  OpenSegment& s = l.segment;
+  if (s.flow == kInvalidMessage) return;
+  telemetry_->OnFlowSegment(s.flow, l.src, l.dst, s.t0, s.t1, s.rate, s.bound,
+                            s.bound_host);
+  s.flow = kInvalidMessage;
 }
 
 double LinkFabric::LinkRate(uint32_t src, uint32_t dst) const {

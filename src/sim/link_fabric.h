@@ -76,7 +76,8 @@ class LinkFabric {
 
   /// Attaches a per-flow rate-segment observer (see FlowTelemetry in
   /// sim/fabric.h). Only the head message of each link queue moves, so
-  /// segments are reported for heads only. Pass nullptr to detach.
+  /// segments are reported for heads only. `telemetry` must outlive the
+  /// fabric; call before enqueuing.
   void EnableFlowTelemetry(FlowTelemetry* telemetry) { telemetry_ = telemetry; }
 
   /// Scales `host`'s port capacities (fault injection: degraded or flapping
@@ -114,6 +115,16 @@ class LinkFabric {
     uint64_t cookie;
     double size;
   };
+  /// The head's current constant-rate interval (FlowTelemetry), not yet
+  /// reported; flow == kInvalidMessage when none is open.
+  struct OpenSegment {
+    MessageId flow = kInvalidMessage;
+    double t0 = 0;
+    double t1 = 0;
+    double rate = 0;
+    RateConstraint bound = RateConstraint::kNone;
+    uint32_t bound_host = 0;
+  };
   struct Link {
     uint32_t src;
     uint32_t dst;
@@ -122,6 +133,7 @@ class LinkFabric {
     double rate = 0;
     RateConstraint bound = RateConstraint::kNone;  // binding at last reshare
     uint32_t bound_host = 0;                       // host owning that constraint
+    OpenSegment segment;
     bool active() const { return !queue.empty(); }
   };
 
@@ -144,6 +156,11 @@ class LinkFabric {
   void ReshareDirty();
   void IncrementalMaxMin();
   void VerifyAgainstFullReshare();
+  /// Extends `l`'s open segment over [now_, step_end) when the head still
+  /// moves at the same rate and label, else reports it and opens a new one.
+  void ExtendSegment(Link& l, double step_end);
+  /// Reports `l`'s open segment, if any, and closes it.
+  void ReportSegment(Link& l);
 
   /// Per-host metric handles; empty when metrics are disabled.
   struct HostMetrics {

@@ -8,8 +8,6 @@
 #include "fault/injector.h"
 #include "sim/link_fabric.h"
 #include "timing/makespan.h"
-#include "util/arena.h"
-#include "util/flat_map.h"
 #include "util/metrics.h"
 
 namespace rdmajoin {
@@ -19,12 +17,7 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Simulation state of one partitioning thread during the network pass.
-/// Record-keeping lives in the replay's run-scoped arena (util/arena.h): the
-/// per-slot credit table and the flow table below are FlatMaps whose slot
-/// arrays are bump-allocated and released wholesale when the replay returns.
 struct ThreadSim {
-  explicit ThreadSim(Arena* arena) : outstanding(arena, 16) {}
-
   uint32_t machine = 0;
   uint32_t thread = 0;
   const ThreadNetTrace* tr = nullptr;
@@ -40,9 +33,9 @@ struct ThreadSim {
   /// Span opened for the send currently being posted (survives a credit
   /// block so the span's posted/credit stages bracket the stall).
   uint64_t pending_span = 0;
-  /// slot -> in-flight count, keyed slot + 1 (FlatMap reserves key 0).
-  FlatMap<uint32_t, uint32_t> outstanding;
-  uint32_t& OutCount(uint32_t slot) { return outstanding.GetOrInsert(slot + 1); }
+  /// In-flight sends per credit slot, sized to the thread's largest slot + 1
+  /// (ValidateTrace bounds slots by 2^kMaxNetworkRadixBits).
+  std::vector<uint32_t> outstanding;
 
   // Wall-clock attribution of this thread's timeline: every advancement of
   // `time` lands in exactly one bucket, so compute + credit_stall +
@@ -56,6 +49,7 @@ struct ThreadSim {
   double stall_start = 0;
 };
 
+/// A send in the fabric, indexed by its Enqueue cookie.
 struct FlowInfo {
   size_t thread_index;
   uint32_t slot;
@@ -112,10 +106,6 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
     fc.ingress_bytes_per_sec = cluster.tcp.bytes_per_sec;
     fc.message_rate_per_host = 0.0;  // Per-message cost is paid by the CPU.
   }
-  // Run-scoped arena: every WR/flow record and hash-slot array allocated
-  // below lives until the replay returns, then is released in one sweep.
-  // Declared before anything that borrows from it.
-  Arena arena;
   LinkFabric fabric(fc);
   if (options.metrics != nullptr) {
     fabric.EnableMetrics(options.metrics, "fabric",
@@ -139,12 +129,15 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
   for (uint32_t m = 0; m < nm; ++m) {
     const auto& mt = trace.machines[m];
     for (uint32_t t = 0; t < mt.net_threads.size(); ++t) {
-      ThreadSim ts(&arena);
+      ThreadSim& ts = threads.emplace_back();
       ts.machine = m;
       ts.thread = t;
       ts.tr = &mt.net_threads[t];
-      ts.state = ThreadSim::State::kComputing;
-      threads.push_back(std::move(ts));
+      uint32_t max_slot = 0;
+      for (const SendRecord& send : ts.tr->sends) {
+        max_slot = std::max(max_slot, send.slot);
+      }
+      ts.outstanding.assign(static_cast<size_t>(max_slot) + 1, 0);
     }
   }
 
@@ -192,10 +185,12 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
   // messages of machine m (circular).
   const uint32_t ring = config.recv_buffers_per_link * (nm > 1 ? nm - 1 : 1);
   // Flat per-machine ring of service-finish times (row m at m * ring).
-  double* ring_slot_free =
-      arena.AllocateArray<double>(static_cast<size_t>(nm) * ring);
+  std::vector<double> ring_slot_free(static_cast<size_t>(nm) * ring, 0.0);
   std::vector<uint64_t> ring_pos(nm, 0);
-  FlatMap<uint64_t, FlowInfo> flows(&arena, 1024);
+  // Sends in the fabric, indexed by their Enqueue cookie; completed entries
+  // are reused through the free list.
+  std::vector<FlowInfo> flows;
+  std::vector<uint64_t> free_flows;
   double total_virtual_wire = 0;
   std::vector<double> last_completion_to(nm, 0.0);
 
@@ -252,11 +247,9 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
   auto process_completions = [&](const std::vector<LinkFabric::Completion>& done) {
     for (const auto& c : done) {
       last_completion = std::max(last_completion, c.time);
-      const FlowInfo* it = flows.Find(c.id);
-      assert(it != nullptr);
-      last_completion_to[it->dst] = std::max(last_completion_to[it->dst], c.time);
-      const FlowInfo fi = *it;
-      flows.Erase(c.id);
+      const FlowInfo fi = flows[c.cookie];
+      free_flows.push_back(c.cookie);
+      last_completion_to[fi.dst] = std::max(last_completion_to[fi.dst], c.time);
       if (recorder != nullptr && fi.span != 0) {
         recorder->MarkStage(fi.span, SpanStage::kDelivered, c.time);
       }
@@ -273,7 +266,7 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
         } else {
           service = fi.virtual_bytes / costs.memcpy_bytes_per_sec;
         }
-        double* slots = ring_slot_free + static_cast<size_t>(fi.dst) * ring;
+        double* slots = ring_slot_free.data() + static_cast<size_t>(fi.dst) * ring;
         const uint64_t pos = ring_pos[fi.dst]++ % ring;
         const double slot_free_at = slots[pos];
         const double start =
@@ -291,16 +284,16 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
       }
       // Return the buffer credit and possibly wake the thread.
       ThreadSim& ts = threads[fi.thread_index];
-      uint32_t* out = ts.outstanding.Find(fi.slot + 1);
-      assert(out != nullptr && *out > 0);
-      --*out;
+      uint32_t& out = ts.outstanding[fi.slot];
+      assert(out > 0);
+      --out;
       if (ts.state == ThreadSim::State::kBlockedFlow && ts.blocked_flow == c.id) {
         ts.state = ThreadSim::State::kComputing;
         ts.time = std::max(ts.time, credit_time);
         ts.flow_stall_seconds += ts.time - ts.stall_start;
       } else if (ts.state == ThreadSim::State::kBlockedCredit &&
                  ts.blocked_slot == fi.slot &&
-                 *out < effective_credits(ts.machine, credit_time)) {
+                 out < effective_credits(ts.machine, credit_time)) {
         ts.state = ThreadSim::State::kComputing;
         ts.time = std::max(ts.time, credit_time);
         ts.credit_stall_seconds += ts.time - ts.stall_start;
@@ -344,7 +337,7 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
       if (inj->HasCreditFaults()) {
         for (ThreadSim& ts : threads) {
           if (ts.state != ThreadSim::State::kBlockedCredit) continue;
-          if (ts.OutCount(ts.blocked_slot) <
+          if (ts.outstanding[ts.blocked_slot] <
               effective_credits(ts.machine, t_fault)) {
             ts.state = ThreadSim::State::kComputing;
             ts.time = std::max(ts.time, t_fault);
@@ -392,7 +385,7 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
           ts.machine, ts.thread, send.slot, flow_src, send.dst_machine, vbytes,
           /*pull=*/send.src_machine != SendRecord::kIssuerIsSource, ts.time);
     }
-    const uint32_t out = ts.OutCount(send.slot);
+    const uint32_t out = ts.outstanding[send.slot];
     if (out >= effective_credits(ts.machine, ts.time)) {
       ts.state = ThreadSim::State::kBlockedCredit;
       ts.blocked_slot = send.slot;
@@ -417,15 +410,23 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
                                send.retry_delay_seconds);
       }
     }
+    const FlowInfo fi{who, send.slot, send.dst_machine, vbytes, ts.pending_span};
+    uint64_t cookie = flows.size();
+    if (free_flows.empty()) {
+      flows.push_back(fi);
+    } else {
+      cookie = free_flows.back();
+      free_flows.pop_back();
+      flows[cookie] = fi;
+    }
     const LinkFabric::MessageId id =
-        fabric.Enqueue(flow_src, send.dst_machine, vbytes, ts.time);
-    flows.Put(id, FlowInfo{who, send.slot, send.dst_machine, vbytes, ts.pending_span});
+        fabric.Enqueue(flow_src, send.dst_machine, vbytes, ts.time, cookie);
     if (recorder != nullptr && ts.pending_span != 0) {
       recorder->MarkStage(ts.pending_span, SpanStage::kFabricAdmitted, ts.time);
       recorder->SetFlow(ts.pending_span, id);
     }
     ts.pending_span = 0;
-    ++ts.OutCount(send.slot);
+    ++ts.outstanding[send.slot];
     total_virtual_wire += vbytes;
     ++ts.next_send;
     if (cluster.interleave == InterleavePolicy::kNonInterleaved) {

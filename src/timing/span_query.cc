@@ -532,8 +532,7 @@ std::string FormatCongestionReport(const SpanDataset& dataset,
     out << line;
   }
   if (total <= 0) {
-    out << "  (no constraint labels recorded -- schema v1 dataset or "
-           "record_constraints off)\n";
+    out << "  (no constraint labels recorded -- schema v1 dataset)\n";
   }
 
   if (!report.hosts.empty() && total > 0) {

@@ -1,7 +1,6 @@
 #include "timing/span_trace.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/file.h"
 #include "util/json.h"
@@ -159,48 +158,17 @@ void SpanRecorder::AddThreadMark(const ThreadMark& mark) {
 void SpanRecorder::OnFlowSegment(uint64_t flow_id, uint32_t src, uint32_t dst,
                                  double t0, double t1, double rate,
                                  RateConstraint bound, uint32_t bound_host) {
-  if (!config_.enabled || !(t1 > t0)) return;
-  if (!config_.record_constraints) {
-    bound = RateConstraint::kNone;
-    bound_host = 0;
-  }
-  // Merge into the flow's previous segment when contiguous at the same rate
-  // under the same binding constraint, so a flow's segments enumerate its
-  // reshare events and constraint transitions, not the simulation's event
-  // steps. The constraint check matters: a reshare can leave the rate
-  // numerically unchanged while the binding constraint switches (egress and
-  // ingress shares crossing over), and coalescing across that boundary would
-  // hide the transition from the forensics layer. Stale map entries (evicted
-  // or reused slots) are detected by the flow-id check.
-  const uint64_t* it = last_segment_of_flow_.Find(flow_id);
-  if (it != nullptr && *it < segments_.size()) {
-    FlowSegment& prev = segments_[*it];
-    if (prev.flow == flow_id && prev.rate == rate && prev.bound == bound &&
-        prev.bound_host == bound_host &&
-        std::abs(prev.t1 - t0) <= 1e-9 * (1.0 + std::abs(t0))) {
-      prev.t1 = t1;
-      return;
-    }
-  }
+  if (!config_.enabled) return;
   ++segments_recorded_;
   const FlowSegment seg{flow_id, src, dst, t0, t1, rate, bound, bound_host};
-  size_t idx;
   if (segments_.size() < segment_capacity_) {
-    idx = segments_.size();
     segments_.push_back(seg);
-  } else {
-    idx = segment_next_;
-    segment_next_ = (segment_next_ + 1) % segment_capacity_;
-    ++segments_dropped_;
-    WarnOnFirstDrop("flow segments");
-    segments_[idx] = seg;
+    return;
   }
-  // Bound the merge index: entries of long-gone flows are useless, and the
-  // map must not outgrow the rings' byte budget.
-  if (last_segment_of_flow_.size() > 2 * segment_capacity_) {
-    last_segment_of_flow_.Clear();
-  }
-  last_segment_of_flow_.Put(flow_id, idx);
+  ++segments_dropped_;
+  WarnOnFirstDrop("flow segments");
+  segments_[segment_next_] = seg;
+  segment_next_ = (segment_next_ + 1) % segment_capacity_;
 }
 
 void SpanRecorder::OnWrPosted(uint32_t device, WorkCompletion::Op op) {
@@ -245,17 +213,16 @@ SpanDataset SpanRecorder::Snapshot() const {
   }
   std::sort(ds.spans.begin(), ds.spans.end(),
             [](const WrSpan& a, const WrSpan& b) { return a.id < b.id; });
-  // Segments in recording order: the ring overwrites from index
-  // segment_next_ once full, so the oldest surviving entry sits there.
-  ds.segments.reserve(segments_.size());
-  if (segments_.size() < segment_capacity_) {
-    ds.segments = segments_;
-  } else {
-    for (size_t i = 0; i < segments_.size(); ++i) {
-      ds.segments.push_back(
-          segments_[(segment_next_ + i) % segments_.size()]);
-    }
-  }
+  // The fabric reports a segment when it ends; the dataset orders them by
+  // start. Segments begin at fabric steps, which are strictly increasing,
+  // and within one step in ascending link index src * n + dst.
+  ds.segments = segments_;
+  std::sort(ds.segments.begin(), ds.segments.end(),
+            [](const FlowSegment& a, const FlowSegment& b) {
+              if (a.t0 != b.t0) return a.t0 < b.t0;
+              if (a.src != b.src) return a.src < b.src;
+              return a.dst < b.dst;
+            });
   ds.threads = threads_;
   std::sort(ds.threads.begin(), ds.threads.end(),
             [](const ThreadMark& a, const ThreadMark& b) {
@@ -283,8 +250,7 @@ std::string SpanDatasetToJson(const SpanDataset& dataset) {
     w.Key(key).Number(static_cast<double>(v));
   };
   // Schema v2 (per-segment constraint labels) only when there is a label to
-  // write: label-free datasets keep the exact v1 bytes, so disabling
-  // constraint recording is byte-identical to the pre-v2 exporter.
+  // write: label-free datasets keep the exact v1 bytes.
   bool has_constraints = false;
   for (const FlowSegment& g : dataset.segments) {
     if (g.bound != RateConstraint::kNone) {

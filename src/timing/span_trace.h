@@ -8,8 +8,6 @@
 
 #include "rdma/verbs.h"
 #include "sim/fabric.h"
-#include "util/arena.h"
-#include "util/flat_map.h"
 #include "util/statusor.h"
 
 namespace rdmajoin {
@@ -26,12 +24,6 @@ struct SpanConfig {
   /// every span of the test and bench workloads (tens of thousands of work
   /// requests) while bounding memory for arbitrarily large replays.
   uint64_t max_bytes = 8 * 1024 * 1024;
-  /// Keep the binding-constraint labels the fabric attaches to each rate
-  /// segment (FlowTelemetry). When false the recorder stores
-  /// RateConstraint::kNone everywhere, segments merge purely on rate, and
-  /// the JSON export falls back to schema version 1 -- byte-identical to a
-  /// pre-constraint recorder.
-  bool record_constraints = true;
 };
 
 /// Lifecycle stages of one work-request span, in causal order. Push
@@ -110,12 +102,11 @@ struct WrSpan {
 
 const char* SpanStageName(SpanStage stage);
 
-/// One constant-rate interval of a fabric flow (see FlowTelemetry). Adjacent
-/// intervals of a flow are merged by the recorder only when both the rate
-/// and the binding constraint are unchanged, so a flow's segments enumerate
-/// exactly its reshare events *and* its constraint transitions (a reshare
-/// can switch the binding constraint while the rate stays numerically
-/// identical -- e.g. egress and ingress shares crossing over).
+/// One maximal constant-rate interval of a fabric flow, as the fabric reports
+/// it (see FlowTelemetry): a flow's segments enumerate exactly its rate
+/// changes *and* its constraint transitions (a reshare can switch the
+/// binding constraint while the rate stays numerically identical -- e.g.
+/// egress and ingress shares crossing over).
 struct FlowSegment {
   uint64_t flow = 0;
   uint32_t src = 0;
@@ -124,8 +115,7 @@ struct FlowSegment {
   double t1 = 0;
   double rate = 0;  ///< bytes/second
   /// The fair-share constraint binding over [t0, t1) and the host owning it
-  /// (sim/rate_sharing.h). kNone on datasets read from schema v1 documents
-  /// or recorded with SpanConfig::record_constraints off.
+  /// (sim/rate_sharing.h). kNone on datasets read from schema v1 documents.
   RateConstraint bound = RateConstraint::kNone;
   uint32_t bound_host = 0;
 };
@@ -164,7 +154,8 @@ struct ExecDeviceCounts {
 struct SpanDataset {
   /// Surviving spans in id order (drops leave gaps at the low end).
   std::vector<WrSpan> spans;
-  /// Flow-rate segments in recording order.
+  /// Flow-rate segments ordered by (t0, src, dst). An evicted segment is a
+  /// whole interval, so every surviving one is complete.
   std::vector<FlowSegment> segments;
   /// Per-thread totals in (machine, thread) order.
   std::vector<ThreadMark> threads;
@@ -234,8 +225,8 @@ class SpanRecorder : public FlowTelemetry, public RdmaEventSink {
   uint64_t segments_dropped() const { return segments_dropped_; }
   uint64_t late_stage_updates() const { return late_stage_updates_; }
 
-  /// Materializes the current contents (spans sorted by id, segments in
-  /// recording order).
+  /// Materializes the current contents (spans sorted by id, segments by
+  /// (t0, src, dst)).
   SpanDataset Snapshot() const;
 
  private:
@@ -248,20 +239,12 @@ class SpanRecorder : public FlowTelemetry, public RdmaEventSink {
   size_t span_capacity_ = 0;
   size_t segment_capacity_ = 0;
   uint64_t next_id_ = 1;
-  /// Backs the merge index (and its rehashes) so the per-segment hot path --
-  /// one OnFlowSegment call per fabric reshare per flow -- never touches
-  /// malloc. Declared before the map: the map holds a pointer into it.
-  Arena arena_;
   /// Span ring: id occupies slot (id - 1) % span_capacity_; an overwrite
   /// evicts the previous occupant (exactly span_capacity_ ids older).
   std::vector<WrSpan> spans_;
-  /// Segment FIFO ring.
+  /// Segment FIFO ring, in the order the fabric reported the segments.
   std::vector<FlowSegment> segments_;
   size_t segment_next_ = 0;
-  /// Last segment index per flow (flow ids start at 1), for contiguous
-  /// same-rate merging. Entries may go stale after eviction; validated
-  /// against the stored flow id.
-  FlatMap<uint64_t, uint64_t> last_segment_of_flow_{&arena_, 256};
   std::vector<ThreadMark> threads_;
   /// Keyed by device id for deterministic snapshot order.
   std::map<uint32_t, ExecDeviceCounts> devices_;
@@ -277,7 +260,7 @@ class SpanRecorder : public FlowTelemetry, public RdmaEventSink {
 /// round-trip numbers, kSpanUnset stages as -1). Schema version 2 -- each
 /// segment gains "bound" (a RateConstraintName) and "bound_host" -- is
 /// emitted only when at least one segment carries a constraint label;
-/// datasets without labels (recording off, or none recorded) serialize as
+/// datasets without labels (read from v1, or with no segments) serialize as
 /// the exact schema-version-1 bytes, keeping constraint-free outputs
 /// byte-identical across the schema bump.
 std::string SpanDatasetToJson(const SpanDataset& dataset);

@@ -1,11 +1,66 @@
 #include "timing/trace_io.h"
 
+#include <cmath>
+#include <string>
+
+#include "join/join_config.h"
 #include "util/file.h"
 #include "util/json.h"
 
 namespace rdmajoin {
 
 namespace {
+
+Status Invalid(const std::string& where, const std::string& what) {
+  return Status::InvalidArgument("trace: " + where + ": " + what);
+}
+
+// `where()` spells the field's location; it runs only to build an error, so
+// a valid trace costs no string work per send.
+template <typename Where>
+Status CheckNonNegative(const Where& where, const char* field, double v) {
+  if (std::isfinite(v) && v >= 0) return Status::OK();
+  return Invalid(where(), std::string(field) + " must be finite and >= 0");
+}
+
+template <typename Where>
+Status ValidateSend(const SendRecord& send, uint32_t issuer, size_t machines,
+                    uint64_t prev_compute_bytes, uint64_t compute_bytes,
+                    const Where& where) {
+  if (send.dst_machine >= machines) {
+    return Invalid(where(), "dst_machine " + std::to_string(send.dst_machine) +
+                                " >= " + std::to_string(machines) + " machines");
+  }
+  if (send.src_machine != SendRecord::kIssuerIsSource &&
+      send.src_machine >= machines) {
+    return Invalid(where(), "src_machine " + std::to_string(send.src_machine) +
+                                " >= " + std::to_string(machines) + " machines");
+  }
+  const uint32_t src =
+      send.src_machine == SendRecord::kIssuerIsSource ? issuer : send.src_machine;
+  if (src == send.dst_machine) {
+    return Invalid(where(), "dst_machine " + std::to_string(send.dst_machine) +
+                                " is the send's own source machine");
+  }
+  if (send.slot >= (uint32_t{1} << kMaxNetworkRadixBits)) {
+    return Invalid(where(), "slot " + std::to_string(send.slot) + " >= 2^" +
+                                std::to_string(kMaxNetworkRadixBits));
+  }
+  if (send.wire_bytes == 0) return Invalid(where(), "wire_bytes must be > 0");
+  if (send.compute_bytes_before < prev_compute_bytes) {
+    return Invalid(where(), "compute_bytes_before " +
+                                std::to_string(send.compute_bytes_before) +
+                                " < the previous send's " +
+                                std::to_string(prev_compute_bytes));
+  }
+  if (send.compute_bytes_before > compute_bytes) {
+    return Invalid(where(), "compute_bytes_before " +
+                                std::to_string(send.compute_bytes_before) +
+                                " > the thread's compute_bytes " +
+                                std::to_string(compute_bytes));
+  }
+  return CheckNonNegative(where, "retry_delay_seconds", send.retry_delay_seconds);
+}
 
 /// Reads a numeric tuple [a, b, ...] into `fields`: either the first
 /// `required` of them or all of them.
@@ -94,6 +149,49 @@ Status ReadMachine(JsonTokenizer* in, MachineTrace* machine) {
 
 }  // namespace
 
+Status ValidateTrace(const RunTrace& trace) {
+  if (!(std::isfinite(trace.scale_up) && trace.scale_up >= 1)) {
+    return Status::InvalidArgument("trace: scale_up must be finite and >= 1");
+  }
+  const size_t machines = trace.machines.size();
+  if (machines == 0) return Status::InvalidArgument("trace: no machines");
+  for (size_t m = 0; m < machines; ++m) {
+    const MachineTrace& mt = trace.machines[m];
+    auto machine = [m] { return "machine " + std::to_string(m); };
+    RDMAJOIN_RETURN_IF_ERROR(CheckNonNegative(
+        machine, "histogram_exchange_seconds", mt.histogram_exchange_seconds));
+    RDMAJOIN_RETURN_IF_ERROR(CheckNonNegative(
+        machine, "setup_registration_seconds", mt.setup_registration_seconds));
+    RDMAJOIN_RETURN_IF_ERROR(CheckNonNegative(machine, "per_send_registration_seconds",
+                                              mt.per_send_registration_seconds));
+    for (size_t i = 0; i < mt.tasks.size(); ++i) {
+      auto task = [&] { return machine() + " task " + std::to_string(i); };
+      const BuildProbeTask& t = mt.tasks[i];
+      RDMAJOIN_RETURN_IF_ERROR(CheckNonNegative(task, "build_bytes", t.build_bytes));
+      RDMAJOIN_RETURN_IF_ERROR(CheckNonNegative(task, "probe_bytes", t.probe_bytes));
+      RDMAJOIN_RETURN_IF_ERROR(CheckNonNegative(task, "table_bytes", t.table_bytes));
+    }
+    for (size_t i = 0; i < mt.merge_tasks.size(); ++i) {
+      auto task = [&] { return machine() + " merge task " + std::to_string(i); };
+      RDMAJOIN_RETURN_IF_ERROR(CheckNonNegative(task, "bytes", mt.merge_tasks[i]));
+    }
+    for (size_t t = 0; t < mt.net_threads.size(); ++t) {
+      const ThreadNetTrace& tt = mt.net_threads[t];
+      uint64_t prev = 0;
+      for (size_t i = 0; i < tt.sends.size(); ++i) {
+        auto send = [&] {
+          return machine() + " thread " + std::to_string(t) + " send " +
+                 std::to_string(i);
+        };
+        RDMAJOIN_RETURN_IF_ERROR(ValidateSend(tt.sends[i], static_cast<uint32_t>(m),
+                                              machines, prev, tt.compute_bytes, send));
+        prev = tt.sends[i].compute_bytes_before;
+      }
+    }
+  }
+  return Status::OK();
+}
+
 std::string TraceToJson(const RunTrace& trace) {
   std::string out;
   JsonWriter w(&out);
@@ -163,6 +261,7 @@ StatusOr<RunTrace> TraceFromJson(const std::string& json) {
     return in.Error("unknown trace key");
   }));
   RDMAJOIN_RETURN_IF_ERROR(in.Finish());
+  RDMAJOIN_RETURN_IF_ERROR(ValidateTrace(trace));
   return trace;
 }
 

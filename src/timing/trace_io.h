@@ -14,9 +14,18 @@ namespace rdmajoin {
 /// configuration -- the basis of the what-if tool (tools/rdmajoin_whatif).
 std::string TraceToJson(const RunTrace& trace);
 
+/// Checks what the replay relies on: scale_up finite and >= 1, at least one
+/// machine, every send's source and destination distinct machines in range,
+/// its slot below 2^kMaxNetworkRadixBits (join/join_config.h), its
+/// wire_bytes positive and its compute_bytes_before non-decreasing and
+/// within the thread's compute_bytes, and every double finite and >= 0.
+/// Errors are InvalidArgument naming the machine, thread, send and field.
+Status ValidateTrace(const RunTrace& trace);
+
 /// Parses a trace previously produced by TraceToJson. The parser accepts
 /// exactly that dialect (object/array/number/string, no escapes needed by
-/// the schema) and rejects structural errors with InvalidArgument.
+/// the schema) and rejects structural errors, and traces ValidateTrace
+/// rejects, with InvalidArgument.
 StatusOr<RunTrace> TraceFromJson(const std::string& json);
 
 /// Convenience: write/read a trace file.

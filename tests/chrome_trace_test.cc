@@ -1,6 +1,7 @@
 #include "timing/chrome_trace.h"
 
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -123,22 +124,20 @@ TEST(ChromeTrace, EmitsBindingConstraintTracksForLabeledDatasets) {
 }
 
 TEST(ChromeTrace, UnlabeledDatasetsStayByteIdenticalToPreConstraintExport) {
-  // Recording with constraint labels off must not add any forensics rows:
-  // the export is what a pre-constraint recorder produced.
-  WorkloadSpec spec;
-  spec.inner_tuples = 20000;
-  spec.outer_tuples = 40000;
-  auto workload = GenerateWorkload(spec, 4);
-  ASSERT_TRUE(workload.ok());
-  SpanConfig sc;
-  sc.record_constraints = false;
-  SpanRecorder recorder(sc);
-  JoinConfig config = SmallJoinConfig();
-  config.span_recorder = &recorder;
-  DistributedJoin join(QdrCluster(4), config);
-  auto result = join.Run(workload->inner, workload->outer);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const std::string json = ChromeTraceJson(result->replay, nullptr);
+  // A dataset without constraint labels (what a schema v1 recorder kept)
+  // must not add any forensics rows: the export is what a pre-constraint
+  // recorder produced. Feed a recorder the run's segments with kNone labels.
+  MetricsRegistry metrics;
+  TracedRun run = RunTracedJoin(&metrics);
+  ASSERT_NE(run.result.replay.spans, nullptr);
+  auto unlabeled = std::make_shared<SpanRecorder>();
+  for (const FlowSegment& g : run.result.replay.spans->Snapshot().segments) {
+    unlabeled->OnFlowSegment(g.flow, g.src, g.dst, g.t0, g.t1, g.rate,
+                             RateConstraint::kNone, 0);
+  }
+  ReplayReport report = run.result.replay;
+  report.spans = unlabeled;
+  const std::string json = ChromeTraceJson(report, nullptr);
   EXPECT_EQ(json.find("bound flows"), std::string::npos);
   EXPECT_EQ(json.find(" bound: "), std::string::npos);
   EXPECT_TRUE(BalancedJson(json));

@@ -247,6 +247,147 @@ TEST(LinkFabric, ConservesBytesUnderRandomTraffic) {
   }
 }
 
+// --- FlowTelemetry: one segment per maximal constant-rate interval --------
+
+struct LoggedSegment {
+  uint64_t flow;
+  double t0;
+  double t1;
+  double rate;
+  RateConstraint bound;
+  uint32_t bound_host;
+};
+
+class SegmentLog : public FlowTelemetry {
+ public:
+  void OnFlowSegment(uint64_t flow_id, uint32_t, uint32_t, double t0, double t1,
+                     double rate, RateConstraint bound,
+                     uint32_t bound_host) override {
+    segs.push_back(LoggedSegment{flow_id, t0, t1, rate, bound, bound_host});
+  }
+  /// The logged segments of `flow`, in report order.
+  std::vector<LoggedSegment> Of(uint64_t flow) const {
+    std::vector<LoggedSegment> out;
+    for (const LoggedSegment& g : segs) {
+      if (g.flow == flow) out.push_back(g);
+    }
+    return out;
+  }
+  std::vector<LoggedSegment> segs;
+};
+
+TEST(LinkFabricTelemetry, ReshareWithoutRateChangeKeepsOneSegment) {
+  LinkFabric fabric(BasicConfig());
+  SegmentLog log;
+  fabric.EnableFlowTelemetry(&log);
+  const auto flow = fabric.Enqueue(0, 1, 1000.0, 0.0);
+  DrainAt(&fabric, 0.25);
+  // Re-levels 0->1 (host 0 is dirty) to the rate and label it already has.
+  fabric.SetHostCapacityScale(0, 1.0, 1.0);
+  // Another activation elsewhere reshares again.
+  fabric.Enqueue(2, 3, 1000.0, 0.5);
+  DrainAt(&fabric, 2.0);
+  const auto segs = log.Of(flow);
+  ASSERT_EQ(segs.size(), 1u);
+  EXPECT_DOUBLE_EQ(segs[0].t0, 0.0);
+  EXPECT_DOUBLE_EQ(segs[0].t1, 1.0);
+  EXPECT_DOUBLE_EQ(segs[0].rate, 1000.0);
+  EXPECT_EQ(segs[0].bound, RateConstraint::kSenderEgress);
+  EXPECT_EQ(log.segs.size(), 2u);
+}
+
+TEST(LinkFabricTelemetry, RateChangeSplitsSegment) {
+  LinkFabric fabric(BasicConfig());
+  SegmentLog log;
+  fabric.EnableFlowTelemetry(&log);
+  const auto flow = fabric.Enqueue(0, 1, 1000.0, 0.0);
+  // A second sender into host 1 halves its ingress share at t = 0.5.
+  fabric.Enqueue(2, 1, 1000.0, 0.5);
+  DrainAt(&fabric, 5.0);
+  const auto segs = log.Of(flow);
+  ASSERT_EQ(segs.size(), 2u);
+  EXPECT_DOUBLE_EQ(segs[0].t0, 0.0);
+  EXPECT_DOUBLE_EQ(segs[0].t1, 0.5);
+  EXPECT_DOUBLE_EQ(segs[0].rate, 1000.0);
+  EXPECT_DOUBLE_EQ(segs[1].t0, 0.5);
+  EXPECT_DOUBLE_EQ(segs[1].t1, 1.5);
+  EXPECT_DOUBLE_EQ(segs[1].rate, 500.0);
+  EXPECT_EQ(segs[1].bound, RateConstraint::kReceiverIngress);
+  EXPECT_EQ(segs[1].bound_host, 1u);
+}
+
+TEST(LinkFabricTelemetry, ConstraintSwitchAtEqualRateSplitsSegment) {
+  // Egress = ingress = 1000: the tie labels 0->1 egress-bound. Doubling
+  // host 0's egress leaves the rate at 1000 but makes it ingress-bound.
+  LinkFabric fabric(BasicConfig());
+  SegmentLog log;
+  fabric.EnableFlowTelemetry(&log);
+  const auto flow = fabric.Enqueue(0, 1, 1000.0, 0.0);
+  DrainAt(&fabric, 0.5);
+  fabric.SetHostCapacityScale(0, 2.0, 1.0);
+  DrainAt(&fabric, 2.0);
+  const auto segs = log.Of(flow);
+  ASSERT_EQ(segs.size(), 2u);
+  EXPECT_EQ(segs[0].bound, RateConstraint::kSenderEgress);
+  EXPECT_EQ(segs[0].bound_host, 0u);
+  EXPECT_DOUBLE_EQ(segs[0].t1, 0.5);
+  EXPECT_EQ(segs[1].bound, RateConstraint::kReceiverIngress);
+  EXPECT_EQ(segs[1].bound_host, 1u);
+  EXPECT_DOUBLE_EQ(segs[1].t0, 0.5);
+  EXPECT_DOUBLE_EQ(segs[1].t1, 1.0);
+  EXPECT_DOUBLE_EQ(segs[0].rate, segs[1].rate);
+}
+
+TEST(LinkFabricTelemetry, HeadPopStartsNextMessageSegment) {
+  LinkFabric fabric(BasicConfig());
+  SegmentLog log;
+  fabric.EnableFlowTelemetry(&log);
+  const auto first = fabric.Enqueue(0, 1, 500.0, 0.0);
+  const auto second = fabric.Enqueue(0, 1, 500.0, 0.0);
+  DrainAt(&fabric, 2.0);
+  ASSERT_EQ(log.segs.size(), 2u);
+  EXPECT_EQ(log.segs[0].flow, first);
+  EXPECT_DOUBLE_EQ(log.segs[0].t0, 0.0);
+  EXPECT_DOUBLE_EQ(log.segs[0].t1, 0.5);
+  EXPECT_EQ(log.segs[1].flow, second);
+  EXPECT_DOUBLE_EQ(log.segs[1].t0, 0.5);
+  EXPECT_DOUBLE_EQ(log.segs[1].t1, 1.0);
+}
+
+TEST(LinkFabricTelemetry, SameInstantResharesRestoringTheRateKeepOneSegment) {
+  LinkFabric fabric(BasicConfig());
+  SegmentLog log;
+  fabric.EnableFlowTelemetry(&log);
+  const auto flow = fabric.Enqueue(0, 1, 1000.0, 0.0);
+  DrainAt(&fabric, 0.5);
+  fabric.SetHostCapacityScale(0, 0.5, 1.0);
+  EXPECT_DOUBLE_EQ(fabric.LinkRate(0, 1), 500.0);
+  fabric.SetHostCapacityScale(0, 1.0, 1.0);
+  DrainAt(&fabric, 2.0);
+  const auto segs = log.Of(flow);
+  ASSERT_EQ(segs.size(), 1u);
+  EXPECT_DOUBLE_EQ(segs[0].t0, 0.0);
+  EXPECT_DOUBLE_EQ(segs[0].t1, 1.0);
+}
+
+TEST(LinkFabricTelemetry, StallAtRateZeroSplitsSegment) {
+  LinkFabric fabric(BasicConfig());
+  SegmentLog log;
+  fabric.EnableFlowTelemetry(&log);
+  const auto flow = fabric.Enqueue(0, 1, 1000.0, 0.0);
+  DrainAt(&fabric, 0.25);
+  fabric.SetHostCapacityScale(0, 0.0, 1.0);
+  DrainAt(&fabric, 0.5);
+  fabric.SetHostCapacityScale(0, 1.0, 1.0);
+  DrainAt(&fabric, 2.0);
+  const auto segs = log.Of(flow);
+  ASSERT_EQ(segs.size(), 2u);
+  EXPECT_DOUBLE_EQ(segs[0].t1, 0.25);
+  EXPECT_DOUBLE_EQ(segs[1].t0, 0.5);
+  EXPECT_DOUBLE_EQ(segs[1].t1, 1.25);
+  EXPECT_DOUBLE_EQ(segs[0].rate, segs[1].rate);
+}
+
 TEST(LinkFabric, AllToAllDrainsAtPerHostEgress) {
   // All-to-all uniform traffic drains every host's egress at full rate.
   const uint32_t hosts = 4;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <map>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -645,6 +646,52 @@ TEST(SpanReplay, ExternalRecorderCollectsReplayAndExecutionLayers) {
   EXPECT_GT(sends_posted, 0u);
   const SpanInvariantReport inv = CheckSpanInvariants(ds);
   EXPECT_TRUE(inv.ok()) << FirstViolation(inv);
+}
+
+/// A recorder that also counts the fabric's OnFlowSegment calls.
+class CountingRecorder : public SpanRecorder {
+ public:
+  using SpanRecorder::SpanRecorder;
+  void OnFlowSegment(uint64_t flow_id, uint32_t src, uint32_t dst, double t0,
+                     double t1, double rate, RateConstraint bound,
+                     uint32_t bound_host) override {
+    ++calls;
+    SpanRecorder::OnFlowSegment(flow_id, src, dst, t0, t1, rate, bound,
+                                bound_host);
+  }
+  uint64_t calls = 0;
+};
+
+TEST(SpanReplay, EveryTelemetryCallStoresOneMaximalSegment) {
+  SpanConfig roomy;
+  roomy.max_bytes = 64 * 1024 * 1024;
+  CountingRecorder recorder(roomy);
+  JoinConfig config;
+  config.span_recorder = &recorder;
+  const ReplayedRun run = RunJoin(QdrCluster(4), config);
+  const SpanDataset& ds = run.dataset;
+  EXPECT_EQ(ds.segments_dropped, 0u);
+  EXPECT_GT(recorder.calls, 0u);
+  EXPECT_EQ(recorder.calls, ds.segments_recorded);
+  EXPECT_EQ(ds.segments_recorded, ds.segments.size());
+  std::map<uint64_t, const FlowSegment*> last_of_flow;
+  for (size_t i = 0; i < ds.segments.size(); ++i) {
+    const FlowSegment& g = ds.segments[i];
+    if (i > 0) {
+      const FlowSegment& p = ds.segments[i - 1];
+      EXPECT_LT(std::tie(p.t0, p.src, p.dst), std::tie(g.t0, g.src, g.dst))
+          << "segment " << i;
+    }
+    auto it = last_of_flow.find(g.flow);
+    if (it != last_of_flow.end()) {
+      const FlowSegment& p = *it->second;
+      EXPECT_LE(p.t1, g.t0) << "flow " << g.flow;
+      EXPECT_FALSE(p.t1 == g.t0 && p.rate == g.rate && p.bound == g.bound &&
+                   p.bound_host == g.bound_host)
+          << "flow " << g.flow << " split at " << g.t0 << " without a change";
+    }
+    last_of_flow[g.flow] = &g;
+  }
 }
 
 }  // namespace

@@ -125,65 +125,24 @@ TEST(SpanRecorder, LateStageUpdatesOnEvictedSpansAreCounted) {
   }
 }
 
-TEST(SpanRecorder, MergesContiguousSameRateSegments) {
+TEST(SpanRecorder, SnapshotOrdersSegmentsByStartThenLink) {
+  // The fabric reports a segment when it ends, so segments that started
+  // earlier can arrive later. The dataset orders them by (t0, src, dst),
+  // the order in which they started.
   constexpr RateConstraint kE = RateConstraint::kSenderEgress;
   SpanRecorder rec;
-  rec.OnFlowSegment(/*flow_id=*/5, 0, 1, 0.0, 1.0, 1e9, kE, 0);
-  rec.OnFlowSegment(5, 0, 1, 1.0, 2.0, 1e9, kE, 0);  // contiguous, same: merge
-  rec.OnFlowSegment(5, 0, 1, 2.0, 3.0, 5e8, kE, 0);  // rate change: new segment
-  rec.OnFlowSegment(5, 0, 1, 4.0, 5.0, 5e8, kE, 0);  // gap: new segment
-  rec.OnFlowSegment(6, 0, 2, 5.0, 6.0, 5e8, kE, 0);  // other flow: new segment
+  rec.OnFlowSegment(/*flow_id=*/3, 1, 0, 2.0, 3.0, 5e8, kE, 1);
+  rec.OnFlowSegment(2, 0, 2, 1.0, 4.0, 5e8, kE, 0);
+  rec.OnFlowSegment(4, 1, 0, 0.0, 2.0, 1e9, kE, 1);
+  rec.OnFlowSegment(1, 0, 1, 1.0, 2.5, 5e8, kE, 0);
+  rec.OnFlowSegment(5, 0, 2, 0.0, 1.0, 1e9, kE, 0);
   const SpanDataset ds = rec.Snapshot();
-  ASSERT_EQ(ds.segments.size(), 4u);
-  EXPECT_DOUBLE_EQ(ds.segments[0].t0, 0.0);
-  EXPECT_DOUBLE_EQ(ds.segments[0].t1, 2.0);
-  EXPECT_DOUBLE_EQ(ds.segments[0].rate, 1e9);
-  EXPECT_EQ(ds.segments[3].flow, 6u);
-  // The byte integral is preserved across the merge.
-  double bytes = 0;
-  for (const FlowSegment& g : ds.segments) {
-    if (g.flow == 5) bytes += g.rate * (g.t1 - g.t0);
+  ASSERT_EQ(ds.segments.size(), 5u);
+  EXPECT_EQ(ds.segments_recorded, 5u);
+  const uint64_t expected_flows[] = {5, 4, 1, 2, 3};
+  for (size_t i = 0; i < ds.segments.size(); ++i) {
+    EXPECT_EQ(ds.segments[i].flow, expected_flows[i]) << "segment " << i;
   }
-  EXPECT_DOUBLE_EQ(bytes, 2e9 + 5e8 + 5e8);
-}
-
-TEST(SpanRecorder, SplitsSegmentsAcrossConstraintSwitch) {
-  // A reshare can switch the binding constraint while the rate stays
-  // numerically identical (egress and ingress shares crossing over). The
-  // recorder must NOT coalesce across the switch: each segment's label must
-  // describe its whole interval.
-  SpanRecorder rec;
-  rec.OnFlowSegment(5, 0, 1, 0.0, 1.0, 1e9, RateConstraint::kSenderEgress, 0);
-  rec.OnFlowSegment(5, 0, 1, 1.0, 2.0, 1e9, RateConstraint::kReceiverIngress,
-                    1);
-  // Same constraint kind but a different owning host also splits.
-  rec.OnFlowSegment(5, 0, 1, 2.0, 3.0, 1e9, RateConstraint::kReceiverIngress,
-                    1);
-  const SpanDataset ds = rec.Snapshot();
-  ASSERT_EQ(ds.segments.size(), 2u);
-  EXPECT_EQ(ds.segments[0].bound, RateConstraint::kSenderEgress);
-  EXPECT_DOUBLE_EQ(ds.segments[0].t1, 1.0);
-  EXPECT_EQ(ds.segments[1].bound, RateConstraint::kReceiverIngress);
-  EXPECT_EQ(ds.segments[1].bound_host, 1u);
-  EXPECT_DOUBLE_EQ(ds.segments[1].t0, 1.0);
-  EXPECT_DOUBLE_EQ(ds.segments[1].t1, 3.0);
-}
-
-TEST(SpanRecorder, RecordConstraintsOffDropsLabels) {
-  SpanConfig config;
-  config.record_constraints = false;
-  SpanRecorder rec(config);
-  rec.OnFlowSegment(5, 0, 1, 0.0, 1.0, 1e9, RateConstraint::kSenderEgress, 0);
-  // With labels discarded, a constraint switch at the same rate merges.
-  rec.OnFlowSegment(5, 0, 1, 1.0, 2.0, 1e9, RateConstraint::kReceiverIngress,
-                    1);
-  const SpanDataset ds = rec.Snapshot();
-  ASSERT_EQ(ds.segments.size(), 1u);
-  EXPECT_EQ(ds.segments[0].bound, RateConstraint::kNone);
-  EXPECT_EQ(ds.segments[0].bound_host, 0u);
-  EXPECT_DOUBLE_EQ(ds.segments[0].t1, 2.0);
-  // Label-free datasets serialize as schema version 1.
-  EXPECT_NE(SpanDatasetToJson(ds).find("\"version\":1"), std::string::npos);
 }
 
 TEST(SpanRecorder, SegmentRingKeepsNewestInRecordingOrder) {

@@ -442,14 +442,64 @@ TEST(WhatifSmokeTest, CaptureReplayAndExitCodesFollowTheContract) {
   EXPECT_EQ(RunTool(std::string(RDMAJOIN_WHATIF_BIN) + " --trace=" + trace +
                     " --cluster=nope"),
             1);
-  // Missing trace file -> error.
+  // Missing trace file -> bad input (2).
   EXPECT_EQ(RunTool(std::string(RDMAJOIN_WHATIF_BIN) +
                     " --trace=" + TempPath("missing.trace")),
-            1);
+            2);
   // Machine-count mismatch between trace and replay cluster -> error.
   EXPECT_EQ(RunTool(std::string(RDMAJOIN_WHATIF_BIN) + " --trace=" + trace +
                     " --machines=3"),
             1);
+}
+
+TEST(TraceToolSmokeTest, MutatedTracesExitTwoNamingTheFieldWithinTenSeconds) {
+  // One field of a valid two-machine trace mutated at a time; unvalidated,
+  // these crash, hang or pass silently in the replay.
+  const std::string valid =
+      "{\"scale_up\":512,\"machines\":["
+      "{\"net_threads\":[{\"compute_bytes\":1000,"
+      "\"sends\":[[1,0,64,500],[1,1,64,900]]}]},"
+      "{\"net_threads\":[{\"compute_bytes\":1000,\"sends\":[[0,0,64,400]]}]}]}";
+  struct Mutation {
+    const char* name;
+    const char* from;
+    const char* to;
+    const char* field;
+  };
+  const Mutation mutations[] = {
+      {"dst", "[1,0,64,500]", "[99,0,64,500]", "dst_machine"},
+      {"slot", "[1,0,64,500]", "[1,4294967295,64,500]", "slot"},
+      {"scale_up", "\"scale_up\":512", "\"scale_up\":0", "scale_up"},
+      {"position", "[1,1,64,900]", "[1,1,64,400]", "compute_bytes_before"},
+      {"wire_bytes", "[1,1,64,900]", "[1,1,0,900]", "wire_bytes"},
+  };
+  // `timeout` turns a hang into exit 124.
+  auto run = [](const std::string& trace, const std::string& err) {
+    return RunTool("(timeout 10 " + std::string(RDMAJOIN_TRACE_BIN) +
+                   " --trace=" + trace + " --out=" + TempPath("mutated.json") +
+                   " 2>" + err + ")");
+  };
+  const std::string base = TempPath("valid.trace");
+  {
+    std::ofstream out(base, std::ios::binary);
+    out << valid;
+  }
+  ASSERT_EQ(run(base, TempPath("valid.err")), 0);
+  for (const Mutation& m : mutations) {
+    std::string text = valid;
+    const size_t at = text.find(m.from);
+    ASSERT_NE(at, std::string::npos) << m.name;
+    text.replace(at, std::string(m.from).size(), m.to);
+    const std::string path = TempPath(std::string("mutated_") + m.name + ".trace");
+    const std::string err = path + ".err";
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << text;
+    }
+    EXPECT_EQ(run(path, err), 2) << m.name;
+    EXPECT_NE(ReadFileOrEmpty(err).find(m.field), std::string::npos)
+        << m.name << ": " << ReadFileOrEmpty(err);
+  }
 }
 
 TEST(ChaosSmokeTest, MatrixRunsCleanAndEmitsIdenticalJsonOnRerun) {

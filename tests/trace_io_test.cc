@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <initializer_list>
+#include <limits>
+#include <string>
 
 #include "cluster/presets.h"
 #include "join/distributed_join.h"
+#include "join/join_config.h"
 #include "timing/replay.h"
 #include "workload/generator.h"
 
@@ -189,11 +194,118 @@ TEST(TraceIo, IntegerFieldsAreRangeChecked) {
 }
 
 TEST(TraceIo, EmptyTraceRoundTrips) {
+  // The emptiest trace the replay accepts: one idle machine.
   RunTrace empty;
+  empty.machines.resize(1);
   auto parsed = TraceFromJson(TraceToJson(empty));
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->machines.size(), 0u);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->machines.size(), 1u);
+  EXPECT_TRUE(parsed->machines[0].net_threads.empty());
   EXPECT_EQ(parsed->scale_up, 1.0);
+}
+
+// --- ValidateTrace: one test per rule -------------------------------------
+
+/// Expects `trace` to be rejected by ValidateTrace, and by TraceFromJson
+/// when read back from its JSON, with a message containing every `words`.
+void ExpectRejected(const RunTrace& trace, std::initializer_list<const char*> words) {
+  const Status direct = ValidateTrace(trace);
+  ASSERT_EQ(direct.code(), StatusCode::kInvalidArgument) << direct.ToString();
+  for (const char* w : words) {
+    EXPECT_NE(direct.message().find(w), std::string::npos)
+        << "\"" << w << "\" not in: " << direct.message();
+  }
+  const Status read = TraceFromJson(TraceToJson(trace)).status();
+  EXPECT_EQ(read.code(), StatusCode::kInvalidArgument) << read.ToString();
+}
+
+TEST(TraceValidate, SampleTraceAndItsEdgeValuesPass) {
+  EXPECT_TRUE(ValidateTrace(SampleTrace()).ok());
+  RunTrace edge = SampleTrace();
+  edge.machines[0].net_threads[0].sends[0].slot = (1u << kMaxNetworkRadixBits) - 1;
+  edge.machines[0].net_threads[0].sends[1].compute_bytes_before = 1000;
+  EXPECT_TRUE(ValidateTrace(edge).ok());
+}
+
+TEST(TraceValidate, ScaleUpMustBeFiniteAndAtLeastOne) {
+  for (const double bad : {0.0, -1.0, 0.5}) {
+    RunTrace t = SampleTrace();
+    t.scale_up = bad;
+    ExpectRejected(t, {"scale_up"});
+  }
+  RunTrace t = SampleTrace();
+  t.scale_up = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(ValidateTrace(t).ok());
+  t.scale_up = std::nan("");
+  EXPECT_FALSE(ValidateTrace(t).ok());
+}
+
+TEST(TraceValidate, NeedsAtLeastOneMachine) {
+  ExpectRejected(RunTrace{}, {"no machines"});
+}
+
+TEST(TraceValidate, DestinationMustBeAMachine) {
+  RunTrace t = SampleTrace();
+  t.machines[0].net_threads[0].sends[1].dst_machine = 99;
+  ExpectRejected(t, {"machine 0 thread 0 send 1", "dst_machine 99"});
+}
+
+TEST(TraceValidate, SourceMustBeAMachineOtherThanTheDestination) {
+  RunTrace t = SampleTrace();
+  t.machines[0].net_threads[0].sends[0].dst_machine = 0;  // to itself
+  ExpectRejected(t, {"machine 0 thread 0 send 0", "dst_machine 0"});
+  // Pull sends name their source; TraceToJson does not carry it, so check
+  // the in-memory trace only.
+  t = SampleTrace();
+  t.machines[0].net_threads[0].sends[0].src_machine = 2;
+  Status st = ValidateTrace(t);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("src_machine 2"), std::string::npos) << st.ToString();
+  t.machines[0].net_threads[0].sends[0].src_machine = 1;  // == dst
+  EXPECT_FALSE(ValidateTrace(t).ok());
+}
+
+TEST(TraceValidate, SlotMustFitTheNetworkRadixBits) {
+  for (const uint32_t bad : {1u << kMaxNetworkRadixBits, 4294967295u}) {
+    RunTrace t = SampleTrace();
+    t.machines[0].net_threads[0].sends[0].slot = bad;
+    ExpectRejected(t, {"machine 0 thread 0 send 0", "slot"});
+  }
+}
+
+TEST(TraceValidate, WireBytesMustBePositive) {
+  RunTrace t = SampleTrace();
+  t.machines[0].net_threads[0].sends[1].wire_bytes = 0;
+  ExpectRejected(t, {"machine 0 thread 0 send 1", "wire_bytes"});
+}
+
+TEST(TraceValidate, ComputePositionsAreMonotoneAndWithinTheThread) {
+  RunTrace t = SampleTrace();
+  t.machines[0].net_threads[0].sends[1].compute_bytes_before = 499;
+  ExpectRejected(t, {"machine 0 thread 0 send 1", "compute_bytes_before 499"});
+  t = SampleTrace();
+  t.machines[0].net_threads[0].sends[1].compute_bytes_before = uint64_t{1} << 63;
+  ExpectRejected(t, {"machine 0 thread 0 send 1", "compute_bytes_before"});
+}
+
+TEST(TraceValidate, DoublesMustBeFiniteAndNonNegative) {
+  RunTrace t = SampleTrace();
+  t.machines[1].histogram_exchange_seconds = -1;
+  ExpectRejected(t, {"machine 1", "histogram_exchange_seconds"});
+  t = SampleTrace();
+  t.machines[0].tasks[0].probe_bytes = -0.5;
+  ExpectRejected(t, {"machine 0 task 0", "probe_bytes"});
+  t = SampleTrace();
+  t.machines[0].merge_tasks[0] = -2;
+  ExpectRejected(t, {"machine 0 merge task 0"});
+  t = SampleTrace();
+  t.machines[0].net_threads[0].sends[0].retries = 1;
+  t.machines[0].net_threads[0].sends[0].retry_delay_seconds = -1;
+  EXPECT_NE(ValidateTrace(t).message().find("retry_delay_seconds"), std::string::npos);
+  t = SampleTrace();
+  t.machines[0].setup_registration_seconds = std::nan("");
+  EXPECT_NE(ValidateTrace(t).message().find("setup_registration_seconds"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -141,7 +141,6 @@ int RunUtilization(const std::string& trace_path, const std::string& cluster_nam
   auto trace = ReadTraceFile(trace_path);
   if (!trace.ok()) return Fail(trace.status());
   const uint32_t machines = static_cast<uint32_t>(trace->machines.size());
-  if (machines == 0) return Fail(Status::InvalidArgument("trace has no machines"));
 
   ClusterConfig cluster;
   if (Status s = ResolveCluster(cluster_name, machines, cores, &cluster);
@@ -256,7 +255,6 @@ int RunCongestion(const std::string& trace_path,
   auto trace = ReadTraceFile(trace_path);
   if (!trace.ok()) return Fail(trace.status());
   const uint32_t machines = static_cast<uint32_t>(trace->machines.size());
-  if (machines == 0) return Fail(Status::InvalidArgument("trace has no machines"));
 
   ClusterConfig cluster;
   if (Status s = ResolveCluster(cluster_name, machines, cores, &cluster);

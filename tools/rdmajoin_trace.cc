@@ -32,9 +32,10 @@ namespace {
 
 using namespace rdmajoin;
 
-int Fail(const Status& status) {
+/// Prints `status`; returns `code`: 2 for bad trace input, 1 otherwise.
+int Fail(const Status& status, int code = 1) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return 1;
+  return code;
 }
 
 void PrintUsage() {
@@ -100,12 +101,8 @@ int main(int argc, char** argv) {
   }
 
   auto trace = ReadTraceFile(trace_path);
-  if (!trace.ok()) return Fail(trace.status());
+  if (!trace.ok()) return Fail(trace.status(), 2);
   const uint32_t machines = static_cast<uint32_t>(trace->machines.size());
-  if (machines == 0) {
-    std::fprintf(stderr, "trace has no machines\n");
-    return 1;
-  }
 
   ClusterConfig cluster;
   if (cluster_name == "qdr") {

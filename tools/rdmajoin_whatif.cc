@@ -29,9 +29,10 @@ namespace {
 
 using namespace rdmajoin;
 
-int Fail(const Status& status) {
+/// Prints `status`; returns `code`: 2 for bad trace input, 1 otherwise.
+int Fail(const Status& status, int code = 1) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return 1;
+  return code;
 }
 
 }  // namespace
@@ -126,7 +127,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   auto trace = ReadTraceFile(trace_path);
-  if (!trace.ok()) return Fail(trace.status());
+  if (!trace.ok()) return Fail(trace.status(), 2);
   if (trace->machines.size() != cluster.num_machines) {
     std::fprintf(stderr, "trace has %zu machines, replay cluster has %u\n",
                  trace->machines.size(), cluster.num_machines);
