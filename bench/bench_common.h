@@ -261,6 +261,8 @@ class BenchReporter {
   /// Full join run: phases, attribution, verification, protocol counts.
   /// `paper_seconds` is the figure's reference value (<= 0: none);
   /// `model` the closed-form prediction for this point, when one exists.
+  /// The replay's deterministic work counters (ReplayCounters) ride along,
+  /// so a byte-identical baseline gates them exactly.
   void AddRun(const std::string& label, const Config& config,
               const RunOutcome& run, double paper_seconds = 0,
               const ModelEstimate* model = nullptr) {
@@ -279,6 +281,7 @@ class BenchReporter {
         .Number(static_cast<double>(run.protocol_violations));
     if (paper_seconds > 0) w.Key("paper_seconds").Number(paper_seconds);
     if (model != nullptr) WriteModel(&w.Key("model"), *model, run.times);
+    WriteCounters(&w.Key("counters"), run.replay.counters);
     CloseRow(&w, &row);
   }
 
@@ -375,6 +378,15 @@ class BenchReporter {
   void CloseRow(JsonWriter* w, std::string* row) {
     w->EndObject();
     rows_.push_back(std::move(*row));
+  }
+
+  static void WriteCounters(JsonWriter* w, const ReplayCounters& c) {
+    w->BeginObject().Key("events").Uint(c.events);
+    w->Key("fabric_steps").Uint(c.fabric_steps);
+    w->Key("link_updates").Uint(c.link_updates);
+    w->Key("reshared_links").Uint(c.reshared_links);
+    w->Key("telemetry_callbacks").Uint(c.telemetry_callbacks);
+    w->EndObject();
   }
 
   static void WritePhases(JsonWriter* w, const PhaseTimes& t) {

@@ -75,6 +75,15 @@ std::string FormatRunReport(const ClusterConfig& cluster, const JoinRunResult& r
   Appendf(&out, "buffer pool: %llu acquisitions, %llu registrations\n",
           static_cast<unsigned long long>(result.net.pool_acquisitions),
           static_cast<unsigned long long>(result.net.pool_buffers_created));
+  const ReplayCounters& work = result.replay.counters;
+  Appendf(&out,
+          "replay work: %llu events, %llu fabric steps, %llu link updates, "
+          "%llu reshared links, %llu telemetry callbacks\n",
+          static_cast<unsigned long long>(work.events),
+          static_cast<unsigned long long>(work.fabric_steps),
+          static_cast<unsigned long long>(work.link_updates),
+          static_cast<unsigned long long>(work.reshared_links),
+          static_cast<unsigned long long>(work.telemetry_callbacks));
   out.append(FormatAttribution(result.replay.attribution));
   if (metrics != nullptr) {
     out.append("observability:\n");

@@ -11,12 +11,14 @@ namespace rdmajoin {
 /// Observer of per-flow achieved-rate segments. The fabric (LinkFabric in
 /// sim/link_fabric.h) makes one call per maximal contiguous interval over
 /// which a flow moves at one rate under one binding constraint and
-/// constraining host. The call comes after the interval has ended: at the
-/// next fabric step that moves the flow differently (another rate or label,
-/// or after a stall at rate 0), or when the flow drains. Reshares that leave
-/// rate and label unchanged -- including several reshares at one instant
-/// that restore the previous values -- do not split an interval. A flow's
-/// intervals are reported in time order; zero-length ones never.
+/// constraining host. The call comes after the interval has ended, at the
+/// flow's next lazy update that finds it moving differently (another rate
+/// or label, or after a stall at rate 0), or when the flow drains; a
+/// change is therefore reported when the flow is next materialised, not at
+/// the instant it happens. Reshares that leave rate and label unchanged --
+/// including several reshares at one instant that restore the previous
+/// values -- do not split an interval. A flow's intervals are reported in
+/// time order; zero-length ones never.
 class FlowTelemetry {
  public:
   virtual ~FlowTelemetry() = default;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <cstddef>
 #include <cstdlib>
 #include <limits>
 
@@ -34,6 +35,7 @@ LinkFabric::LinkFabric(const FabricConfig& config) : config_(config) {
   host_dirty_.assign(config_.num_hosts, 0);
   comp_host_.assign(config_.num_hosts, 0);
   links_.resize(static_cast<size_t>(config_.num_hosts) * config_.num_hosts);
+  drains_ = IndexedMinHeap(links_.size());
   for (uint32_t s = 0; s < config_.num_hosts; ++s) {
     for (uint32_t d = 0; d < config_.num_hosts; ++d) {
       link(s, d).src = s;
@@ -78,7 +80,8 @@ double LinkFabric::LinkCap(const Link& l) const {
   return l.queue.front().size * config_.message_rate_per_host;
 }
 
-void LinkFabric::RecomputeOneLinkEqualShare(Link& l) {
+void LinkFabric::RecomputeOneLinkEqualShare(uint32_t idx) {
+  const Link& l = links_[idx];
   // Scale factors are exactly 1.0 without fault injection, so the shares
   // are bit-identical to the unscaled expressions -- and bit-identical to
   // what the full RecomputeRates pass assigns, because the denominators are
@@ -88,9 +91,34 @@ void LinkFabric::RecomputeOneLinkEqualShare(Link& l) {
   const double i_share =
       config_.ingress_bytes_per_sec * ingress_scale_[l.dst] / dst_cnt_[l.dst];
   const double cap = LinkCap(l);
-  l.rate = std::min({e_share, i_share, cap});
-  l.bound = ClassifyEqualShare(e_share, i_share, cap);
-  l.bound_host = l.bound == RateConstraint::kReceiverIngress ? l.dst : l.src;
+  const RateConstraint bound = ClassifyEqualShare(e_share, i_share, cap);
+  Assign(idx, std::min({e_share, i_share, cap}), bound,
+         bound == RateConstraint::kReceiverIngress ? l.dst : l.src);
+}
+
+void LinkFabric::Assign(uint32_t idx, double rate, RateConstraint bound,
+                        uint32_t bound_host) {
+  const Link& l = links_[idx];
+  // An unchanged assignment leaves the link's lazy state alone, so the full
+  // and the incremental reshare paths materialise exactly the same links.
+  if (rate == l.rate && bound == l.bound && bound_host == l.bound_host) return;
+  changes_.push_back(RateChange{idx, rate, bound, bound_host});
+}
+
+void LinkFabric::ApplyRateChanges() {
+  // Ascending link order, whichever path queued them: materialising can
+  // report a segment, and the report order must not depend on the path.
+  std::sort(changes_.begin(), changes_.end(),
+            [](const RateChange& a, const RateChange& b) { return a.idx < b.idx; });
+  for (const RateChange& c : changes_) {
+    Link& l = links_[c.idx];
+    Materialize(l);  // under the old rate and label
+    l.rate = c.rate;
+    l.bound = c.bound;
+    l.bound_host = c.bound_host;
+    Rekey(c.idx);
+  }
+  changes_.clear();
 }
 
 void LinkFabric::ActivateLink(uint32_t idx) {
@@ -120,6 +148,10 @@ void LinkFabric::ReshareDirty() {
   ++reshares_;
   if (!config_.incremental_reshare) {
     RecomputeRates();
+    // Idle links already hold the full solve's (0, kNone, 0).
+    for (uint32_t idx : active_idx_) {
+      Assign(idx, full_rates_[idx], full_bounds_[idx], full_bound_hosts_[idx]);
+    }
     reshared_links_ += active_idx_.size();
   } else if (config_.sharing == SharingPolicy::kEqualShare) {
     if (!dirty_hosts_.empty()) {
@@ -127,19 +159,19 @@ void LinkFabric::ReshareDirty() {
       // touching a dirty host. Links touching only clean hosts keep their
       // stored rates, which a full recompute would reproduce bit-for-bit.
       for (uint32_t idx : active_idx_) {
-        Link& l = links_[idx];
+        const Link& l = links_[idx];
         if (host_dirty_[l.src] == 0 && host_dirty_[l.dst] == 0) continue;
-        RecomputeOneLinkEqualShare(l);
+        RecomputeOneLinkEqualShare(idx);
         ++reshared_links_;
       }
     }
     for (uint32_t idx : head_dirty_idx_) {
-      Link& l = links_[idx];
+      const Link& l = links_[idx];
       if (!l.active()) continue;  // drained later in the same batch
       if (host_dirty_[l.src] != 0 || host_dirty_[l.dst] != 0) continue;
       // Only this link's message-rate cap changed (new head size); the
       // shares are unchanged, so this is an O(1) refresh.
-      RecomputeOneLinkEqualShare(l);
+      RecomputeOneLinkEqualShare(idx);
       ++reshared_links_;
     }
   } else {
@@ -152,6 +184,7 @@ void LinkFabric::ReshareDirty() {
     }
     IncrementalMaxMin();
   }
+  ApplyRateChanges();
   if (config_.incremental_reshare && config_.verify_incremental_reshare) {
     VerifyAgainstFullReshare();
   }
@@ -197,53 +230,37 @@ void LinkFabric::IncrementalMaxMin() {
   SolveMaxMinRates(&demand_scratch_, &egress_left_scratch_,
                    &ingress_left_scratch_);
   for (size_t k = 0; k < demand_scratch_.size(); ++k) {
-    Link& l = links_[demand_link_[k]];
-    l.rate = demand_scratch_[k].rate;
-    l.bound = demand_scratch_[k].bound;
-    l.bound_host = demand_scratch_[k].bound_host;
+    const RateDemand& d = demand_scratch_[k];
+    Assign(demand_link_[k], d.rate, d.bound, d.bound_host);
   }
   reshared_links_ += demand_scratch_.size();
 }
 
 void LinkFabric::VerifyAgainstFullReshare() {
-  // Replays the full solver and compares. The incremental rates stay
-  // canonical afterwards, so enabling the check never changes the output
+  // Replays the full solver into scratch and compares; the links keep the
+  // incremental rates, so enabling the check never changes the output
   // stream -- it can only abort.
-  verify_rates_scratch_.resize(links_.size());
-  verify_bounds_scratch_.resize(links_.size());
-  verify_bound_hosts_scratch_.resize(links_.size());
-  for (size_t i = 0; i < links_.size(); ++i) {
-    verify_rates_scratch_[i] = links_[i].rate;
-    verify_bounds_scratch_[i] = links_[i].bound;
-    verify_bound_hosts_scratch_[i] = links_[i].bound_host;
-  }
   RecomputeRates();
   for (size_t i = 0; i < links_.size(); ++i) {
-    if (!RatesMatch(verify_rates_scratch_[i], links_[i].rate)) {
+    const Link& l = links_[i];
+    if (!RatesMatch(l.rate, full_rates_[i])) {
       std::fprintf(stderr,
                    "rdmajoin: incremental reshare mismatch: link %u->%u "
                    "incremental=%.17g full=%.17g\n",
-                   links_[i].src, links_[i].dst, verify_rates_scratch_[i],
-                   links_[i].rate);
+                   l.src, l.dst, l.rate, full_rates_[i]);
       std::abort();
     }
     // Labels are discrete: the two paths must agree exactly, not just within
     // kRateEps, or the forensics layer would blame a different resource
     // depending on which reshare path ran.
-    if (verify_bounds_scratch_[i] != links_[i].bound ||
-        verify_bound_hosts_scratch_[i] != links_[i].bound_host) {
+    if (l.bound != full_bounds_[i] || l.bound_host != full_bound_hosts_[i]) {
       std::fprintf(stderr,
                    "rdmajoin: incremental reshare constraint mismatch: link "
                    "%u->%u incremental=%s@%u full=%s@%u\n",
-                   links_[i].src, links_[i].dst,
-                   RateConstraintName(verify_bounds_scratch_[i]),
-                   verify_bound_hosts_scratch_[i],
-                   RateConstraintName(links_[i].bound), links_[i].bound_host);
+                   l.src, l.dst, RateConstraintName(l.bound), l.bound_host,
+                   RateConstraintName(full_bounds_[i]), full_bound_hosts_[i]);
       std::abort();
     }
-    links_[i].rate = verify_rates_scratch_[i];
-    links_[i].bound = verify_bounds_scratch_[i];
-    links_[i].bound_host = verify_bound_hosts_scratch_[i];
   }
 }
 
@@ -255,24 +272,24 @@ void LinkFabric::RecomputeRates() {
     ++src_cnt[l.src];
     ++dst_cnt[l.dst];
   }
+  full_rates_.assign(links_.size(), 0.0);
+  full_bounds_.assign(links_.size(), RateConstraint::kNone);
+  full_bound_hosts_.assign(links_.size(), 0);
   const double egress = config_.EffectiveEgress();
   if (config_.sharing == SharingPolicy::kEqualShare) {
-    for (Link& l : links_) {
-      if (!l.active()) {
-        l.rate = 0;
-        l.bound = RateConstraint::kNone;
-        l.bound_host = 0;
-        continue;
-      }
+    for (size_t i = 0; i < links_.size(); ++i) {
+      const Link& l = links_[i];
+      if (!l.active()) continue;
       // Scale factors are exactly 1.0 without fault injection, so the shares
       // are bit-identical to the unscaled expressions.
       const double e_share = egress * egress_scale_[l.src] / src_cnt[l.src];
       const double i_share = config_.ingress_bytes_per_sec * ingress_scale_[l.dst] /
                              dst_cnt[l.dst];
       const double cap = LinkCap(l);
-      l.rate = std::min({e_share, i_share, cap});
-      l.bound = ClassifyEqualShare(e_share, i_share, cap);
-      l.bound_host = l.bound == RateConstraint::kReceiverIngress ? l.dst : l.src;
+      full_rates_[i] = std::min({e_share, i_share, cap});
+      full_bounds_[i] = ClassifyEqualShare(e_share, i_share, cap);
+      full_bound_hosts_[i] =
+          full_bounds_[i] == RateConstraint::kReceiverIngress ? l.dst : l.src;
     }
     return;
   }
@@ -284,22 +301,18 @@ void LinkFabric::RecomputeRates() {
     ingress_left[h] = config_.ingress_bytes_per_sec * ingress_scale_[h];
   }
   std::vector<RateDemand> demands;
-  std::vector<Link*> active;
-  for (Link& l : links_) {
-    if (l.active()) {
-      demands.push_back(RateDemand{l.src, l.dst, LinkCap(l), 0.0});
-      active.push_back(&l);
-    } else {
-      l.rate = 0;
-      l.bound = RateConstraint::kNone;
-      l.bound_host = 0;
-    }
+  std::vector<size_t> active;
+  for (size_t i = 0; i < links_.size(); ++i) {
+    const Link& l = links_[i];
+    if (!l.active()) continue;
+    demands.push_back(RateDemand{l.src, l.dst, LinkCap(l), 0.0});
+    active.push_back(i);
   }
   SolveMaxMinRates(&demands, &egress_left, &ingress_left);
-  for (size_t i = 0; i < active.size(); ++i) {
-    active[i]->rate = demands[i].rate;
-    active[i]->bound = demands[i].bound;
-    active[i]->bound_host = demands[i].bound_host;
+  for (size_t k = 0; k < active.size(); ++k) {
+    full_rates_[active[k]] = demands[k].rate;
+    full_bounds_[active[k]] = demands[k].bound;
+    full_bound_hosts_[active[k]] = demands[k].bound_host;
   }
 }
 
@@ -310,15 +323,9 @@ LinkFabric::MessageId LinkFabric::Enqueue(uint32_t src, uint32_t dst, double byt
   // delivery statistics stay trustworthy everywhere.
   if (!(bytes > 0)) return kInvalidMessage;
   assert(now + kTimeEps >= now_);
-  if (now > now_) {
-    // Bring service up to date; completions are buffered in latency_ and in
-    // completed-queue state inside AdvanceTo's out parameter semantics.
-    std::vector<Completion> buffered;
-    AdvanceTo(now, &buffered);
-    // Completions that came due are re-queued so the next AdvanceTo hands
-    // them out (they already carry their correct completion times).
-    latency_.insert(latency_.end(), buffered.begin(), buffered.end());
-  }
+  // Bring service up to date; completions that come due stay in latency_
+  // (with their correct times) until the next AdvanceTo hands them out.
+  if (now > now_) Step(now);
   Link& l = link(src, dst);
   const bool was_active = l.active();
   l.queue.push_back(Message{next_id_, cookie, bytes});
@@ -330,6 +337,7 @@ LinkFabric::MessageId LinkFabric::Enqueue(uint32_t src, uint32_t dst, double byt
   }
   if (!was_active) {
     l.head_remaining = bytes;
+    l.updated_at = now_;
     ActivateLink(static_cast<uint32_t>(src * config_.num_hosts + dst));
     MarkDirty(src);
     MarkDirty(dst);
@@ -339,136 +347,158 @@ LinkFabric::MessageId LinkFabric::Enqueue(uint32_t src, uint32_t dst, double byt
 }
 
 double LinkFabric::NextCompletionTime() const {
-  double best = kInf;
+  double best = drains_.empty() ? kInf : drains_.top_key();
   for (const Completion& c : latency_) best = std::min(best, c.time);
-  for (uint32_t idx : active_idx_) {
-    const Link& l = links_[idx];
-    if (l.rate > 0) best = std::min(best, now_ + l.head_remaining / l.rate);
-  }
   return best;
 }
 
 void LinkFabric::AdvanceTo(double t, std::vector<Completion>* completed) {
   assert(t + kTimeEps >= now_);
   if (t < now_) t = now_;
-  std::vector<Completion> due;
-  // Latency-stage completions already have fixed times.
+  Step(t);
+  // Completions whose latency has elapsed by t are delivered; later ones stay.
+  const size_t first = completed->size();
+  const double due_by = t * (1 + kTimeEps) + kTimeEps;
   for (size_t i = 0; i < latency_.size();) {
-    if (latency_[i].time <= t * (1 + kTimeEps) + kTimeEps) {
-      due.push_back(latency_[i]);
+    if (latency_[i].time <= due_by) {
+      completed->push_back(latency_[i]);
       latency_[i] = latency_.back();
       latency_.pop_back();
     } else {
       ++i;
     }
   }
-  while (now_ < t) {
-    // Earliest head drain among active links.
-    double next_drain = kInf;
-    for (uint32_t idx : active_idx_) {
-      const Link& l = links_[idx];
-      if (l.rate > 0) {
-        next_drain = std::min(next_drain, now_ + l.head_remaining / l.rate);
-      }
-    }
-    const double step_end = std::min(t, next_drain);
-    const double dt = step_end - now_;
-    if (dt > 0) {
-      for (uint32_t idx : active_idx_) {
-        Link& l = links_[idx];
-        if (l.rate > 0) {
-          l.head_remaining -= l.rate * dt;
-          if (!host_metrics_.empty()) {
-            const double moved = l.rate * dt;
-            host_metrics_[l.src].egress_activity->AddRange(now_, step_end, moved);
-            host_metrics_[l.dst].ingress_activity->AddRange(now_, step_end, moved);
-          }
-          if (telemetry_ != nullptr) ExtendSegment(l, step_end);
-        }
-      }
-      now_ = step_end;
-    }
-    if (next_drain <= t * (1 + kTimeEps) + kTimeEps) {
-      // Iterate over a snapshot: pops can deactivate links, which mutates
-      // active_idx_. The snapshot is ascending, so pops happen in the same
-      // link order as the historical full-table scan.
-      pop_scan_scratch_ = active_idx_;
-      for (uint32_t idx : pop_scan_scratch_) {
-        Link& l = links_[idx];
-        // Pop every head that has drained; successors start immediately at
-        // the same rate (no set change while the queue stays non-empty).
-        // The second disjunct guarantees forward progress far from t=0:
-        // when now_ is large enough that the residual's drain time rounds
-        // to now_ itself (now_ + eta == now_ in doubles), the clock cannot
-        // advance past this head, so it must pop now -- without this, a
-        // residual above the size threshold but below one ulp of now_
-        // spins the advance loop forever.
-        while (l.active() && l.rate > 0 &&
-               (l.head_remaining <=
-                    l.queue.front().size * 1e-12 + 1e-9 * l.rate ||
-                now_ + l.head_remaining / l.rate <= now_)) {
-          if (telemetry_ != nullptr) ReportSegment(l);
-          const Message m = l.queue.front();
-          l.queue.pop_front();
-          --queued_;
-          bytes_delivered_ += m.size;
-          ++messages_delivered_;
-          if (!host_metrics_.empty()) {
-            host_metrics_[l.src].egress_bytes->Add(m.size);
-            host_metrics_[l.dst].ingress_bytes->Add(m.size);
-            queued_gauge_->Set(static_cast<double>(queued_));
-          }
-          due.push_back(Completion{m.id, m.cookie, now_ + config_.base_latency_seconds});
-          if (l.active()) {
-            l.head_remaining = l.queue.front().size;
-            // The message-rate cap depends on the head size; refresh if it
-            // could bind.
-            if (config_.message_rate_per_host > 0 &&
-                (head_dirty_idx_.empty() || head_dirty_idx_.back() != idx)) {
-              head_dirty_idx_.push_back(idx);
-            }
-          } else {
-            DeactivateLink(idx);
-            MarkDirty(l.src);
-            MarkDirty(l.dst);
-          }
-        }
-      }
-      ReshareDirty();
-    } else {
-      break;  // No drain before t.
-    }
-  }
-  now_ = t;
-  // Completions whose latency has elapsed by t are delivered; later ones stay.
-  for (size_t i = 0; i < due.size();) {
-    if (due[i].time > t * (1 + kTimeEps) + kTimeEps) {
-      latency_.push_back(due[i]);
-      due[i] = due.back();
-      due.pop_back();
-    } else {
-      ++i;
-    }
-  }
-  std::sort(due.begin(), due.end(), [](const Completion& a, const Completion& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.id < b.id;
-  });
-  completed->insert(completed->end(), due.begin(), due.end());
+  std::sort(completed->begin() + static_cast<std::ptrdiff_t>(first),
+            completed->end(), [](const Completion& a, const Completion& b) {
+              if (a.time != b.time) return a.time < b.time;
+              return a.id < b.id;
+            });
 }
 
-void LinkFabric::ExtendSegment(Link& l, double step_end) {
-  // Compared lazily, one step after any reshare: reshares at one instant
-  // that end where they started leave the open segment whole.
+void LinkFabric::Step(double t) {
+  while (now_ < t) {
+    // The earliest head drain is the heap's top; nothing else moves the
+    // clock, and links that do not drain are left lazy.
+    const double next_drain = drains_.empty() ? kInf : drains_.top_key();
+    const double step_end = std::min(t, next_drain);
+    if (step_end > now_) now_ = step_end;
+    if (!(next_drain <= t * (1 + kTimeEps) + kTimeEps)) break;  // No drain before t.
+    PopDrained();
+    ReshareDirty();
+  }
+  now_ = t;
+}
+
+bool LinkFabric::Drained(const Link& l, double remaining) const {
+  // The second disjunct guarantees forward progress far from t=0: when now_
+  // is large enough that the residual's drain time rounds to now_ itself
+  // (now_ + eta == now_ in doubles), the clock cannot advance past this
+  // head, so it must pop now -- without this, a residual above the size
+  // threshold but below one ulp of now_ spins the advance loop forever.
+  return remaining <= l.queue.front().size * 1e-12 + 1e-9 * l.rate ||
+         now_ + remaining / l.rate <= now_;
+}
+
+void LinkFabric::PopDrained() {
+  ++fabric_steps_;
+  // Every head within its Drained window pops in this batch. The window of a
+  // link in the heap is at most max_window_ past its drain time, so the
+  // candidates are the heap entries up to that bound (plus a margin for the
+  // rounding of drain times far from t=0); each is checked exactly, and
+  // only the ones that pop are materialised.
+  pop_scan_scratch_.clear();
+  drains_.CollectAtMost(now_ + max_window_ + now_ * kTimeEps, &pop_scan_scratch_);
+  // Ascending link order, as a scan of the whole link table would pop them.
+  std::sort(pop_scan_scratch_.begin(), pop_scan_scratch_.end());
+  for (uint32_t idx : pop_scan_scratch_) {
+    Link& l = links_[idx];
+    if (!Drained(l, l.head_remaining - l.rate * (now_ - l.updated_at))) {
+      // Rounding can leave a head above its window at a drain time that has
+      // already passed. Re-key it from now_, which is how a step computes
+      // the next drain: now_ + remaining / rate, past now_ by Drained's
+      // second disjunct, so the clock keeps moving.
+      if (DrainTime(l) <= now_) {
+        Materialize(l);
+        Rekey(idx);
+      }
+      continue;
+    }
+    Materialize(l);
+    // Pop every head that has drained; successors start immediately at the
+    // same rate (no set change while the queue stays non-empty).
+    do {
+      if (telemetry_ != nullptr) ReportSegment(l);
+      const Message m = l.queue.front();
+      l.queue.pop_front();
+      --queued_;
+      bytes_delivered_ += m.size;
+      ++messages_delivered_;
+      if (!host_metrics_.empty()) {
+        host_metrics_[l.src].egress_bytes->Add(m.size);
+        host_metrics_[l.dst].ingress_bytes->Add(m.size);
+        queued_gauge_->Set(static_cast<double>(queued_));
+      }
+      latency_.push_back(Completion{m.id, m.cookie, now_ + config_.base_latency_seconds});
+      if (l.active()) {
+        l.head_remaining = l.queue.front().size;
+        // The message-rate cap depends on the head size; refresh if it
+        // could bind.
+        if (config_.message_rate_per_host > 0 &&
+            (head_dirty_idx_.empty() || head_dirty_idx_.back() != idx)) {
+          head_dirty_idx_.push_back(idx);
+        }
+      } else {
+        DeactivateLink(idx);
+        MarkDirty(l.src);
+        MarkDirty(l.dst);
+      }
+    } while (l.active() && Drained(l, l.head_remaining));
+    Rekey(idx);
+  }
+}
+
+void LinkFabric::Materialize(Link& l) {
+  ++link_updates_;
+  const double dt = now_ - l.updated_at;
+  if (l.rate > 0 && dt > 0) {
+    const double moved = l.rate * dt;
+    l.head_remaining -= moved;
+    if (!host_metrics_.empty()) {
+      host_metrics_[l.src].egress_activity->AddRange(l.updated_at, now_, moved);
+      host_metrics_[l.dst].ingress_activity->AddRange(l.updated_at, now_, moved);
+    }
+    if (telemetry_ != nullptr) ExtendSegment(l);
+  }
+  l.updated_at = now_;
+}
+
+void LinkFabric::Rekey(uint32_t idx) {
+  const Link& l = links_[idx];
+  if (l.active() && l.rate > 0) {
+    drains_.Set(idx, DrainTime(l));
+    // Twice the Drained window in seconds: room for the rounding of both
+    // sides of the comparison.
+    max_window_ = std::max(
+        max_window_, 2 * (l.queue.front().size * 1e-12 / l.rate + 1e-9));
+    return;
+  }
+  drains_.Erase(idx);
+  if (drains_.empty()) max_window_ = 0;
+}
+
+void LinkFabric::ExtendSegment(Link& l) {
+  // Compared lazily, at the link's next materialisation after a reshare:
+  // reshares at one instant that end where they started leave the open
+  // segment whole.
   OpenSegment& s = l.segment;
   const MessageId head = l.queue.front().id;
-  if (s.flow == head && s.t1 == now_ && s.rate == l.rate &&
+  if (s.flow == head && s.t1 == l.updated_at && s.rate == l.rate &&
       s.bound == l.bound && s.bound_host == l.bound_host) {
-    s.t1 = step_end;
+    s.t1 = now_;
     return;
   }
   ReportSegment(l);
-  s = OpenSegment{head, now_, step_end, l.rate, l.bound, l.bound_host};
+  s = OpenSegment{head, l.updated_at, now_, l.rate, l.bound, l.bound_host};
 }
 
 void LinkFabric::ReportSegment(Link& l) {

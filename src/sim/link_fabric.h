@@ -8,6 +8,7 @@
 
 #include "sim/fabric.h"
 #include "sim/rate_sharing.h"
+#include "util/indexed_heap.h"
 
 namespace rdmajoin {
 
@@ -23,8 +24,15 @@ class TimeSeries;
 /// pair. Each active link receives a bandwidth share (equal-share or max-min
 /// over the per-host egress/ingress capacities) and serves its message queue
 /// in order. Rates change only when a link activates or drains -- not per
-/// message -- so a network partitioning pass with hundreds of thousands of
-/// buffer transmissions replays in O(messages * links).
+/// message.
+///
+/// The replay is event-driven. A link's head is lazy: it stores its bytes
+/// left at the time it was last brought up to date and its rate since then,
+/// and is materialised only when it drains or its rate or label changes. A
+/// heap of head drain times keyed by (time, link index) answers
+/// NextCompletionTime in O(1), and AdvanceTo touches only the links that
+/// drain at an instant plus the ones the reshare re-levels, so a network
+/// partitioning pass costs O(log links) per event rather than O(links).
 ///
 /// Resharing is incremental by default (FabricConfig::incremental_reshare):
 /// the model maintains per-host active-link counts and a sorted index of
@@ -34,6 +42,8 @@ class TimeSeries;
 /// and drain re-level just the links touching the affected hosts (equal
 /// share) or the affected max-min component (sim/rate_sharing.h). The full
 /// recompute survives as the reference path and debug cross-check oracle.
+/// Either path leaves a link whose (rate, bound, bound_host) did not change
+/// untouched, so both produce the same lazy state.
 ///
 /// This matches the paper's model assumption (Eq. 1: the per-host bandwidth
 /// is shared equally among concurrent transfers) while preserving per-message
@@ -108,6 +118,11 @@ class LinkFabric {
   /// incremental path keeps this near the number of *affected* links rather
   /// than reshares * active_links.
   uint64_t reshared_links() const { return reshared_links_; }
+  /// Drain instants: batches of head pops, each followed by one reshare.
+  uint64_t fabric_steps() const { return fabric_steps_; }
+  /// Lazy link materialisations: a link brought up to the current time
+  /// because its head drained or its rate or label changed.
+  uint64_t link_updates() const { return link_updates_; }
 
  private:
   struct Message {
@@ -129,25 +144,41 @@ class LinkFabric {
     uint32_t src;
     uint32_t dst;
     std::deque<Message> queue;
+    /// Head bytes left at `updated_at`; from then on the head drains at
+    /// `rate`, so `head_remaining - rate * (t - updated_at)` are left at t.
     double head_remaining = 0;
+    double updated_at = 0;
     double rate = 0;
     RateConstraint bound = RateConstraint::kNone;  // binding at last reshare
     uint32_t bound_host = 0;                       // host owning that constraint
     OpenSegment segment;
     bool active() const { return !queue.empty(); }
   };
+  /// A rate assignment computed by a reshare, applied after it.
+  struct RateChange {
+    uint32_t idx;
+    double rate;
+    RateConstraint bound;
+    uint32_t bound_host;
+  };
 
   Link& link(uint32_t src, uint32_t dst) { return links_[src * config_.num_hosts + dst]; }
   const Link& link(uint32_t src, uint32_t dst) const {
     return links_[src * config_.num_hosts + dst];
   }
-  /// Full recompute of every link's rate (reference path; also the
-  /// cross-check oracle for the incremental path).
+  /// Full recompute of every link's rate into the full_* scratch arrays
+  /// (reference path; also the cross-check oracle for the incremental path).
   void RecomputeRates();
   double LinkCap(const Link& l) const;
-  /// Equal-share rate for one link from the maintained per-host counts
+  /// Equal-share rate for link `idx` from the maintained per-host counts
   /// (identical expressions to RecomputeRates).
-  void RecomputeOneLinkEqualShare(Link& l);
+  void RecomputeOneLinkEqualShare(uint32_t idx);
+  /// Queues `idx`'s new rate and label unless they equal the current ones.
+  void Assign(uint32_t idx, double rate, RateConstraint bound,
+              uint32_t bound_host);
+  /// Applies the queued changes in ascending link order: materialise under
+  /// the old rate, switch, re-key the drain heap.
+  void ApplyRateChanges();
   void ActivateLink(uint32_t idx);
   void DeactivateLink(uint32_t idx);
   void MarkDirty(uint32_t host);
@@ -156,9 +187,24 @@ class LinkFabric {
   void ReshareDirty();
   void IncrementalMaxMin();
   void VerifyAgainstFullReshare();
-  /// Extends `l`'s open segment over [now_, step_end) when the head still
+  /// Runs the fabric to `t`, leaving every completion in latency_.
+  void Step(double t);
+  /// Pops every head drained at now_ (ascending link order).
+  void PopDrained();
+  /// When `l`'s head drains at its current rate (> 0).
+  static double DrainTime(const Link& l) {
+    return l.updated_at + l.head_remaining / l.rate;
+  }
+  /// Whether a head with `remaining` bytes left at now_ counts as drained.
+  bool Drained(const Link& l, double remaining) const;
+  /// Brings `l`'s head, segment and activity metrics up to now_.
+  void Materialize(Link& l);
+  /// Re-enters link `idx` into the drain heap at its current drain time, or
+  /// removes it when it is idle or stalled at rate 0.
+  void Rekey(uint32_t idx);
+  /// Extends `l`'s open segment over [l.updated_at, now_) when the head still
   /// moves at the same rate and label, else reports it and opens a new one.
-  void ExtendSegment(Link& l, double step_end);
+  void ExtendSegment(Link& l);
   /// Reports `l`'s open segment, if any, and closes it.
   void ReportSegment(Link& l);
 
@@ -189,22 +235,31 @@ class LinkFabric {
   std::vector<uint8_t> host_dirty_;
   std::vector<uint32_t> dirty_hosts_;
   std::vector<uint32_t> head_dirty_idx_;
+  /// Active links with rate > 0, keyed by head drain time.
+  IndexedMinHeap drains_;
+  /// Upper bound on the pop window (Drained) of any link in drains_, in
+  /// seconds past its drain time; reset when the heap empties.
+  double max_window_ = 0;
   /// Scratch buffers kept across calls to avoid per-event allocation.
   std::vector<uint32_t> pop_scan_scratch_;
+  std::vector<RateChange> changes_;
   std::vector<uint8_t> comp_host_;
   std::vector<RateDemand> demand_scratch_;
   std::vector<uint32_t> demand_link_;
   std::vector<double> egress_left_scratch_;
   std::vector<double> ingress_left_scratch_;
-  std::vector<double> verify_rates_scratch_;
-  std::vector<RateConstraint> verify_bounds_scratch_;
-  std::vector<uint32_t> verify_bound_hosts_scratch_;
+  std::vector<double> full_rates_;
+  std::vector<RateConstraint> full_bounds_;
+  std::vector<uint32_t> full_bound_hosts_;
   uint64_t reshares_ = 0;
   uint64_t reshared_links_ = 0;
+  uint64_t fabric_steps_ = 0;
+  uint64_t link_updates_ = 0;
   size_t queued_ = 0;
   double bytes_delivered_ = 0;
   uint64_t messages_delivered_ = 0;
-  /// Messages drained but still within base latency.
+  /// Messages drained but not yet handed out by AdvanceTo (still within
+  /// base latency, or drained by Enqueue's catch-up).
   std::vector<Completion> latency_;
   // Metric handles (all null / empty when metrics are disabled).
   std::vector<HostMetrics> host_metrics_;

@@ -8,6 +8,7 @@
 #include "fault/injector.h"
 #include "sim/link_fabric.h"
 #include "timing/makespan.h"
+#include "util/indexed_heap.h"
 #include "util/metrics.h"
 
 namespace rdmajoin {
@@ -123,7 +124,13 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
     recorder = std::make_shared<SpanRecorder>(options.spans);
   }
   report.spans = recorder;
-  if (recorder != nullptr) fabric.EnableFlowTelemetry(recorder.get());
+  if (recorder != nullptr) {
+    recorder->NoteMachines(nm);
+    fabric.EnableFlowTelemetry(recorder.get());
+  }
+  // An external recorder may already hold earlier replays' segments.
+  const uint64_t segments_before =
+      recorder != nullptr ? recorder->segments_recorded() : 0;
 
   std::vector<ThreadSim> threads;
   for (uint32_t m = 0; m < nm; ++m) {
@@ -239,6 +246,20 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
     return kInf;
   };
 
+  // Threads that will act, keyed by (next action time, thread index): the
+  // top is the earliest action, lowest index first on ties. A thread is
+  // re-keyed whenever it acts or is woken; a waiting or finished one is out.
+  IndexedMinHeap ready(threads.size());
+  auto rekey = [&](size_t i) {
+    const double t = next_action_time(threads[i]);
+    if (t == kInf) {
+      ready.Erase(static_cast<uint32_t>(i));
+    } else {
+      ready.Set(static_cast<uint32_t>(i), t);
+    }
+  };
+  for (size_t i = 0; i < threads.size(); ++i) rekey(i);
+
   uint64_t active = threads.size();
   double last_completion = 0;
   // Drains a batch of fabric completions: receiver service, span stages,
@@ -291,12 +312,14 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
         ts.state = ThreadSim::State::kComputing;
         ts.time = std::max(ts.time, credit_time);
         ts.flow_stall_seconds += ts.time - ts.stall_start;
+        rekey(fi.thread_index);
       } else if (ts.state == ThreadSim::State::kBlockedCredit &&
                  ts.blocked_slot == fi.slot &&
                  out < effective_credits(ts.machine, credit_time)) {
         ts.state = ThreadSim::State::kComputing;
         ts.time = std::max(ts.time, credit_time);
         ts.credit_stall_seconds += ts.time - ts.stall_start;
+        rekey(fi.thread_index);
       }
     }
   };
@@ -304,18 +327,13 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
   // drained message's completion sits in the fabric's latency stage after
   // the queue empties, so the queued-message count alone would drop it
   // (NextCompletionTime covers both queued bytes and buffered completions).
+  std::vector<LinkFabric::Completion> done;
   while (active > 0 || fabric.queued_messages() > 0 ||
          fabric.NextCompletionTime() != kInf) {
+    ++report.counters.events;
     // Earliest thread action.
-    double t_thread = kInf;
-    size_t who = 0;
-    for (size_t i = 0; i < threads.size(); ++i) {
-      const double t = next_action_time(threads[i]);
-      if (t < t_thread) {
-        t_thread = t;
-        who = i;
-      }
-    }
+    const double t_thread = ready.empty() ? kInf : ready.top_key();
+    const size_t who = ready.empty() ? 0 : ready.top();
     const double t_net = fabric.NextCompletionTime();
 
     // Fault-window boundary: advance the fabric to the transition (draining
@@ -325,7 +343,7 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
     // see the post-transition world.
     if (next_fault <= t_thread && next_fault <= t_net) {
       const double t_fault = next_fault;
-      std::vector<LinkFabric::Completion> done;
+      done.clear();
       fabric.AdvanceTo(t_fault, &done);
       process_completions(done);
       if (inj->HasLinkFaults()) {
@@ -335,13 +353,15 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
         }
       }
       if (inj->HasCreditFaults()) {
-        for (ThreadSim& ts : threads) {
+        for (size_t i = 0; i < threads.size(); ++i) {
+          ThreadSim& ts = threads[i];
           if (ts.state != ThreadSim::State::kBlockedCredit) continue;
           if (ts.outstanding[ts.blocked_slot] <
               effective_credits(ts.machine, t_fault)) {
             ts.state = ThreadSim::State::kComputing;
             ts.time = std::max(ts.time, t_fault);
             ts.credit_stall_seconds += ts.time - ts.stall_start;
+            rekey(i);
           }
         }
       }
@@ -351,7 +371,7 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
 
     if (t_net <= t_thread) {
       if (t_net == kInf) break;  // Nothing left to happen.
-      std::vector<LinkFabric::Completion> done;
+      done.clear();
       fabric.AdvanceTo(t_net, &done);
       process_completions(done);
       continue;
@@ -368,6 +388,7 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
       --active;
       report.net_thread_finish_seconds[ts.machine] =
           std::max(report.net_thread_finish_seconds[ts.machine], ts.time);
+      rekey(who);
       continue;
     }
     const SendRecord& send = ts.tr->sends[ts.next_send];
@@ -390,6 +411,7 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
       ts.state = ThreadSim::State::kBlockedCredit;
       ts.blocked_slot = send.slot;
       ts.stall_start = ts.time;
+      rekey(who);
       continue;  // Will retry the same send once a credit returns.
     }
     if (recorder != nullptr && ts.pending_span != 0) {
@@ -434,6 +456,14 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
       ts.blocked_flow = id;
       ts.stall_start = ts.time;
     }
+    rekey(who);
+  }
+  report.counters.fabric_steps = fabric.fabric_steps();
+  report.counters.link_updates = fabric.link_updates();
+  report.counters.reshared_links = fabric.reshared_links();
+  if (recorder != nullptr) {
+    report.counters.telemetry_callbacks =
+        recorder->segments_recorded() - segments_before;
   }
 
   if (recorder != nullptr) {

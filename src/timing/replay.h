@@ -46,6 +46,25 @@ struct ReplayOptions {
   const FaultInjector* injector = nullptr;
 };
 
+/// Deterministic work counters of the network-pass replay. A rerun of the
+/// same trace reproduces them exactly, so they are gated at zero tolerance
+/// where wall-clock time can only be gated loosely.
+struct ReplayCounters {
+  /// Event-loop iterations: thread actions, fabric advances and fault
+  /// boundaries.
+  uint64_t events = 0;
+  /// Drain instants: batches of head pops (LinkFabric::fabric_steps).
+  uint64_t fabric_steps = 0;
+  /// Lazy link materialisations (LinkFabric::link_updates).
+  uint64_t link_updates = 0;
+  /// Link-rate assignments across all reshares.
+  uint64_t reshared_links = 0;
+  /// FlowTelemetry::OnFlowSegment calls: the segments the span recorder
+  /// counted during this replay (SpanRecorder::segments_recorded; 0 with
+  /// spans off).
+  uint64_t telemetry_callbacks = 0;
+};
+
 /// Outputs of the discrete-event timing replay.
 struct ReplayReport {
   PhaseTimes phases;
@@ -72,6 +91,8 @@ struct ReplayReport {
   /// Query with timing/span_query.h or export via SpanDatasetToJson. Points
   /// at ReplayOptions::span_recorder when one was supplied.
   std::shared_ptr<SpanRecorder> spans;
+  /// What the network-pass replay did, in deterministic units.
+  ReplayCounters counters;
 };
 
 /// Replays an execution trace against the cluster's cost and network models

@@ -1,6 +1,8 @@
 #include "timing/span_trace.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "util/file.h"
 #include "util/json.h"
@@ -155,6 +157,11 @@ void SpanRecorder::AddThreadMark(const ThreadMark& mark) {
   threads_.push_back(mark);
 }
 
+void SpanRecorder::NoteMachines(uint32_t machines) {
+  if (!config_.enabled) return;
+  machines_ = std::max(machines_, machines);
+}
+
 void SpanRecorder::OnFlowSegment(uint64_t flow_id, uint32_t src, uint32_t dst,
                                  double t0, double t1, double rate,
                                  RateConstraint bound, uint32_t bound_host) {
@@ -213,9 +220,10 @@ SpanDataset SpanRecorder::Snapshot() const {
   }
   std::sort(ds.spans.begin(), ds.spans.end(),
             [](const WrSpan& a, const WrSpan& b) { return a.id < b.id; });
-  // The fabric reports a segment when it ends; the dataset orders them by
-  // start. Segments begin at fabric steps, which are strictly increasing,
-  // and within one step in ascending link index src * n + dst.
+  // The fabric reports a segment at its flow's first update after it ends,
+  // so the ring is only roughly in start order; the dataset orders them by
+  // start. (t0, src, dst) is a total order: one link's segments never share
+  // a start.
   ds.segments = segments_;
   std::sort(ds.segments.begin(), ds.segments.end(),
             [](const FlowSegment& a, const FlowSegment& b) {
@@ -234,6 +242,7 @@ SpanDataset SpanRecorder::Snapshot() const {
     (void)id;
     ds.devices.push_back(counts);
   }
+  ds.machines = machines_;
   ds.spans_recorded = spans_recorded_;
   ds.spans_dropped = spans_dropped_;
   ds.segments_recorded = segments_recorded_;
@@ -259,6 +268,8 @@ std::string SpanDatasetToJson(const SpanDataset& dataset) {
     }
   }
   w.BeginObject().Key("version").Uint(has_constraints ? 2 : 1);
+  // Optional: hand-built datasets without a machine count keep their bytes.
+  if (dataset.machines != 0) count("machines", dataset.machines);
   count("spans_recorded", dataset.spans_recorded);
   count("spans_dropped", dataset.spans_dropped);
   count("segments_recorded", dataset.segments_recorded);
@@ -334,6 +345,100 @@ std::string SpanDatasetToJson(const SpanDataset& dataset) {
   return out;
 }
 
+namespace {
+
+Status InvalidSpanData(const std::string& where, const std::string& what) {
+  return Status::InvalidArgument("span dataset: " + where + ": " + what);
+}
+
+/// Finite and >= 0; the location string is built only on error.
+template <typename Where>
+Status CheckTime(const Where& where, const std::string& field, double v) {
+  if (std::isfinite(v) && v >= 0) return Status::OK();
+  return InvalidSpanData(where(), field + " " + JsonNumber(v) +
+                                      " must be finite and >= 0");
+}
+
+/// Like CheckTime, but kSpanUnset (a stage not reached) also passes.
+template <typename Where>
+Status CheckStageTime(const Where& where, const std::string& field, double v) {
+  if (v == kSpanUnset) return Status::OK();
+  return CheckTime(where, field, v);
+}
+
+template <typename Where>
+Status CheckMachine(const Where& where, const char* field, uint32_t v,
+                    uint32_t machines) {
+  if (machines == 0 || v < machines) return Status::OK();
+  return InvalidSpanData(where(), std::string(field) + " " + std::to_string(v) +
+                                      " >= " + std::to_string(machines) +
+                                      " machines");
+}
+
+template <typename Where>
+Status CheckLink(const Where& where, uint32_t src, uint32_t dst,
+                 uint32_t machines) {
+  RDMAJOIN_RETURN_IF_ERROR(CheckMachine(where, "src", src, machines));
+  RDMAJOIN_RETURN_IF_ERROR(CheckMachine(where, "dst", dst, machines));
+  if (src != dst) return Status::OK();
+  return InvalidSpanData(where(), "src == dst (" + std::to_string(src) + ")");
+}
+
+}  // namespace
+
+Status ValidateSpanDataset(const SpanDataset& ds) {
+  uint32_t machines = ds.machines;
+  if (machines == 0) {
+    for (const ThreadMark& t : ds.threads) {
+      machines = std::max(machines, t.machine + 1);
+    }
+  }
+  for (size_t i = 0; i < ds.threads.size(); ++i) {
+    auto where = [&] { return "thread mark " + std::to_string(i); };
+    RDMAJOIN_RETURN_IF_ERROR(
+        CheckMachine(where, "machine", ds.threads[i].machine, machines));
+  }
+  for (size_t i = 0; i < ds.spans.size(); ++i) {
+    const WrSpan& s = ds.spans[i];
+    auto where = [&] {
+      return "span " + std::to_string(i) + " (id " + std::to_string(s.id) + ")";
+    };
+    RDMAJOIN_RETURN_IF_ERROR(CheckMachine(where, "machine", s.machine, machines));
+    RDMAJOIN_RETURN_IF_ERROR(CheckLink(where, s.src, s.dst, machines));
+    RDMAJOIN_RETURN_IF_ERROR(CheckTime(where, "wire_bytes", s.wire_bytes));
+    for (int k = 0; k < kNumSpanStages; ++k) {
+      RDMAJOIN_RETURN_IF_ERROR(CheckStageTime(
+          where, SpanStageName(static_cast<SpanStage>(k)), s.stage[k]));
+    }
+    RDMAJOIN_RETURN_IF_ERROR(CheckStageTime(where, "recv_start", s.recv_start));
+    RDMAJOIN_RETURN_IF_ERROR(CheckStageTime(where, "recv_end", s.recv_end));
+    RDMAJOIN_RETURN_IF_ERROR(
+        CheckTime(where, "retry_delay_seconds", s.retry_delay_seconds));
+  }
+  for (size_t i = 0; i < ds.segments.size(); ++i) {
+    const FlowSegment& g = ds.segments[i];
+    auto where = [&] {
+      return "segment " + std::to_string(i) + " (flow " + std::to_string(g.flow) +
+             ")";
+    };
+    RDMAJOIN_RETURN_IF_ERROR(CheckLink(where, g.src, g.dst, machines));
+    RDMAJOIN_RETURN_IF_ERROR(CheckTime(where, "t0", g.t0));
+    RDMAJOIN_RETURN_IF_ERROR(CheckTime(where, "t1", g.t1));
+    RDMAJOIN_RETURN_IF_ERROR(CheckTime(where, "rate", g.rate));
+    if (!(g.t1 > g.t0)) {
+      return InvalidSpanData(where(), "t1 " + JsonNumber(g.t1) + " <= t0 " +
+                                          JsonNumber(g.t0));
+    }
+    if (g.bound != RateConstraint::kNone && g.bound_host != g.src &&
+        g.bound_host != g.dst) {
+      return InvalidSpanData(where(), "bound_host " + std::to_string(g.bound_host) +
+                                          " is neither src " + std::to_string(g.src) +
+                                          " nor dst " + std::to_string(g.dst));
+    }
+  }
+  return Status::OK();
+}
+
 StatusOr<SpanDataset> SpanDatasetFromJson(const JsonValue& root) {
   if (!root.is_object()) {
     return Status::InvalidArgument("span JSON: document is not an object");
@@ -345,7 +450,8 @@ StatusOr<SpanDataset> SpanDatasetFromJson(const JsonValue& root) {
   }
   SpanDataset ds;
   RDMAJOIN_RETURN_IF_ERROR(root.Get(
-      "spans_recorded", &ds.spans_recorded, "spans_dropped", &ds.spans_dropped,
+      "machines", &ds.machines, "spans_recorded", &ds.spans_recorded,
+      "spans_dropped", &ds.spans_dropped,
       "segments_recorded", &ds.segments_recorded, "segments_dropped",
       &ds.segments_dropped, "late_stage_updates", &ds.late_stage_updates));
   const JsonValue* spans = root.Find("spans");
@@ -425,6 +531,7 @@ StatusOr<SpanDataset> SpanDatasetFromJson(const JsonValue& root) {
       ds.devices.push_back(d);
     }
   }
+  RDMAJOIN_RETURN_IF_ERROR(ValidateSpanDataset(ds));
   return ds;
 }
 

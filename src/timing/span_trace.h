@@ -161,6 +161,9 @@ struct SpanDataset {
   std::vector<ThreadMark> threads;
   /// Execution-layer counts in device order.
   std::vector<ExecDeviceCounts> devices;
+  /// Cluster size of the replay that recorded the dataset; 0 when unknown
+  /// (hand-built datasets, documents without the field).
+  uint32_t machines = 0;
   uint64_t spans_recorded = 0;
   uint64_t spans_dropped = 0;
   uint64_t segments_recorded = 0;
@@ -206,6 +209,10 @@ class SpanRecorder : public FlowTelemetry, public RdmaEventSink {
   void SetFaultInfo(uint64_t id, uint32_t retries, double retry_delay_seconds);
   /// Records one thread's end-of-pass totals.
   void AddThreadMark(const ThreadMark& mark);
+  /// Records the cluster size of an observed replay (the largest, when one
+  /// recorder observes several), so a machine that only receives -- and so
+  /// has no thread mark -- is still in range for ValidateSpanDataset.
+  void NoteMachines(uint32_t machines);
 
   // FlowTelemetry:
   void OnFlowSegment(uint64_t flow_id, uint32_t src, uint32_t dst, double t0,
@@ -246,6 +253,7 @@ class SpanRecorder : public FlowTelemetry, public RdmaEventSink {
   std::vector<FlowSegment> segments_;
   size_t segment_next_ = 0;
   std::vector<ThreadMark> threads_;
+  uint32_t machines_ = 0;
   /// Keyed by device id for deterministic snapshot order.
   std::map<uint32_t, ExecDeviceCounts> devices_;
   uint64_t spans_recorded_ = 0;
@@ -264,8 +272,20 @@ class SpanRecorder : public FlowTelemetry, public RdmaEventSink {
 /// the exact schema-version-1 bytes, keeping constraint-free outputs
 /// byte-identical across the schema bump.
 std::string SpanDatasetToJson(const SpanDataset& dataset);
-/// Rebuilds a dataset from a parsed document. Accepts schema versions 1
-/// (segments get RateConstraint::kNone) and 2.
+/// Checks a dataset's cross-field shape, the way ValidateTrace checks a
+/// trace. The machine count is `machines` when set, else
+/// max(threads.machine) + 1; with neither the range checks are skipped.
+/// Rejected: a thread mark, or a span whose machine, src
+/// or dst is out of range, or whose src == dst; a segment whose src or dst
+/// is out of range, or src == dst; a stage or receive time that is neither
+/// finite and >= 0 nor kSpanUnset; non-finite or negative wire bytes, retry
+/// delays, segment times and rates; a segment with t1 <= t0; a labelled
+/// segment whose bound_host is neither its src nor its dst. Errors name the
+/// span or segment and the field.
+Status ValidateSpanDataset(const SpanDataset& dataset);
+/// Rebuilds a dataset from a parsed document and validates it
+/// (ValidateSpanDataset). Accepts schema versions 1 (segments get
+/// RateConstraint::kNone) and 2.
 StatusOr<SpanDataset> SpanDatasetFromJson(const JsonValue& root);
 /// ParseJson + SpanDatasetFromJson.
 StatusOr<SpanDataset> ParseSpanDatasetJson(const std::string& text);

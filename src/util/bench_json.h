@@ -15,7 +15,10 @@ namespace rdmajoin {
 /// tools/rdmajoin_analyze renders and diffs. Version history:
 ///   1 -- initial: bench/scale_up/seed header plus rows of
 ///        {label, config, measured/paper/model seconds, phases, attribution,
-///         model residuals, protocol violations}.
+///         model residuals, protocol violations}. Join-run rows also carry
+///        a `counters` object, the replay's exact work counters (events,
+///        fabric_steps, link_updates, reshared_links, telemetry_callbacks),
+///        so a byte-identical baseline gates them; older documents lack it.
 inline constexpr int kBenchJsonSchemaVersion = 1;
 
 /// One data point of a bench run (one table row / figure point).

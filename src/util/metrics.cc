@@ -38,7 +38,16 @@ double Histogram::Percentile(double p) const {
 
 size_t TimeSeries::BucketFor(double t) {
   if (t < 0) t = 0;
-  size_t index = static_cast<size_t>(t / bucket_seconds_);
+  // t / width can round down to the previous bucket for a t that sits on
+  // the edge (b + 1) * width (0.3 / 0.01 < 30). AddRange walks from edge to
+  // edge, so it would stall there and drop the rest of its interval; take
+  // the bucket whose edges, computed the same way, contain t.
+  const auto index_of = [this](double x) {
+    size_t i = static_cast<size_t>(x / bucket_seconds_);
+    if ((static_cast<double>(i) + 1.0) * bucket_seconds_ <= x) ++i;
+    return i;
+  };
+  size_t index = index_of(t);
   while (index >= max_buckets_) {
     // Coarsen: double the width, fold adjacent buckets together.
     const size_t folded = (buckets_.size() + 1) / 2;
@@ -49,7 +58,7 @@ size_t TimeSeries::BucketFor(double t) {
     }
     buckets_.resize(folded);
     bucket_seconds_ *= 2;
-    index = static_cast<size_t>(t / bucket_seconds_);
+    index = index_of(t);
   }
   if (index >= buckets_.size()) buckets_.resize(index + 1, 0.0);
   return index;

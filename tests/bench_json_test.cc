@@ -220,6 +220,26 @@ bench::Options TestOptions() {
   return opt;
 }
 
+TEST(BenchReporter, RunRowsCarryReplayCounters) {
+  bench::BenchReporter reporter("unit_test_bench", TestOptions());
+  bench::RunOutcome run;
+  run.ok = true;
+  run.verified = true;
+  run.replay.counters = ReplayCounters{18, 4, 10, 3, 8};
+  reporter.AddRun("run", {}, run);
+  auto doc = ParseBenchJson(reporter.ToJson());
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const BenchJsonRow* row = doc->FindRow("run");
+  ASSERT_NE(row, nullptr);
+  const JsonValue* c = row->raw.Find("counters");
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->NumberOr("events", 0), 18);
+  EXPECT_EQ(c->NumberOr("fabric_steps", 0), 4);
+  EXPECT_EQ(c->NumberOr("link_updates", 0), 10);
+  EXPECT_EQ(c->NumberOr("reshared_links", 0), 3);
+  EXPECT_EQ(c->NumberOr("telemetry_callbacks", 0), 8);
+}
+
 TEST(BenchReporter, EmittedDocumentRoundTripsThroughParser) {
   const bench::Options opt = TestOptions();
   bench::BenchReporter reporter("unit_test_bench", opt);

@@ -69,6 +69,7 @@ std::string SeedSpans() {
   s.id = 14180;
   s.machine = 1;
   s.thread = 2;
+  s.src = 1;  // a span's src and dst must differ (ValidateSpanDataset)
   s.dst = 0;
   s.wire_bytes = 65536;
   s.flow = 3;

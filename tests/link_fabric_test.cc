@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 namespace rdmajoin {
@@ -407,6 +408,48 @@ TEST(LinkFabric, AllToAllDrainsAtPerHostEgress) {
   // Total per-host egress is 1000 B/s; each host sends 3*20*100 = 6000 bytes.
   EXPECT_NEAR(t, 6.0, 1e-6);
   EXPECT_EQ(done.size(), 240u);
+}
+
+TEST(LinkFabric, AllToAllPumpMaterialisesOnlyDrainingLinks) {
+  // 10 hosts, 90 links, each kept two messages deep: a completion refills its
+  // link until the link has sent 60 messages. Per-link sizes differ, so heads
+  // drain at distinct instants. The event-driven fabric materialises a link
+  // only when its head drains or its rate or label changes, so its updates
+  // stay within a small constant per message instead of ~90 per drain.
+  FabricConfig f;  // QDR-like defaults: equal share, message-rate cap, latency
+  f.num_hosts = 10;
+  LinkFabric fabric(f);
+  const uint32_t hosts = f.num_hosts;
+  const int per_link = 60;
+  std::vector<int> sent(static_cast<size_t>(hosts) * hosts, 0);
+  const auto size_of = [&](uint32_t link) { return 65536.0 + 977.0 * link; };
+  for (uint32_t s = 0; s < hosts; ++s) {
+    for (uint32_t d = 0; d < hosts; ++d) {
+      if (s == d) continue;
+      const uint32_t link = s * hosts + d;
+      for (int k = 0; k < 2; ++k) {
+        fabric.Enqueue(s, d, size_of(link), 0.0, link);
+        ++sent[link];
+      }
+    }
+  }
+  std::vector<LinkFabric::Completion> done;
+  while (fabric.NextCompletionTime() != std::numeric_limits<double>::infinity()) {
+    const double t = fabric.NextCompletionTime();
+    done.clear();
+    fabric.AdvanceTo(t, &done);
+    for (const LinkFabric::Completion& c : done) {
+      const uint32_t link = static_cast<uint32_t>(c.cookie);
+      if (sent[link] == per_link) continue;
+      fabric.Enqueue(link / hosts, link % hosts, size_of(link), t, link);
+      ++sent[link];
+    }
+  }
+  const uint64_t messages = fabric.messages_delivered();
+  EXPECT_EQ(messages, 90u * per_link);
+  EXPECT_GT(fabric.fabric_steps(), 0u);
+  EXPECT_GE(fabric.link_updates(), messages);  // every pop materialises
+  EXPECT_LE(fabric.link_updates(), 4 * messages);
 }
 
 // The progressive-filling non-progress guard is a hard failure in every

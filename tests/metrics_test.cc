@@ -131,6 +131,19 @@ TEST(TimeSeries, AddRangeDistributesProportionally) {
   EXPECT_DOUBLE_EQ(ts.total(), 30.0);
 }
 
+TEST(TimeSeries, AddRangeAcrossRoundedEdgeKeepsEveryByte) {
+  // 0.3 / 0.01 rounds to 29.999..., while the walk's edge 30 * 0.01 is 0.3:
+  // the range must continue into bucket 30 instead of stopping there.
+  TimeSeries ts(0.01);
+  ts.AddRange(0.295, 0.305, 10.0);
+  double sum = 0;
+  for (double b : ts.buckets()) sum += b;
+  EXPECT_NEAR(sum, 10.0, 1e-9);
+  ASSERT_EQ(ts.buckets().size(), 31u);
+  EXPECT_NEAR(ts.buckets()[29], 5.0, 1e-9);
+  EXPECT_NEAR(ts.buckets()[30], 5.0, 1e-9);
+}
+
 TEST(TimeSeries, CoarsensInsteadOfGrowingUnbounded) {
   TimeSeries ts(1.0, /*max_buckets=*/8);
   for (int t = 0; t < 100; ++t) ts.Add(t + 0.5, 1.0);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cluster/presets.h"
 #include "workload/generator.h"
 
@@ -49,6 +51,14 @@ TEST(Report, FormatsFullRunReport) {
   EXPECT_NE(report.find("network partition"), std::string::npos);
   EXPECT_NE(report.find("build-probe"), std::string::npos);
   EXPECT_NE(report.find("buffer pool"), std::string::npos);
+  const ReplayCounters& work = result->replay.counters;
+  EXPECT_GT(work.events, 0u);
+  EXPECT_GT(work.fabric_steps, 0u);
+  EXPECT_NE(report.find("replay work: " + std::to_string(work.events) +
+                        " events, " + std::to_string(work.fabric_steps) +
+                        " fabric steps, " + std::to_string(work.link_updates) +
+                        " link updates"),
+            std::string::npos);
   EXPECT_NE(report.find("verified"), std::string::npos);
   // Percentages are present and the total line exists.
   EXPECT_NE(report.find('%'), std::string::npos);

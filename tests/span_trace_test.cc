@@ -1,6 +1,7 @@
 #include "timing/span_trace.h"
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -231,6 +232,9 @@ TEST(SpanDatasetJson, RoundTripsEveryField) {
   rec.OnFlowSegment(42, 1, 3, 1.5625, 2.0, 4096.0 / 0.4375,
                     RateConstraint::kReceiverIngress, 3);
   rec.AddThreadMark(ThreadMark{1, 2, 9.0, 5.0, 0.5, 0.25});
+  // Covers the spans' and segment's hosts (up to 3), which the lone thread
+  // mark on machine 1 would not.
+  rec.NoteMachines(4);
   rec.OnWrPosted(1, WorkCompletion::Op::kSend);
   rec.OnWrCompleted(1, WorkCompletion::Op::kSend, true);
   rec.OnCompletionPolled(1, WorkCompletion::Op::kSend);
@@ -272,6 +276,7 @@ TEST(SpanDatasetJson, RoundTripsEveryField) {
   ASSERT_EQ(back->devices.size(), 1u);
   EXPECT_EQ(back->devices[0].posted[static_cast<int>(WorkCompletion::Op::kSend)],
             1u);
+  EXPECT_EQ(back->machines, 4u);
   EXPECT_EQ(back->spans_recorded, ds.spans_recorded);
 
   // Serialization is deterministic: a second pass is byte-identical.
@@ -320,6 +325,126 @@ TEST(SpanDatasetJson, RejectsUnknownConstraintName) {
   auto ds = ParseSpanDatasetJson(ok);
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
   EXPECT_EQ(ds->segments[0].bound, RateConstraint::kReceiverIngress);
+}
+
+// ---------- ValidateSpanDataset ----------
+
+/// Two machines (thread marks 0 and 1), one complete span 0 -> 1 and its
+/// egress-bound segment: valid.
+SpanDataset ValidDataset() {
+  SpanDataset ds;
+  ds.threads = {ThreadMark{0, 0, 2.0, 1.0, 0, 0}, ThreadMark{1, 0, 2.0, 1.0, 0, 0}};
+  WrSpan s;
+  s.id = 1;
+  s.machine = 0;
+  s.src = 0;
+  s.dst = 1;
+  s.wire_bytes = 1000;
+  s.flow = 7;
+  for (int k = 0; k < kNumSpanStages; ++k) s.stage[k] = 0.5 * k;
+  ds.spans.push_back(s);
+  ds.segments.push_back(FlowSegment{7, 0, 1, 1.0, 2.0, 1000.0,
+                                    RateConstraint::kSenderEgress, 0});
+  return ds;
+}
+
+/// Expects `ds` to fail validation with a message containing `needle`.
+void ExpectRejected(const SpanDataset& ds, const std::string& needle) {
+  const Status st = ValidateSpanDataset(ds);
+  ASSERT_FALSE(st.ok()) << needle;
+  EXPECT_NE(st.message().find(needle), std::string::npos) << st.message();
+}
+
+TEST(SpanDatasetValidate, AcceptsAValidDatasetAndUnsetStages) {
+  SpanDataset ds = ValidDataset();
+  EXPECT_TRUE(ValidateSpanDataset(ds).ok());
+  ds.spans[0].stage[3] = kSpanUnset;  // a span evicted mid-flight
+  ds.spans[0].stage[4] = kSpanUnset;
+  EXPECT_TRUE(ValidateSpanDataset(ds).ok());
+  // Without thread marks or a machine count there is nothing to check
+  // against.
+  ds.threads.clear();
+  ds.spans[0].machine = 99;
+  ds.segments[0].dst = 42;
+  EXPECT_TRUE(ValidateSpanDataset(ds).ok());
+}
+
+TEST(SpanDatasetValidate, RejectsOutOfRangeMachines) {
+  SpanDataset ds = ValidDataset();
+  ds.spans[0].machine = 99;
+  ExpectRejected(ds, "span 0 (id 1): machine 99 >= 2 machines");
+  ds = ValidDataset();
+  ds.spans[0].dst = 2;
+  ExpectRejected(ds, "dst 2 >= 2 machines");
+  ds = ValidDataset();
+  ds.segments[0].src = 5;
+  ExpectRejected(ds, "segment 0 (flow 7): src 5 >= 2 machines");
+}
+
+TEST(SpanDatasetValidate, MachineCountOverridesThreadMarks) {
+  // Machine 2 only receives: no thread mark names it, the count covers it.
+  SpanDataset ds = ValidDataset();
+  ds.machines = 3;
+  ds.spans[0].dst = 2;
+  ds.segments[0].dst = 2;
+  EXPECT_TRUE(ValidateSpanDataset(ds).ok());
+  ds.spans[0].dst = 3;
+  ExpectRejected(ds, "span 0 (id 1): dst 3 >= 3 machines");
+  ds = ValidDataset();
+  ds.machines = 1;
+  ExpectRejected(ds, "thread mark 1: machine 1 >= 1 machines");
+}
+
+TEST(SpanDatasetValidate, RejectsSelfLinks) {
+  SpanDataset ds = ValidDataset();
+  ds.spans[0].dst = 0;
+  ExpectRejected(ds, "span 0 (id 1): src == dst (0)");
+  ds = ValidDataset();
+  ds.segments[0].src = 1;
+  ExpectRejected(ds, "segment 0 (flow 7): src == dst (1)");
+}
+
+TEST(SpanDatasetValidate, RejectsNegativeOrNonFiniteTimesAndRates) {
+  SpanDataset ds = ValidDataset();
+  ds.spans[0].stage[2] = -0.5;
+  ExpectRejected(ds, "fabric_admitted -0.5 must be finite and >= 0");
+  ds = ValidDataset();
+  ds.spans[0].recv_end = std::nan("");
+  ExpectRejected(ds, "recv_end");
+  ds = ValidDataset();
+  ds.spans[0].wire_bytes = -1;
+  ExpectRejected(ds, "wire_bytes");
+  ds = ValidDataset();
+  ds.segments[0].rate = -1000;
+  ExpectRejected(ds, "rate -1e+03 must be finite and >= 0");
+  ds = ValidDataset();
+  ds.segments[0].t1 = std::numeric_limits<double>::infinity();
+  ExpectRejected(ds, "t1");
+}
+
+TEST(SpanDatasetValidate, RejectsEmptyOrReversedSegments) {
+  SpanDataset ds = ValidDataset();
+  ds.segments[0].t1 = ds.segments[0].t0;
+  ExpectRejected(ds, "segment 0 (flow 7): t1 1 <= t0 1");
+}
+
+TEST(SpanDatasetValidate, RejectsLabelOwnedByAnotherHost) {
+  SpanDataset ds = ValidDataset();
+  ds.threads.push_back(ThreadMark{2, 0, 2.0, 1.0, 0, 0});
+  ds.segments[0].bound_host = 2;
+  ExpectRejected(ds, "bound_host 2 is neither src 0 nor dst 1");
+  // An unlabelled (schema v1) segment carries no owner to check.
+  ds.segments[0].bound = RateConstraint::kNone;
+  EXPECT_TRUE(ValidateSpanDataset(ds).ok());
+}
+
+TEST(SpanDatasetValidate, ReaderRejectsAnInvalidDocument) {
+  SpanDataset ds = ValidDataset();
+  ds.spans[0].machine = 99;
+  auto back = ParseSpanDatasetJson(SpanDatasetToJson(ds));
+  ASSERT_FALSE(back.ok());
+  EXPECT_NE(back.status().message().find("machine 99"), std::string::npos)
+      << back.status().ToString();
 }
 
 TEST(SpanDatasetJson, FileRoundTrip) {

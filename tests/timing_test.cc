@@ -3,6 +3,8 @@
 #include "cluster/presets.h"
 #include "timing/makespan.h"
 #include "timing/replay.h"
+#include "timing/span_trace.h"
+#include "timing/trace_io.h"
 
 namespace rdmajoin {
 namespace {
@@ -194,6 +196,64 @@ TEST(Replay, CreditExhaustionStallsThread) {
   // The thread itself could only post send #3 after send #1 completed (2 s)
   // and send #4 after send #2 (3 s): it finishes at 3 s, not 1 s.
   EXPECT_NEAR(r.net_thread_finish_seconds[0], 3.0, 1e-9);
+}
+
+TEST(Replay, WorkCountersArePinnedForAFixedTrace) {
+  // The trace of CreditExhaustionStallsThread: per machine, one thread posts
+  // four 1000-byte sends to the other machine on 2 credits. Every counter is
+  // deterministic, so each is pinned exactly.
+  RunTrace trace;
+  trace.scale_up = 1.0;
+  trace.machines.resize(2);
+  for (uint32_t m = 0; m < 2; ++m) {
+    MachineTrace& mt = trace.machines[m];
+    mt.net_threads.resize(1);
+    mt.net_threads[0].compute_bytes = 955;
+    for (int i = 0; i < 4; ++i) {
+      mt.net_threads[0].sends.push_back(SendRecord{1 - m, 0, 1000, 955});
+    }
+  }
+  const ReplayReport r = ReplayTrace(TinyCluster(), JoinConfig{}, trace);
+  // Per thread: 4 posts, 2 credit blocks, 1 finish; plus 4 fabric advances
+  // (drains at 2, 3, 4 and 5 s, both links at once).
+  EXPECT_EQ(r.counters.events, 18u);
+  EXPECT_EQ(r.counters.fabric_steps, 4u);
+  // One materialisation per link at its first rate assignment and one per
+  // drain instant; the second activation leaves 0->1's rate unchanged.
+  EXPECT_EQ(r.counters.link_updates, 10u);
+  // 0->1 at the first activation, both links at the second.
+  EXPECT_EQ(r.counters.reshared_links, 3u);
+  // One constant-rate segment per message.
+  EXPECT_EQ(r.counters.telemetry_callbacks, 8u);
+
+  ReplayOptions no_spans;
+  no_spans.spans.enabled = false;
+  const ReplayReport off = ReplayTrace(TinyCluster(), JoinConfig{}, trace, no_spans);
+  EXPECT_EQ(off.counters.telemetry_callbacks, 0u);
+  EXPECT_EQ(off.counters.link_updates, r.counters.link_updates);
+  EXPECT_EQ(off.counters.events, r.counters.events);
+}
+
+TEST(Replay, SpanDatasetOfAReceiveOnlyMachineValidates) {
+  // Machine 1 has no partitioning thread, so no thread mark names it; the
+  // dataset's machine count still covers the span and segment sent to it.
+  RunTrace trace;
+  trace.scale_up = 1.0;
+  trace.machines.resize(2);
+  trace.machines[0].net_threads.resize(1);
+  trace.machines[0].net_threads[0].compute_bytes = 955;
+  trace.machines[0].net_threads[0].sends.push_back(SendRecord{1, 0, 1000, 955});
+  ASSERT_TRUE(ValidateTrace(trace).ok());
+  const ReplayReport r = ReplayTrace(TinyCluster(), JoinConfig{}, trace);
+  ASSERT_NE(r.spans, nullptr);
+  const SpanDataset ds = r.spans->Snapshot();
+  EXPECT_EQ(ds.machines, 2u);
+  ASSERT_EQ(ds.threads.size(), 1u);
+  ASSERT_FALSE(ds.segments.empty());
+  EXPECT_EQ(ds.segments[0].dst, 1u);
+  auto back = ParseSpanDatasetJson(SpanDatasetToJson(ds));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->machines, 2u);
 }
 
 TEST(Replay, ReceiverCopyTracked) {

@@ -236,6 +236,45 @@ TEST_F(ToolsSmokeTest, AnalyzeSpansExitCodesFollowTheContract) {
             1);
 }
 
+TEST_F(ToolsSmokeTest, AnalyzeSpansCheckRejectsMutatedDatasetsNamingTheField) {
+  // One field of the run's span dataset mutated at a time. Each one passes
+  // the JSON types and used to pass --check; ValidateSpanDataset rejects it.
+  ASSERT_EQ(cli_exit_, 0);
+  const std::string valid = ReadFileOrEmpty(*spans_path_);
+  ASSERT_FALSE(valid.empty());
+  struct Mutation {
+    const char* name;
+    const char* from;
+    const char* to;
+    const char* field;
+  };
+  const Mutation mutations[] = {
+      {"machine", "\"machine\":0,", "\"machine\":99,", "machine 99"},
+      {"src_eq_dst", "\"src\":0,\"dst\":2,", "\"src\":2,\"dst\":2,",
+       "src == dst"},
+      {"rate", "\"rate\":", "\"rate\":-", "rate"},
+  };
+  for (const Mutation& m : mutations) {
+    std::string text = valid;
+    const size_t at = text.find(m.from);
+    ASSERT_NE(at, std::string::npos) << m.name;
+    text.replace(at, std::string(m.from).size(), m.to);
+    const std::string path = TempPath(std::string("mutated_spans_") + m.name + ".json");
+    const std::string err = path + ".err";
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << text;
+    }
+    // `timeout` turns a hang into exit 124.
+    EXPECT_EQ(RunTool("(timeout 10 " + std::string(RDMAJOIN_ANALYZE_BIN) +
+                      " --spans=" + path + " --check 2>" + err + ")"),
+              2)
+        << m.name;
+    EXPECT_NE(ReadFileOrEmpty(err).find(m.field), std::string::npos)
+        << m.name << ": " << ReadFileOrEmpty(err);
+  }
+}
+
 TEST_F(ToolsSmokeTest, ExplainUtilizationReplaysAndChecksTheIdentity) {
   ASSERT_EQ(cli_exit_, 0);
   const std::string json_out = TempPath("util.json");
