@@ -1,9 +1,10 @@
 // Google-benchmark microbenchmarks of the join kernels running on this
-// machine: radix histogram/scatter, hash-table build and probe, and the
-// simulated verbs data path. These measure the real (host) data-path speed;
-// they are the in-simulation analogue of the calibration runs behind Eq. 15
-// (psPart, hbThread, hpThread) and document how the simulation's actual
-// compute cost relates to the modeled full-scale rates.
+// machine: radix histogram/scatter/partition, hash-table build (fresh and
+// reused) and probe, and the simulated verbs data path. These measure the
+// real (host) data-path speed; they are the in-simulation analogue of the
+// calibration runs behind Eq. 15 (psPart, hbThread, hpThread) and document
+// how the simulation's actual compute cost relates to the modeled
+// full-scale rates.
 //
 // Two entry modes: the default runs the full google-benchmark suite; with
 // --bench-json a compact best-of-three pass over representative kernels is
@@ -64,6 +65,18 @@ void BM_RadixScatter(benchmark::State& state) {
 }
 BENCHMARK(BM_RadixScatter)->Arg(1 << 16)->Arg(1 << 20);
 
+void BM_RadixPartition(benchmark::State& state) {
+  const uint64_t n = state.range(0);
+  Relation r = MakeRelation(n);
+  for (auto _ : state) {
+    RadixPartitions parts;
+    RadixPartition(r, 0, 10, 10, &parts);
+    benchmark::DoNotOptimize(parts.tuples.data());
+  }
+  state.SetBytesProcessed(state.iterations() * n * kNarrowTupleBytes);
+}
+BENCHMARK(BM_RadixPartition)->Arg(1 << 16)->Arg(1 << 20);
+
 void BM_RadixSort(benchmark::State& state) {
   const uint64_t n = state.range(0);
   Relation r = MakeRelation(n);
@@ -100,6 +113,18 @@ void BM_HashTableBuild(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * n * kNarrowTupleBytes);
 }
 BENCHMARK(BM_HashTableBuild)->Arg(1 << 11)->Arg(1 << 15);
+
+void BM_HashTableBuildReuse(benchmark::State& state) {
+  const uint64_t n = state.range(0);
+  Relation r = MakeRelation(n);
+  HashTable table(r);
+  for (auto _ : state) {
+    table.Build(r, 0, n);
+    benchmark::DoNotOptimize(table.num_entries());
+  }
+  state.SetBytesProcessed(state.iterations() * n * kNarrowTupleBytes);
+}
+BENCHMARK(BM_HashTableBuildReuse)->Arg(1 << 11)->Arg(1 << 15);
 
 void BM_HashTableProbe(benchmark::State& state) {
   const uint64_t n = state.range(0);
@@ -213,6 +238,11 @@ int RunBenchJson(int argc, char** argv) {
     auto parts = RadixScatter(rel, 0, 10);
     benchmark::DoNotOptimize(parts.data());
   }));
+  reporter.AddMeasurement("radix_partition", kernel_cfg, BestOfThreeSeconds([&] {
+    RadixPartitions parts;
+    RadixPartition(rel, 0, 10, 10, &parts);
+    benchmark::DoNotOptimize(parts.tuples.data());
+  }));
   reporter.AddMeasurement("radix_sort", kernel_cfg, BestOfThreeSeconds([&] {
     Relation copy(kNarrowTupleBytes);
     copy.AppendRaw(rel.data(), rel.num_tuples());
@@ -229,6 +259,10 @@ int RunBenchJson(int argc, char** argv) {
     benchmark::DoNotOptimize(table.num_entries());
   }));
   HashTable table(build_rel);
+  reporter.AddMeasurement("hash_build_reuse", hash_cfg, BestOfThreeSeconds([&] {
+    table.Build(build_rel, 0, build_rel.num_tuples());
+    benchmark::DoNotOptimize(table.num_entries());
+  }));
   Relation probe_rel = MakeRelation(kHashN * 4, 7);
   reporter.AddMeasurement("hash_probe", hash_cfg, BestOfThreeSeconds([&] {
     uint64_t matches = 0;

@@ -227,8 +227,15 @@ StatusOr<JoinRunResult> DistributedJoin::Run(const DistributedRelation& inner,
 
   // ---- Phase 2: local partitioning passes (Section 4.2.3). ----
   const uint64_t cache_bytes = config_.ActualCachePartitionBytes(tuple_bytes);
-  // final_parts[m]: pairs of cache-sized (R, S) partitions.
-  std::vector<std::vector<std::pair<Relation, Relation>>> final_parts(nm);
+  // local[m]: the R and S sides of every partition machine m owns, in
+  // partition order, each cut into 2^b2 cache-sized sub-partitions laid out
+  // at known offsets in one buffer.
+  struct LocalPartitions {
+    RadixPartitions r;
+    RadixPartitions s;
+  };
+  std::vector<std::vector<LocalPartitions>> local(nm);
+  Relation scratch(tuple_bytes);
   for (uint32_t m = 0; m < nm; ++m) {
     MachineTrace& mt = result.trace.machines[m];
     uint64_t assigned_bytes = 0;
@@ -247,28 +254,39 @@ StatusOr<JoinRunResult> DistributedJoin::Run(const DistributedRelation& inner,
     const uint32_t b2 =
         BitsForTarget(max_r_bytes, cache_bytes,
                       /*max_bits=*/2 * config_.local_bits_per_pass);
+    // With b2 == 0 the store slot itself is the one sub-partition.
+    auto split = [&](Relation& in, RadixPartitions* out) {
+      if (b2 == 0) {
+        out->offsets = {0, in.num_tuples()};
+        out->tuples = std::move(in);
+        return;
+      }
+      RadixPartition(in, b1, b2, config_.local_bits_per_pass, out, &scratch);
+      in.Deallocate();
+    };
     for (uint32_t p = 0; p < parts; ++p) {
       if (assignment[p] != m) continue;
-      Relation& rp = stores[m]->Rel(p, 0);
-      Relation& sp = stores[m]->Rel(p, 1);
-      if (b2 == 0) {
-        final_parts[m].emplace_back(std::move(rp), std::move(sp));
-      } else {
-        auto r_sub = RadixScatterMultiPass(rp, b1, b2, config_.local_bits_per_pass);
-        rp.Deallocate();
-        auto s_sub = RadixScatterMultiPass(sp, b1, b2, config_.local_bits_per_pass);
-        sp.Deallocate();
-        for (size_t q = 0; q < r_sub.size(); ++q) {
-          if (r_sub[q].empty() && s_sub[q].empty()) continue;
-          final_parts[m].emplace_back(std::move(r_sub[q]), std::move(s_sub[q]));
-        }
-      }
+      LocalPartitions& lp = local[m].emplace_back();
+      split(stores[m]->Rel(p, 0), &lp.r);
+      split(stores[m]->Rel(p, 1), &lp.s);
     }
     // Charge the full-scale plan: num_local_passes passes over the assigned
     // data (the paper's 10+10-bit configuration charges one). The scaled
     // execution's pass count is a simulation artifact and not charged.
     mt.local_pass_bytes = assigned_bytes * config_.num_local_passes;
   }
+  // Calls fn(lp, q) for every final (R, S) pair of machine m: sub-partition
+  // q of both sides of a local partition. Pairs empty on both sides carry no
+  // work and are skipped, except that an unsplit partition is always a task.
+  auto for_each_final = [&local](uint32_t m, auto&& fn) {
+    for (const LocalPartitions& lp : local[m]) {
+      const uint32_t subs = lp.r.num_partitions();
+      for (uint32_t q = 0; q < subs; ++q) {
+        if (subs > 1 && lp.r.size_bytes(q) == 0 && lp.s.size_bytes(q) == 0) continue;
+        fn(lp, q);
+      }
+    }
+  };
 
   // ---- Phase 3: build & probe with skew splitting (Section 4.3). ----
   for (uint32_t m = 0; m < nm; ++m) {
@@ -276,36 +294,42 @@ StatusOr<JoinRunResult> DistributedJoin::Run(const DistributedRelation& inner,
     // Task list for the timing replay, with probe-range splitting for
     // oversized outer partitions.
     double total_probe_bytes = 0;
-    for (const auto& [r, s] : final_parts[m]) total_probe_bytes += s.size_bytes();
+    uint64_t final_parts = 0;
+    for_each_final(m, [&](const LocalPartitions& lp, uint32_t q) {
+      total_probe_bytes += lp.s.size_bytes(q);
+      ++final_parts;
+    });
     const double avg_probe_bytes =
-        final_parts[m].empty() ? 0 : total_probe_bytes / final_parts[m].size();
+        final_parts == 0 ? 0 : total_probe_bytes / final_parts;
     const double split_threshold = config_.skew_split_factor > 0
                                        ? config_.skew_split_factor * avg_probe_bytes
                                        : 0;
-    for (const auto& [r, s] : final_parts[m]) {
-      const double s_bytes = static_cast<double>(s.size_bytes());
+    for_each_final(m, [&](const LocalPartitions& lp, uint32_t q) {
+      const double s_bytes = static_cast<double>(lp.s.size_bytes(q));
+      const double table = static_cast<double>(lp.r.size_bytes(q));
       if (split_threshold > 0 && s_bytes > split_threshold) {
         // Split the probe range into near-equal chunks processed by
         // multiple threads; the build stays with the first task.
         const uint64_t chunks =
             static_cast<uint64_t>(std::ceil(s_bytes / split_threshold));
         const double chunk_bytes = s_bytes / static_cast<double>(chunks);
-        const double table = static_cast<double>(r.size_bytes());
         mt.tasks.push_back(BuildProbeTask{table, chunk_bytes, table});
         for (uint64_t c = 1; c < chunks; ++c) {
           mt.tasks.push_back(BuildProbeTask{0, chunk_bytes, table});
         }
       } else {
-        const double table = static_cast<double>(r.size_bytes());
         mt.tasks.push_back(BuildProbeTask{table, s_bytes, table});
       }
-    }
-    // Execute: build a table over each final R partition, probe with S.
+    });
+    // Execute: build the machine's one table over each final R partition,
+    // probe with S.
     uint64_t machine_matches = 0;
     Relation output_chunk(kNarrowTupleBytes);
-    for (const auto& [r, s] : final_parts[m]) {
-      HashTable table(r);
-      for (uint64_t i = 0; i < s.num_tuples(); ++i) {
+    HashTable table;
+    for_each_final(m, [&](const LocalPartitions& lp, uint32_t q) {
+      table.Build(lp.r.tuples, lp.r.begin(q), lp.r.end(q));
+      const Relation& s = lp.s.tuples;
+      for (uint64_t i = lp.s.begin(q); i < lp.s.end(q); ++i) {
         const uint64_t key = s.Key(i);
         const uint64_t outer_rid = s.Rid(i);
         table.Probe(key, [&](uint64_t inner_rid) {
@@ -318,7 +342,8 @@ StatusOr<JoinRunResult> DistributedJoin::Run(const DistributedRelation& inner,
           }
         });
       }
-    }
+    });
+    local[m].clear();
     if (config_.materialize_results) {
       result.output.chunks.push_back(std::move(output_chunk));
     }

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <string>
 
+#include "join/histogram.h"
 #include "rdma/buffer_pool.h"
 #include "transport/wire_format.h"
 
@@ -25,6 +27,50 @@ class ScopeExit {
   Fn fn_;
 };
 
+Status HistogramMismatch(uint32_t partition, uint32_t relation,
+                         const std::string& what) {
+  return Status::Internal("partition " + std::to_string(partition) + " relation " +
+                          std::to_string(relation) + ": " + what +
+                          ": histogram mismatch");
+}
+
+/// The per-tuple loop of one partitioning thread over chunk tuples
+/// [lo, hi): partitions each tuple with the concrete `part` and copies it
+/// to the next free slot of its partition's window. `refill(p, i)` runs
+/// before a write into an exhausted window and `filled(p, i)` after a write
+/// exhausts one, `i` being the tuple at hand. kWidth == 0 means the
+/// chunk's runtime tuple width.
+template <uint32_t kWidth, typename Part, typename Refill, typename Filled>
+Status ScanTuples(const Relation& chunk, uint64_t lo, uint64_t hi, const Part& part,
+                  WriteWindow* windows, Refill& refill, Filled& filled) {
+  const uint32_t width = kWidth != 0 ? kWidth : chunk.tuple_bytes();
+  const uint8_t* t = chunk.TupleAt(lo);
+  for (uint64_t i = lo; i < hi; ++i, t += width) {
+    uint64_t key;
+    std::memcpy(&key, t + kKeyOffset, sizeof(key));
+    const uint32_t p = part.PartitionOf(key);
+    WriteWindow& w = windows[p];
+    if (w.next == w.end) RDMAJOIN_RETURN_IF_ERROR(refill(p, i));
+    std::memcpy(w.next, t, width);
+    w.next += width;
+    if (w.next == w.end) RDMAJOIN_RETURN_IF_ERROR(filled(p, i));
+  }
+  return Status::OK();
+}
+
+/// ScanTuples over the partitioner's concrete type, with a 16 B fast path.
+template <typename Refill, typename Filled>
+Status Scan(const Partitioner& partitioner, const Relation& chunk, uint64_t lo,
+            uint64_t hi, WriteWindow* windows, Refill& refill, Filled& filled) {
+  return VisitPartitioner(partitioner, [&](const auto& part) {
+    if (chunk.tuple_bytes() == kNarrowTupleBytes) {
+      return ScanTuples<kNarrowTupleBytes>(chunk, lo, hi, part, windows, refill,
+                                           filled);
+    }
+    return ScanTuples<0>(chunk, lo, hi, part, windows, refill, filled);
+  });
+}
+
 }  // namespace
 
 PartitionStore::PartitionStore(uint32_t tuple_bytes, uint32_t num_partitions,
@@ -36,27 +82,72 @@ PartitionStore::PartitionStore(uint32_t tuple_bytes, uint32_t num_partitions,
 void PartitionStore::Prepare(uint32_t partition,
                              const std::vector<uint64_t>& tuples_per_relation) {
   assert(tuples_per_relation.size() == num_relations_);
-  auto slot = std::make_unique<std::vector<Relation>>();
-  slot->reserve(num_relations_);
+  auto slots = std::make_unique<Slot[]>(num_relations_);
   for (uint32_t r = 0; r < num_relations_; ++r) {
-    Relation rel(tuple_bytes_);
-    rel.Reserve(tuples_per_relation[r]);
-    slot->push_back(std::move(rel));
+    slots[r].rel = Relation(tuple_bytes_);
+    slots[r].rel.Reserve(tuples_per_relation[r]);
+    slots[r].expected = tuples_per_relation[r];
   }
-  slots_[partition] = std::move(slot);
+  slots_[partition] = std::move(slots);
 }
 
-void PartitionStore::Deliver(uint32_t partition, uint32_t relation,
-                             const uint8_t* tuples, uint64_t bytes) {
-  assert(bytes % tuple_bytes_ == 0);
-  Rel(partition, relation).AppendRaw(tuples, bytes / tuple_bytes_);
+Status PartitionStore::Deliver(uint32_t partition, uint32_t relation,
+                               const uint8_t* tuples, uint64_t bytes) {
+  if (partition >= slots_.size() || slots_[partition] == nullptr ||
+      relation >= num_relations_) {
+    return HistogramMismatch(partition, relation,
+                             "delivery to a slot this machine does not own");
+  }
+  if (bytes % tuple_bytes_ != 0) {
+    return HistogramMismatch(partition, relation,
+                             "delivery of " + std::to_string(bytes) +
+                                 " bytes is not a whole number of tuples");
+  }
+  Slot& slot = slots_[partition][relation];
+  const uint64_t n = bytes / tuple_bytes_;
+  if (n > slot.expected - slot.rel.num_tuples()) {
+    return HistogramMismatch(partition, relation,
+                             "delivery past the global count of " +
+                                 std::to_string(slot.expected) + " tuples");
+  }
+  if (n > 0) std::memcpy(slot.rel.ExtendUninitialized(n), tuples, bytes);
+  return Status::OK();
+}
+
+WriteWindow PartitionStore::OpenWindow(uint32_t partition, uint32_t relation) {
+  Slot& slot = slots_[partition][relation];
+  const uint64_t room = slot.expected - slot.rel.num_tuples();
+  uint8_t* first = slot.rel.ExtendUninitialized(room);
+  return {first, first + room * tuple_bytes_};
+}
+
+void PartitionStore::CloseWindow(uint32_t partition, uint32_t relation,
+                                 const WriteWindow& window) {
+  Relation& rel = slots_[partition][relation].rel;
+  rel.Truncate(static_cast<uint64_t>(window.next - rel.data()) / tuple_bytes_);
+}
+
+Status PartitionStore::CheckFilled() const {
+  for (uint32_t p = 0; p < slots_.size(); ++p) {
+    if (slots_[p] == nullptr) continue;
+    for (uint32_t r = 0; r < num_relations_; ++r) {
+      const Slot& slot = slots_[p][r];
+      if (slot.rel.num_tuples() != slot.expected) {
+        return HistogramMismatch(p, r,
+                                 "holds " + std::to_string(slot.rel.num_tuples()) +
+                                     " of its " + std::to_string(slot.expected) +
+                                     " tuples after the pass");
+      }
+    }
+  }
+  return Status::OK();
 }
 
 Relation& PartitionStore::Rel(uint32_t partition, uint32_t relation) {
   assert(partition < slots_.size());
-  assert(slots_[partition] != nullptr && "tuple delivered to unassigned partition");
+  assert(slots_[partition] != nullptr && "slot of an unassigned partition");
   assert(relation < num_relations_);
-  return (*slots_[partition])[relation];
+  return slots_[partition][relation].rel;
 }
 
 ScopedReservation::~ScopedReservation() {
@@ -82,9 +173,6 @@ StatusOr<Exchange::Result> Exchange::Run(
     const std::vector<const DistributedRelation*>& inputs,
     std::vector<MemorySpace*> memories, std::vector<ScopedReservation*> reservations,
     RunTrace* trace) {
-  if (cluster_.transport == TransportKind::kRdmaRead) {
-    return RunPull(inputs, std::move(memories), std::move(reservations), trace);
-  }
   const uint32_t nm = cluster_.num_machines;
   const uint32_t parts = partitioner_->num_partitions();
   const uint32_t num_relations = static_cast<uint32_t>(inputs.size());
@@ -131,21 +219,19 @@ StatusOr<Exchange::Result> Exchange::Run(
     RDMAJOIN_RETURN_IF_ERROR(reservations[m]->Add(virt(total * tuple_bytes)));
   }
 
-  // Expected incoming volume per (dst, src) for one-sided staging: derived
-  // from per-machine histograms of the inputs.
+  // Expected incoming volume per (dst, src) sizes the one-sided WRITE
+  // staging regions; it comes from per-machine histograms of the inputs.
   std::vector<std::vector<uint64_t>> incoming_bytes;
   if (cluster_.transport == TransportKind::kRdmaMemory) {
     incoming_bytes.assign(nm, std::vector<uint64_t>(nm, 0));
-    for (uint32_t r = 0; r < num_relations; ++r) {
+    for (const auto* rel : inputs) {
+      const GenericHistograms hist = ComputeHistogramsWith(*rel, *partitioner_);
       for (uint32_t src = 0; src < nm; ++src) {
-        const Relation& chunk = inputs[r]->chunks[src];
-        std::vector<uint64_t> counts(parts, 0);
-        for (uint64_t i = 0; i < chunk.num_tuples(); ++i) {
-          ++counts[partitioner_->PartitionOf(chunk.Key(i))];
-        }
         for (uint32_t p = 0; p < parts; ++p) {
           const uint32_t dst = assignment_[p];
-          if (dst != src) incoming_bytes[dst][src] += counts[p] * tuple_bytes;
+          if (dst != src) {
+            incoming_bytes[dst][src] += hist.per_machine[src][p] * tuple_bytes;
+          }
         }
       }
     }
@@ -157,10 +243,49 @@ StatusOr<Exchange::Result> Exchange::Run(
                                           incoming_bytes, sinks, memories);
   RDMAJOIN_RETURN_IF_ERROR(network.status());
   TransportNetwork& net = **network;
+  RDMAJOIN_RETURN_IF_ERROR(cluster_.transport == TransportKind::kRdmaRead
+                               ? RunPull(inputs, reservations, net, trace, &result)
+                               : RunPush(inputs, reservations, net, trace, &result));
+  // Every slot was sized from the global histogram; one that is not full
+  // now was promised tuples that never came.
+  for (const auto& store : result.stores) {
+    RDMAJOIN_RETURN_IF_ERROR(store->CheckFilled());
+  }
+
+  // Bookkeeping for the replay and the caller.
+  for (uint32_t m = 0; m < nm; ++m) {
+    trace->machines[m].recv_bytes = net.stats().recv_bytes[m];
+    trace->machines[m].recv_messages = net.stats().recv_messages[m];
+    for (const auto& tt : trace->machines[m].net_threads) {
+      for (const auto& send : tt.sends) {
+        result.virtual_wire_bytes += static_cast<double>(send.wire_bytes) * scale;
+      }
+      result.messages_sent += tt.sends.size();
+    }
+    result.max_setup_registration_seconds =
+        std::max(result.max_setup_registration_seconds,
+                 trace->machines[m].setup_registration_seconds);
+  }
+  return result;
+}
+
+Status Exchange::RunPush(const std::vector<const DistributedRelation*>& inputs,
+                         std::vector<ScopedReservation*> reservations,
+                         TransportNetwork& net, RunTrace* trace, Result* result) {
+  const uint32_t nm = cluster_.num_machines;
+  const uint32_t parts = partitioner_->num_partitions();
+  const uint32_t num_relations = static_cast<uint32_t>(inputs.size());
+  const uint32_t tuple_bytes = inputs[0]->tuple_bytes();
+  const double scale = config_.scale_up;
+  auto virt = [scale](uint64_t actual) {
+    return static_cast<uint64_t>(static_cast<double>(actual) * scale);
+  };
 
   // ---- The pass itself (Section 4.2.1). ----
   const uint64_t payload_capacity = config_.ActualRdmaBufferBytes(tuple_bytes);
   const uint64_t buffer_bytes = payload_capacity + kWireHeaderBytes;
+  // A buffer ships as soon as it cannot take another tuple.
+  const uint64_t buffer_tuple_bytes = payload_capacity / tuple_bytes * tuple_bytes;
   const uint32_t threads = cluster_.PartitioningThreads();
   uint32_t remote_parts_max = 0;
   for (uint32_t m = 0; m < nm; ++m) {
@@ -197,6 +322,20 @@ StatusOr<Exchange::Result> Exchange::Run(
     Channel* channel = net.channel(m);
     const uint64_t payload_offset = channel->payload_offset();
 
+    // windows[rel][p]: a local partition's window is its store slot, open
+    // for this machine's whole scan (Ship never targets the sender, so no
+    // delivery lands there meanwhile); a remote partition's window is the
+    // RDMA buffer it is filling, empty when it holds none.
+    PartitionStore& store = *result->stores[m];
+    std::vector<std::vector<WriteWindow>> windows(num_relations,
+                                                  std::vector<WriteWindow>(parts));
+    for (uint32_t p = 0; p < parts; ++p) {
+      if (assignment_[p] != m) continue;
+      for (uint32_t rel = 0; rel < num_relations; ++rel) {
+        windows[rel][p] = store.OpenWindow(p, rel);
+      }
+    }
+
     for (uint32_t t = 0; t < threads; ++t) {
       ThreadNetTrace& tt = mt.net_threads[t];
       std::vector<RegisteredBuffer*> slot(parts, nullptr);
@@ -214,153 +353,101 @@ StatusOr<Exchange::Result> Exchange::Run(
         }
       });
 
-      auto ship_slot = [&](uint32_t p, uint32_t rel) -> Status {
-        RegisteredBuffer* buf = slot[p];
-        if (buf == nullptr || buf->used == 0) {
-          if (buf != nullptr) {
-            slot[p] = nullptr;
-            RDMAJOIN_RETURN_IF_ERROR(pool.Release(buf));
-          }
-          return Status::OK();
-        }
-        ShipReport ship_report;
-        auto wire = channel->Ship(assignment_[p], p, rel, buf, &ship_report);
-        if (!wire.ok()) {
-          // The payload never reached the destination; give the buffer's
-          // credit back before propagating the (clean) abort status.
-          slot[p] = nullptr;
-          // lint: discard-ok(credit return on abort path; original status propagates)
-          (void)pool.Release(buf);
-          return wire.status();
-        }
-        SendRecord send{assignment_[p], p, *wire, tt.compute_bytes};
-        send.retries = ship_report.retries;
-        send.retry_delay_seconds = ship_report.delay_seconds;
-        tt.sends.push_back(send);
-        slot[p] = nullptr;
-        RDMAJOIN_RETURN_IF_ERROR(pool.Release(buf));
-        return Status::OK();
-      };
-
       for (uint32_t rel = 0; rel < num_relations; ++rel) {
+        WriteWindow* window = windows[rel].data();
+        auto ship_slot = [&](uint32_t p) -> Status {
+          RegisteredBuffer* buf = slot[p];
+          if (buf == nullptr) return Status::OK();
+          buf->used = static_cast<uint64_t>(window[p].next -
+                                            (buf->bytes() + payload_offset));
+          slot[p] = nullptr;
+          window[p] = WriteWindow{};
+          ShipReport ship_report;
+          auto wire = channel->Ship(assignment_[p], p, rel, buf, &ship_report);
+          if (!wire.ok()) {
+            // The payload never reached the destination; give the buffer's
+            // credit back before propagating the (clean) abort status.
+            // lint: discard-ok(credit return on abort path; original status propagates)
+            (void)pool.Release(buf);
+            return wire.status();
+          }
+          SendRecord send{assignment_[p], p, *wire, tt.compute_bytes};
+          send.retries = ship_report.retries;
+          send.retry_delay_seconds = ship_report.delay_seconds;
+          tt.sends.push_back(send);
+          return pool.Release(buf);
+        };
+
         const Relation& chunk = inputs[rel]->chunks[m];
         const uint64_t n = chunk.num_tuples();
         const uint64_t lo = n * t / threads;
         const uint64_t hi = n * (t + 1) / threads;
-        for (uint64_t i = lo; i < hi; ++i) {
-          const uint32_t p = partitioner_->PartitionOf(chunk.Key(i));
-          tt.compute_bytes += tuple_bytes;
+        const uint64_t compute_base = tt.compute_bytes;
+        auto refill = [&](uint32_t p, uint64_t) -> Status {
           if (assignment_[p] == m) {
-            result.stores[m]->Rel(p, rel).AppendRaw(chunk.TupleAt(i), 1);
-            continue;
+            return HistogramMismatch(p, rel, "more local tuples than the global count");
           }
-          if (slot[p] == nullptr) {
-            auto buf = pool.Acquire();
-            RDMAJOIN_RETURN_IF_ERROR(buf.status());
-            slot[p] = *buf;
-          }
-          RegisteredBuffer* buf = slot[p];
-          std::memcpy(buf->bytes() + payload_offset + buf->used, chunk.TupleAt(i),
-                      tuple_bytes);
-          buf->used += tuple_bytes;
-          if (buf->used + tuple_bytes > payload_capacity) {
-            RDMAJOIN_RETURN_IF_ERROR(ship_slot(p, rel));
-          }
-        }
+          auto buf = pool.Acquire();
+          RDMAJOIN_RETURN_IF_ERROR(buf.status());
+          slot[p] = *buf;
+          uint8_t* first = (*buf)->bytes() + payload_offset;
+          window[p] = {first, first + buffer_tuple_bytes};
+          return Status::OK();
+        };
+        auto filled = [&](uint32_t p, uint64_t i) -> Status {
+          if (assignment_[p] == m) return Status::OK();  // Slot exactly full.
+          tt.compute_bytes = compute_base + (i + 1 - lo) * tuple_bytes;
+          return ship_slot(p);
+        };
+        RDMAJOIN_RETURN_IF_ERROR(
+            Scan(*partitioner_, chunk, lo, hi, window, refill, filled));
+        tt.compute_bytes = compute_base + (hi - lo) * tuple_bytes;
         // Flush partially filled buffers before switching relations.
         for (uint32_t p = 0; p < parts; ++p) {
-          RDMAJOIN_RETURN_IF_ERROR(ship_slot(p, rel));
+          RDMAJOIN_RETURN_IF_ERROR(ship_slot(p));
         }
       }
     }
-    result.pool_buffers_created += pool.buffers_created();
-    result.pool_acquisitions += pool.acquisitions();
-  }
-
-  // Bookkeeping for the replay and the caller.
-  for (uint32_t m = 0; m < nm; ++m) {
-    trace->machines[m].recv_bytes = net.stats().recv_bytes[m];
-    trace->machines[m].recv_messages = net.stats().recv_messages[m];
-    for (const auto& tt : trace->machines[m].net_threads) {
-      for (const auto& send : tt.sends) {
-        result.virtual_wire_bytes += static_cast<double>(send.wire_bytes) * scale;
+    for (uint32_t p = 0; p < parts; ++p) {
+      if (assignment_[p] != m) continue;
+      for (uint32_t rel = 0; rel < num_relations; ++rel) {
+        store.CloseWindow(p, rel, windows[rel][p]);
       }
-      result.messages_sent += tt.sends.size();
     }
-    result.max_setup_registration_seconds =
-        std::max(result.max_setup_registration_seconds,
-                 trace->machines[m].setup_registration_seconds);
+    result->pool_buffers_created += pool.buffers_created();
+    result->pool_acquisitions += pool.acquisitions();
   }
-  return result;
+  return Status::OK();
 }
 
-
-StatusOr<Exchange::Result> Exchange::RunPull(
-    const std::vector<const DistributedRelation*>& inputs,
-    std::vector<MemorySpace*> memories, std::vector<ScopedReservation*> reservations,
-    RunTrace* trace) {
+Status Exchange::RunPull(const std::vector<const DistributedRelation*>& inputs,
+                         std::vector<ScopedReservation*> reservations,
+                         TransportNetwork& net, RunTrace* trace, Result* result) {
   const uint32_t nm = cluster_.num_machines;
   const uint32_t parts = partitioner_->num_partitions();
   const uint32_t num_relations = static_cast<uint32_t>(inputs.size());
-  if (num_relations == 0) return Status::InvalidArgument("no input relations");
-  if (assignment_.size() != parts || global_counts_.size() != num_relations) {
-    return Status::InvalidArgument("assignment/global count shape mismatch");
-  }
-  if (memories.size() != nm || reservations.size() != nm) {
-    return Status::InvalidArgument(
-        "one memory space and one reservation per machine required");
-  }
-  if (trace == nullptr || trace->machines.size() != nm) {
-    return Status::InvalidArgument("trace must carry one MachineTrace per machine");
-  }
   const uint32_t tuple_bytes = inputs[0]->tuple_bytes();
-  for (const auto* rel : inputs) {
-    if (rel->chunks.size() != nm) {
-      return Status::InvalidArgument("inputs must be fragmented over all machines");
-    }
-    if (rel->tuple_bytes() != tuple_bytes) {
-      return Status::InvalidArgument("inputs must share one tuple width");
-    }
-  }
   const double scale = config_.scale_up;
   auto virt = [scale](uint64_t actual) {
     return static_cast<uint64_t>(static_cast<double>(actual) * scale);
   };
-
-  Result result;
-  for (uint32_t m = 0; m < nm; ++m) {
-    result.stores.push_back(
-        std::make_unique<PartitionStore>(tuple_bytes, parts, num_relations));
-  }
-  for (uint32_t p = 0; p < parts; ++p) {
-    const uint32_t m = assignment_[p];
-    std::vector<uint64_t> counts(num_relations);
-    uint64_t total = 0;
-    for (uint32_t r = 0; r < num_relations; ++r) {
-      counts[r] = global_counts_[r][p];
-      total += counts[r];
-    }
-    result.stores[m]->Prepare(p, counts);
-    RDMAJOIN_RETURN_IF_ERROR(reservations[m]->Add(virt(total * tuple_bytes)));
-  }
-
-  std::vector<PartitionSink*> sinks;
-  for (auto& store : result.stores) sinks.push_back(store.get());
-  auto network = TransportNetwork::Create(cluster_, config_, tuple_bytes,
-                                          /*incoming_bytes=*/{}, sinks, memories);
-  RDMAJOIN_RETURN_IF_ERROR(network.status());
-  TransportNetwork& net = **network;
-
   const uint32_t threads = cluster_.PartitioningThreads();
 
   // ---- Stage 1: partition into registered local staging regions. ----
-  // stage[m][p * num_relations + rel] holds machine m's tuples destined for
-  // remote partition p of relation rel.
-  std::vector<std::vector<Relation>> stage(nm);
+  // stage[m] holds machine m's tuples for remote partitions back to back:
+  // region p * num_relations + rel is the tuple range [stage_offsets[m][idx],
+  // stage_offsets[m][idx + 1]), sized from machine m's own histogram.
+  const size_t regions = static_cast<size_t>(parts) * num_relations;
+  std::vector<GenericHistograms> hists;
+  for (const auto* rel : inputs) {
+    hists.push_back(ComputeHistogramsWith(*rel, *partitioner_));
+  }
+  std::vector<Relation> stage(nm, Relation(tuple_bytes));
+  std::vector<std::vector<uint64_t>> stage_offsets(nm);
   std::vector<std::vector<MemoryRegion>> stage_mrs(nm);
   // Every exit path -- including errors below, which used to leak the pinned
   // staging regions into device teardown -- deregisters whatever was
-  // registered. Runs before `net` is destroyed (declaration order).
+  // registered. Runs before `net` is destroyed (it outlives this call).
   ScopeExit deregister_staging([&stage_mrs, &net] {
     for (uint32_t m = 0; m < stage_mrs.size(); ++m) {
       for (const MemoryRegion& mr : stage_mrs[m]) {
@@ -372,9 +459,31 @@ StatusOr<Exchange::Result> Exchange::RunPull(
   for (uint32_t m = 0; m < nm; ++m) {
     MachineTrace& mt = trace->machines[m];
     mt.net_threads.resize(threads);
-    stage[m].assign(static_cast<size_t>(parts) * num_relations,
-                    Relation(tuple_bytes));
-    uint64_t staged_bytes = 0;
+    std::vector<uint64_t>& offsets = stage_offsets[m];
+    offsets.assign(regions + 1, 0);
+    for (uint32_t p = 0; p < parts; ++p) {
+      if (assignment_[p] == m) continue;
+      for (uint32_t rel = 0; rel < num_relations; ++rel) {
+        offsets[p * num_relations + rel + 1] = hists[rel].per_machine[m][p];
+      }
+    }
+    for (size_t idx = 0; idx < regions; ++idx) offsets[idx + 1] += offsets[idx];
+    stage[m].ExtendUninitialized(offsets[regions]);
+
+    // Every window is fixed-size: local ones are store slots, remote ones
+    // staging regions.
+    PartitionStore& store = *result->stores[m];
+    std::vector<std::vector<WriteWindow>> windows(num_relations,
+                                                  std::vector<WriteWindow>(parts));
+    for (uint32_t p = 0; p < parts; ++p) {
+      for (uint32_t rel = 0; rel < num_relations; ++rel) {
+        const size_t idx = static_cast<size_t>(p) * num_relations + rel;
+        windows[rel][p] = assignment_[p] == m
+                              ? store.OpenWindow(p, rel)
+                              : WriteWindow{stage[m].TupleAt(offsets[idx]),
+                                            stage[m].TupleAt(offsets[idx + 1])};
+      }
+    }
     for (uint32_t t = 0; t < threads; ++t) {
       ThreadNetTrace& tt = mt.net_threads[t];
       for (uint32_t rel = 0; rel < num_relations; ++rel) {
@@ -382,32 +491,35 @@ StatusOr<Exchange::Result> Exchange::RunPull(
         const uint64_t n = chunk.num_tuples();
         const uint64_t lo = n * t / threads;
         const uint64_t hi = n * (t + 1) / threads;
-        for (uint64_t i = lo; i < hi; ++i) {
-          const uint32_t p = partitioner_->PartitionOf(chunk.Key(i));
-          tt.compute_bytes += tuple_bytes;
-          if (assignment_[p] == m) {
-            result.stores[m]->Rel(p, rel).AppendRaw(chunk.TupleAt(i), 1);
-          } else {
-            stage[m][static_cast<size_t>(p) * num_relations + rel].AppendRaw(
-                chunk.TupleAt(i), 1);
-            staged_bytes += tuple_bytes;
-          }
-        }
+        auto refill = [&](uint32_t p, uint64_t) -> Status {
+          return HistogramMismatch(p, rel, "more tuples than the histogram count");
+        };
+        auto filled = [](uint32_t, uint64_t) { return Status::OK(); };
+        RDMAJOIN_RETURN_IF_ERROR(
+            Scan(*partitioner_, chunk, lo, hi, windows[rel].data(), refill, filled));
+        tt.compute_bytes += (hi - lo) * tuple_bytes;
       }
     }
-    RDMAJOIN_RETURN_IF_ERROR(reservations[m]->Add(virt(staged_bytes)));
+    for (uint32_t p = 0; p < parts; ++p) {
+      if (assignment_[p] != m) continue;
+      for (uint32_t rel = 0; rel < num_relations; ++rel) {
+        store.CloseWindow(p, rel, windows[rel][p]);
+      }
+    }
+    RDMAJOIN_RETURN_IF_ERROR(reservations[m]->Add(virt(stage[m].size_bytes())));
     // Register every non-empty staging region with the machine's device; the
     // pull design pays its registration cost on the sender side, where the
     // one-sided WRITE design pays it on the receiver.
-    stage_mrs[m].resize(stage[m].size());
-    for (size_t s = 0; s < stage[m].size(); ++s) {
-      Relation& region = stage[m][s];
-      if (region.empty()) continue;
-      auto mr = net.device(m)->RegisterMemory(region.data(), region.size_bytes());
+    stage_mrs[m].resize(regions);
+    for (size_t idx = 0; idx < regions; ++idx) {
+      const uint64_t region_bytes = (offsets[idx + 1] - offsets[idx]) * tuple_bytes;
+      if (region_bytes == 0) continue;
+      auto mr = net.device(m)->RegisterMemory(stage[m].TupleAt(offsets[idx]),
+                                              region_bytes);
       RDMAJOIN_RETURN_IF_ERROR(mr.status());
-      stage_mrs[m][s] = *mr;
+      stage_mrs[m][idx] = *mr;
       mt.setup_registration_seconds +=
-          cluster_.costs.RegistrationSeconds(virt(region.size_bytes()));
+          cluster_.costs.RegistrationSeconds(virt(region_bytes));
     }
   }
 
@@ -431,11 +543,12 @@ StatusOr<Exchange::Result> Exchange::RunPull(
         for (uint32_t s = 0; s < nm; ++s) {
           if (s == d) continue;
           const size_t idx = static_cast<size_t>(p) * num_relations + rel;
-          const Relation& region = stage[s][idx];
-          if (region.empty()) continue;
+          const uint64_t region_bytes =
+              (stage_offsets[s][idx + 1] - stage_offsets[s][idx]) * tuple_bytes;
+          if (region_bytes == 0) continue;
           const MemoryRegion& mr = stage_mrs[s][idx];
-          for (uint64_t off = 0; off < region.size_bytes(); off += chunk_bytes) {
-            const uint64_t len = std::min(chunk_bytes, region.size_bytes() - off);
+          for (uint64_t off = 0; off < region_bytes; off += chunk_bytes) {
+            const uint64_t len = std::min(chunk_bytes, region_bytes - off);
             auto buf = pool.Acquire();
             RDMAJOIN_RETURN_IF_ERROR(buf.status());
             const Status read_posted = net.reader_qp(d, s)->PostRead(
@@ -454,7 +567,13 @@ StatusOr<Exchange::Result> Exchange::RunPull(
               (void)pool.Release(*buf);
               return Status::Internal("missing read completion");
             }
-            result.stores[d]->Deliver(p, rel, (*buf)->bytes(), len);
+            const Status delivered =
+                result->stores[d]->Deliver(p, rel, (*buf)->bytes(), len);
+            if (!delivered.ok()) {
+              // lint: discard-ok(buffer return on abort path; original status propagates)
+              (void)pool.Release(*buf);
+              return delivered;
+            }
             RDMAJOIN_RETURN_IF_ERROR(pool.Release(*buf));
             SendRecord read;
             read.dst_machine = d;
@@ -467,22 +586,10 @@ StatusOr<Exchange::Result> Exchange::RunPull(
         }
       }
     }
-    result.pool_buffers_created += pool.buffers_created();
-    result.pool_acquisitions += pool.acquisitions();
+    result->pool_buffers_created += pool.buffers_created();
+    result->pool_acquisitions += pool.acquisitions();
   }
-
-  for (uint32_t m = 0; m < nm; ++m) {
-    for (const auto& tt : trace->machines[m].net_threads) {
-      for (const auto& send : tt.sends) {
-        result.virtual_wire_bytes += static_cast<double>(send.wire_bytes) * scale;
-      }
-      result.messages_sent += tt.sends.size();
-    }
-    result.max_setup_registration_seconds =
-        std::max(result.max_setup_registration_seconds,
-                 trace->machines[m].setup_registration_seconds);
-  }
-  return result;
+  return Status::OK();
 }
 
 }  // namespace rdmajoin

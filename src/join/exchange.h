@@ -16,9 +16,19 @@
 
 namespace rdmajoin {
 
-/// Per-machine storage for the partitions a machine is assigned. Local
-/// tuples are appended directly by the partitioning threads; remote tuples
-/// arrive through the transport (PartitionSink::Deliver).
+/// A raw write window [next, end) over tuple storage. The exchange's
+/// per-tuple loops copy each tuple to `next` of its partition's window; an
+/// exhausted window (next == end) is the slow path.
+struct WriteWindow {
+  uint8_t* next = nullptr;
+  uint8_t* end = nullptr;
+};
+
+/// Per-machine storage for the partitions a machine is assigned. Every
+/// (partition, relation) slot is sized from the global histogram (Section
+/// 4.1) before the pass, so local tuples and remote deliveries are written
+/// at known offsets. A slot's num_tuples() is its write cursor, and after a
+/// correct pass every slot holds exactly its histogram count.
 class PartitionStore : public PartitionSink {
  public:
   /// Storage for `num_partitions` partitions of `num_relations` relations of
@@ -27,11 +37,24 @@ class PartitionStore : public PartitionSink {
                  uint32_t num_relations);
 
   /// Allocates the (partition, relation) slots for a partition this machine
-  /// owns, reserving capacity from the global histogram.
+  /// owns, each sized to its exact global-histogram count.
   void Prepare(uint32_t partition, const std::vector<uint64_t>& tuples_per_relation);
 
-  void Deliver(uint32_t partition, uint32_t relation, const uint8_t* tuples,
-               uint64_t bytes) override;
+  /// Appends delivered tuples at the slot's cursor. The (partition,
+  /// relation) pair comes off the wire: an unprepared or out-of-range slot,
+  /// a ragged byte count or more tuples than the slot's histogram count is
+  /// a Status::Internal histogram mismatch, never a write.
+  Status Deliver(uint32_t partition, uint32_t relation, const uint8_t* tuples,
+                 uint64_t bytes) override;
+
+  /// Hands out the unwritten rest of a prepared slot as a raw window, for a
+  /// writer that fills it tuple by tuple; CloseWindow records how far it
+  /// got. No Deliver may target the slot while its window is open.
+  WriteWindow OpenWindow(uint32_t partition, uint32_t relation);
+  void CloseWindow(uint32_t partition, uint32_t relation, const WriteWindow& window);
+
+  /// OK iff every prepared slot holds exactly its histogram count.
+  Status CheckFilled() const;
 
   /// The (partition, relation) slot; the partition must be prepared.
   Relation& Rel(uint32_t partition, uint32_t relation);
@@ -39,9 +62,16 @@ class PartitionStore : public PartitionSink {
   uint32_t num_relations() const { return num_relations_; }
 
  private:
+  struct Slot {
+    Relation rel;
+    /// The global-histogram count this slot must end up holding.
+    uint64_t expected = 0;
+  };
+
   uint32_t tuple_bytes_;
   uint32_t num_relations_;
-  std::vector<std::unique_ptr<std::vector<Relation>>> slots_;
+  /// slots_[partition][relation]; null for partitions owned elsewhere.
+  std::vector<std::unique_ptr<Slot[]>> slots_;
 };
 
 /// Tracks memory reservations against a MemorySpace, releasing on scope exit.
@@ -81,7 +111,8 @@ class Exchange {
 
   /// `assignment[p]` is the machine that processes partition p;
   /// `global_counts[rel][p]` the exact global tuple count (from the
-  /// histogram exchange) used to size destination buffers.
+  /// histogram exchange) that sizes each partition store slot. A count that
+  /// disagrees with the inputs fails the pass with a histogram mismatch.
   Exchange(const ClusterConfig& cluster, const JoinConfig& config,
            const Partitioner* partitioner, std::vector<uint32_t> assignment,
            std::vector<std::vector<uint64_t>> global_counts);
@@ -97,16 +128,21 @@ class Exchange {
                        RunTrace* trace);
 
  private:
+  /// Sender-driven pass (two-sided, one-sided WRITE and TCP transports):
+  /// remote tuples fill pooled RDMA buffers that ship when full.
+  Status RunPush(const std::vector<const DistributedRelation*>& inputs,
+                 std::vector<ScopedReservation*> reservations, TransportNetwork& net,
+                 RunTrace* trace, Result* result);
+
   /// Receiver-driven variant for TransportKind::kRdmaRead (Section 3.2.2's
   /// other one-sided primitive): every machine first partitions its input
   /// into registered local staging regions (local tuples go straight to the
   /// store), then each destination machine pulls its partitions from every
   /// peer's staging with chunked RDMA READs. The registration cost of the
   /// staged data is charged to the source machines; no receiver copies.
-  StatusOr<Result> RunPull(const std::vector<const DistributedRelation*>& inputs,
-                           std::vector<MemorySpace*> memories,
-                           std::vector<ScopedReservation*> reservations,
-                           RunTrace* trace);
+  Status RunPull(const std::vector<const DistributedRelation*>& inputs,
+                 std::vector<ScopedReservation*> reservations, TransportNetwork& net,
+                 RunTrace* trace, Result* result);
 
   const ClusterConfig& cluster_;
   const JoinConfig& config_;

@@ -8,6 +8,10 @@ HashTable::HashTable(const Relation& build_side)
     : HashTable(build_side, 0, build_side.num_tuples()) {}
 
 HashTable::HashTable(const Relation& build_side, uint64_t begin, uint64_t end) {
+  Build(build_side, begin, end);
+}
+
+void HashTable::Build(const Relation& build_side, uint64_t begin, uint64_t end) {
   assert(begin <= end && end <= build_side.num_tuples());
   num_entries_ = end - begin;
   assert(num_entries_ < kEmpty);

@@ -15,10 +15,16 @@ namespace rdmajoin {
 /// scans with one indirection per collision.
 class HashTable {
  public:
+  /// An empty table; Build fills it.
+  HashTable() = default;
   /// Builds the table over all tuples of `build_side`.
   explicit HashTable(const Relation& build_side);
   /// Builds over the tuple index range [begin, end) of `build_side`.
   HashTable(const Relation& build_side, uint64_t begin, uint64_t end);
+  /// Rebuilds the table over the tuple index range [begin, end) of
+  /// `build_side`, reusing this table's storage: one table serves every
+  /// cache-sized partition a machine joins.
+  void Build(const Relation& build_side, uint64_t begin, uint64_t end);
 
   HashTable(const HashTable&) = delete;
   HashTable& operator=(const HashTable&) = delete;

@@ -25,20 +25,22 @@ RelationHistograms ComputeHistograms(const DistributedRelation& rel,
 
 GenericHistograms ComputeHistogramsWith(const DistributedRelation& rel,
                                         const Partitioner& partitioner) {
-  GenericHistograms h;
-  const uint32_t parts = partitioner.num_partitions();
-  h.per_machine.resize(rel.chunks.size());
-  h.global.assign(parts, 0);
-  for (size_t m = 0; m < rel.chunks.size(); ++m) {
-    const Relation& chunk = rel.chunks[m];
-    auto& counts = h.per_machine[m];
-    counts.assign(parts, 0);
-    for (uint64_t i = 0; i < chunk.num_tuples(); ++i) {
-      ++counts[partitioner.PartitionOf(chunk.Key(i))];
+  return VisitPartitioner(partitioner, [&rel](const auto& part) {
+    GenericHistograms h;
+    const uint32_t parts = part.num_partitions();
+    h.per_machine.resize(rel.chunks.size());
+    h.global.assign(parts, 0);
+    for (size_t m = 0; m < rel.chunks.size(); ++m) {
+      const Relation& chunk = rel.chunks[m];
+      auto& counts = h.per_machine[m];
+      counts.assign(parts, 0);
+      for (uint64_t i = 0; i < chunk.num_tuples(); ++i) {
+        ++counts[part.PartitionOf(chunk.Key(i))];
+      }
+      for (uint32_t p = 0; p < parts; ++p) h.global[p] += counts[p];
     }
-    for (uint32_t p = 0; p < parts; ++p) h.global[p] += counts[p];
-  }
-  return h;
+    return h;
+  });
 }
 
 }  // namespace rdmajoin

@@ -13,16 +13,26 @@ namespace rdmajoin {
 /// range boundaries so each partition is a contiguous key range.
 class Partitioner {
  public:
+  /// The two partition functions; VisitPartitioner dispatches on it.
+  enum class Kind { kRadix, kRange };
+
   virtual ~Partitioner() = default;
   virtual uint32_t PartitionOf(uint64_t key) const = 0;
   virtual uint32_t num_partitions() const = 0;
+  Kind kind() const { return kind_; }
+
+ protected:
+  explicit Partitioner(Kind kind) : kind_(kind) {}
+
+ private:
+  Kind kind_;
 };
 
 /// Radix partitioning: partition = key & (2^bits - 1).
-class RadixPartitioner : public Partitioner {
+class RadixPartitioner final : public Partitioner {
  public:
   explicit RadixPartitioner(uint32_t bits)
-      : bits_(bits), mask_((uint64_t{1} << bits) - 1) {
+      : Partitioner(Kind::kRadix), bits_(bits), mask_((uint64_t{1} << bits) - 1) {
     assert(bits >= 1 && bits <= 20);
   }
   uint32_t PartitionOf(uint64_t key) const override {
@@ -38,10 +48,10 @@ class RadixPartitioner : public Partitioner {
 /// Range partitioning: partition p covers keys in
 /// [splitters[p-1], splitters[p]), with open ends. `splitters` must be
 /// strictly increasing; there are splitters.size() + 1 partitions.
-class RangePartitioner : public Partitioner {
+class RangePartitioner final : public Partitioner {
  public:
   explicit RangePartitioner(std::vector<uint64_t> splitters)
-      : splitters_(std::move(splitters)) {
+      : Partitioner(Kind::kRange), splitters_(std::move(splitters)) {
     assert(std::is_sorted(splitters_.begin(), splitters_.end()));
   }
   uint32_t PartitionOf(uint64_t key) const override {
@@ -57,6 +67,17 @@ class RangePartitioner : public Partitioner {
  private:
   std::vector<uint64_t> splitters_;
 };
+
+/// Calls `fn` with `partitioner` as its concrete (final) type, so the
+/// per-tuple loops `fn` runs inline PartitionOf instead of paying a virtual
+/// call per tuple.
+template <typename Fn>
+decltype(auto) VisitPartitioner(const Partitioner& partitioner, Fn&& fn) {
+  if (partitioner.kind() == Partitioner::Kind::kRadix) {
+    return fn(static_cast<const RadixPartitioner&>(partitioner));
+  }
+  return fn(static_cast<const RangePartitioner&>(partitioner));
+}
 
 }  // namespace rdmajoin
 

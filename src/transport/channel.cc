@@ -197,8 +197,8 @@ StatusOr<uint64_t> RdmaChannelImpl::Ship(uint32_t dst, uint32_t partition,
   if (rx.payload_bytes != buf->used) {
     return Status::Internal("wire header payload size mismatch");
   }
-  net_->sinks_[dst]->Deliver(rx.partition, rx.relation, msg + kWireHeaderBytes,
-                             rx.payload_bytes);
+  RDMAJOIN_RETURN_IF_ERROR(net_->sinks_[dst]->Deliver(
+      rx.partition, rx.relation, msg + kWireHeaderBytes, rx.payload_bytes));
   net_->stats_.recv_bytes[dst] += rx.payload_bytes;
   ++net_->stats_.recv_messages[dst];
   RDMAJOIN_RETURN_IF_ERROR(link.dst_qp->PostRecv(ring_slot, link.recv_mr.lkey,
@@ -231,8 +231,8 @@ StatusOr<uint64_t> RdmaMemoryImpl::Ship(uint32_t dst, uint32_t partition,
   // store. (The real system would leave it in place; the copy here is a
   // data-path convenience with no virtual-time cost, since memory semantics
   // involve no receiver work.)
-  net_->sinks_[dst]->Deliver(partition, relation, staging.data.get() + cursor,
-                             buf->used);
+  RDMAJOIN_RETURN_IF_ERROR(net_->sinks_[dst]->Deliver(
+      partition, relation, staging.data.get() + cursor, buf->used));
   cursor += buf->used;
   return buf->used;
 }
@@ -251,9 +251,9 @@ StatusOr<uint64_t> TcpChannelImpl::Ship(uint32_t dst, uint32_t partition,
   WriteWireHeader(buf->bytes(), header);
   std::memcpy(socket_buffer_.get(), buf->bytes(), wire_bytes);
   const WireHeader rx = ReadWireHeader(socket_buffer_.get());
-  net_->sinks_[dst]->Deliver(rx.partition, rx.relation,
-                             socket_buffer_.get() + kWireHeaderBytes,
-                             rx.payload_bytes);
+  RDMAJOIN_RETURN_IF_ERROR(net_->sinks_[dst]->Deliver(
+      rx.partition, rx.relation, socket_buffer_.get() + kWireHeaderBytes,
+      rx.payload_bytes));
   net_->stats_.recv_bytes[dst] += rx.payload_bytes;
   ++net_->stats_.recv_messages[dst];
   return buf->used;

@@ -21,9 +21,11 @@ class PartitionSink {
  public:
   virtual ~PartitionSink() = default;
   /// Appends `bytes` of tuples to (partition, relation) storage.
-  /// relation: 0 = inner (R), 1 = outer (S).
-  virtual void Deliver(uint32_t partition, uint32_t relation, const uint8_t* tuples,
-                       uint64_t bytes) = 0;
+  /// relation: 0 = inner (R), 1 = outer (S). The pair comes from a wire
+  /// header, so a sink rejects one it has no storage for with an error
+  /// status, which aborts the Ship that delivered it.
+  virtual Status Deliver(uint32_t partition, uint32_t relation,
+                         const uint8_t* tuples, uint64_t bytes) = 0;
 };
 
 /// Per-Ship recovery record: how many times the transport had to re-post the

@@ -46,36 +46,41 @@ StatusOr<Workload> GenerateWorkload(const WorkloadSpec& spec, uint32_t num_machi
   Random rng(spec.seed);
 
   // --- Inner relation: a shuffled permutation of [0, |R|). ---
-  std::vector<uint64_t> inner_keys(spec.inner_tuples);
-  std::iota(inner_keys.begin(), inner_keys.end(), 0);
+  // One key buffer serves both relations: first the inner permutation, then
+  // the outer foreign keys.
+  std::vector<uint64_t> keys(spec.inner_tuples);
+  std::iota(keys.begin(), keys.end(), 0);
   for (uint64_t i = spec.inner_tuples - 1; i > 0; --i) {
-    std::swap(inner_keys[i], inner_keys[rng.Uniform(i + 1)]);
+    std::swap(keys[i], keys[rng.Uniform(i + 1)]);
   }
   const auto inner_sizes = EvenSplit(spec.inner_tuples, num_machines);
   w.inner.chunks.reserve(num_machines);
   uint64_t pos = 0;
   for (uint32_t m = 0; m < num_machines; ++m) {
     Relation chunk(spec.tuple_bytes);
-    chunk.Resize(inner_sizes[m]);
+    chunk.ExtendUninitialized(inner_sizes[m]);  // SetTuple writes every byte.
     for (uint64_t i = 0; i < inner_sizes[m]; ++i) {
-      const uint64_t key = inner_keys[pos++];
+      const uint64_t key = keys[pos++];
       chunk.SetTuple(i, key, InnerRidForKey(key));
     }
     w.inner.chunks.push_back(std::move(chunk));
   }
 
   // --- Outer relation: every key in [0, |R|), uniform or Zipf. ---
-  std::vector<uint64_t> outer_keys(spec.outer_tuples);
+  keys.resize(spec.outer_tuples);  // Every entry is overwritten below.
   if (spec.zipf_theta == 0.0) {
+    // keys[i] = i % |R|, without a division per tuple.
+    uint64_t key = 0;
     for (uint64_t i = 0; i < spec.outer_tuples; ++i) {
-      outer_keys[i] = i % spec.inner_tuples;
+      keys[i] = key;
+      if (++key == spec.inner_tuples) key = 0;
     }
     for (uint64_t i = spec.outer_tuples - 1; i > 0; --i) {
-      std::swap(outer_keys[i], outer_keys[rng.Uniform(i + 1)]);
+      std::swap(keys[i], keys[rng.Uniform(i + 1)]);
     }
   } else {
     ZipfGenerator zipf(spec.inner_tuples, spec.zipf_theta, rng.Next());
-    for (uint64_t i = 0; i < spec.outer_tuples; ++i) outer_keys[i] = zipf.Next();
+    for (uint64_t i = 0; i < spec.outer_tuples; ++i) keys[i] = zipf.Next();
   }
 
   uint64_t key_sum = 0;
@@ -85,9 +90,9 @@ StatusOr<Workload> GenerateWorkload(const WorkloadSpec& spec, uint32_t num_machi
   pos = 0;
   for (uint32_t m = 0; m < num_machines; ++m) {
     Relation chunk(spec.tuple_bytes);
-    chunk.Resize(outer_sizes[m]);
+    chunk.ExtendUninitialized(outer_sizes[m]);
     for (uint64_t i = 0; i < outer_sizes[m]; ++i) {
-      const uint64_t key = outer_keys[pos];
+      const uint64_t key = keys[pos];
       chunk.SetTuple(i, key, pos);
       key_sum += key;
       rid_sum += InnerRidForKey(key);

@@ -1,6 +1,8 @@
 #include "workload/relation.h"
 
+#include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace rdmajoin {
 
@@ -8,40 +10,73 @@ Relation::Relation(uint32_t tuple_bytes) : tuple_bytes_(tuple_bytes) {
   assert(tuple_bytes >= kNarrowTupleBytes && tuple_bytes % 8 == 0);
 }
 
-void Relation::Reserve(uint64_t n) { data_.reserve(n * tuple_bytes_); }
+Relation::Relation(const Relation& other) : tuple_bytes_(other.tuple_bytes_) {
+  AppendRaw(other.data(), other.num_tuples_);
+}
+
+Relation& Relation::operator=(const Relation& other) {
+  if (this != &other) *this = Relation(other);
+  return *this;
+}
+
+Relation::Relation(Relation&& other) noexcept
+    : tuple_bytes_(other.tuple_bytes_),
+      num_tuples_(std::exchange(other.num_tuples_, 0)),
+      capacity_(std::exchange(other.capacity_, 0)),
+      data_(std::move(other.data_)) {}
+
+Relation& Relation::operator=(Relation&& other) noexcept {
+  tuple_bytes_ = other.tuple_bytes_;
+  num_tuples_ = std::exchange(other.num_tuples_, 0);
+  capacity_ = std::exchange(other.capacity_, 0);
+  data_ = std::move(other.data_);
+  return *this;
+}
+
+void Relation::Reallocate(uint64_t tuples) {
+  // Default-initialized: new bytes stay unwritten (and, for large
+  // allocations, untouched pages) until a writer fills them.
+  std::unique_ptr<uint8_t[]> fresh(new uint8_t[tuples * tuple_bytes_]);
+  if (num_tuples_ > 0) std::memcpy(fresh.get(), data_.get(), size_bytes());
+  data_ = std::move(fresh);
+  capacity_ = tuples;
+}
+
+void Relation::Grow(uint64_t min_tuples) {
+  Reallocate(std::max(min_tuples, 2 * capacity_));
+}
+
+void Relation::Reserve(uint64_t n) {
+  if (n > capacity_) Reallocate(n);
+}
 
 void Relation::Resize(uint64_t n) {
-  data_.resize(n * tuple_bytes_, 0);
+  if (n > num_tuples_) {
+    if (n > capacity_) Grow(n);
+    std::memset(TupleAt(num_tuples_), 0, (n - num_tuples_) * tuple_bytes_);
+  }
   num_tuples_ = n;
 }
 
-void Relation::Clear() {
-  data_.clear();
-  num_tuples_ = 0;
+void Relation::Truncate(uint64_t n) {
+  assert(n <= num_tuples_);
+  num_tuples_ = n;
 }
 
 void Relation::Deallocate() {
-  std::vector<uint8_t>().swap(data_);
+  data_.reset();
   num_tuples_ = 0;
-}
-
-void Relation::SetTuple(uint64_t i, uint64_t key, uint64_t rid) {
-  uint8_t* t = TupleAt(i);
-  std::memcpy(t + kKeyOffset, &key, sizeof(key));
-  std::memcpy(t + kRidOffset, &rid, sizeof(rid));
-  for (uint32_t j = kNarrowTupleBytes; j < tuple_bytes_; ++j) {
-    t[j] = PayloadByte(key, j);
-  }
+  capacity_ = 0;
 }
 
 void Relation::AppendRaw(const uint8_t* tuples, uint64_t count) {
-  data_.insert(data_.end(), tuples, tuples + count * tuple_bytes_);
-  num_tuples_ += count;
+  if (count == 0) return;
+  std::memcpy(ExtendUninitialized(count), tuples, count * tuple_bytes_);
 }
 
 void Relation::Append(uint64_t key, uint64_t rid) {
   const uint64_t i = num_tuples_;
-  Resize(i + 1);
+  ExtendUninitialized(1);
   SetTuple(i, key, rid);
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "util/status.h"
@@ -25,23 +26,44 @@ class Relation {
   /// multiple of 8 and at least 16.
   explicit Relation(uint32_t tuple_bytes = kNarrowTupleBytes);
 
+  Relation(const Relation& other);
+  Relation& operator=(const Relation& other);
+  Relation(Relation&& other) noexcept;
+  Relation& operator=(Relation&& other) noexcept;
+
   uint32_t tuple_bytes() const { return tuple_bytes_; }
   uint64_t num_tuples() const { return num_tuples_; }
   uint64_t size_bytes() const { return num_tuples_ * tuple_bytes_; }
   bool empty() const { return num_tuples_ == 0; }
+  /// Tuples the storage holds before the next reallocation.
+  uint64_t capacity() const { return capacity_; }
 
-  /// Preallocates storage for `n` tuples without changing num_tuples().
+  /// Grows the storage to exactly `n` tuples if it holds fewer, without
+  /// changing num_tuples().
   void Reserve(uint64_t n);
   /// Sets the tuple count; newly exposed tuples are zero-initialized.
   void Resize(uint64_t n);
-  void Clear();
+  /// Appends `n` tuples whose bytes are left uninitialized and returns the
+  /// first of them; the caller writes all n * tuple_bytes() bytes. Within
+  /// capacity() this is a pointer bump, so histogram-sized storage
+  /// (Reserve'd to its exact count) is filled at known offsets.
+  uint8_t* ExtendUninitialized(uint64_t n) {
+    if (num_tuples_ + n > capacity_) Grow(num_tuples_ + n);
+    uint8_t* first = data_.get() + num_tuples_ * tuple_bytes_;
+    num_tuples_ += n;
+    return first;
+  }
+  /// Drops the tuples past the first `n` (n <= num_tuples()); keeps storage.
+  void Truncate(uint64_t n);
+  /// Drops every tuple; keeps storage.
+  void Clear() { num_tuples_ = 0; }
   /// Releases all storage.
   void Deallocate();
 
-  const uint8_t* data() const { return data_.data(); }
-  uint8_t* data() { return data_.data(); }
-  const uint8_t* TupleAt(uint64_t i) const { return data_.data() + i * tuple_bytes_; }
-  uint8_t* TupleAt(uint64_t i) { return data_.data() + i * tuple_bytes_; }
+  const uint8_t* data() const { return data_.get(); }
+  uint8_t* data() { return data_.get(); }
+  const uint8_t* TupleAt(uint64_t i) const { return data_.get() + i * tuple_bytes_; }
+  uint8_t* TupleAt(uint64_t i) { return data_.get() + i * tuple_bytes_; }
 
   uint64_t Key(uint64_t i) const {
     uint64_t k;
@@ -56,7 +78,15 @@ class Relation {
 
   /// Writes key and rid of tuple `i`; the payload (if any) is filled with the
   /// deterministic pattern PayloadByte(key, j) so transfers can be verified.
-  void SetTuple(uint64_t i, uint64_t key, uint64_t rid);
+  /// Every byte of the tuple is written.
+  void SetTuple(uint64_t i, uint64_t key, uint64_t rid) {
+    uint8_t* t = TupleAt(i);
+    std::memcpy(t + kKeyOffset, &key, sizeof(key));
+    std::memcpy(t + kRidOffset, &rid, sizeof(rid));
+    for (uint32_t j = kNarrowTupleBytes; j < tuple_bytes_; ++j) {
+      t[j] = PayloadByte(key, j);
+    }
+  }
 
   /// Appends `count` raw tuples (must match this relation's width).
   void AppendRaw(const uint8_t* tuples, uint64_t count);
@@ -72,9 +102,15 @@ class Relation {
   Status VerifyPayloads() const;
 
  private:
+  /// Reallocates to hold at least `min_tuples`, at least doubling capacity.
+  void Grow(uint64_t min_tuples);
+  /// Reallocates to exactly `tuples`, keeping the current tuples.
+  void Reallocate(uint64_t tuples);
+
   uint32_t tuple_bytes_;
   uint64_t num_tuples_ = 0;
-  std::vector<uint8_t> data_;
+  uint64_t capacity_ = 0;
+  std::unique_ptr<uint8_t[]> data_;
 };
 
 /// A relation horizontally fragmented across the machines of a cluster

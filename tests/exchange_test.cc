@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "cluster/presets.h"
 #include "join/assignment.h"
 #include "join/histogram.h"
 #include "join/local_partition.h"
 #include "join/partitioner.h"
+#include "util/bit_ops.h"
 #include "util/random.h"
 #include "workload/generator.h"
 
@@ -74,6 +78,35 @@ TEST(MultiPassScatter, UnevenPassWidths) {
   }
 }
 
+TEST(MultiPassScatter, SlicesAreByteIdenticalToStableReference) {
+  for (uint32_t width : {16u, 32u, 64u}) {
+    Relation in(width);
+    Random rng(29);
+    for (int i = 0; i < 5000; ++i) in.Append(rng.Next(), i);
+    // Reference: each partition's tuples in input order.
+    std::vector<Relation> want(128, Relation(width));
+    for (uint64_t i = 0; i < in.num_tuples(); ++i) {
+      want[RadixBits(in.Key(i), 2, 7)].AppendRaw(in.TupleAt(i), 1);
+    }
+    std::vector<std::vector<Relation>> candidates;
+    candidates.push_back(RadixScatter(in, 2, 7));
+    for (uint32_t bits_per_pass : {1u, 3u, 10u}) {
+      candidates.push_back(RadixScatterMultiPass(in, 2, 7, bits_per_pass));
+    }
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      ASSERT_EQ(candidates[c].size(), want.size());
+      for (size_t p = 0; p < want.size(); ++p) {
+        const Relation& got = candidates[c][p];
+        ASSERT_EQ(got.num_tuples(), want[p].num_tuples())
+            << width << " B, candidate " << c << ", partition " << p;
+        if (got.empty()) continue;
+        EXPECT_EQ(std::memcmp(got.data(), want[p].data(), got.size_bytes()), 0)
+            << width << " B, candidate " << c << ", partition " << p;
+      }
+    }
+  }
+}
+
 // ---------- PartitionStore ----------
 
 TEST(PartitionStore, PreparesAndRoutesRelations) {
@@ -83,12 +116,39 @@ TEST(PartitionStore, PreparesAndRoutesRelations) {
   EXPECT_FALSE(store.IsPrepared(2));
   Relation tuples(16);
   tuples.Append(3, 99);
-  store.Deliver(3, 0, tuples.data(), 16);
-  store.Deliver(3, 1, tuples.data(), 16);
-  store.Deliver(3, 1, tuples.data(), 16);
+  ASSERT_TRUE(store.Deliver(3, 0, tuples.data(), 16).ok());
+  ASSERT_TRUE(store.Deliver(3, 1, tuples.data(), 16).ok());
+  ASSERT_TRUE(store.Deliver(3, 1, tuples.data(), 16).ok());
   EXPECT_EQ(store.Rel(3, 0).num_tuples(), 1u);
   EXPECT_EQ(store.Rel(3, 1).num_tuples(), 2u);
   EXPECT_EQ(store.Rel(3, 1).Rid(0), 99u);
+}
+
+bool IsHistogramMismatch(const Status& status) {
+  return status.code() == StatusCode::kInternal &&
+         status.message().find("histogram mismatch") != std::string::npos;
+}
+
+TEST(PartitionStore, RejectsDeliveriesWithoutRoom) {
+  PartitionStore store(16, 8, 2);
+  store.Prepare(3, {2, 1});
+  Relation tuples(16);
+  tuples.Append(3, 1);
+  tuples.Append(3, 2);
+  // The (partition, relation) pair and the size come off the wire.
+  EXPECT_TRUE(IsHistogramMismatch(store.Deliver(9, 0, tuples.data(), 16)));
+  EXPECT_TRUE(IsHistogramMismatch(store.Deliver(2, 0, tuples.data(), 16)));
+  EXPECT_TRUE(IsHistogramMismatch(store.Deliver(3, 2, tuples.data(), 16)));
+  EXPECT_TRUE(IsHistogramMismatch(store.Deliver(3, 0, tuples.data(), 8)));
+  EXPECT_TRUE(IsHistogramMismatch(store.Deliver(3, 1, tuples.data(), 32)));
+  EXPECT_EQ(store.Rel(3, 1).num_tuples(), 0u);
+  // Under-filled slots are a mismatch too, until they hold their count.
+  ASSERT_TRUE(store.Deliver(3, 0, tuples.data(), 32).ok());
+  EXPECT_TRUE(IsHistogramMismatch(store.CheckFilled()));
+  ASSERT_TRUE(store.Deliver(3, 1, tuples.data(), 16).ok());
+  EXPECT_TRUE(store.CheckFilled().ok());
+  EXPECT_TRUE(IsHistogramMismatch(store.Deliver(3, 0, tuples.data(), 16)));
+  EXPECT_EQ(store.Rel(3, 0).Rid(1), 2u);
 }
 
 // ---------- Exchange ----------
@@ -159,6 +219,76 @@ INSTANTIATE_TEST_SUITE_P(Transports, ExchangeTest,
                          ::testing::Values(TransportKind::kRdmaChannel,
                                            TransportKind::kRdmaMemory,
                                            TransportKind::kTcp),
+                         [](const auto& info) {
+                           switch (info.param) {
+                             case TransportKind::kRdmaChannel:
+                               return "Channel";
+                             case TransportKind::kRdmaMemory:
+                               return "Memory";
+                             case TransportKind::kTcp:
+                               return "Tcp";
+                             case TransportKind::kRdmaRead:
+                               return "Read";
+                           }
+                           return "Unknown";
+                         });
+
+// A global count that disagrees with the inputs -- one tuple too many or
+// too few for one partition -- must fail the pass cleanly on every
+// transport, whether the surplus tuple is a local write or a delivery.
+class HistogramMismatchTest : public ::testing::TestWithParam<TransportKind> {};
+
+TEST_P(HistogramMismatchTest, GlobalCountOffByOneIsAnError) {
+  const uint32_t nm = 3;
+  WorkloadSpec spec;
+  spec.inner_tuples = 3000;
+  spec.outer_tuples = 6000;
+  auto w = GenerateWorkload(spec, nm);
+  ASSERT_TRUE(w.ok());
+  ClusterConfig cluster = FdrCluster(nm);
+  cluster.transport = GetParam();
+  JoinConfig config;
+  config.network_radix_bits = 4;
+  config.scale_up = 64.0;
+  RadixPartitioner partitioner(4);
+  const RelationHistograms hist_r = ComputeHistograms(w->inner, 4);
+  const RelationHistograms hist_s = ComputeHistograms(w->outer, 4);
+  const auto assignment = RoundRobinAssignment(16, nm);
+  // Partition 3 lives on machine 0, which scans first (the surplus arrives
+  // as a delivery); partition 5 on machine 2, which scans last (the surplus
+  // is a local write).
+  for (uint32_t partition : {3u, 5u}) {
+    for (int delta : {+1, -1}) {
+      SCOPED_TRACE(::testing::Message() << "partition " << partition << ", delta "
+                                        << delta);
+      std::vector<uint64_t> counts_s = hist_s.global;
+      counts_s[partition] += delta;
+      Exchange exchange(cluster, config, &partitioner, assignment,
+                        {hist_r.global, counts_s});
+      RunTrace trace;
+      trace.scale_up = config.scale_up;
+      trace.machines.resize(nm);
+      std::vector<MemorySpace> memories(nm, MemorySpace(1ull << 40));
+      std::vector<std::unique_ptr<ScopedReservation>> reservations;
+      std::vector<MemorySpace*> mptrs;
+      std::vector<ScopedReservation*> rptrs;
+      for (uint32_t m = 0; m < nm; ++m) {
+        reservations.push_back(std::make_unique<ScopedReservation>(&memories[m]));
+        mptrs.push_back(&memories[m]);
+        rptrs.push_back(reservations[m].get());
+      }
+      auto result = exchange.Run({&w->inner, &w->outer}, mptrs, rptrs, &trace);
+      ASSERT_FALSE(result.ok());
+      EXPECT_TRUE(IsHistogramMismatch(result.status())) << result.status().ToString();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, HistogramMismatchTest,
+                         ::testing::Values(TransportKind::kRdmaChannel,
+                                           TransportKind::kRdmaMemory,
+                                           TransportKind::kTcp,
+                                           TransportKind::kRdmaRead),
                          [](const auto& info) {
                            switch (info.param) {
                              case TransportKind::kRdmaChannel:

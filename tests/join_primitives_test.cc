@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "join/assignment.h"
 #include "join/hash_table.h"
@@ -200,6 +203,105 @@ TEST(RadixScatter, WideTuplesKeepPayloadIntact) {
   for (int i = 0; i < 500; ++i) r.Append(rng.Next() & 0xFF, i);
   auto parts = RadixScatter(r, 0, 3);
   for (const auto& p : parts) EXPECT_TRUE(p.VerifyPayloads().ok());
+}
+
+// ---------- Contiguous radix partition kernel ----------
+
+/// The plain reference: per-partition index lists in input order, copied
+/// out back to back in radix order.
+RadixPartitions ReferencePartition(const Relation& in, uint32_t shift, uint32_t bits) {
+  std::vector<std::vector<uint64_t>> members(size_t{1} << bits);
+  for (uint64_t i = 0; i < in.num_tuples(); ++i) {
+    members[RadixBits(in.Key(i), shift, bits)].push_back(i);
+  }
+  RadixPartitions ref{Relation(in.tuple_bytes()), {0}};
+  for (const auto& list : members) {
+    for (uint64_t i : list) ref.tuples.AppendRaw(in.TupleAt(i), 1);
+    ref.offsets.push_back(ref.tuples.num_tuples());
+  }
+  return ref;
+}
+
+void ExpectSameLayout(const RadixPartitions& got, const RadixPartitions& want) {
+  ASSERT_EQ(got.offsets, want.offsets);
+  ASSERT_EQ(got.tuples.tuple_bytes(), want.tuples.tuple_bytes());
+  ASSERT_EQ(got.tuples.num_tuples(), want.tuples.num_tuples());
+  if (want.tuples.empty()) return;
+  EXPECT_EQ(std::memcmp(got.tuples.data(), want.tuples.data(), want.tuples.size_bytes()),
+            0);
+}
+
+TEST(RadixPartition, ByteIdenticalToStableReference) {
+  // One output and one scratch buffer across every case: the kernel must
+  // not depend on what they held before (or on their width).
+  RadixPartitions out;
+  Relation scratch;
+  for (uint32_t width : {16u, 32u, 64u}) {
+    Relation in(width);
+    Random rng(width);
+    for (uint64_t i = 0; i < 3000; ++i) in.Append(rng.Next(), i);
+    for (uint32_t bits : {0u, 1u, 7u, 10u, 11u}) {
+      for (uint32_t bits_per_pass : {1u, 3u, 10u}) {
+        SCOPED_TRACE(::testing::Message() << width << " B, bits " << bits
+                                          << ", bits_per_pass " << bits_per_pass);
+        const uint32_t passes =
+            RadixPartition(in, /*shift=*/3, bits, bits_per_pass, &out, &scratch);
+        EXPECT_EQ(passes, bits == 0 ? 0u : CeilDiv(bits, bits_per_pass));
+        ExpectSameLayout(out, ReferencePartition(in, 3, bits));
+      }
+    }
+  }
+}
+
+TEST(RadixPartition, EmptyInputYieldsEmptyPartitions) {
+  Relation in(32);
+  RadixPartitions out;
+  EXPECT_EQ(RadixPartition(in, 0, 7, 3, &out), 3u);
+  EXPECT_EQ(out.num_partitions(), 128u);
+  ExpectSameLayout(out, ReferencePartition(in, 0, 7));
+}
+
+TEST(RadixPartition, AllTuplesInOnePartition) {
+  for (uint32_t width : {16u, 64u}) {
+    Relation in(width);
+    Random rng(17);
+    // Key bits [3, 10) are 5 for every tuple.
+    for (uint64_t i = 0; i < 2000; ++i) in.Append((rng.Next() << 10) | (5 << 3), i);
+    RadixPartitions out;
+    RadixPartition(in, 3, 7, 3, &out);
+    EXPECT_EQ(out.begin(5), 0u);
+    EXPECT_EQ(out.end(5), in.num_tuples());
+    ExpectSameLayout(out, ReferencePartition(in, 3, 7));
+  }
+}
+
+TEST(HashTable, BuildReusedAcrossPartitionSizesProbesLikeAFreshTable) {
+  Relation r(16);
+  // Tuples [0, 1000) share one key, so their table is a single long chain
+  // whose links would survive as bucket heads of a smaller table built
+  // without resetting them.
+  for (uint64_t i = 0; i < 1000; ++i) r.Append(5, i);
+  Random rng(9);
+  for (uint64_t i = 1000; i < 6000; ++i) r.Append(rng.Uniform(700), i);
+  // Growing, then shrinking, then empty and growing again.
+  const std::pair<uint64_t, uint64_t> ranges[] = {
+      {1000, 1010}, {1010, 1300}, {0, 1000}, {1000, 1003}, {1300, 5300},
+      {5300, 5303}, {100, 100},   {3000, 6000}, {5, 6}};
+  HashTable reused;
+  for (const auto& [begin, end] : ranges) {
+    SCOPED_TRACE(::testing::Message() << "[" << begin << ", " << end << ")");
+    reused.Build(r, begin, end);
+    const HashTable fresh(r, begin, end);
+    EXPECT_EQ(reused.num_entries(), fresh.num_entries());
+    EXPECT_EQ(reused.num_buckets(), fresh.num_buckets());
+    EXPECT_EQ(reused.size_bytes(), fresh.size_bytes());
+    for (uint64_t key = 0; key < 710; ++key) {
+      std::vector<uint64_t> got, want;
+      reused.Probe(key, [&got](uint64_t rid) { got.push_back(rid); });
+      fresh.Probe(key, [&want](uint64_t rid) { want.push_back(rid); });
+      ASSERT_EQ(got, want) << "key " << key;
+    }
+  }
 }
 
 TEST(BitsForTarget, ComputesMinimalBits) {

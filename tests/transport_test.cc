@@ -18,9 +18,10 @@ class RecordingSink : public PartitionSink {
     uint32_t relation;
     std::vector<uint8_t> bytes;
   };
-  void Deliver(uint32_t partition, uint32_t relation, const uint8_t* tuples,
-               uint64_t bytes) override {
+  Status Deliver(uint32_t partition, uint32_t relation, const uint8_t* tuples,
+                 uint64_t bytes) override {
     deliveries.push_back({partition, relation, {tuples, tuples + bytes}});
+    return Status::OK();
   }
   std::vector<Delivery> deliveries;
 };
