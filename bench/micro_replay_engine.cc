@@ -1,6 +1,8 @@
 // Host-time (wall-clock) microbenchmarks of the fluid network engine
 // (LinkFabric): what a rate reshare costs at replay-like flow counts, what
-// flow telemetry adds, and the full-vs-incremental reshare speedups. Unlike
+// flow telemetry adds, and the full-vs-incremental reshare speedups; plus
+// the trace codec (TraceToJson/TraceFromJson) the forensics tools run on a
+// captured trace. Unlike
 // every fig/abl harness (which reports *virtual* seconds and is
 // byte-identical across machines), these rows
 // measure the machine they run on; the committed baseline is gated in CI
@@ -14,11 +16,13 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "sim/link_fabric.h"
 #include "timing/span_trace.h"
+#include "timing/trace_io.h"
 
 namespace rdmajoin {
 namespace {
@@ -153,6 +157,46 @@ MaxMinPumpStats PumpMaxMin(bool incremental) {
   return stats;
 }
 
+// --- Trace codec: a captured trace written and read back -----------------
+
+// About three times e2ebench's rack10 trace (Fig. 7a, 10 machines at scale
+// 4096): 7 network threads per machine and one build/probe task per
+// partition, every tuple of small integers.
+constexpr uint32_t kCodecMachines = 10;
+constexpr uint32_t kCodecThreadsPerMachine = 7;
+constexpr uint32_t kCodecSendsPerThread = 39000;
+constexpr uint32_t kCodecTasksPerMachine = 150000;
+
+/// A fixed synthetic trace: each thread ships one-tuple 16 B buffers to
+/// pseudo-random slots (below 2^10) of the other machines.
+RunTrace CodecTrace() {
+  RunTrace trace;
+  trace.scale_up = 4096;
+  trace.machines.resize(kCodecMachines);
+  uint64_t state = 42;
+  for (uint32_t m = 0; m < kCodecMachines; ++m) {
+    MachineTrace& mt = trace.machines[m];
+    mt.net_threads.resize(kCodecThreadsPerMachine);
+    for (ThreadNetTrace& tt : mt.net_threads) {
+      tt.sends.reserve(kCodecSendsPerThread);
+      for (uint32_t i = 0; i < kCodecSendsPerThread; ++i) {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        const auto slot = static_cast<uint32_t>(state >> 54);
+        const uint32_t dst =
+            (m + 1 + slot % (kCodecMachines - 1)) % kCodecMachines;
+        tt.sends.push_back(SendRecord{dst, slot, 16, 16 * uint64_t{i}});
+      }
+      tt.compute_bytes = 16 * uint64_t{kCodecSendsPerThread};
+    }
+    mt.tasks.reserve(kCodecTasksPerMachine);
+    for (uint32_t k = 0; k < kCodecTasksPerMachine; ++k) {
+      const double bytes = 16.0 * (1 + k % 4);
+      mt.tasks.push_back(BuildProbeTask{bytes, bytes, bytes});
+    }
+  }
+  return trace;
+}
+
 int Run(int argc, char** argv) {
   const bench::Options opt = bench::ParseOptions(argc, argv);
   bench::BenchReporter reporter("micro_replay_engine", opt);
@@ -237,6 +281,29 @@ int Run(int argc, char** argv) {
       "(%.0f events/s) -- %.2fx\n",
       mm_full_s, static_cast<double>(mm_full.events) / mm_full_s, mm_inc_s,
       static_cast<double>(mm_inc.events) / mm_inc_s, mm_full_s / mm_inc_s);
+
+  // Trace codec: the write and the validated read of rdmajoin_trace and
+  // rdmajoin_explain.
+  const RunTrace trace = CodecTrace();
+  std::string json;
+  const double write_s = BestOfThreeSeconds([&] { json = TraceToJson(trace); });
+  bool read_ok = true;
+  const double read_s = BestOfThreeSeconds([&] {
+    const StatusOr<RunTrace> parsed = TraceFromJson(json);
+    read_ok = read_ok && parsed.ok();
+  });
+  const bench::BenchReporter::Config codec_cfg = {
+      {"machines", std::to_string(kCodecMachines)},
+      {"sends", std::to_string(kCodecMachines * kCodecThreadsPerMachine *
+                               kCodecSendsPerThread)},
+      {"tasks", std::to_string(kCodecMachines * kCodecTasksPerMachine)},
+      {"bytes", std::to_string(json.size())}};
+  reporter.AddMeasurement("trace_to_json", codec_cfg, write_s);
+  reporter.AddMeasurement("trace_from_json", codec_cfg, read_s);
+  std::printf("trace codec: %.1f MB written in %.3fs, read in %.3fs%s\n",
+              static_cast<double>(json.size()) / 1e6, write_s, read_s,
+              read_ok ? "" : " (READ FAILED)");
+  if (!read_ok) return 1;
 
   return reporter.Finish();
 }

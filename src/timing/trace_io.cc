@@ -1,7 +1,12 @@
 #include "timing/trace_io.h"
 
+#include <charconv>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "join/join_config.h"
 #include "util/file.h"
@@ -62,22 +67,46 @@ Status ValidateSend(const SendRecord& send, uint32_t issuer, size_t machines,
   return CheckNonNegative(where, "retry_delay_seconds", send.retry_delay_seconds);
 }
 
+/// The largest value a tuple field of type T takes on the fast path; a
+/// double takes any 64-bit integer (converted as the tokenizer converts it).
+template <typename T>
+constexpr uint64_t FastPathMax() {
+  if constexpr (std::is_integral_v<T>) {
+    return std::numeric_limits<T>::max();
+  } else {
+    return std::numeric_limits<uint64_t>::max();
+  }
+}
+
 /// Reads a numeric tuple [a, b, ...] into `fields`: either the first
-/// `required` of them or all of them.
+/// `required` of them or all of them. Nearly every tuple is plain unsigned
+/// integers, read in one scan; any other spelling takes the element-wise
+/// path, which decodes the same values and gives the same errors.
 template <typename... T>
 Status ReadTuple(JsonTokenizer* in, size_t required, T*... fields) {
+  static constexpr uint64_t kMax[] = {FastPathMax<T>()...};
+  uint64_t values[sizeof...(T)];
   size_t n = 0;
-  RDMAJOIN_RETURN_IF_ERROR(in->ForEachElement([&] {
-    if (n == sizeof...(T)) return in->Error("tuple too long");
-    Status st;
+  if (in->TryUintArray(values, kMax, &n)) {
     size_t i = 0;
-    auto read_nth = [&](auto* field) {
-      if (i++ == n) st = in->Read(field);
+    auto store_next = [&](auto* field) {
+      if (i < n) *field = static_cast<std::remove_pointer_t<decltype(field)>>(values[i]);
+      ++i;
     };
-    (read_nth(fields), ...);
-    ++n;
-    return st;
-  }));
+    (store_next(fields), ...);
+  } else {
+    RDMAJOIN_RETURN_IF_ERROR(in->ForEachElement([&] {
+      if (n == sizeof...(T)) return in->Error("tuple too long");
+      Status st;
+      size_t i = 0;
+      auto read_nth = [&](auto* field) {
+        if (i++ == n) st = in->Read(field);
+      };
+      (read_nth(fields), ...);
+      ++n;
+      return st;
+    }));
+  }
   if (n != required && n != sizeof...(T)) {
     return in->Error("tuple of the wrong length");
   }
@@ -147,6 +176,49 @@ Status ReadMachine(JsonTokenizer* in, MachineTrace* machine) {
   });
 }
 
+/// A send that carries the optional retry elements in its tuple.
+bool Retried(const SendRecord& send) {
+  return send.retries > 0 || send.retry_delay_seconds > 0;
+}
+
+/// The longest tuple of four integers: two 10-digit and two 20-digit fields,
+/// three commas and the brackets.
+constexpr size_t kPlainSendChars = 2 * 10 + 2 * 20 + 3 + 2;
+
+/// The size of TraceToJson's output: exact for the send tuples and for
+/// integral task sizes, which are nearly all of a trace, and an upper bound
+/// elsewhere, so that the writer neither regrows nor reserves much it does
+/// not use.
+size_t TraceJsonCapacity(const RunTrace& trace) {
+  constexpr size_t kNumber = 24;        // JsonNumberSizeBound's bound
+  constexpr size_t kMachineText = 320;  // a machine's keys and brackets
+  constexpr size_t kThreadText = 40;    // a thread's keys and brackets
+  size_t bytes = 64;
+  for (const MachineTrace& mt : trace.machines) {
+    bytes += kMachineText + 10 * kNumber +
+             mt.net_threads.size() * (kThreadText + kNumber);
+    for (const ThreadNetTrace& tt : mt.net_threads) {
+      for (const SendRecord& send : tt.sends) {
+        // Brackets, three commas and the comma before the next tuple.
+        bytes += 6 + JsonUintSize(send.dst_machine) + JsonUintSize(send.slot) +
+                 JsonUintSize(send.wire_bytes) +
+                 JsonUintSize(send.compute_bytes_before);
+        if (Retried(send)) bytes += 2 + JsonUintSize(send.retries) + kNumber;
+      }
+    }
+    for (const BuildProbeTask& task : mt.tasks) {
+      // Brackets, two commas and the comma before the next tuple.
+      bytes += 5 + JsonNumberSizeBound(task.build_bytes) +
+               JsonNumberSizeBound(task.probe_bytes) +
+               JsonNumberSizeBound(task.table_bytes);
+    }
+    for (const double bytes_of_task : mt.merge_tasks) {
+      bytes += 1 + JsonNumberSizeBound(bytes_of_task);
+    }
+  }
+  return bytes;
+}
+
 }  // namespace
 
 Status ValidateTrace(const RunTrace& trace) {
@@ -194,6 +266,7 @@ Status ValidateTrace(const RunTrace& trace) {
 
 std::string TraceToJson(const RunTrace& trace) {
   std::string out;
+  out.reserve(TraceJsonCapacity(trace));
   JsonWriter w(&out);
   w.BeginObject().Key("scale_up").Number(trace.scale_up);
   w.Key("machines").BeginArray();
@@ -215,16 +288,29 @@ std::string TraceToJson(const RunTrace& trace) {
       w.BeginObject().Key("compute_bytes").Uint(tt.compute_bytes);
       w.Key("sends").BeginArray();
       for (const SendRecord& send : tt.sends) {
-        w.BeginArray()
-            .Uint(send.dst_machine)
-            .Uint(send.slot)
-            .Uint(send.wire_bytes)
-            .Uint(send.compute_bytes_before);
-        if (send.retries > 0 || send.retry_delay_seconds > 0) {
+        if (Retried(send)) {
           // Optional elements: fault-free traces stay byte-identical.
-          w.Uint(send.retries).Number(send.retry_delay_seconds);
+          w.BeginArray()
+              .Uint(send.dst_machine)
+              .Uint(send.slot)
+              .Uint(send.wire_bytes)
+              .Uint(send.compute_bytes_before)
+              .Uint(send.retries)
+              .Number(send.retry_delay_seconds)
+              .EndArray();
+          continue;
         }
-        w.EndArray();
+        // The common tuple, formatted in one buffer and appended once.
+        char buf[kPlainSendChars];
+        char* p = buf;
+        *p++ = '[';
+        for (const uint64_t field : {uint64_t{send.dst_machine}, uint64_t{send.slot},
+                                     send.wire_bytes, send.compute_bytes_before}) {
+          p = std::to_chars(p, buf + sizeof(buf), field).ptr;
+          *p++ = ',';
+        }
+        p[-1] = ']';
+        w.Raw(std::string_view(buf, static_cast<size_t>(p - buf)));
       }
       w.EndArray().EndObject();
     }

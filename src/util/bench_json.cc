@@ -20,6 +20,32 @@ void Appendf(std::string* out, const char* fmt, ...) {
   out->append(buf);
 }
 
+Status RowError(const std::string& label, const std::string& what) {
+  std::string msg = "bench JSON: row \"";
+  msg += JsonEscape(label);
+  msg += "\": ";
+  msg += what;
+  return Status::InvalidArgument(std::move(msg));
+}
+
+/// Reads the seconds field `key` of `obj`, named `path` + `key` in errors,
+/// into `*out`. Absent and null (a row without a measurement) leave `*has`
+/// false; anything but a non-negative number is an error.
+Status ReadSeconds(const JsonValue& obj, const std::string& key,
+                   const std::string& label, double* out, bool* has,
+                   const std::string& path = "") {
+  const JsonValue* v = obj.Find(key);
+  if (v == nullptr || v->is_null()) return Status::OK();
+  if (!v->is_number()) return RowError(label, path + key + " is not a number");
+  if (!(v->number_value >= 0)) {
+    return RowError(label,
+                    path + key + " " + JsonNumber(v->number_value) + " is negative");
+  }
+  *out = v->number_value;
+  *has = true;
+  return Status::OK();
+}
+
 }  // namespace
 
 const BenchJsonRow* BenchJsonDocument::FindRow(const std::string& label) const {
@@ -63,23 +89,34 @@ StatusOr<BenchJsonDocument> ParseBenchJson(const std::string& json) {
     if (row.label.empty()) {
       return Status::InvalidArgument("bench JSON: row without a label");
     }
-    if (const JsonValue* v = item.Find("measured_seconds");
-        v != nullptr && v->is_number()) {
-      row.measured_seconds = v->number_value;
-      row.has_measured = true;
+    // --diff matches rows on their label: a second row of the same label
+    // would never be compared.
+    if (doc.FindRow(row.label) != nullptr) {
+      return RowError(row.label, "duplicate label");
     }
-    if (const JsonValue* v = item.Find("paper_seconds");
-        v != nullptr && v->is_number()) {
-      row.paper_seconds = v->number_value;
-      row.has_paper = true;
-    }
+    RDMAJOIN_RETURN_IF_ERROR(ReadSeconds(item, "measured_seconds", row.label,
+                                         &row.measured_seconds, &row.has_measured));
+    RDMAJOIN_RETURN_IF_ERROR(ReadSeconds(item, "paper_seconds", row.label,
+                                         &row.paper_seconds, &row.has_paper));
     if (const JsonValue* model = item.Find("model"); model != nullptr) {
-      if (const JsonValue* v = model->Find("total_seconds");
-          v != nullptr && v->is_number()) {
-        row.model_seconds = v->number_value;
-        row.has_model = true;
+      RDMAJOIN_RETURN_IF_ERROR(ReadSeconds(*model, "total_seconds", row.label,
+                                           &row.model_seconds, &row.has_model,
+                                           "model."));
+      if (row.has_model) {
         RDMAJOIN_RETURN_IF_ERROR(
             model->Get("residual_seconds", &row.residual_seconds));
+      }
+    }
+    if (const JsonValue* counters = item.Find("counters"); counters != nullptr) {
+      uint64_t events = 0;
+      uint64_t fabric_steps = 0;
+      RDMAJOIN_RETURN_IF_ERROR(
+          counters->Get("events", &events, "fabric_steps", &fabric_steps));
+      // Every fabric step is taken at an event.
+      if (fabric_steps > events) {
+        return RowError(row.label, "counters.fabric_steps " +
+                                       std::to_string(fabric_steps) +
+                                       " > events " + std::to_string(events));
       }
     }
     row.raw = item;

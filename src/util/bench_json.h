@@ -55,7 +55,10 @@ struct BenchJsonDocument {
 };
 
 /// Parses and structurally validates a bench JSON document. Rejects unknown
-/// schema versions and rows without labels.
+/// schema versions, rows without labels or with a label an earlier row has,
+/// a measured_seconds, paper_seconds or model.total_seconds that is neither
+/// a non-negative number nor null (no measurement), and `counters` with more
+/// fabric_steps than events. Row errors name the row and the field.
 StatusOr<BenchJsonDocument> ParseBenchJson(const std::string& json);
 
 /// Convenience: read + parse a file.

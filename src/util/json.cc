@@ -40,7 +40,7 @@ void AppendInteger(std::string* out, Int v) {
 /// Appends a finite double as the shortest `%.{p}g` that reads back as `v`.
 /// std::to_chars finds the shortest digits; they are laid out the way %g
 /// lays them out: fixed when -4 <= exponent < digits, else d.ddde±XX.
-void AppendFiniteNumber(std::string* out, double v) {
+void AppendShortestG(std::string* out, double v) {
   char sci[32];
   char* end =
       std::to_chars(sci, sci + sizeof(sci), v, std::chars_format::scientific)
@@ -97,6 +97,27 @@ void AppendFiniteNumber(std::string* out, double v) {
   }
 }
 
+/// The integral fast path's test. A positive integer below 2^53 whose last
+/// digit is not 0 needs every one of its digits: its neighbours are at most
+/// 1 away, and any shorter spelling rounds it by at least 1. %g lays out
+/// those (at most 16) digits as a plain integer, which `*i` then holds.
+/// Other values, such as 1200 (`1.2e+03`), take the general routine.
+bool SpelledAsInteger(double v, uint64_t* i) {
+  if (!(v > 0 && v < 9007199254740992.0)) return false;
+  *i = static_cast<uint64_t>(v);
+  return static_cast<double>(*i) == v && *i % 10 != 0;
+}
+
+/// AppendShortestG with the integral fast path.
+void AppendFiniteNumber(std::string* out, double v) {
+  uint64_t i = 0;
+  if (SpelledAsInteger(v, &i)) {
+    AppendInteger(out, i);
+  } else {
+    AppendShortestG(out, v);
+  }
+}
+
 void AppendUtf8(std::string* out, uint32_t cp) {
   if (cp < 0x80) {
     out->push_back(static_cast<char>(cp));
@@ -111,6 +132,22 @@ void AppendUtf8(std::string* out, uint32_t cp) {
 }
 
 bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+bool IsSpace(char c) { return c == ' ' || c == '\n' || c == '\r' || c == '\t'; }
+
+/// Scans the digits at `*pos` into `*value`, which is exact up to 19 digits
+/// (10^19 < 2^64) and wraps beyond; returns how many digits there were.
+size_t ScanDigits(std::string_view text, size_t* pos, uint64_t* value) {
+  size_t p = *pos;
+  uint64_t v = 0;
+  for (; p < text.size() && IsDigit(text[p]); ++p) {
+    v = v * 10 + static_cast<uint64_t>(text[p] - '0');
+  }
+  const size_t digits = p - *pos;
+  *pos = p;
+  *value = v;
+  return digits;
+}
 
 /// The one integer decoder: an exact unsigned literal, or a double with an
 /// integral value, within [lo, hi]. Yields the two's-complement bits.
@@ -154,6 +191,34 @@ std::string JsonNumber(double v) {
   JsonWriter(&out).Number(v);
   return out;
 }
+
+size_t JsonUintSize(uint64_t v) {
+  size_t n = 1;
+  for (; v >= 10000; v /= 10000) n += 4;
+  return n + (v >= 10) + (v >= 100) + (v >= 1000);
+}
+
+size_t JsonNumberSizeBound(double v) {
+  uint64_t i = 0;
+  if (SpelledAsInteger(v, &i)) return JsonUintSize(i);
+  if (v == 0) return std::signbit(v) ? 2 : 1;
+  // The longest spelling is 24 bytes: -2.2250738585072014e-308.
+  return 24;
+}
+
+namespace json_internal {
+
+std::string GeneralJsonNumber(double v) {
+  std::string out;
+  if (std::isfinite(v)) {
+    AppendShortestG(&out, v);
+  } else {
+    out = "null";
+  }
+  return out;
+}
+
+}  // namespace json_internal
 
 void JsonWriter::PendingBreak() {
   if (break_indent_ < 0) return;
@@ -290,10 +355,7 @@ Status JsonTokenizer::Error(std::string_view what) const {
 }
 
 void JsonTokenizer::SkipSpace() {
-  while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\n' ||
-                                 text_[pos_] == '\r' || text_[pos_] == '\t')) {
-    ++pos_;
-  }
+  while (pos_ < text_.size() && IsSpace(text_[pos_])) ++pos_;
 }
 
 Status JsonTokenizer::Next() {
@@ -448,8 +510,12 @@ Status JsonTokenizer::LexNumber() {
   const bool negative = at('-', '-');
   if (negative) ++pos_;
   const size_t int_begin = pos_;
-  if (!digits()) return Error(negative ? "malformed number" : "expected a value");
-  if (text_[int_begin] == '0' && pos_ - int_begin > 1) {
+  uint64_t value = 0;
+  const size_t int_digits = ScanDigits(text_, &pos_, &value);
+  if (int_digits == 0) {
+    return Error(negative ? "malformed number" : "expected a value");
+  }
+  if (text_[int_begin] == '0' && int_digits > 1) {
     return Error("malformed number");
   }
   bool plain = !negative;
@@ -464,6 +530,15 @@ Status JsonTokenizer::LexNumber() {
     if (!digits()) return Error("malformed number");
     plain = false;
   }
+  // A plain integer of at most 19 digits is exact in `value`, and the
+  // conversion rounds to nearest as from_chars does: no second scan.
+  if (plain && int_digits <= 19) {
+    number_.number_value = static_cast<double>(value);
+    number_.uint_value = value;
+    number_.is_uint = true;
+    token_ = Token::kNumber;
+    return Status::OK();
+  }
   const char* first = text_.data() + begin;
   const char* last = text_.data() + pos_;
   if (std::from_chars(first, last, number_.number_value).ec != std::errc()) {
@@ -473,6 +548,50 @@ Status JsonTokenizer::LexNumber() {
       plain && std::from_chars(first, last, number_.uint_value).ec == std::errc();
   token_ = Token::kNumber;
   return Status::OK();
+}
+
+bool JsonTokenizer::TryUintArray(uint64_t* out, std::span<const uint64_t> max,
+                                 size_t* n) {
+  if (token_ != Token::kBeginArray) return false;
+  // Scans ahead on a local cursor; the tokenizer moves only on success.
+  const std::string_view text = text_;
+  size_t p = pos_;
+  auto skip_space = [&] {
+    while (p < text.size() && IsSpace(text[p])) ++p;
+  };
+  size_t count = 0;
+  skip_space();
+  if (p >= text.size()) return false;
+  if (text[p] != ']') {
+    while (true) {
+      if (count == max.size()) return false;
+      const size_t first = p;
+      uint64_t value = 0;
+      const size_t len = ScanDigits(text, &p, &value);
+      if (len == 0 || len > 19 || (text[first] == '0' && len > 1) ||
+          value > max[count]) {
+        return false;
+      }
+      out[count++] = value;
+      skip_space();
+      if (p >= text.size()) return false;
+      if (text[p] == ']') break;
+      if (text[p] != ',') return false;
+      ++p;
+      skip_space();
+    }
+    number_.number_value = static_cast<double>(out[count - 1]);
+    number_.uint_value = out[count - 1];
+    number_.is_uint = true;
+  }
+  // The state Close() leaves at the `]`.
+  open_.pop_back();
+  start_ = p;
+  pos_ = p + 1;
+  token_ = Token::kEndArray;
+  state_ = State::kAfter;
+  *n = count;
+  return true;
 }
 
 Status JsonTokenizer::Finish() {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -27,6 +28,19 @@ std::string JsonEscape(const std::string& s);
 /// Formats a double as a JSON number: shortest round-trip form, and the
 /// non-finite values (which JSON cannot represent) as null.
 std::string JsonNumber(double v);
+
+/// Bytes JsonWriter::Uint(v) writes.
+size_t JsonUintSize(uint64_t v);
+/// Bytes JsonWriter::Number(v) writes: exact for an integer it spells as
+/// its digits, else the most any spelling takes. Lets a writer size its
+/// output without formatting it twice.
+size_t JsonNumberSizeBound(double v);
+
+namespace json_internal {
+/// JsonNumber without its integral fast path: the general shortest-%g
+/// routine, callable so a test can check the fast path against it.
+std::string GeneralJsonNumber(double v);
+}  // namespace json_internal
 
 /// Streaming JSON writer appending to a caller-owned string. It places the
 /// commas and colons itself. Output is compact; the one layout primitive is
@@ -168,6 +182,17 @@ class JsonTokenizer {
       RDMAJOIN_RETURN_IF_ERROR(element());
     }
   }
+
+  /// Fast path for a flat array of plain unsigned integers, called at its
+  /// kBeginArray token: stores the elements in `out` and consumes the array
+  /// through its `]`, leaving the tokenizer exactly as the Next() calls up
+  /// to that kEndArray would. It declines, returning false and consuming
+  /// nothing, unless every element is spelled as digits only (at most 19 of
+  /// them, no leading zero) and is at most its bound `max[i]`, and there
+  /// are at most `max.size()` elements; `out` is then unspecified. The
+  /// caller then reads the array the generic way, which gives the same
+  /// values or the same error.
+  bool TryUintArray(uint64_t* out, std::span<const uint64_t> max, size_t* n);
 
   /// The decoded contents of a kString token.
   std::string_view string() const { return string_; }

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <random>
 #include <string>
@@ -18,6 +19,10 @@
 #include "cluster/presets.h"
 #include "util/bench_json.h"
 #include "util/json.h"
+
+#ifndef RDMAJOIN_REPO_ROOT
+#error "RDMAJOIN_REPO_ROOT must be defined by the build"
+#endif
 
 namespace rdmajoin {
 namespace {
@@ -482,6 +487,85 @@ TEST(BenchJson, RejectsBadDocuments) {
                               "[{\"ok\":true}]}")
                    .ok());  // row without label
   EXPECT_FALSE(ParseBenchJson("{\"schema_version\":1,\"rows\":[]}").ok());
+}
+
+/// A one-row-per-entry document whose rows are the given JSON objects.
+std::string RowsDoc(const std::vector<std::string>& rows) {
+  std::string s = "{\"schema_version\":1,\"bench\":\"x\",\"scale_up\":1,"
+                  "\"seed\":42,\"rows\":[";
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (i > 0) s += ',';
+    s += rows[i];
+  }
+  return s + "]}";
+}
+
+/// Expects ParseBenchJson to reject `json` with InvalidArgument naming each
+/// of `words`.
+void ExpectBenchRejected(const std::string& json,
+                         const std::vector<std::string>& words) {
+  auto doc = ParseBenchJson(json);
+  ASSERT_FALSE(doc.ok()) << json;
+  EXPECT_EQ(doc.status().code(), StatusCode::kInvalidArgument);
+  for (const std::string& w : words) {
+    EXPECT_NE(doc.status().message().find(w), std::string::npos)
+        << "\"" << w << "\" not in: " << doc.status().message();
+  }
+}
+
+TEST(BenchJson, RejectsDuplicateRowLabels) {
+  // --diff matches rows on their label, so the second "a" would never be
+  // compared.
+  ExpectBenchRejected(RowsDoc({R"({"label":"a","measured_seconds":1})",
+                               R"({"label":"b","measured_seconds":2})",
+                               R"({"label":"a","measured_seconds":3})"}),
+                      {"row \"a\"", "duplicate label"});
+}
+
+TEST(BenchJson, RejectsNegativeSeconds) {
+  ExpectBenchRejected(RowsDoc({R"({"label":"a","measured_seconds":-1})"}),
+                      {"row \"a\"", "measured_seconds", "negative"});
+  ExpectBenchRejected(RowsDoc({R"({"label":"p","paper_seconds":-0.5})"}),
+                      {"row \"p\"", "paper_seconds", "negative"});
+  ExpectBenchRejected(
+      RowsDoc({R"({"label":"m","model":{"total_seconds":-2,"residual_seconds":0}})"}),
+      {"row \"m\"", "model.total_seconds", "negative"});
+}
+
+TEST(BenchJson, RejectsNonNumberSeconds) {
+  // A string used to be dropped silently, leaving the row unmeasured.
+  ExpectBenchRejected(RowsDoc({R"({"label":"a","measured_seconds":"1.5"})"}),
+                      {"row \"a\"", "measured_seconds", "not a number"});
+  ExpectBenchRejected(RowsDoc({R"({"label":"p","paper_seconds":true})"}),
+                      {"row \"p\"", "paper_seconds", "not a number"});
+  ExpectBenchRejected(RowsDoc({R"({"label":"m","model":{"total_seconds":[1]}})"}),
+                      {"row \"m\"", "model.total_seconds", "not a number"});
+  // null is the spelling of a row without a measurement, and stays valid.
+  const BenchJsonDocument doc = MustParse(RowsDoc(
+      {R"({"label":"a","measured_seconds":null,"paper_seconds":null})"}));
+  EXPECT_FALSE(doc.rows[0].has_measured);
+  EXPECT_FALSE(doc.rows[0].has_paper);
+}
+
+TEST(BenchJson, RejectsMoreFabricStepsThanEvents) {
+  ExpectBenchRejected(
+      RowsDoc({R"({"label":"a","measured_seconds":1,"counters":{"events":10,"fabric_steps":11}})"}),
+      {"row \"a\"", "fabric_steps 11 > events 10"});
+  const BenchJsonDocument doc = MustParse(RowsDoc(
+      {R"({"label":"a","measured_seconds":1,"counters":{"events":10,"fabric_steps":10}})"}));
+  EXPECT_TRUE(doc.rows[0].has_measured);
+}
+
+TEST(BenchJson, CommittedBaselinesParse) {
+  size_t parsed = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(RDMAJOIN_REPO_ROOT) + "/bench/baselines")) {
+    if (entry.path().extension() != ".json") continue;
+    auto doc = ReadBenchJsonFile(entry.path().string());
+    EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+    ++parsed;
+  }
+  EXPECT_GE(parsed, 8u);
 }
 
 // ---------- Strict option parsing ----------

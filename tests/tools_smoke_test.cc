@@ -458,6 +458,26 @@ TEST(AnalyzeDiffSmokeTest, ReportImprovementsDoesNotChangeTheVerdict) {
             1);
 }
 
+TEST(AnalyzeDiffSmokeTest, InvalidRowsExitTwo) {
+  const std::string a = WriteBenchDoc("analyze_valid.json", 1.5);
+  const std::string negative = WriteBenchDoc("analyze_negative.json", -3.0);
+  const std::string duplicate = TempPath("analyze_duplicate.json");
+  std::ofstream(duplicate, std::ios::binary)
+      << "{\"schema_version\":1,\"bench\":\"smoke\",\"scale_up\":65536,"
+      << "\"seed\":42,\"rows\":[{\"label\":\"r0\",\"measured_seconds\":1.5},"
+      << "{\"label\":\"r0\",\"measured_seconds\":9}]}";
+  for (const std::string& bad : {negative, duplicate}) {
+    EXPECT_EQ(RunTool(std::string(RDMAJOIN_ANALYZE_BIN) + " --diff " + a + " " +
+                      bad),
+              2)
+        << bad;
+    EXPECT_EQ(RunTool(std::string(RDMAJOIN_ANALYZE_BIN) + " --diff " + bad +
+                      " " + a),
+              2)
+        << bad;
+  }
+}
+
 TEST(WhatifSmokeTest, CaptureReplayAndExitCodesFollowTheContract) {
   const std::string trace = TempPath("whatif.trace");
   // Capture a tiny join trace.

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <initializer_list>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/presets.h"
 #include "join/distributed_join.h"
@@ -202,6 +207,200 @@ TEST(TraceIo, EmptyTraceRoundTrips) {
   EXPECT_EQ(parsed->machines.size(), 1u);
   EXPECT_TRUE(parsed->machines[0].net_threads.empty());
   EXPECT_EQ(parsed->scale_up, 1.0);
+}
+
+// --- The send-tuple fast path and its fallback ------------------------------
+
+/// The trace of a small 3-machine join.
+RunTrace RealJoinTrace() {
+  WorkloadSpec spec;
+  spec.inner_tuples = 20000;
+  spec.outer_tuples = 40000;
+  auto w = GenerateWorkload(spec, 3);
+  if (!w.ok()) {
+    ADD_FAILURE() << w.status().ToString();
+    return RunTrace{};
+  }
+  JoinConfig jc;
+  jc.network_radix_bits = 5;
+  jc.scale_up = 512.0;
+  auto result = DistributedJoin(QdrCluster(3), jc).Run(w->inner, w->outer);
+  if (!result.ok()) {
+    ADD_FAILURE() << result.status().ToString();
+    return RunTrace{};
+  }
+  return result->trace;
+}
+
+/// Rewrites every send tuple of a TraceToJson document: `spell(k, fields)`
+/// returns the new text of the k-th tuple given its element spellings.
+std::string RewriteSends(
+    const std::string& json,
+    const std::function<std::string(size_t, const std::vector<std::string>&)>& spell) {
+  const std::string key = "\"sends\":[";
+  std::string out;
+  size_t k = 0;
+  size_t pos = 0;
+  while (true) {
+    const size_t at = json.find(key, pos);
+    if (at == std::string::npos) break;
+    out.append(json, pos, at + key.size() - pos);
+    pos = at + key.size();
+    // The tuples of this array: [a,b,c,d],[...],...]
+    while (json[pos] == '[') {
+      const size_t close = json.find(']', pos);
+      std::vector<std::string> fields;
+      size_t begin = pos + 1;
+      while (begin < close) {
+        const size_t end = std::min(json.find(',', begin), close);
+        fields.push_back(json.substr(begin, end - begin));
+        begin = end + 1;
+      }
+      out += spell(k++, fields);
+      pos = close + 1;
+      if (json[pos] == ',') out += json[pos++];
+    }
+  }
+  return out + json.substr(pos);
+}
+
+bool IsPlainInteger(const std::string& s) {
+  return !s.empty() && s.find_first_not_of("0123456789") == std::string::npos;
+}
+
+/// `s` respelled as a double by appending `suffix`, when the double is exact.
+std::string AsDouble(const std::string& s, const char* suffix) {
+  return s.size() <= 15 ? s + suffix : s;
+}
+
+/// Joins `fields` into a tuple, respelling each plain integer with `f`.
+std::string Respell(const std::vector<std::string>& fields,
+                    const std::function<std::string(const std::string&)>& f,
+                    const std::string& sep = ",") {
+  std::string out = "[";
+  for (size_t i = 0; i < fields.size(); ++i) {
+    if (i > 0) out += sep;
+    out += IsPlainInteger(fields[i]) ? f(fields[i]) : fields[i];
+  }
+  return out + "]";
+}
+
+TEST(TraceIo, SpellingsOffTheFastPathDecodeToTheSameTrace) {
+  RunTrace trace = RealJoinTrace();
+  ASSERT_FALSE(trace.machines.empty());
+  ASSERT_FALSE(trace.machines[0].net_threads.empty());
+  // Retried sends (6-element tuples: one with a fractional delay, one all
+  // integers) and a 20-digit 64-bit field.
+  std::vector<SendRecord>& sends = trace.machines[0].net_threads[0].sends;
+  ASSERT_GE(sends.size(), 3u);
+  sends[0].retries = 2;
+  sends[0].retry_delay_seconds = 1.5e-05;
+  sends[1].retries = 1;
+  sends[1].retry_delay_seconds = 3;
+  sends[2].wire_bytes = UINT64_MAX;
+  const std::string json = TraceToJson(trace);
+  ASSERT_NE(json.find("18446744073709551615"), std::string::npos);
+  ASSERT_NE(json.find(",1,3]"), std::string::npos);
+
+  using Fields = std::vector<std::string>;
+  const std::vector<std::pair<const char*, std::function<std::string(size_t, const Fields&)>>>
+      spellings = {
+          {"4.0", [](size_t, const Fields& f) {
+             return Respell(f, [](const std::string& s) { return AsDouble(s, ".0"); });
+           }},
+          {"4e0", [](size_t, const Fields& f) {
+             return Respell(f, [](const std::string& s) { return AsDouble(s, "e0"); });
+           }},
+          {"4E+0", [](size_t, const Fields& f) {
+             return Respell(f, [](const std::string& s) { return AsDouble(s, "E+0"); });
+           }},
+          {"-0", [](size_t, const Fields& f) {
+             return Respell(f, [](const std::string& s) { return s == "0" ? "-0" : s; });
+           }},
+          {"whitespace", [](size_t, const Fields& f) {
+             const std::string tuple =
+                 Respell(f, [](const std::string& s) { return s; }, " ,\n\t");
+             return " \n[\n " + tuple.substr(1, tuple.size() - 2) + " \t]\r\n";
+           }},
+          // Fast and generic tuples interleaved within one array.
+          {"mixed", [](size_t k, const Fields& f) {
+             return Respell(f, [k](const std::string& s) {
+               return k % 3 == 0 ? AsDouble(s, ".0") : k % 3 == 1 ? AsDouble(s, "E+0") : s;
+             });
+           }},
+      };
+  for (const auto& [name, spell] : spellings) {
+    const std::string doc = RewriteSends(json, spell);
+    ASSERT_NE(doc, json) << name;
+    auto parsed = TraceFromJson(doc);
+    ASSERT_TRUE(parsed.ok()) << name << ": " << parsed.status().ToString();
+    ExpectTracesEqual(trace, *parsed);
+    for (size_t m = 0; m < trace.machines.size(); ++m) {
+      for (size_t t = 0; t < trace.machines[m].net_threads.size(); ++t) {
+        const auto& want = trace.machines[m].net_threads[t].sends;
+        const auto& got = parsed->machines[m].net_threads[t].sends;
+        for (size_t i = 0; i < want.size() && i < got.size(); ++i) {
+          EXPECT_EQ(got[i].retries, want[i].retries) << name;
+          EXPECT_EQ(got[i].retry_delay_seconds, want[i].retry_delay_seconds) << name;
+        }
+      }
+    }
+  }
+  // "-0" must have had zeros to respell.
+  EXPECT_NE(RewriteSends(json, spellings[3].second).find("-0"), std::string::npos);
+}
+
+TEST(TraceIo, WriterSizesItsOutputUpFront) {
+  // One allocation, and not much more than the output needs: an undercount
+  // regrows the string to about twice its size.
+  const std::string json = TraceToJson(RealJoinTrace());
+  EXPECT_GE(json.capacity(), json.size());
+  EXPECT_LE(json.capacity(), json.size() + json.size() / 50 + 4096)
+      << json.size() << " bytes";
+}
+
+TEST(TraceIo, RejectedSendSpellingsKeepTheirErrorMessages) {
+  // The messages TraceFromJson gave before sends had a fast path, byte for
+  // byte: the first send tuple of SampleTrace, [1,7,64,500], respelled.
+  const std::string json = TraceToJson(SampleTrace());
+  const std::string tuple = "[1,7,64,500]";
+  const size_t at = json.find(tuple);
+  ASSERT_NE(at, std::string::npos);
+  const std::pair<const char*, const char*> cases[] = {
+      {"[01,7,64,500]", "JSON: malformed number at offset 329 (in \"sends\")"},
+      {"[-1,7,64,500]",
+       "JSON: expected an integer in [0, 4294967295], got -1 at offset 329 (in \"sends\")"},
+      {"[1,7,18446744073709551616,500]",
+       "JSON: expected an integer in [0, 18446744073709551615], got "
+       "1.8446744073709552e+19 at offset 333 (in \"sends\")"},
+      {"[4294967296,7,64,500]",
+       "JSON: expected an integer in [0, 4294967295], got 4294967296 at offset 329 "
+       "(in \"sends\")"},
+      {"[1,7,64,500,2]", "JSON: tuple of the wrong length at offset 341 (in \"sends\")"},
+      {"[1,7,64,500,2,3,4]", "JSON: tuple too long at offset 344 (in \"sends\")"},
+      {"[]", "JSON: tuple of the wrong length at offset 329 (in \"sends\")"},
+      {"[1,7,64,1e999]", "JSON: number out of range at offset 336 (in \"sends\")"},
+      {"[1,7,64,500.5]",
+       "JSON: expected an integer in [0, 18446744073709551615], got 500.5 at offset 336 "
+       "(in \"sends\")"},
+      {"[1,7,64,500,4294967296,0]",
+       "JSON: expected an integer in [0, 4294967295], got 4294967296 at offset 340 "
+       "(in \"sends\")"},
+      {"[1,7,64,500 ,]", "JSON: expected a value at offset 341 (in \"sends\")"},
+      {"[1,7,64,,500]", "JSON: expected a value at offset 336 (in \"sends\")"},
+      {"[1,7,64,5 00]", "JSON: expected ',' or ']' at offset 338 (in \"sends\")"},
+      {"[1,7,64,[500]]", "JSON: expected a number at offset 336 (in \"sends\")"},
+  };
+  for (const auto& [spelling, message] : cases) {
+    std::string doc = json;
+    doc.replace(at, tuple.size(), spelling);
+    const Status st = TraceFromJson(doc).status();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << spelling;
+    EXPECT_EQ(st.message(), message) << spelling;
+  }
+  // A document cut off inside the tuple.
+  const Status cut = TraceFromJson(json.substr(0, at) + "[1,2,3,4").status();
+  EXPECT_EQ(cut.message(), "JSON: expected ',' or ']' at offset 336 (in \"sends\")");
 }
 
 // --- ValidateTrace: one test per rule -------------------------------------
