@@ -1,8 +1,8 @@
 // Host-time (wall-clock) microbenchmarks of the fluid network engine
 // (LinkFabric): what a rate reshare costs at replay-like flow counts, what
-// flow telemetry adds, and the full-vs-incremental reshare speedups; plus
-// the trace codec (TraceToJson/TraceFromJson) the forensics tools run on a
-// captured trace. Unlike
+// flow telemetry adds, and the full-vs-incremental reshare speedups; the
+// trace codec (TraceToJson/TraceFromJson) the forensics tools run on a
+// captured trace; and a whole join's replay with spans off and on. Unlike
 // every fig/abl harness (which reports *virtual* seconds and is
 // byte-identical across machines), these rows
 // measure the machine they run on; the committed baseline is gated in CI
@@ -20,9 +20,13 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "cluster/presets.h"
+#include "join/distributed_join.h"
 #include "sim/link_fabric.h"
+#include "timing/replay.h"
 #include "timing/span_trace.h"
 #include "timing/trace_io.h"
+#include "workload/generator.h"
 
 namespace rdmajoin {
 namespace {
@@ -197,6 +201,44 @@ RunTrace CodecTrace() {
   return trace;
 }
 
+// --- Replay: one join's network pass with spans off and on ----------------
+
+// Fig. 7a's 10-machine QDR join at an eighth of e2ebench's rack10 size:
+// about 112,000 sends, three and a half times the default span ring.
+constexpr uint32_t kReplayMachines = 10;
+constexpr uint64_t kReplayTuples = 62500;
+constexpr double kReplayScale = 4096;
+
+struct ReplayJoin {
+  ClusterConfig cluster;
+  JoinConfig config;
+  RunTrace trace;
+  uint64_t sends = 0;
+};
+
+/// Runs the join once, spans off, for its trace; `sends` stays 0 if the
+/// join fails.
+ReplayJoin MakeReplayJoin() {
+  ReplayJoin r;
+  r.cluster = QdrCluster(kReplayMachines);
+  r.config.scale_up = kReplayScale;
+  r.config.enable_spans = false;
+  WorkloadSpec spec;
+  spec.inner_tuples = kReplayTuples;
+  spec.outer_tuples = kReplayTuples;
+  spec.seed = 42;
+  StatusOr<Workload> w = GenerateWorkload(spec, kReplayMachines);
+  if (!w.ok()) return r;
+  StatusOr<JoinRunResult> run =
+      DistributedJoin(r.cluster, r.config).Run(w->inner, w->outer);
+  if (!run.ok()) return r;
+  r.trace = std::move(run->trace);
+  for (const MachineTrace& mt : r.trace.machines) {
+    for (const ThreadNetTrace& tt : mt.net_threads) r.sends += tt.sends.size();
+  }
+  return r;
+}
+
 int Run(int argc, char** argv) {
   const bench::Options opt = bench::ParseOptions(argc, argv);
   bench::BenchReporter reporter("micro_replay_engine", opt);
@@ -304,6 +346,32 @@ int Run(int argc, char** argv) {
               static_cast<double>(json.size()) / 1e6, write_s, read_s,
               read_ok ? "" : " (READ FAILED)");
   if (!read_ok) return 1;
+
+  // Replay with spans off and on (the default 8 MiB budget): the span
+  // recorder's cost when its ring wraps.
+  const ReplayJoin join = MakeReplayJoin();
+  if (join.sends == 0) {
+    std::printf("replay: the join failed\n");
+    return 1;
+  }
+  ReplayOptions spans_off;
+  spans_off.spans.enabled = false;
+  uint64_t spans_recorded = 0;
+  const double off_s = BestOfThreeSeconds(
+      [&] { ReplayTrace(join.cluster, join.config, join.trace, spans_off); });
+  const double on_s = BestOfThreeSeconds([&] {
+    const ReplayReport r = ReplayTrace(join.cluster, join.config, join.trace);
+    spans_recorded = r.spans->spans_recorded();
+  });
+  const bench::BenchReporter::Config replay_cfg = {
+      {"machines", std::to_string(kReplayMachines)},
+      {"sends", std::to_string(join.sends)}};
+  reporter.AddMeasurement("replay_spans_off", replay_cfg, off_s);
+  reporter.AddMeasurement("replay_spans_on", replay_cfg, on_s);
+  std::printf("replay: %llu sends, spans off %.3fs, on %.3fs (%llu spans)\n",
+              static_cast<unsigned long long>(join.sends), off_s, on_s,
+              static_cast<unsigned long long>(spans_recorded));
+  if (spans_recorded != join.sends) return 1;
 
   return reporter.Finish();
 }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <string>
 
@@ -133,6 +135,7 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
       recorder != nullptr ? recorder->segments_recorded() : 0;
 
   std::vector<ThreadSim> threads;
+  uint64_t total_sends = 0;
   for (uint32_t m = 0; m < nm; ++m) {
     const auto& mt = trace.machines[m];
     for (uint32_t t = 0; t < mt.net_threads.size(); ++t) {
@@ -145,8 +148,11 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
         max_slot = std::max(max_slot, send.slot);
       }
       ts.outstanding.assign(static_cast<size_t>(max_slot) + 1, 0);
+      total_sends += ts.tr->sends.size();
     }
   }
+  // One span per send: the recorder then writes only the spans it keeps.
+  if (recorder != nullptr) recorder->ExpectSpans(total_sends);
 
   const uint32_t credits = cluster.interleave == InterleavePolicy::kNonInterleaved
                                ? 1
@@ -340,8 +346,9 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
     // anything that completes under the old rates first), switch the host
     // capacity scales, and wake credit-blocked threads whose supply just
     // replenished. Ties go to the boundary so events at the same instant
-    // see the post-transition world.
-    if (next_fault <= t_thread && next_fault <= t_net) {
+    // see the post-transition world. With nothing left to happen all three
+    // are +inf, and the break below ends the loop.
+    if (next_fault != kInf && next_fault <= t_thread && next_fault <= t_net) {
       const double t_fault = next_fault;
       done.clear();
       fabric.AdvanceTo(t_fault, &done);
@@ -457,6 +464,21 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
       ts.stall_start = ts.time;
     }
     rekey(who);
+  }
+  if (active > 0) {
+    // A thread waits on a credit or flow that nothing will return. Its
+    // unposted sends would be missing from every phase time (and their
+    // promised spans from the recorder): a corrupted replay, not a
+    // recoverable condition, so fail hard in every build mode.
+    uint64_t posted = 0;
+    for (const ThreadSim& ts : threads) posted += ts.next_send;
+    std::fprintf(stderr,
+                 "rdmajoin: replay stalled with %llu thread(s) unfinished "
+                 "after posting %llu of %llu sends\n",
+                 static_cast<unsigned long long>(active),
+                 static_cast<unsigned long long>(posted),
+                 static_cast<unsigned long long>(total_sends));
+    std::abort();
   }
   report.counters.fabric_steps = fabric.fabric_steps();
   report.counters.link_updates = fabric.link_updates();

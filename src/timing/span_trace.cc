@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "util/file.h"
@@ -71,8 +73,20 @@ SpanRecorder::SpanRecorder(const SpanConfig& config) : config_(config) {
   segment_capacity_ = RingCapacity(
       static_cast<uint64_t>(budget * (1.0 - kSpanBudgetShare)),
       sizeof(FlowSegment));
-  spans_.reserve(std::min<size_t>(span_capacity_, 4096));
   segments_.reserve(std::min<size_t>(segment_capacity_, 4096));
+}
+
+void SpanRecorder::ExpectSpans(uint64_t n) {
+  if (!config_.enabled || n == 0) return;
+  const uint64_t last = next_id_ + n - 1;
+  if (last <= promised_last_) return;  // An earlier promise covers these ids.
+  promised_last_ = last;
+  if (n <= span_capacity_) return;
+  // Ids up to last - span_capacity_, and every span the ring holds now, are
+  // overwritten before the next snapshot: the stored ids start after them
+  // and fill the ring exactly once.
+  keep_from_ = last - span_capacity_ + 1;
+  spans_.clear();
 }
 
 void SpanRecorder::WarnOnFirstDrop(const char* what) {
@@ -86,8 +100,8 @@ void SpanRecorder::WarnOnFirstDrop(const char* what) {
 }
 
 WrSpan* SpanRecorder::Find(uint64_t id) {
-  if (id == 0 || span_capacity_ == 0) return nullptr;
-  const size_t slot = static_cast<size_t>((id - 1) % span_capacity_);
+  if (id < keep_from_ || span_capacity_ == 0) return nullptr;
+  const size_t slot = static_cast<size_t>((id - keep_from_) % span_capacity_);
   if (slot >= spans_.size()) return nullptr;
   WrSpan* s = &spans_[slot];
   return s->id == id ? s : nullptr;
@@ -100,6 +114,13 @@ uint64_t SpanRecorder::BeginSpan(uint32_t machine, uint32_t thread,
   if (!config_.enabled) return 0;
   const uint64_t id = next_id_++;
   ++spans_recorded_;
+  // Id `id` overwrites the span exactly span_capacity_ ids older.
+  if (id > span_capacity_) {
+    ++spans_dropped_;
+    WarnOnFirstDrop("work-request spans");
+  }
+  // Promised to be overwritten before the next snapshot: count, skip.
+  if (id < keep_from_) return id;
   WrSpan span;
   span.id = id;
   span.machine = machine;
@@ -110,27 +131,34 @@ uint64_t SpanRecorder::BeginSpan(uint32_t machine, uint32_t thread,
   span.wire_bytes = wire_bytes;
   span.pull = pull;
   span.stage[static_cast<int>(SpanStage::kPosted)] = posted_time;
-  const size_t ring_slot = static_cast<size_t>((id - 1) % span_capacity_);
+  const size_t ring_slot =
+      static_cast<size_t>((id - keep_from_) % span_capacity_);
   if (ring_slot < spans_.size()) {
-    // Overwrite: the previous occupant is exactly span_capacity_ ids older.
-    if (spans_[ring_slot].id != 0) {
-      ++spans_dropped_;
-      WarnOnFirstDrop("work-request spans");
-    }
     spans_[ring_slot] = span;
   } else {
+    // Under a promise the ring's final size is known: allocate it once, at
+    // the first span it keeps. Allocated at the promise, ahead of the
+    // replay's own allocations, it raised a whole join's peak RSS by about
+    // its own size.
+    if (spans_.size() == spans_.capacity() && id <= promised_last_) {
+      spans_.reserve(std::min<uint64_t>(
+          span_capacity_, spans_.size() + (promised_last_ - id + 1)));
+    }
     spans_.push_back(span);
   }
   return id;
 }
 
 void SpanRecorder::MarkStage(uint64_t id, SpanStage stage, double time) {
-  WrSpan* span = Find(id);
-  if (span == nullptr) {
-    if (config_.enabled && id != 0) ++late_stage_updates_;
+  if (WrSpan* span = Find(id)) {
+    span->stage[static_cast<int>(stage)] = time;
     return;
   }
-  span->stage[static_cast<int>(stage)] = time;
+  // Late once the span's slot has been overwritten (or it never began). A
+  // span skipped under a promise ignores updates until then, as the ring
+  // would have kept them only to overwrite them.
+  const bool held = id < next_id_ && next_id_ - id <= span_capacity_;
+  if (config_.enabled && id != 0 && !held) ++late_stage_updates_;
 }
 
 void SpanRecorder::SetFlow(uint64_t id, uint64_t flow) {
@@ -213,6 +241,16 @@ void SpanRecorder::OnBufferCredit(uint32_t device, bool acquired) {
 }
 
 SpanDataset SpanRecorder::Snapshot() const {
+  if (next_id_ <= promised_last_) {
+    // The ring skipped spans on the promise that later ones would evict
+    // them; without those ids the dataset would silently lack live spans.
+    const uint64_t missing = promised_last_ - next_id_ + 1;
+    std::fprintf(stderr,
+                 "rdmajoin: span recorder snapshot before every promised "
+                 "span began (%llu of them still to begin)\n",
+                 static_cast<unsigned long long>(missing));
+    std::abort();
+  }
   SpanDataset ds;
   ds.spans.reserve(spans_.size());
   for (const WrSpan& s : spans_) {
@@ -387,6 +425,18 @@ Status CheckLink(const Where& where, uint32_t src, uint32_t dst,
 }  // namespace
 
 Status ValidateSpanDataset(const SpanDataset& ds) {
+  if (ds.spans_dropped > ds.spans_recorded) {
+    return InvalidSpanData("counts", "spans_dropped " +
+                                         std::to_string(ds.spans_dropped) +
+                                         " > spans_recorded " +
+                                         std::to_string(ds.spans_recorded));
+  }
+  if (ds.segments_dropped > ds.segments_recorded) {
+    return InvalidSpanData("counts", "segments_dropped " +
+                                         std::to_string(ds.segments_dropped) +
+                                         " > segments_recorded " +
+                                         std::to_string(ds.segments_recorded));
+  }
   uint32_t machines = ds.machines;
   if (machines == 0) {
     for (const ThreadMark& t : ds.threads) {
@@ -403,6 +453,13 @@ Status ValidateSpanDataset(const SpanDataset& ds) {
     auto where = [&] {
       return "span " + std::to_string(i) + " (id " + std::to_string(s.id) + ")";
     };
+    // A repeated id would also collide as a Chrome-trace flow id.
+    if (i > 0 && s.id <= ds.spans[i - 1].id) {
+      return InvalidSpanData(where(), "id " + std::to_string(s.id) +
+                                          " does not ascend (previous id " +
+                                          std::to_string(ds.spans[i - 1].id) +
+                                          ")");
+    }
     RDMAJOIN_RETURN_IF_ERROR(CheckMachine(where, "machine", s.machine, machines));
     RDMAJOIN_RETURN_IF_ERROR(CheckLink(where, s.src, s.dst, machines));
     RDMAJOIN_RETURN_IF_ERROR(CheckTime(where, "wire_bytes", s.wire_bytes));

@@ -21,8 +21,9 @@ struct JsonValue;
 struct SpanConfig {
   bool enabled = true;
   /// Combined byte budget of the span and segment rings. The default keeps
-  /// every span of the test and bench workloads (tens of thousands of work
-  /// requests) while bounding memory for arbitrarily large replays.
+  /// the newest 32,768 spans and 87,381 segments, which bounds memory for
+  /// arbitrarily large replays (a fig05a-sized run already wraps the span
+  /// ring).
   uint64_t max_bytes = 8 * 1024 * 1024;
 };
 
@@ -182,9 +183,11 @@ struct SpanDataset {
 /// Recording is O(1) per event into fixed-capacity rings sized by
 /// SpanConfig::max_bytes -- overhead is bounded no matter how long the
 /// replay runs. Eviction is deterministic (oldest id first) and counted;
-/// the first overflow emits one RDMAJOIN_LOG warning per recorder. The
-/// recorder is passive: it never feeds back into the simulation, so enabling
-/// or disabling it cannot change any replayed time.
+/// the first overflow emits one RDMAJOIN_LOG warning per recorder. A caller
+/// that knows how many spans it will open (ExpectSpans) lets the span ring
+/// write only the spans it keeps. The recorder is passive: it never feeds
+/// back into the simulation, so enabling or disabling it cannot change any
+/// replayed time.
 class SpanRecorder : public FlowTelemetry, public RdmaEventSink {
  public:
   explicit SpanRecorder(const SpanConfig& config = SpanConfig());
@@ -194,6 +197,14 @@ class SpanRecorder : public FlowTelemetry, public RdmaEventSink {
   size_t span_capacity() const { return span_capacity_; }
   size_t segment_capacity() const { return segment_capacity_; }
 
+  /// Promises that at least `n` more spans begin before the next Snapshot().
+  /// Spans the ring would overwrite before then -- ids up to
+  /// next id + n - 1 - span_capacity() -- are counted but never written, and
+  /// their updates are no-ops until an overwrite would have evicted them
+  /// (MarkStage then counts late, as for any evicted span). Every snapshot
+  /// is byte-identical to one taken without the promise; Snapshot() aborts
+  /// if a promised span has not begun. The replay promises its send count.
+  void ExpectSpans(uint64_t n);
   /// Opens a span for a posted send; returns its id (0 when disabled).
   uint64_t BeginSpan(uint32_t machine, uint32_t thread, uint32_t slot,
                      uint32_t src, uint32_t dst, double wire_bytes, bool pull,
@@ -233,12 +244,13 @@ class SpanRecorder : public FlowTelemetry, public RdmaEventSink {
   uint64_t late_stage_updates() const { return late_stage_updates_; }
 
   /// Materializes the current contents (spans sorted by id, segments by
-  /// (t0, src, dst)).
+  /// (t0, src, dst)). Aborts, in every build mode, before every span
+  /// promised by ExpectSpans has begun.
   SpanDataset Snapshot() const;
 
  private:
-  /// The ring slot owning `id`, or nullptr if the id was never recorded or
-  /// has been evicted.
+  /// The ring slot owning `id`, or nullptr if the id was never recorded,
+  /// was skipped under a promise, or has been evicted.
   WrSpan* Find(uint64_t id);
   void WarnOnFirstDrop(const char* what);
 
@@ -246,8 +258,14 @@ class SpanRecorder : public FlowTelemetry, public RdmaEventSink {
   size_t span_capacity_ = 0;
   size_t segment_capacity_ = 0;
   uint64_t next_id_ = 1;
-  /// Span ring: id occupies slot (id - 1) % span_capacity_; an overwrite
-  /// evicts the previous occupant (exactly span_capacity_ ids older).
+  /// Lowest id the span ring may hold: lower ids were skipped or cleared
+  /// under a promise, since they are overwritten before the snapshot.
+  uint64_t keep_from_ = 1;
+  /// Last id promised by ExpectSpans (0: none).
+  uint64_t promised_last_ = 0;
+  /// Span ring: id occupies slot (id - keep_from_) % span_capacity_; an
+  /// overwrite evicts the previous occupant (exactly span_capacity_ ids
+  /// older).
   std::vector<WrSpan> spans_;
   /// Segment FIFO ring, in the order the fabric reported the segments.
   std::vector<FlowSegment> segments_;
@@ -275,7 +293,8 @@ std::string SpanDatasetToJson(const SpanDataset& dataset);
 /// Checks a dataset's cross-field shape, the way ValidateTrace checks a
 /// trace. The machine count is `machines` when set, else
 /// max(threads.machine) + 1; with neither the range checks are skipped.
-/// Rejected: a thread mark, or a span whose machine, src
+/// Rejected: more spans or segments dropped than recorded; span ids that do
+/// not strictly ascend; a thread mark, or a span whose machine, src
 /// or dst is out of range, or whose src == dst; a segment whose src or dst
 /// is out of range, or src == dst; a stage or receive time that is neither
 /// finite and >= 0 nor kSpanUnset; non-finite or negative wire bytes, retry

@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/presets.h"
+#include "join/distributed_join.h"
+#include "timing/replay.h"
 #include "util/json.h"
 #include "util/logging.h"
+#include "util/random.h"
+#include "workload/generator.h"
 
 namespace rdmajoin {
 namespace {
@@ -63,6 +68,7 @@ TEST(SpanRecorder, DisabledRecorderRecordsNothing) {
   rec.OnFlowSegment(1, 0, 1, 0.0, 1.0, 100.0, RateConstraint::kSenderEgress, 0);
   rec.OnWrPosted(0, WorkCompletion::Op::kSend);
   rec.AddThreadMark(ThreadMark{});
+  rec.ExpectSpans(10);  // A disabled recorder holds no promise either.
   const SpanDataset ds = rec.Snapshot();
   EXPECT_TRUE(ds.spans.empty());
   EXPECT_TRUE(ds.segments.empty());
@@ -124,6 +130,252 @@ TEST(SpanRecorder, LateStageUpdatesOnEvictedSpansAreCounted) {
   for (const WrSpan& s : ds.spans) {
     EXPECT_EQ(s.stage[static_cast<int>(SpanStage::kDelivered)], kSpanUnset);
   }
+}
+
+// ---------- ExpectSpans ----------
+
+/// Drives one seeded random call sequence into two recorders of the same
+/// budget: `promised` hears every promise (ExpectSpans), `plain` none.
+class PromiseDriver {
+ public:
+  PromiseDriver(uint64_t max_bytes, uint64_t seed)
+      : promised_(Config(max_bytes)), plain_(Config(max_bytes)), rng_(seed) {}
+
+  size_t capacity() const { return plain_.span_capacity(); }
+
+  /// Begins `n` spans, promised to `promised_` when `promise` is set. Run
+  /// interleaves the begins with updates of all four kinds to ids up to
+  /// three rings back (and a few not yet begun) and with flow segments, and
+  /// ends with a tail of updates after the last begin.
+  void Phase(uint64_t n, bool promise) {
+    if (promise) Promise(n);
+    Run(n);
+  }
+  void Promise(uint64_t n) { promised_.ExpectSpans(n); }
+  void Run(uint64_t n) {
+    uint64_t begun = 0;
+    while (begun < n) {
+      const uint64_t action = rng_.Uniform(100);
+      if (action < 40) {
+        Begin();
+        ++begun;
+      } else if (action < 90) {
+        Update();
+      } else {
+        Segment();
+      }
+    }
+    for (int i = 0; i < 200; ++i) Update();
+  }
+
+  /// Both recorders agree on every counter and on the dataset's bytes.
+  void ExpectSame(const std::string& where) const {
+    EXPECT_EQ(promised_.spans_recorded(), plain_.spans_recorded()) << where;
+    EXPECT_EQ(promised_.spans_dropped(), plain_.spans_dropped()) << where;
+    EXPECT_EQ(promised_.segments_recorded(), plain_.segments_recorded())
+        << where;
+    EXPECT_EQ(promised_.segments_dropped(), plain_.segments_dropped()) << where;
+    EXPECT_EQ(promised_.late_stage_updates(), plain_.late_stage_updates())
+        << where;
+    const std::string a = SpanDatasetToJson(promised_.Snapshot());
+    const std::string b = SpanDatasetToJson(plain_.Snapshot());
+    EXPECT_TRUE(a == b) << where << ": datasets differ (" << a.size() << " vs "
+                        << b.size() << " bytes)";
+  }
+
+  uint64_t late_stage_updates() const { return plain_.late_stage_updates(); }
+
+ private:
+  static SpanConfig Config(uint64_t max_bytes) {
+    SpanConfig config;
+    config.max_bytes = max_bytes;
+    return config;
+  }
+
+  void Begin() {
+    const auto src = static_cast<uint32_t>(rng_.Uniform(4));
+    const auto dst = static_cast<uint32_t>((src + 1 + rng_.Uniform(3)) % 4);
+    const auto machine = static_cast<uint32_t>(rng_.Uniform(4));
+    const auto thread = static_cast<uint32_t>(rng_.Uniform(3));
+    const auto slot = static_cast<uint32_t>(rng_.Uniform(16));
+    const double bytes = 64.0 * static_cast<double>(1 + rng_.Uniform(8));
+    const bool pull = rng_.Uniform(5) == 0;
+    now_ += 0.25;
+    const uint64_t a = promised_.BeginSpan(machine, thread, slot, src, dst,
+                                           bytes, pull, now_);
+    const uint64_t b =
+        plain_.BeginSpan(machine, thread, slot, src, dst, bytes, pull, now_);
+    EXPECT_EQ(a, b);
+    last_id_ = b;
+  }
+
+  void Update() {
+    // Ids from three rings back up to two past the newest (not yet begun);
+    // one update in four straddles the eviction point.
+    const uint64_t back = rng_.Uniform(4) == 0
+                              ? capacity() + rng_.Uniform(3)
+                              : rng_.Uniform(3 * capacity() + 3);
+    if (back > last_id_ + 1) return;
+    const uint64_t id = last_id_ + 2 - back;
+    now_ += 0.125;
+    switch (rng_.Uniform(4)) {
+      case 0: {
+        const auto stage = static_cast<SpanStage>(1 + rng_.Uniform(4));
+        promised_.MarkStage(id, stage, now_);
+        plain_.MarkStage(id, stage, now_);
+        break;
+      }
+      case 1:
+        promised_.SetFlow(id, id + 7);
+        plain_.SetFlow(id, id + 7);
+        break;
+      case 2:
+        promised_.SetReceiverService(id, now_, now_ + 0.5);
+        plain_.SetReceiverService(id, now_, now_ + 0.5);
+        break;
+      default: {
+        const auto retries = static_cast<uint32_t>(1 + rng_.Uniform(3));
+        promised_.SetFaultInfo(id, retries, 0.5 * retries);
+        plain_.SetFaultInfo(id, retries, 0.5 * retries);
+        break;
+      }
+    }
+  }
+
+  void Segment() {
+    const auto src = static_cast<uint32_t>(rng_.Uniform(4));
+    const auto dst = static_cast<uint32_t>((src + 1 + rng_.Uniform(3)) % 4);
+    now_ += 0.0625;
+    ++flow_;
+    for (SpanRecorder* r : {&promised_, &plain_}) {
+      r->OnFlowSegment(flow_, src, dst, now_, now_ + 1.0, 1e9,
+                       RateConstraint::kSenderEgress, src);
+    }
+  }
+
+  SpanRecorder promised_;
+  SpanRecorder plain_;
+  Random rng_;
+  double now_ = 0;
+  uint64_t last_id_ = 0;
+  uint64_t flow_ = 0;
+};
+
+TEST(SpanRecorderPromise, MatchesAnUnpromisedRecorderByteForByte) {
+  // Budgets: 0 (the 64-entry floor), 20000 and 1 MiB.
+  for (const uint64_t max_bytes :
+       {uint64_t{0}, uint64_t{20000}, uint64_t{1} << 20}) {
+    PromiseDriver d(max_bytes, /*seed=*/max_bytes + 17);
+    const size_t cap = d.capacity();
+    const std::string at = "max_bytes " + std::to_string(max_bytes);
+    // A promise three rings deep skips most of its spans.
+    d.Phase(3 * cap + 5, /*promise=*/true);
+    d.ExpectSame(at + ", first promise");
+    // A second replay on the same recorder.
+    d.Phase(2 * cap + 1, /*promise=*/true);
+    d.ExpectSame(at + ", second promise");
+    // A promise smaller than the ring: nothing is skipped.
+    d.Phase(cap / 2, /*promise=*/true);
+    d.ExpectSame(at + ", promise below capacity");
+    // No promise, then a promise of exactly the capacity.
+    d.Phase(cap + 3, /*promise=*/false);
+    d.Phase(cap, /*promise=*/true);
+    d.ExpectSame(at + ", unpromised then exact");
+    // The sequence did reach evicted spans.
+    EXPECT_GT(d.late_stage_updates(), 0u) << at;
+  }
+}
+
+TEST(SpanRecorderPromise, OverlappingPromisesKeepTheFurthest) {
+  PromiseDriver d(/*max_bytes=*/0, /*seed=*/5);
+  const size_t cap = d.capacity();
+  d.Promise(4 * cap);
+  d.Run(cap);
+  // Wider than the ring but ends before the first promise: changes nothing.
+  d.Promise(2 * cap);
+  d.Run(cap);
+  // Ends after it: extends it, and more spans are skipped.
+  d.Promise(4 * cap);
+  d.Run(4 * cap);
+  d.ExpectSame("overlapping promises");
+}
+
+TEST(SpanRecorderPromiseDeathTest, SnapshotBeforeEveryPromisedSpanAborts) {
+  SpanRecorder rec(TinyConfig());
+  rec.ExpectSpans(3 * rec.span_capacity());
+  for (size_t i = 0; i < 2 * rec.span_capacity(); ++i) {
+    rec.BeginSpan(0, 0, 0, 0, 1, 64, false, 0.0);
+  }
+  // The 64 spans still to begin would have evicted the ones kept so far.
+  EXPECT_DEATH(rec.Snapshot(),
+               "snapshot before every promised span began \\(64 of them");
+}
+
+// ---------- Replay span datasets ----------
+
+/// Order-sensitive FNV-1a 64 of a string.
+uint64_t Fnv1a(const std::string& s) {
+  uint64_t h = UINT64_C(0xCBF29CE484222325);
+  for (const char c : s) {
+    h ^= static_cast<uint8_t>(c);
+    h *= UINT64_C(0x100000001B3);
+  }
+  return h;
+}
+
+// FNV-1a of SpanDatasetToJson for ReplayTrace on a small 4-machine Zipf
+// join (20,593 sends) at four span budgets, and for one recorder observing
+// two replays. The budgets below the send count wrap the ring; the two
+// smallest drop nearly every span and count tens of thousands of late
+// updates. Recorded before spans could be skipped, so skipping changes no
+// dataset byte.
+TEST(ReplaySpans, DatasetsArePinned) {
+  WorkloadSpec spec;
+  spec.inner_tuples = 4000;
+  spec.outer_tuples = 64000;
+  spec.zipf_theta = 1.2;
+  spec.seed = 3;
+  auto w = GenerateWorkload(spec, 4);
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  const ClusterConfig cluster = QdrCluster(4);
+  JoinConfig jc;
+  jc.scale_up = 1024;
+  jc.assignment = AssignmentPolicy::kSkewAware;
+  jc.enable_spans = false;
+  auto run = DistributedJoin(cluster, jc).Run(w->inner, w->outer);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+
+  struct Pin {
+    uint64_t max_bytes;
+    uint64_t hash;
+  };
+  const Pin pins[] = {
+      {0, UINT64_C(3001543398989182756)},
+      {20000, UINT64_C(3393374473855366252)},
+      {uint64_t{1} << 20, UINT64_C(11542745926625497037)},
+      {SpanConfig().max_bytes, UINT64_C(18339697445318846532)},
+  };
+  for (const Pin& pin : pins) {
+    ReplayOptions options;
+    options.spans.max_bytes = pin.max_bytes;
+    const ReplayReport r = ReplayTrace(cluster, jc, run->trace, options);
+    ASSERT_NE(r.spans, nullptr);
+    const SpanDataset ds = r.spans->Snapshot();
+    EXPECT_EQ(ds.spans_recorded, 20593u);
+    EXPECT_EQ(Fnv1a(SpanDatasetToJson(ds)), pin.hash)
+        << "max_bytes " << pin.max_bytes;
+  }
+
+  SpanConfig small;
+  small.max_bytes = 20000;
+  SpanRecorder external(small);
+  ReplayOptions options;
+  options.span_recorder = &external;
+  ReplayTrace(cluster, jc, run->trace, options);
+  ReplayTrace(cluster, jc, run->trace, options);
+  EXPECT_EQ(external.late_stage_updates(), 65088u);
+  EXPECT_EQ(Fnv1a(SpanDatasetToJson(external.Snapshot())),
+            UINT64_C(8099696234596381463));
 }
 
 TEST(SpanRecorder, SnapshotOrdersSegmentsByStartThenLink) {
@@ -436,6 +688,31 @@ TEST(SpanDatasetValidate, RejectsLabelOwnedByAnotherHost) {
   // An unlabelled (schema v1) segment carries no owner to check.
   ds.segments[0].bound = RateConstraint::kNone;
   EXPECT_TRUE(ValidateSpanDataset(ds).ok());
+}
+
+TEST(SpanDatasetValidate, RejectsMoreDroppedThanRecorded) {
+  SpanDataset ds = ValidDataset();
+  ds.spans_recorded = 3;
+  ds.spans_dropped = 3;
+  ds.segments_recorded = 5;
+  ds.segments_dropped = 5;
+  EXPECT_TRUE(ValidateSpanDataset(ds).ok());
+  ds.spans_dropped = 4;
+  ExpectRejected(ds, "counts: spans_dropped 4 > spans_recorded 3");
+  ds = ValidDataset();
+  ds.segments_dropped = 1;
+  ExpectRejected(ds, "counts: segments_dropped 1 > segments_recorded 0");
+}
+
+TEST(SpanDatasetValidate, RejectsIdsThatDoNotAscend) {
+  SpanDataset ds = ValidDataset();
+  ds.spans.push_back(ds.spans[0]);
+  ds.spans[1].id = 5;  // Gaps are fine: evicted spans leave them.
+  EXPECT_TRUE(ValidateSpanDataset(ds).ok());
+  ds.spans[1].id = 1;
+  ExpectRejected(ds, "span 1 (id 1): id 1 does not ascend (previous id 1)");
+  ds.spans[1].id = 0;
+  ExpectRejected(ds, "span 1 (id 0): id 0 does not ascend");
 }
 
 TEST(SpanDatasetValidate, ReaderRejectsAnInvalidDocument) {

@@ -256,6 +256,17 @@ TEST(Replay, SpanDatasetOfAReceiveOnlyMachineValidates) {
   EXPECT_EQ(back->machines, 2u);
 }
 
+TEST(ReplayDeathTest, StalledEventLoopAborts) {
+  // With no credit per slot every thread blocks before its first send and
+  // nothing can wake it. The loop used to end there and report phase times
+  // without the unposted sends.
+  JoinConfig no_credits;
+  no_credits.buffers_per_partition = 0;
+  EXPECT_DEATH(ReplayTrace(TinyCluster(), no_credits, TinyTrace()),
+               "replay stalled with 2 thread\\(s\\) unfinished after posting "
+               "0 of 2 sends");
+}
+
 TEST(Replay, ReceiverCopyTracked) {
   ClusterConfig cluster = TinyCluster();
   cluster.costs.memcpy_bytes_per_sec = 500.0;  // Slow receiver: 2 s per KB.

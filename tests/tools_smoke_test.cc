@@ -253,6 +253,15 @@ TEST_F(ToolsSmokeTest, AnalyzeSpansCheckRejectsMutatedDatasetsNamingTheField) {
       {"src_eq_dst", "\"src\":0,\"dst\":2,", "\"src\":2,\"dst\":2,",
        "src == dst"},
       {"rate", "\"rate\":", "\"rate\":-", "rate"},
+      // The run wraps the span ring: prefixing a 9 to its drop count
+      // exceeds the recorded count.
+      {"spans_dropped", "\"spans_dropped\":", "\"spans_dropped\":9",
+       "> spans_recorded"},
+      {"segments_dropped", "\"segments_dropped\":0,",
+       "\"segments_dropped\":1e+12,",
+       "segments_dropped 1000000000000 > segments_recorded"},
+      // The first span's id above the second's.
+      {"id_order", "{\"id\":", "{\"id\":9", "does not ascend"},
   };
   for (const Mutation& m : mutations) {
     std::string text = valid;
