@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <utility>
@@ -15,6 +14,7 @@
 #include "model/analytical_model.h"
 #include "rdma/validator.h"
 #include "timing/attribution.h"
+#include "tools/flags.h"
 #include "util/bench_json.h"
 #include "util/file.h"
 #include "util/json.h"
@@ -41,102 +41,48 @@ struct Options {
   std::string json_out;
 };
 
-inline void PrintUsage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--scale=N] [--seed=N] [--csv] [--json-out=PATH] [--no-json]\n"
-      "  --scale=N        virtual scale-up factor, N >= 1 (also env "
-      "RDMAJOIN_SCALE_UP)\n"
-      "  --seed=N         workload RNG seed (default 42)\n"
-      "  --csv            print tables as CSV\n"
-      "  --json-out=PATH  write the machine-readable results to PATH\n"
-      "                   (default BENCH_<bench>.json in the working dir)\n"
-      "  --no-json        skip writing the JSON results file\n",
-      argv0);
-}
-
-/// Strict numeric parsing: the whole token must be a finite number. Protects
-/// against --scale=abc silently becoming scale 1 (a 1024x slower run).
-inline bool ParseDoubleValue(const char* text, double* out) {
-  if (text == nullptr || *text == '\0') return false;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == nullptr || *end != '\0') return false;
-  if (!(v == v) || v > 1e300 || v < -1e300) return false;  // NaN / inf
-  return *out = v, true;
-}
-
-inline bool ParseU64Value(const char* text, uint64_t* out) {
-  if (text == nullptr || *text == '\0') return false;
-  for (const char* p = text; *p != '\0'; ++p) {
-    if (!std::isdigit(static_cast<unsigned char>(*p))) return false;
-  }
-  char* end = nullptr;
-  *out = std::strtoull(text, &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-[[noreturn]] inline void OptionError(const char* argv0, const std::string& what) {
-  std::fprintf(stderr, "error: %s\n\n", what.c_str());
-  PrintUsage(argv0);
+[[noreturn]] inline void OptionError(const std::string& what) {
+  std::fprintf(stderr, "error: %s; try --help\n", what.c_str());
   std::exit(2);
 }
 
 /// Parses the shared bench flags. Unknown flags and malformed values are
-/// fatal (exit 2 with usage) -- a typo must not silently run a default
-/// configuration. `extra_flags` names additional zero-argument flags the
-/// individual harness handles itself (e.g. fig03's --presets).
+/// fatal (exit 2) -- a typo must not silently run a default configuration.
+/// `extra_flags` are the individual harness's own table entries (e.g.
+/// fig03's --presets).
 inline Options ParseOptions(int argc, char** argv, double default_scale = 1024.0,
-                            const std::vector<std::string>& extra_flags = {}) {
+                            std::vector<Flag> extra_flags = {}) {
   Options opt;
   opt.scale_up = default_scale;
   if (const char* env = std::getenv("RDMAJOIN_SCALE_UP")) {
     if (!ParseDoubleValue(env, &opt.scale_up)) {
-      OptionError(argv[0], std::string("RDMAJOIN_SCALE_UP is not a number: '") +
-                               env + "'");
+      OptionError(std::string("RDMAJOIN_SCALE_UP is not a number: '") + env +
+                  "'");
     }
   }
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--scale=", 8) == 0) {
-      if (!ParseDoubleValue(arg + 8, &opt.scale_up)) {
-        OptionError(argv[0], std::string("invalid --scale value: '") + (arg + 8) +
-                                 "' (expected a number >= 1)");
-      }
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      if (!ParseU64Value(arg + 7, &opt.seed)) {
-        OptionError(argv[0], std::string("invalid --seed value: '") + (arg + 7) +
-                                 "' (expected an unsigned integer)");
-      }
-    } else if (std::strncmp(arg, "--json-out=", 11) == 0) {
-      opt.json_out = arg + 11;
-      if (opt.json_out.empty()) {
-        OptionError(argv[0], "--json-out requires a path");
-      }
-    } else if (std::strcmp(arg, "--csv") == 0) {
-      opt.csv = true;
-    } else if (std::strcmp(arg, "--no-json") == 0) {
-      opt.json = false;
-    } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
-      PrintUsage(argv[0]);
-      std::exit(0);
-    } else {
-      bool known_extra = false;
-      for (const std::string& extra : extra_flags) {
-        if (extra == arg) {
-          known_extra = true;
-          break;
-        }
-      }
-      if (!known_extra) {
-        OptionError(argv[0], std::string("unknown flag: '") + arg + "'");
-      }
-    }
+  bool no_json = false;
+  std::vector<Flag> table = {
+      // The >= 1 floor is checked below, where it covers RDMAJOIN_SCALE_UP too.
+      DoubleFlag("--scale", &opt.scale_up, 0, kMaxScale,
+                 "virtual scale-up factor, N >= 1 (also env\n"
+                 "RDMAJOIN_SCALE_UP)"),
+      UintFlag("--seed", &opt.seed, 0, UINT64_MAX,
+               "workload RNG seed (default 42)"),
+      SwitchFlag("--csv", &opt.csv, "print tables as CSV"),
+      StringFlag("--json-out", "PATH", &opt.json_out,
+                 "write the machine-readable results to PATH\n"
+                 "(default BENCH_<bench>.json in the working dir)"),
+      SwitchFlag("--no-json", &no_json, "skip writing the JSON results file")};
+  for (Flag& f : extra_flags) table.push_back(std::move(f));
+  FlagTable flags(std::string("usage: ") + argv[0] + " [flags]", std::move(table));
+  if (const auto exit_code = flags.ParseOrExitCode(argc, argv, 2)) {
+    std::exit(*exit_code);
   }
   if (opt.scale_up < 1.0) {
-    OptionError(argv[0], "--scale must be >= 1 (times are virtual full-scale "
-                         "seconds; scale 1 replays the full workload)");
+    OptionError("--scale must be >= 1 (times are virtual full-scale seconds; "
+                "scale 1 replays the full workload)");
   }
+  opt.json = !no_json;
   return opt;
 }
 

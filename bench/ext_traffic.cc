@@ -9,16 +9,8 @@
 // sustainable throughput (max offered QPS with zero rejections and bounded
 // queue drain). All rows land in BENCH_ext_traffic.json, byte-identical
 // across reruns at a fixed (seed, scale), and are gated in CI like every
-// other bench.
-//
-// Extra flags (beyond the shared bench flags):
-//   --qps=X           run one offered load instead of the sweep
-//   --policy=NAME     serial | phase-aligned | overlap | weighted-fair
-//   --queries=N       arrivals per offered load (default 24)
-//   --sched-json=PATH write the last run's schedule JSON (rdmajoin_explain
-//                     --utilization --sched=PATH renders the per-query view)
-
-#include <cstring>
+// other bench. Its own flags (--qps, --policy, --queries, --sched-json) are
+// listed in main() and by --help.
 
 #include "bench/bench_common.h"
 #include "cluster/presets.h"
@@ -39,41 +31,22 @@ struct TrafficFlags {
   std::string sched_json;
 };
 
-// bench::ParseOptions only knows zero-argument extra flags; peel off this
-// harness's value-bearing flags first and hand the rest through.
-TrafficFlags ExtractTrafficFlags(int* argc, char** argv) {
-  TrafficFlags flags;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    char* arg = argv[i];
-    if (std::strncmp(arg, "--qps=", 6) == 0) {
-      if (!rdmajoin::bench::ParseDoubleValue(arg + 6, &flags.qps) ||
-          !(flags.qps > 0)) {
-        rdmajoin::bench::OptionError(argv[0], "invalid --qps value");
-      }
-    } else if (std::strncmp(arg, "--policy=", 9) == 0) {
-      flags.policy = arg + 9;
-    } else if (std::strncmp(arg, "--queries=", 10) == 0) {
-      if (!rdmajoin::bench::ParseU64Value(arg + 10, &flags.queries) ||
-          flags.queries == 0) {
-        rdmajoin::bench::OptionError(argv[0], "invalid --queries value");
-      }
-    } else if (std::strncmp(arg, "--sched-json=", 13) == 0) {
-      flags.sched_json = arg + 13;
-    } else {
-      argv[out++] = arg;
-    }
-  }
-  *argc = out;
-  return flags;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace rdmajoin;
-  const TrafficFlags flags = ExtractTrafficFlags(&argc, argv);
-  const bench::Options opt = bench::ParseOptions(argc, argv);
+  TrafficFlags flags;
+  const bench::Options opt = bench::ParseOptions(
+      argc, argv, 1024.0,
+      {DoubleFlag("--qps", &flags.qps, 1e-6, 1e9,
+                  "run one offered load instead of the sweep"),
+       StringFlag("--policy", "NAME", &flags.policy,
+                  "serial | phase-aligned | overlap | weighted-fair"),
+       UintFlag("--queries", &flags.queries, 1, 1000000,
+                "arrivals per offered load (default 24)"),
+       StringFlag("--sched-json", "PATH", &flags.sched_json,
+                  "write the last run's schedule JSON (rdmajoin_explain\n"
+                  "--utilization --sched=PATH renders the per-query view)")});
   auto policy = ParseSchedPolicy(flags.policy);
   if (!policy.ok()) {
     std::fprintf(stderr, "%s\n", policy.status().ToString().c_str());

@@ -7,8 +7,6 @@
 //
 // With --presets, additionally prints the Table 2 hardware presets.
 
-#include <cstring>
-
 #include "bench/bench_common.h"
 #include "cluster/presets.h"
 #include "sim/link_fabric.h"
@@ -77,11 +75,12 @@ void PrintPresets() {
 
 int main(int argc, char** argv) {
   using namespace rdmajoin;
-  const bench::Options opt =
-      bench::ParseOptions(argc, argv, /*default_scale=*/1024.0, {"--presets"});
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--presets") == 0) PrintPresets();
-  }
+  bool presets = false;
+  const bench::Options opt = bench::ParseOptions(
+      argc, argv, /*default_scale=*/1024.0,
+      {SwitchFlag("--presets", &presets,
+                  "also print the Table 2 hardware presets")});
+  if (presets) PrintPresets();
   std::printf("Figure 3: point-to-point bandwidth vs message size\n\n");
   bench::BenchReporter reporter("fig03_bandwidth", opt);
 

@@ -219,8 +219,12 @@ double BestOfThreeSeconds(const Fn& fn) {
 }
 
 int RunBenchJson(int argc, char** argv) {
-  const bench::Options opt =
-      bench::ParseOptions(argc, argv, 1024.0, {"--bench-json"});
+  bool bench_json = false;  // main() dispatched here on it
+  const bench::Options opt = bench::ParseOptions(
+      argc, argv, 1024.0,
+      {SwitchFlag("--bench-json", &bench_json,
+                  "time a best-of-three pass over the kernels\n"
+                  "instead of running Google Benchmark")});
   bench::BenchReporter reporter("micro_join_kernels", opt);
 
   constexpr uint64_t kN = 1 << 18;

@@ -96,4 +96,47 @@ ClusterConfig IpoibCluster(uint32_t num_machines, uint32_t cores_per_machine) {
   return c;
 }
 
+namespace {
+
+struct Preset {
+  const char* name;
+  ClusterConfig (*make)(uint32_t, uint32_t);
+};
+
+constexpr Preset kPresets[] = {{"qdr", QdrCluster},
+                               {"fdr", FdrCluster},
+                               {"qpi", QpiServer},
+                               {"ipoib", IpoibCluster}};
+
+}  // namespace
+
+const std::vector<std::string>& PresetClusterNames() {
+  static const std::vector<std::string>* const names = [] {
+    auto* v = new std::vector<std::string>;
+    for (const Preset& p : kPresets) v->push_back(p.name);
+    return v;
+  }();
+  return *names;
+}
+
+StatusOr<ClusterConfig> PresetCluster(std::string_view name, uint32_t machines,
+                                      uint32_t cores) {
+  // QpiServer divides the box's memory by the socket count.
+  if (machines == 0) {
+    return Status::InvalidArgument("cluster needs at least one machine");
+  }
+  for (const Preset& p : kPresets) {
+    if (name != p.name) continue;
+    ClusterConfig c = p.make(machines, cores);
+    RDMAJOIN_RETURN_IF_ERROR(c.Validate());
+    return c;
+  }
+  std::string known;
+  for (const std::string& n : PresetClusterNames()) {
+    known += (known.empty() ? "" : "|") + n;
+  }
+  return Status::InvalidArgument("unknown cluster preset '" + std::string(name) +
+                                 "' (expected one of " + known + ")");
+}
+
 }  // namespace rdmajoin

@@ -2,8 +2,12 @@
 #define RDMAJOIN_CLUSTER_PRESETS_H_
 
 #include <cstdint>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "cluster/cluster.h"
+#include "util/statusor.h"
 
 namespace rdmajoin {
 
@@ -31,6 +35,16 @@ ClusterConfig QpiServer(uint32_t sockets = 4, uint32_t cores_per_socket = 8);
 /// The FDR cluster running the TCP/IP implementation over IPoIB (Figure 5b):
 /// 1.8 GB/s effective bandwidth, kernel crossings and intermediate copies.
 ClusterConfig IpoibCluster(uint32_t num_machines, uint32_t cores_per_machine = 8);
+
+/// The preset names PresetCluster accepts: qdr, fdr, qpi, ipoib.
+const std::vector<std::string>& PresetClusterNames();
+
+/// The one map from a preset name to hardware, for configurations that come
+/// from outside the program (command lines, traces). Rejects an unknown name
+/// and zero machines before any preset divides by the machine count, and
+/// returns the config only once ClusterConfig::Validate() passes.
+StatusOr<ClusterConfig> PresetCluster(std::string_view name, uint32_t machines,
+                                      uint32_t cores);
 
 }  // namespace rdmajoin
 

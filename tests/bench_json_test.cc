@@ -576,8 +576,13 @@ bench::Options ParseArgs(std::vector<std::string> args,
   std::vector<char*> argv;
   argv.reserve(args.size());
   for (std::string& a : args) argv.push_back(a.data());
+  bool extra_given = false;
+  std::vector<Flag> extra_flags;
+  for (const std::string& name : extra) {
+    extra_flags.push_back(SwitchFlag(name, &extra_given, ""));
+  }
   return bench::ParseOptions(static_cast<int>(argv.size()), argv.data(), 1024.0,
-                             extra);
+                             std::move(extra_flags));
 }
 
 TEST(ParseOptions, AcceptsValidFlags) {
@@ -613,22 +618,6 @@ TEST(ParseOptionsDeathTest, NonNumericValuesExit) {
 TEST(ParseOptionsDeathTest, SubUnitScaleExits) {
   EXPECT_EXIT(ParseArgs({"--scale=0.5"}), ::testing::ExitedWithCode(2),
               "--scale must be >= 1");
-}
-
-TEST(ParseValueHelpers, FullTokenValidation) {
-  double d = 0;
-  EXPECT_TRUE(bench::ParseDoubleValue("42.5", &d));
-  EXPECT_DOUBLE_EQ(d, 42.5);
-  EXPECT_FALSE(bench::ParseDoubleValue("", &d));
-  EXPECT_FALSE(bench::ParseDoubleValue("4x", &d));
-  EXPECT_FALSE(bench::ParseDoubleValue("nan", &d));
-  EXPECT_FALSE(bench::ParseDoubleValue("inf", &d));
-  uint64_t u = 0;
-  EXPECT_TRUE(bench::ParseU64Value("123", &u));
-  EXPECT_EQ(u, 123u);
-  EXPECT_FALSE(bench::ParseU64Value("", &u));
-  EXPECT_FALSE(bench::ParseU64Value("-1", &u));
-  EXPECT_FALSE(bench::ParseU64Value("1.5", &u));
 }
 
 }  // namespace

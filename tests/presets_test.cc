@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace rdmajoin {
 namespace {
 
@@ -66,6 +69,50 @@ TEST(Presets, MessageRateYieldsFullBandwidthAtSmallMessages) {
   const ClusterConfig c = QdrCluster(2);
   EXPECT_DOUBLE_EQ(c.fabric.message_rate_per_host * 4096.0,
                    c.fabric.egress_bytes_per_sec);
+}
+
+TEST(Presets, PresetClusterMapsEveryNameToItsValidatedFactory) {
+  EXPECT_EQ(PresetClusterNames(),
+            (std::vector<std::string>{"qdr", "fdr", "qpi", "ipoib"}));
+  const ClusterConfig direct[] = {QdrCluster(3, 6), FdrCluster(3, 6),
+                                  QpiServer(3, 6), IpoibCluster(3, 6)};
+  for (size_t i = 0; i < PresetClusterNames().size(); ++i) {
+    const std::string& name = PresetClusterNames()[i];
+    auto c = PresetCluster(name, 3, 6);
+    ASSERT_TRUE(c.ok()) << name << ": " << c.status().ToString();
+    EXPECT_EQ(c->name, direct[i].name);
+    EXPECT_EQ(c->num_machines, 3u);
+    EXPECT_EQ(c->cores_per_machine, 6u);
+    EXPECT_EQ(c->transport, direct[i].transport);
+    EXPECT_EQ(c->memory_per_machine_bytes, direct[i].memory_per_machine_bytes);
+    EXPECT_DOUBLE_EQ(c->fabric.egress_bytes_per_sec,
+                     direct[i].fabric.egress_bytes_per_sec);
+  }
+}
+
+TEST(Presets, PresetClusterRejectsWhatValidateWouldAndUnknownNames) {
+  for (const std::string& name : PresetClusterNames()) {
+    // Zero machines is rejected before QpiServer divides by it.
+    auto no_machines = PresetCluster(name, 0, 8);
+    ASSERT_FALSE(no_machines.ok()) << name;
+    EXPECT_EQ(no_machines.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(no_machines.status().message().find("machine"), std::string::npos);
+    auto no_cores = PresetCluster(name, 4, 0);
+    ASSERT_FALSE(no_cores.ok()) << name;
+    EXPECT_NE(no_cores.status().message().find("core"), std::string::npos);
+  }
+  // Validate() runs: QDR's congestion term leaves no bandwidth at 40
+  // machines, and a reserved receiver core needs a second core.
+  EXPECT_FALSE(PresetCluster("qdr", 40, 8).ok());
+  EXPECT_FALSE(PresetCluster("qdr", 2, 1).ok());
+  EXPECT_TRUE(PresetCluster("qpi", 2, 1).ok());  // no receiver core reserved
+  for (const char* bad : {"", "QDR", "nope", "qdr "}) {
+    auto c = PresetCluster(bad, 4, 8);
+    ASSERT_FALSE(c.ok()) << bad;
+    EXPECT_EQ(c.status().message(),
+              "unknown cluster preset '" + std::string(bad) +
+                  "' (expected one of qdr|fdr|qpi|ipoib)");
+  }
 }
 
 TEST(Presets, CostModelDefaultsAreCalibration) {

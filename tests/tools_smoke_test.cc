@@ -6,12 +6,14 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -34,6 +36,12 @@
 #endif
 #ifndef RDMAJOIN_EXPLAIN_BIN
 #error "RDMAJOIN_EXPLAIN_BIN must be defined by the build"
+#endif
+#ifndef RDMAJOIN_CHECK_BIN
+#error "RDMAJOIN_CHECK_BIN must be defined by the build"
+#endif
+#ifndef RDMAJOIN_LINT_BIN
+#error "RDMAJOIN_LINT_BIN must be defined by the build"
 #endif
 
 namespace rdmajoin {
@@ -637,6 +645,152 @@ TEST(CliFaultSmokeTest, FaultedRunsAreCleanDeterministicAndCheckable) {
                     " --faults=chaos --fault-policy=nope"),
             1);
 }
+
+TEST_F(ToolsSmokeTest, ReplayToolsValidateThePresetAndTheWhatIfKnobs) {
+  ASSERT_EQ(cli_exit_, 0);
+  const std::string trace = " --trace=" + *trace_path_;
+  const std::string out = " --out=" + TempPath("validated_chrome.json");
+  // A 4-machine QDR cluster with one core has no core left to partition
+  // once the receiver core is reserved: rejected by
+  // ClusterConfig::Validate() with each tool's usage code, not a crash.
+  EXPECT_EQ(RunTool(std::string(RDMAJOIN_TRACE_BIN) + trace + out +
+                    " --cores=1"),
+            1);
+  EXPECT_EQ(RunTool(std::string(RDMAJOIN_WHATIF_BIN) + trace +
+                    " --machines=4 --cores=1"),
+            1);
+  EXPECT_EQ(RunTool(std::string(RDMAJOIN_ANALYZE_BIN) + trace +
+                    " --machines=4 --cores=1"),
+            2);
+  EXPECT_EQ(RunTool(std::string(RDMAJOIN_EXPLAIN_BIN) + " --utilization" +
+                    trace + " --cores=1"),
+            2);
+  // A congestion penalty above the port bandwidth leaves none.
+  EXPECT_EQ(RunTool(std::string(RDMAJOIN_WHATIF_BIN) + trace +
+                    " --machines=4 --congestion-mbps=5000"),
+            1);
+  // Every replay tool reads the same preset list, qpi included.
+  EXPECT_EQ(RunTool(std::string(RDMAJOIN_TRACE_BIN) + trace + out +
+                    " --cluster=qpi"),
+            0);
+  EXPECT_EQ(RunTool(std::string(RDMAJOIN_WHATIF_BIN) + trace +
+                    " --machines=4 --cluster=qpi"),
+            0);
+}
+
+TEST(HelpSmokeTest, EveryToolPrintsHelpAndExitsZero) {
+  for (const char* bin :
+       {RDMAJOIN_CLI_BIN, RDMAJOIN_CHECK_BIN, RDMAJOIN_CHAOS_BIN,
+        RDMAJOIN_WHATIF_BIN, RDMAJOIN_TRACE_BIN, RDMAJOIN_ANALYZE_BIN,
+        RDMAJOIN_EXPLAIN_BIN, RDMAJOIN_LINT_BIN}) {
+    const std::string help = TempPath("help.txt");
+    EXPECT_EQ(RunTool("(" + std::string(bin) + " --help >" + help + ")"), 0)
+        << bin;
+    EXPECT_NE(ReadFileOrEmpty(help).find("--help"), std::string::npos) << bin;
+  }
+}
+
+/// One tool's numeric and choice flags, each with the hostile values that
+/// are valid for it (and so skipped).
+struct HostileFlag {
+  const char* flag;
+  std::vector<std::string> valid;
+};
+struct ToolFlags {
+  const char* name;
+  const char* bin;
+  int usage_exit;
+  std::vector<HostileFlag> flags;
+};
+
+class HostileArgvSweep : public testing::TestWithParam<ToolFlags> {};
+
+// Each hostile value once per numeric and choice flag: every case must be
+// rejected at the argv boundary with the tool's usage code -- not a signal,
+// a hang (timeout's 124) or a run of some default -- and stderr must name
+// the flag.
+TEST_P(HostileArgvSweep, EveryValueExitsWithTheUsageCodeNamingTheFlag) {
+  const ToolFlags& tool = GetParam();
+  const std::string err = TempPath(std::string(tool.name) + ".err");
+  for (const HostileFlag& f : tool.flags) {
+    for (const std::string value :
+         {"abc", "", "-1", "0", "nan", "inf", "1e308", "4294967296",
+          "99999999999"}) {
+      if (std::find(f.valid.begin(), f.valid.end(), value) != f.valid.end()) {
+        continue;
+      }
+      const std::string arg = std::string(f.flag) + "=" + value;
+      EXPECT_EQ(RunTool("(timeout 10 " + std::string(tool.bin) + " '" + arg +
+                        "' 2>" + err + ")"),
+                tool.usage_exit)
+          << tool.name << " " << arg;
+      EXPECT_NE(ReadFileOrEmpty(err).find(f.flag), std::string::npos)
+          << tool.name << " " << arg << ": " << ReadFileOrEmpty(err);
+    }
+  }
+}
+
+const std::vector<std::string> kValidSeeds = {"0", "4294967296", "99999999999"};
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTools, HostileArgvSweep,
+    testing::Values(
+        ToolFlags{"cli", RDMAJOIN_CLI_BIN, 1,
+                  {{"--cluster", {}},      {"--machines", {}},
+                   {"--cores", {}},        {"--operator", {}},
+                   {"--inner", {}},        {"--outer", {}},
+                   {"--width", {}},        {"--zipf", {"0"}},
+                   {"--scale", {}},        {"--assignment", {}},
+                   {"--transport", {}},    {"--seed", kValidSeeds},
+                   {"--fault-policy", {}}}},
+        ToolFlags{"check", RDMAJOIN_CHECK_BIN, 1,
+                  {{"--cluster", {}},   {"--machines", {}},
+                   {"--cores", {}},     {"--operator", {}},
+                   {"--inner", {}},     {"--outer", {}},
+                   {"--width", {}},     {"--zipf", {"0"}},
+                   {"--scale", {}},     {"--assignment", {}},
+                   {"--transport", {}}, {"--mode", {}},
+                   {"--seed", kValidSeeds}}},
+        ToolFlags{"chaos", RDMAJOIN_CHAOS_BIN, 1,
+                  {{"--cluster", {}},
+                   {"--machines", {}},
+                   {"--cores", {}},
+                   {"--inner", {}},
+                   {"--outer", {}},
+                   {"--scale", {}},
+                   {"--seed", kValidSeeds},
+                   {"--policy", {}}}},
+        ToolFlags{"whatif", RDMAJOIN_WHATIF_BIN, 1,
+                  {{"--cluster", {}},
+                   {"--machines", {}},
+                   {"--cores", {}},
+                   {"--inner", {}},
+                   {"--outer", {}},
+                   {"--scale", {}},
+                   {"--bandwidth-gbps", {}},
+                   {"--congestion-mbps", {"0"}}}},
+        ToolFlags{"trace", RDMAJOIN_TRACE_BIN, 1,
+                  {{"--cluster", {}}, {"--cores", {}}, {"--bucket-ms", {}}}},
+        ToolFlags{"analyze", RDMAJOIN_ANALYZE_BIN, 2,
+                  {{"--top", {}},
+                   {"--cluster", {}},
+                   {"--machines", {}},
+                   {"--cores", {}},
+                   {"--scale", {}},
+                   {"--inner", {"0"}},
+                   {"--outer", {"0"}},
+                   {"--tolerance", {"0"}},
+                   {"--abs-tolerance", {"0"}}}},
+        ToolFlags{"explain", RDMAJOIN_EXPLAIN_BIN, 2,
+                  {{"--cluster", {}},
+                   {"--cores", {}},
+                   {"--buckets", {}},
+                   {"--top", {}},
+                   {"--tolerance", {"0"}},
+                   {"--abs-tolerance", {"0"}}}}),
+    [](const testing::TestParamInfo<ToolFlags>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace rdmajoin

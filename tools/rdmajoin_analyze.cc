@@ -27,9 +27,8 @@
 // --bench mode), 2 usage or input errors.
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -40,6 +39,7 @@
 #include "timing/span_query.h"
 #include "timing/span_trace.h"
 #include "timing/trace_io.h"
+#include "tools/flags.h"
 #include "util/bench_json.h"
 #include "util/json.h"
 #include "util/table_printer.h"
@@ -51,23 +51,6 @@ using namespace rdmajoin;
 // The acceptance bar for the attribution subsystem: the critical-path
 // components must reproduce the replayed makespan within 1%.
 constexpr double kMakespanCheckTolerance = 0.01;
-
-void PrintUsage() {
-  std::fprintf(
-      stderr,
-      "usage:\n"
-      "  rdmajoin_analyze --bench=FILE.json\n"
-      "  rdmajoin_analyze --diff BASELINE.json CURRENT.json\n"
-      "                   [--tolerance=REL] [--abs-tolerance=SECONDS]\n"
-      "                   [--report-improvements]\n"
-      "  rdmajoin_analyze --spans=FILE.json [--top=K] [--check]\n"
-      "                   --top=K sets the length of the top-k span tables\n"
-      "                   (by duration and by credit wait; default 5). On\n"
-      "                   schema-v2 datasets each row is annotated with its\n"
-      "                   flow's dominant binding constraint (bound=...).\n"
-      "  rdmajoin_analyze --trace=FILE --cluster=qdr|fdr|ipoib --machines=N\n"
-      "                   [--cores=N] [--scale=N] [--inner=MTUPLES --outer=MTUPLES]\n");
-}
 
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
@@ -211,18 +194,9 @@ int DiffBench(const std::string& old_path, const std::string& new_path,
 int AnalyzeTrace(const std::string& trace_path, const std::string& cluster_name,
                  uint32_t machines, uint32_t cores, double scale, double inner_m,
                  double outer_m) {
-  ClusterConfig cluster;
-  if (cluster_name == "qdr") {
-    cluster = QdrCluster(machines, cores);
-  } else if (cluster_name == "fdr") {
-    cluster = FdrCluster(machines, cores);
-  } else if (cluster_name == "ipoib") {
-    cluster = IpoibCluster(machines, cores);
-  } else {
-    std::fprintf(stderr, "unknown cluster '%s' (qdr|fdr|ipoib)\n",
-                 cluster_name.c_str());
-    return 2;
-  }
+  auto preset = PresetCluster(cluster_name, machines, cores);
+  if (!preset.ok()) return Fail(preset.status());
+  const ClusterConfig& cluster = *preset;
   auto trace = ReadTraceFile(trace_path);
   if (!trace.ok()) return Fail(trace.status());
   if (trace->machines.size() != cluster.num_machines) {
@@ -289,77 +263,57 @@ int main(int argc, char** argv) {
   size_t top_k = 5;
   double scale = 1024, inner_m = 0, outer_m = 0;
   BenchDiffOptions diff_options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&arg](const char* name) -> const char* {
-      const size_t len = std::strlen(name);
-      if (arg.compare(0, len, name) == 0 && arg.size() > len && arg[len] == '=') {
-        return arg.c_str() + len + 1;
-      }
-      return nullptr;
-    };
-    if (const char* v = value("--bench")) {
-      bench_path = v;
-    } else if (const char* v = value("--trace")) {
-      trace_path = v;
-    } else if (const char* v = value("--spans")) {
-      spans_path = v;
-    } else if (const char* v = value("--top")) {
-      const int k = std::atoi(v);
-      if (k <= 0) {
-        std::fprintf(stderr, "invalid --top value '%s'\n", v);
-        return 2;
-      }
-      top_k = static_cast<size_t>(k);
-    } else if (const char* v = value("--cluster")) {
-      cluster_name = v;
-    } else if (const char* v = value("--machines")) {
-      machines = static_cast<uint32_t>(std::atoi(v));
-    } else if (const char* v = value("--cores")) {
-      cores = static_cast<uint32_t>(std::atoi(v));
-    } else if (const char* v = value("--scale")) {
-      scale = std::atof(v);
-    } else if (const char* v = value("--inner")) {
-      inner_m = std::atof(v);
-    } else if (const char* v = value("--outer")) {
-      outer_m = std::atof(v);
-    } else if (const char* v = value("--tolerance")) {
-      char* end = nullptr;
-      diff_options.relative_tolerance = std::strtod(v, &end);
-      if (end == nullptr || *end != '\0' || diff_options.relative_tolerance < 0) {
-        std::fprintf(stderr, "invalid --tolerance value '%s'\n", v);
-        return 2;
-      }
-    } else if (const char* v = value("--abs-tolerance")) {
-      char* end = nullptr;
-      diff_options.absolute_tolerance_seconds = std::strtod(v, &end);
-      if (end == nullptr || *end != '\0' ||
-          diff_options.absolute_tolerance_seconds < 0) {
-        std::fprintf(stderr, "invalid --abs-tolerance value '%s'\n", v);
-        return 2;
-      }
-    } else if (arg == "--diff") {
-      diff_mode = true;
-    } else if (arg == "--report-improvements") {
-      report_improvements = true;
-    } else if (arg == "--check") {
-      check_only = true;
-    } else if (arg == "--help" || arg == "-h") {
-      PrintUsage();
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      PrintUsage();
-      return 2;
-    } else {
-      positional.push_back(arg);
-    }
+  FlagTable flags(
+      "usage:\n"
+      "  rdmajoin_analyze --bench=FILE.json\n"
+      "  rdmajoin_analyze --diff BASELINE.json CURRENT.json\n"
+      "                   [--tolerance=REL] [--abs-tolerance=SECONDS]\n"
+      "                   [--report-improvements]\n"
+      "  rdmajoin_analyze --spans=FILE.json [--top=K] [--check]\n"
+      "  rdmajoin_analyze --trace=FILE --cluster=NAME --machines=N\n"
+      "                   [--cores=N] [--scale=N] [--inner=MTUPLES --outer=MTUPLES]",
+      {StringFlag("--bench", "FILE", &bench_path,
+                  "render a bench result file and check its attribution"),
+       SwitchFlag("--diff", &diff_mode,
+                  "regression-diff two bench files (exit 1 on a regression)"),
+       DoubleFlag("--tolerance", &diff_options.relative_tolerance, 0, 1e3,
+                  "--diff relative tolerance"),
+       DoubleFlag("--abs-tolerance", &diff_options.absolute_tolerance_seconds, 0,
+                  1e6, "--diff absolute tolerance, seconds"),
+       SwitchFlag("--report-improvements", &report_improvements,
+                  "--diff: also list rows that got faster"),
+       StringFlag("--spans", "FILE", &spans_path,
+                  "render a span dataset and check its invariants"),
+       UintFlag("--top", &top_k, 1, 1000000,
+                "length of the top-k span tables\n"
+                "(by duration and by credit wait; default 5). On\n"
+                "schema-v2 datasets each row is annotated with its\n"
+                "flow's dominant binding constraint (bound=...)."),
+       SwitchFlag("--check", &check_only, "--spans: only check the invariants"),
+       StringFlag("--trace", "FILE", &trace_path,
+                  "replay a captured trace and decompose its makespan"),
+       ChoiceFlag("--cluster", &cluster_name, PresetClusterNames(),
+                  "hardware preset for --trace (default qdr)"),
+       UintFlag("--machines", &machines, 1, kMaxMachines,
+                "machines; must match the trace (default 4)"),
+       UintFlag("--cores", &cores, 1, kMaxCores, "cores per machine (default 8)"),
+       DoubleFlag("--scale", &scale, 1, kMaxScale,
+                  "simulation scale-up (default 1024)"),
+       DoubleFlag("--inner", &inner_m, 0, kMaxMTuples,
+                  "paper inner size, millions of tuples: with --outer,\n"
+                  "also compare against the analytical model"),
+       DoubleFlag("--outer", &outer_m, 0, kMaxMTuples,
+                  "paper outer size, millions of tuples")},
+      "exit status: 0 clean, 1 regression or invariant violation, 2 usage or\n"
+      "input error");
+  flags.Positional("FILE...", &positional, "--diff: BASELINE.json CURRENT.json");
+  if (const auto exit_code = flags.ParseOrExitCode(argc, argv, 2)) {
+    return *exit_code;
   }
 
   if (diff_mode) {
     if (positional.size() != 2) {
       std::fprintf(stderr, "--diff needs exactly two files (baseline, current)\n");
-      PrintUsage();
       return 2;
     }
     return DiffBench(positional[0], positional[1], diff_options,
@@ -371,6 +325,6 @@ int main(int argc, char** argv) {
     return AnalyzeTrace(trace_path, cluster_name, machines, cores, scale,
                         inner_m, outer_m);
   }
-  PrintUsage();
+  std::fputs(flags.Help().c_str(), stderr);
   return 2;
 }

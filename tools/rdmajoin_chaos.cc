@@ -13,9 +13,8 @@
 // The matrix is deterministic in (preset list, seed): identical invocations
 // produce identical tables and identical JSON bytes.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -23,6 +22,7 @@
 #include "fault/injector.h"
 #include "fault/schedule.h"
 #include "join/distributed_join.h"
+#include "tools/flags.h"
 #include "util/file.h"
 #include "util/json.h"
 #include "util/metrics.h"
@@ -32,19 +32,6 @@
 namespace {
 
 using namespace rdmajoin;
-
-struct ChaosOptions {
-  std::string cluster = "qdr";
-  uint32_t machines = 4;
-  uint32_t cores = 8;
-  double inner_mtuples = 512;
-  double outer_mtuples = 512;
-  double scale_up = 1024.0;
-  uint64_t seed = 42;
-  std::string presets;            // comma-separated; empty = all presets
-  std::string policy = "both";    // abort | recover | both
-  std::string json_out;
-};
 
 struct ChaosRow {
   std::string preset;
@@ -57,63 +44,6 @@ struct ChaosRow {
   double qp_recoveries = 0;
   std::string detail;           // abort status message, if any
 };
-
-void PrintUsage() {
-  std::printf(
-      "rdmajoin_chaos -- fault-injection matrix for the distributed join\n\n"
-      "  --cluster=qdr|fdr|qpi|ipoib  hardware preset (default qdr)\n"
-      "  --machines=N                 machines (default 4)\n"
-      "  --cores=N                    cores per machine (default 8)\n"
-      "  --inner=M --outer=M          relation sizes, millions of tuples\n"
-      "  --scale=N                    simulation scale-up (default 1024)\n"
-      "  --seed=N                     workload + chaos-schedule seed\n"
-      "  --presets=a,b,c              fault presets to run (default: all)\n"
-      "  --policy=abort|recover|both  fault policies to run (default both)\n"
-      "  --json=PATH                  write the matrix as JSON rows\n\n"
-      "exit status: 0 when every run ends in a clean abort or the exact\n"
-      "correct cardinality; 1 otherwise\n");
-}
-
-bool ParseArgs(int argc, char** argv, ChaosOptions* opt) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&arg](const char* name) -> const char* {
-      const size_t len = std::strlen(name);
-      if (arg.compare(0, len, name) == 0 && arg.size() > len && arg[len] == '=') {
-        return arg.c_str() + len + 1;
-      }
-      return nullptr;
-    };
-    if (arg == "--help" || arg == "-h") {
-      PrintUsage();
-      return false;
-    } else if (const char* v = value("--cluster")) {
-      opt->cluster = v;
-    } else if (const char* v = value("--machines")) {
-      opt->machines = static_cast<uint32_t>(std::atoi(v));
-    } else if (const char* v = value("--cores")) {
-      opt->cores = static_cast<uint32_t>(std::atoi(v));
-    } else if (const char* v = value("--inner")) {
-      opt->inner_mtuples = std::atof(v);
-    } else if (const char* v = value("--outer")) {
-      opt->outer_mtuples = std::atof(v);
-    } else if (const char* v = value("--scale")) {
-      opt->scale_up = std::atof(v);
-    } else if (const char* v = value("--seed")) {
-      opt->seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--presets")) {
-      opt->presets = v;
-    } else if (const char* v = value("--policy")) {
-      opt->policy = v;
-    } else if (const char* v = value("--json")) {
-      opt->json_out = v;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s (try --help)\n", arg.c_str());
-      return false;
-    }
-  }
-  return true;
-}
 
 std::vector<std::string> SplitCsv(const std::string& s) {
   std::vector<std::string> out;
@@ -136,46 +66,63 @@ int Fail(const Status& status) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ChaosOptions opt;
-  if (!ParseArgs(argc, argv, &opt)) return 1;
-
-  ClusterConfig cluster;
-  if (opt.cluster == "qdr") {
-    cluster = QdrCluster(opt.machines, opt.cores);
-  } else if (opt.cluster == "fdr") {
-    cluster = FdrCluster(opt.machines, opt.cores);
-  } else if (opt.cluster == "qpi") {
-    cluster = QpiServer(opt.machines, opt.cores);
-  } else if (opt.cluster == "ipoib") {
-    cluster = IpoibCluster(opt.machines, opt.cores);
-  } else {
-    std::fprintf(stderr, "unknown cluster preset: %s\n", opt.cluster.c_str());
-    return 1;
+  std::string cluster_name = "qdr";
+  uint32_t machines = 4;
+  uint32_t cores = 8;
+  double inner_mtuples = 512;
+  double outer_mtuples = 512;
+  double scale_up = 1024.0;
+  uint64_t seed = 42;
+  std::string preset_list;  // comma-separated; empty = all presets
+  std::string policy = "both";
+  std::string json_out;
+  FlagTable flags(
+      "rdmajoin_chaos -- fault-injection matrix for the distributed join",
+      {ChoiceFlag("--cluster", &cluster_name, PresetClusterNames(),
+                  "hardware preset (default qdr)"),
+       UintFlag("--machines", &machines, 1, kMaxMachines, "machines (default 4)"),
+       UintFlag("--cores", &cores, 1, kMaxCores, "cores per machine (default 8)"),
+       DoubleFlag("--inner", &inner_mtuples, kMinMTuples, kMaxMTuples,
+                  "inner relation size, millions of tuples (default 512)"),
+       DoubleFlag("--outer", &outer_mtuples, kMinMTuples, kMaxMTuples,
+                  "outer relation size, millions of tuples (default 512)"),
+       DoubleFlag("--scale", &scale_up, 1, kMaxScale,
+                  "simulation scale-up (default 1024)"),
+       UintFlag("--seed", &seed, 0, UINT64_MAX,
+                "workload + chaos-schedule seed (default 42)"),
+       StringFlag("--presets", "a,b,c", &preset_list,
+                  "fault presets to run (default: all)"),
+       ChoiceFlag("--policy", &policy, {"abort", "recover", "both"},
+                  "fault policies to run (default both)"),
+       StringFlag("--json", "PATH", &json_out, "write the matrix as JSON rows")},
+      "exit status: 0 when every run ends in a clean abort or the exact\n"
+      "correct cardinality; 1 otherwise");
+  if (const auto exit_code = flags.ParseOrExitCode(argc, argv, 1)) {
+    return *exit_code;
   }
 
-  std::vector<std::string> presets = SplitCsv(opt.presets);
+  auto preset = PresetCluster(cluster_name, machines, cores);
+  if (!preset.ok()) return Fail(preset.status());
+  const ClusterConfig cluster = std::move(*preset);
+
+  std::vector<std::string> presets = SplitCsv(preset_list);
   if (presets.empty()) presets = FaultPresetNames();
   std::vector<std::string> policies;
-  if (opt.policy == "abort" || opt.policy == "both") policies.push_back("abort");
-  if (opt.policy == "recover" || opt.policy == "both") policies.push_back("recover");
-  if (policies.empty()) {
-    std::fprintf(stderr, "unknown policy: %s (abort|recover|both)\n",
-                 opt.policy.c_str());
-    return 1;
-  }
+  if (policy == "abort" || policy == "both") policies.push_back("abort");
+  if (policy == "recover" || policy == "both") policies.push_back("recover");
 
   WorkloadSpec spec;
   spec.inner_tuples =
-      static_cast<uint64_t>(opt.inner_mtuples * 1e6 / opt.scale_up);
+      static_cast<uint64_t>(inner_mtuples * 1e6 / scale_up);
   spec.outer_tuples =
-      static_cast<uint64_t>(opt.outer_mtuples * 1e6 / opt.scale_up);
-  spec.seed = opt.seed;
+      static_cast<uint64_t>(outer_mtuples * 1e6 / scale_up);
+  spec.seed = seed;
   auto workload = GenerateWorkload(spec, cluster.num_machines);
   if (!workload.ok()) return Fail(workload.status());
 
   // Fault-free baseline: the degradation reference and the correctness oracle.
   JoinConfig base_config;
-  base_config.scale_up = opt.scale_up;
+  base_config.scale_up = scale_up;
   auto baseline =
       DistributedJoin(cluster, base_config).Run(workload->inner, workload->outer);
   if (!baseline.ok()) return Fail(baseline.status());
@@ -185,21 +132,21 @@ int main(int argc, char** argv) {
   std::vector<ChaosRow> rows;
   bool all_acceptable = true;
   for (const std::string& preset : presets) {
-    auto schedule = MakeFaultPreset(preset, opt.seed, cluster.num_machines);
+    auto schedule = MakeFaultPreset(preset, seed, cluster.num_machines);
     if (!schedule.ok()) return Fail(schedule.status());
     const FaultInjector injector(std::move(*schedule));
-    for (const std::string& policy : policies) {
+    for (const std::string& run_policy : policies) {
       JoinConfig config;
-      config.scale_up = opt.scale_up;
+      config.scale_up = scale_up;
       config.fault_injector = &injector;
       config.fault_policy =
-          policy == "recover" ? FaultPolicy::kRecover : FaultPolicy::kAbort;
+          run_policy == "recover" ? FaultPolicy::kRecover : FaultPolicy::kAbort;
       MetricsRegistry metrics;
       config.metrics = &metrics;
 
       ChaosRow row;
       row.preset = preset;
-      row.policy = policy;
+      row.policy = run_policy;
       auto result =
           DistributedJoin(cluster, config).Run(workload->inner, workload->outer);
       if (!result.ok()) {
@@ -235,7 +182,7 @@ int main(int argc, char** argv) {
 
   TablePrinter table("chaos matrix on " + cluster.name + " (baseline " +
                      TablePrinter::Num(baseline_seconds, 3) + " s, seed " +
-                     std::to_string(opt.seed) + ")");
+                     std::to_string(seed) + ")");
   table.SetHeader({"preset", "policy", "outcome", "total_s", "degradation",
                    "retries", "recoveries"});
   for (const ChaosRow& row : rows) {
@@ -256,11 +203,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!opt.json_out.empty()) {
+  if (!json_out.empty()) {
     std::string json;
     JsonWriter w(&json);
     w.BeginObject().Key("baseline_seconds").Number(baseline_seconds);
-    w.Key("seed").Number(static_cast<double>(opt.seed));
+    w.Key("seed").Number(static_cast<double>(seed));
     w.Key("rows").BeginArray();
     for (const ChaosRow& row : rows) {
       w.Break(0).BeginObject();
@@ -277,8 +224,8 @@ int main(int argc, char** argv) {
     }
     w.EndArray().EndObject();
     json += "\n";
-    if (!WriteStringToFile(opt.json_out, json).ok()) {
-      std::fprintf(stderr, "error: cannot write %s\n", opt.json_out.c_str());
+    if (!WriteStringToFile(json_out, json).ok()) {
+      std::fprintf(stderr, "error: cannot write %s\n", json_out.c_str());
       return 1;
     }
   }

@@ -9,9 +9,9 @@
 // Exit status: 0 if the replay is violation-free, 2 if violations were
 // detected, 1 on configuration or execution errors.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 
 #include "cluster/presets.h"
@@ -19,100 +19,12 @@
 #include "operators/distributed_aggregate.h"
 #include "operators/sort_merge_join.h"
 #include "rdma/validator.h"
+#include "tools/flags.h"
 #include "workload/generator.h"
 
 namespace {
 
 using namespace rdmajoin;
-
-struct CheckOptions {
-  std::string cluster = "qdr";
-  uint32_t machines = 4;
-  uint32_t cores = 8;
-  std::string op = "hashjoin";  // hashjoin | sortmerge | aggregate
-  double inner_mtuples = 256;
-  double outer_mtuples = 256;
-  uint32_t tuple_bytes = 16;
-  double zipf = 0.0;
-  double scale_up = 1024.0;
-  std::string assignment = "rr";  // rr | skew
-  std::string transport;          // "", channel | memory | read | tcp
-  std::string mode = "report";    // report | strict
-  bool preregister = true;
-  uint64_t seed = 42;
-};
-
-void PrintUsage() {
-  std::printf(
-      "rdmajoin_check -- verbs protocol validator: replays a join and reports\n"
-      "contract violations (use-after-deregister, out-of-bounds work requests,\n"
-      "unposted receives, buffer double-release/leaks, CQ overflows, region\n"
-      "leaks at device teardown).\n\n"
-      "  --cluster=qdr|fdr|qpi|ipoib   hardware preset (default qdr)\n"
-      "  --machines=N                  machines / sockets (default 4)\n"
-      "  --cores=N                     cores per machine (default 8)\n"
-      "  --operator=hashjoin|sortmerge|aggregate (default hashjoin)\n"
-      "  --inner=M --outer=M           relation sizes, millions of tuples\n"
-      "  --width=16|32|64              tuple bytes (default 16)\n"
-      "  --zipf=THETA                  outer-key skew (default uniform)\n"
-      "  --scale=N                     simulation scale-up (default 1024)\n"
-      "  --assignment=rr|skew          partition-machine assignment\n"
-      "  --transport=channel|memory|read|tcp  override the preset's transport\n"
-      "  --register-on-demand          disable the preregistered buffer pool\n"
-      "  --mode=report|strict          report: replay everything and print the\n"
-      "                                report; strict: fail on first violation\n"
-      "  --seed=N                      workload RNG seed\n\n"
-      "exit status: 0 clean, 2 violations detected, 1 error\n");
-}
-
-bool ParseArgs(int argc, char** argv, CheckOptions* opt) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&arg](const char* name) -> const char* {
-      const size_t len = std::strlen(name);
-      if (arg.compare(0, len, name) == 0 && arg.size() > len && arg[len] == '=') {
-        return arg.c_str() + len + 1;
-      }
-      return nullptr;
-    };
-    if (arg == "--help" || arg == "-h") {
-      PrintUsage();
-      return false;
-    } else if (const char* v = value("--cluster")) {
-      opt->cluster = v;
-    } else if (const char* v = value("--machines")) {
-      opt->machines = static_cast<uint32_t>(std::atoi(v));
-    } else if (const char* v = value("--cores")) {
-      opt->cores = static_cast<uint32_t>(std::atoi(v));
-    } else if (const char* v = value("--operator")) {
-      opt->op = v;
-    } else if (const char* v = value("--inner")) {
-      opt->inner_mtuples = std::atof(v);
-    } else if (const char* v = value("--outer")) {
-      opt->outer_mtuples = std::atof(v);
-    } else if (const char* v = value("--width")) {
-      opt->tuple_bytes = static_cast<uint32_t>(std::atoi(v));
-    } else if (const char* v = value("--zipf")) {
-      opt->zipf = std::atof(v);
-    } else if (const char* v = value("--scale")) {
-      opt->scale_up = std::atof(v);
-    } else if (const char* v = value("--assignment")) {
-      opt->assignment = v;
-    } else if (const char* v = value("--transport")) {
-      opt->transport = v;
-    } else if (const char* v = value("--mode")) {
-      opt->mode = v;
-    } else if (arg == "--register-on-demand") {
-      opt->preregister = false;
-    } else if (const char* v = value("--seed")) {
-      opt->seed = std::strtoull(v, nullptr, 10);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s (try --help)\n", arg.c_str());
-      return false;
-    }
-  }
-  return true;
-}
 
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
@@ -122,67 +34,82 @@ int Fail(const Status& status) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  CheckOptions opt;
-  if (!ParseArgs(argc, argv, &opt)) return 1;
-
-  ClusterConfig cluster;
-  if (opt.cluster == "qdr") {
-    cluster = QdrCluster(opt.machines, opt.cores);
-  } else if (opt.cluster == "fdr") {
-    cluster = FdrCluster(opt.machines, opt.cores);
-  } else if (opt.cluster == "qpi") {
-    cluster = QpiServer(opt.machines, opt.cores);
-  } else if (opt.cluster == "ipoib") {
-    cluster = IpoibCluster(opt.machines, opt.cores);
-  } else {
-    std::fprintf(stderr, "unknown cluster preset: %s\n", opt.cluster.c_str());
-    return 1;
+  std::string cluster_name = "qdr";
+  uint32_t machines = 4;
+  uint32_t cores = 8;
+  std::string op = "hashjoin";
+  double inner_mtuples = 256;
+  double outer_mtuples = 256;
+  std::optional<TransportKind> transport;  // unset: the preset's
+  std::string mode = "report";
+  bool register_on_demand = false;
+  WorkloadSpec spec;  // --width, --zipf, --seed
+  JoinConfig config;  // --scale, --assignment
+  config.scale_up = 1024.0;
+  FlagTable flags(
+      "rdmajoin_check -- verbs protocol validator: replays a join and reports\n"
+      "contract violations (use-after-deregister, out-of-bounds work requests,\n"
+      "unposted receives, buffer double-release/leaks, CQ overflows, region\n"
+      "leaks at device teardown).",
+      {ChoiceFlag("--cluster", &cluster_name, PresetClusterNames(),
+                  "hardware preset (default qdr)"),
+       UintFlag("--machines", &machines, 1, kMaxMachines,
+                "machines / sockets (default 4)"),
+       UintFlag("--cores", &cores, 1, kMaxCores, "cores per machine (default 8)"),
+       ChoiceFlag("--operator", &op, {"hashjoin", "sortmerge", "aggregate"},
+                  "operator to run (default hashjoin)"),
+       DoubleFlag("--inner", &inner_mtuples, kMinMTuples, kMaxMTuples,
+                  "inner relation size, millions of tuples (default 256)"),
+       DoubleFlag("--outer", &outer_mtuples, kMinMTuples, kMaxMTuples,
+                  "outer relation size, millions of tuples (default 256)"),
+       UintFlag("--width", &spec.tuple_bytes, 16, 1024,
+                "tuple bytes, a multiple of 8 (default 16)"),
+       DoubleFlag("--zipf", &spec.zipf_theta, 0, kMaxZipf,
+                  "outer-key skew (default uniform)"),
+       DoubleFlag("--scale", &config.scale_up, 1, kMaxScale,
+                  "simulation scale-up (default 1024)"),
+       EnumFlag("--assignment", &config.assignment,
+                {{"rr", AssignmentPolicy::kRoundRobin},
+                 {"skew", AssignmentPolicy::kSkewAware}},
+                "partition-machine assignment (default rr)"),
+       EnumFlag("--transport", &transport,
+                {{"channel", TransportKind::kRdmaChannel},
+                 {"memory", TransportKind::kRdmaMemory},
+                 {"read", TransportKind::kRdmaRead},
+                 {"tcp", TransportKind::kTcp}},
+                "override the preset's transport"),
+       SwitchFlag("--register-on-demand", &register_on_demand,
+                  "disable the preregistered buffer pool"),
+       ChoiceFlag("--mode", &mode, {"report", "strict"},
+                  "report: replay everything and print the\n"
+                  "report; strict: fail on first violation"),
+       UintFlag("--seed", &spec.seed, 0, UINT64_MAX,
+                "workload RNG seed (default 42)")},
+      "exit status: 0 clean, 2 violations detected, 1 error");
+  if (const auto exit_code = flags.ParseOrExitCode(argc, argv, 1)) {
+    return *exit_code;
   }
-  if (opt.transport == "channel") {
-    cluster.transport = TransportKind::kRdmaChannel;
-  } else if (opt.transport == "memory") {
-    cluster.transport = TransportKind::kRdmaMemory;
-  } else if (opt.transport == "read") {
-    cluster.transport = TransportKind::kRdmaRead;
-  } else if (opt.transport == "tcp") {
-    cluster.transport = TransportKind::kTcp;
-  } else if (!opt.transport.empty()) {
-    std::fprintf(stderr, "unknown transport: %s\n", opt.transport.c_str());
-    return 1;
-  }
 
-  ProtocolValidator::Mode mode;
-  if (opt.mode == "report") {
-    mode = ProtocolValidator::Mode::kReport;
-  } else if (opt.mode == "strict") {
-    mode = ProtocolValidator::Mode::kStrict;
-  } else {
-    std::fprintf(stderr, "unknown mode: %s (expected report|strict)\n",
-                 opt.mode.c_str());
-    return 1;
-  }
-  ProtocolValidator validator(mode);
+  auto preset = PresetCluster(cluster_name, machines, cores);
+  if (!preset.ok()) return Fail(preset.status());
+  ClusterConfig cluster = std::move(*preset);
+  if (transport) cluster.transport = *transport;
 
-  WorkloadSpec spec;
-  spec.inner_tuples = static_cast<uint64_t>(opt.inner_mtuples * 1e6 / opt.scale_up);
-  spec.outer_tuples = static_cast<uint64_t>(opt.outer_mtuples * 1e6 / opt.scale_up);
-  spec.tuple_bytes = opt.tuple_bytes;
-  spec.zipf_theta = opt.zipf;
-  spec.seed = opt.seed;
+  ProtocolValidator validator(mode == "strict" ? ProtocolValidator::Mode::kStrict
+                                               : ProtocolValidator::Mode::kReport);
+
+  spec.inner_tuples = static_cast<uint64_t>(inner_mtuples * 1e6 / config.scale_up);
+  spec.outer_tuples = static_cast<uint64_t>(outer_mtuples * 1e6 / config.scale_up);
   auto workload = GenerateWorkload(spec, cluster.num_machines);
   if (!workload.ok()) return Fail(workload.status());
 
-  JoinConfig config;
-  config.scale_up = opt.scale_up;
-  config.assignment = opt.assignment == "skew" ? AssignmentPolicy::kSkewAware
-                                               : AssignmentPolicy::kRoundRobin;
-  config.preregister_buffers = opt.preregister;
+  config.preregister_buffers = !register_on_demand;
   config.validator = &validator;
 
   std::string verified = "n/a";
-  if (opt.op == "hashjoin" || opt.op == "sortmerge") {
+  if (op == "hashjoin" || op == "sortmerge") {
     StatusOr<JoinRunResult> result =
-        opt.op == "hashjoin"
+        op == "hashjoin"
             ? DistributedJoin(cluster, config).Run(workload->inner, workload->outer)
             : DistributedSortMergeJoin(cluster, config)
                   .Run(workload->inner, workload->outer);
@@ -198,7 +125,7 @@ int main(int argc, char** argv) {
                      ? "yes"
                      : "NO";
     }
-  } else if (opt.op == "aggregate") {
+  } else {  // aggregate
     auto result = DistributedAggregate(cluster, config).Run(workload->outer);
     if (!result.ok()) {
       if (validator.total_violations() == 0) return Fail(result.status());
@@ -207,13 +134,10 @@ int main(int argc, char** argv) {
     } else {
       verified = result->stats.total_count == spec.outer_tuples ? "yes" : "NO";
     }
-  } else {
-    std::fprintf(stderr, "unknown operator: %s\n", opt.op.c_str());
-    return 1;
   }
 
   std::printf("%s, %s, %s mode -- result verified: %s\n", cluster.name.c_str(),
-              opt.op.c_str(), opt.mode.c_str(), verified.c_str());
+              op.c_str(), mode.c_str(), verified.c_str());
   std::fputs(validator.report().ToString().c_str(), stdout);
   return validator.total_violations() == 0 ? 0 : 2;
 }

@@ -31,9 +31,8 @@
 //   2  usage error or unreadable/malformed input
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -46,6 +45,7 @@
 #include "timing/span_trace.h"
 #include "timing/trace_io.h"
 #include "timing/utilization.h"
+#include "tools/flags.h"
 #include "util/file.h"
 #include "util/json.h"
 #include "util/ledger.h"
@@ -53,58 +53,6 @@
 namespace {
 
 using namespace rdmajoin;
-
-void PrintUsage() {
-  std::printf(
-      "rdmajoin_explain -- run forensics: utilization, run diff, perf ledger\n\n"
-      "utilization (one run):\n"
-      "  --utilization           analyze a recorded trace's replay\n"
-      "  --trace=PATH            input trace (rdmajoin_cli --trace-out)\n"
-      "  --sched=PATH            instead of a trace: a scheduled multi-query\n"
-      "                          run (ext_traffic / ext_concurrent_queries\n"
-      "                          --sched-json) -- per-query latency, queue\n"
-      "                          wait and attribution, plus the idle windows\n"
-      "                          the policy left unfilled, labeled with the\n"
-      "                          query that could have filled them\n"
-      "  --cluster=qdr|fdr|ipoib hardware preset for the replay (default qdr)\n"
-      "  --cores=N               cores per machine (default 8)\n"
-      "  --buckets=N             occupancy timeline buckets (default 48)\n"
-      "  --check                 verify the idle-window totals reproduce the\n"
-      "                          attribution (exit 1 on violation); with\n"
-      "                          --sched, verify the per-query buckets tile\n"
-      "                          each latency to 1e-9\n"
-      "\n"
-      "congestion (one run -- binding-constraint forensics):\n"
-      "  --congestion            per-host congestion timelines, incast\n"
-      "                          episodes and the ranked \"why is this flow\n"
-      "                          slow\" report (takes --trace, --cluster,\n"
-      "                          --cores, --buckets, --top)\n"
-      "  --check                 verify every recorded constraint label is\n"
-      "                          tight against the replay's fabric config\n"
-      "                          (exit 1 on violation)\n"
-      "\n"
-      "run diff (two runs):\n"
-      "  --diff A.json B.json    bench JSON of the two runs\n"
-      "  --spans-a=PATH --spans-b=PATH      span datasets (optional)\n"
-      "  --metrics-a=PATH --metrics-b=PATH  metrics snapshots (optional)\n"
-      "  --tolerance=F           relative divergence margin (default 0.05)\n"
-      "  --abs-tolerance=F       absolute margin, seconds (default 0.02)\n"
-      "  --report-improvements   drill into rows that got faster too\n"
-      "\n"
-      "perf ledger (bench/ledger/ledger.jsonl):\n"
-      "  --ledger=PATH           render trends + drift (exit 1 on drift)\n"
-      "  --ledger-append=PATH    append one entry from --bench-json\n"
-      "  --bench-json=PATH       bench JSON to summarize\n"
-      "  --spans=PATH            span dataset of the same run: records its\n"
-      "                          dominant binding constraint so --ledger\n"
-      "                          trends show compute- vs ingress-bound flips\n"
-      "  --bench=NAME            limit --ledger rendering to one bench\n"
-      "  --commit=ID             commit id recorded in the entry\n"
-      "\n"
-      "common:\n"
-      "  --top=N                 top-k list length (default 10)\n"
-      "  --json-out=PATH         also write the machine-readable report\n");
-}
 
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
@@ -121,20 +69,6 @@ bool WriteFileOrWarn(const std::string& path, const std::string& text) {
   return true;
 }
 
-Status ResolveCluster(const std::string& cluster_name, uint32_t machines,
-                      uint32_t cores, ClusterConfig* out) {
-  if (cluster_name == "qdr") {
-    *out = QdrCluster(machines, cores);
-  } else if (cluster_name == "fdr") {
-    *out = FdrCluster(machines, cores);
-  } else if (cluster_name == "ipoib") {
-    *out = IpoibCluster(machines, cores);
-  } else {
-    return Status::InvalidArgument("unknown cluster " + cluster_name);
-  }
-  return Status::OK();
-}
-
 int RunUtilization(const std::string& trace_path, const std::string& cluster_name,
                    uint32_t cores, size_t buckets, bool check, size_t top_k,
                    const std::string& json_out) {
@@ -142,11 +76,9 @@ int RunUtilization(const std::string& trace_path, const std::string& cluster_nam
   if (!trace.ok()) return Fail(trace.status());
   const uint32_t machines = static_cast<uint32_t>(trace->machines.size());
 
-  ClusterConfig cluster;
-  if (Status s = ResolveCluster(cluster_name, machines, cores, &cluster);
-      !s.ok()) {
-    return Fail(s);
-  }
+  auto preset = PresetCluster(cluster_name, machines, cores);
+  if (!preset.ok()) return Fail(preset.status());
+  const ClusterConfig& cluster = *preset;
 
   JoinConfig config;
   config.scale_up = trace->scale_up;
@@ -256,11 +188,9 @@ int RunCongestion(const std::string& trace_path,
   if (!trace.ok()) return Fail(trace.status());
   const uint32_t machines = static_cast<uint32_t>(trace->machines.size());
 
-  ClusterConfig cluster;
-  if (Status s = ResolveCluster(cluster_name, machines, cores, &cluster);
-      !s.ok()) {
-    return Fail(s);
-  }
+  auto preset = PresetCluster(cluster_name, machines, cores);
+  if (!preset.ok()) return Fail(preset.status());
+  const ClusterConfig& cluster = *preset;
 
   JoinConfig config;
   config.scale_up = trace->scale_up;
@@ -380,89 +310,86 @@ int main(int argc, char** argv) {
   bool utilization = false, congestion = false, check = false,
        report_improvements = false;
   std::string trace_path, sched_path, cluster_name = "qdr", json_out;
-  std::string diff_a, diff_b, spans_a, spans_b, metrics_a, metrics_b;
+  std::string spans_a, spans_b, metrics_a, metrics_b;
   std::string ledger_path, ledger_append_path, bench_json, bench_filter, commit;
   std::string ledger_spans;
   uint32_t cores = 8;
   size_t buckets = 48, top_k = 10;
   RunDiffOptions diff_options;
   bool diff_mode = false;
-  int positional = 0;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&arg](const char* name) -> const char* {
-      const size_t len = std::strlen(name);
-      if (arg.compare(0, len, name) == 0 && arg.size() > len && arg[len] == '=') {
-        return arg.c_str() + len + 1;
-      }
-      return nullptr;
-    };
-    if (arg == "--help" || arg == "-h") {
-      PrintUsage();
-      return 0;
-    } else if (arg == "--utilization") {
-      utilization = true;
-    } else if (arg == "--congestion") {
-      congestion = true;
-    } else if (arg == "--check") {
-      check = true;
-    } else if (arg == "--diff") {
-      diff_mode = true;
-    } else if (arg == "--report-improvements") {
-      report_improvements = true;
-    } else if (const char* v = value("--trace")) {
-      trace_path = v;
-    } else if (const char* v = value("--sched")) {
-      sched_path = v;
-    } else if (const char* v = value("--cluster")) {
-      cluster_name = v;
-    } else if (const char* v = value("--cores")) {
-      cores = static_cast<uint32_t>(std::atoi(v));
-    } else if (const char* v = value("--buckets")) {
-      buckets = static_cast<size_t>(std::atoi(v));
-    } else if (const char* v = value("--top")) {
-      top_k = static_cast<size_t>(std::atoi(v));
-      diff_options.top_k = top_k;
-    } else if (const char* v = value("--tolerance")) {
-      diff_options.relative_tolerance = std::atof(v);
-    } else if (const char* v = value("--abs-tolerance")) {
-      diff_options.absolute_tolerance_seconds = std::atof(v);
-    } else if (const char* v = value("--spans-a")) {
-      spans_a = v;
-    } else if (const char* v = value("--spans-b")) {
-      spans_b = v;
-    } else if (const char* v = value("--metrics-a")) {
-      metrics_a = v;
-    } else if (const char* v = value("--metrics-b")) {
-      metrics_b = v;
-    } else if (const char* v = value("--ledger")) {
-      ledger_path = v;
-    } else if (const char* v = value("--ledger-append")) {
-      ledger_append_path = v;
-    } else if (const char* v = value("--bench-json")) {
-      bench_json = v;
-    } else if (const char* v = value("--spans")) {
-      ledger_spans = v;
-    } else if (const char* v = value("--bench")) {
-      bench_filter = v;
-    } else if (const char* v = value("--commit")) {
-      commit = v;
-    } else if (const char* v = value("--json-out")) {
-      json_out = v;
-    } else if (arg.size() >= 2 && arg[0] == '-' && arg[1] == '-') {
-      std::fprintf(stderr, "unknown flag: %s (try --help)\n", arg.c_str());
-      return 2;
-    } else if (diff_mode && positional == 0) {
-      diff_a = arg;
-      ++positional;
-    } else if (diff_mode && positional == 1) {
-      diff_b = arg;
-      ++positional;
-    } else {
-      std::fprintf(stderr, "unexpected argument: %s (try --help)\n", arg.c_str());
-      return 2;
-    }
+  std::vector<std::string> diff_paths;
+  FlagTable flags(
+      "rdmajoin_explain -- run forensics: utilization, run diff, perf ledger\n\n"
+      "utilization (one run): --utilization with --trace or --sched\n"
+      "congestion (one run -- binding-constraint forensics): --congestion with\n"
+      "  --trace: per-host congestion timelines, incast episodes and the ranked\n"
+      "  \"why is this flow slow\" report\n"
+      "run diff (two runs): --diff A.json B.json\n"
+      "perf ledger (bench/ledger/ledger.jsonl): --ledger or --ledger-append",
+      {SwitchFlag("--utilization", &utilization,
+                  "analyze a recorded trace's replay"),
+       SwitchFlag("--congestion", &congestion,
+                  "per-host congestion timelines and flow forensics"),
+       StringFlag("--trace", "PATH", &trace_path,
+                  "input trace (rdmajoin_cli --trace-out)"),
+       StringFlag("--sched", "PATH", &sched_path,
+                  "instead of a trace: a scheduled multi-query\n"
+                  "run (ext_traffic / ext_concurrent_queries\n"
+                  "--sched-json) -- per-query latency, queue\n"
+                  "wait and attribution, plus the idle windows\n"
+                  "the policy left unfilled, labeled with the\n"
+                  "query that could have filled them"),
+       ChoiceFlag("--cluster", &cluster_name, PresetClusterNames(),
+                  "hardware preset for the replay (default qdr)"),
+       UintFlag("--cores", &cores, 1, kMaxCores, "cores per machine (default 8)"),
+       UintFlag("--buckets", &buckets, 1, 100000,
+                "occupancy timeline buckets (default 48)"),
+       SwitchFlag("--check", &check,
+                  "--utilization: verify the idle-window totals\n"
+                  "reproduce the attribution (with --sched, that the\n"
+                  "per-query buckets tile each latency to 1e-9);\n"
+                  "--congestion: verify every recorded constraint\n"
+                  "label is tight against the replay's fabric\n"
+                  "config (exit 1 on violation)"),
+       SwitchFlag("--diff", &diff_mode, "diff the bench JSON of two runs"),
+       StringFlag("--spans-a", "PATH", &spans_a, "span dataset of run A (optional)"),
+       StringFlag("--spans-b", "PATH", &spans_b, "span dataset of run B (optional)"),
+       StringFlag("--metrics-a", "PATH", &metrics_a,
+                  "metrics snapshot of run A (optional)"),
+       StringFlag("--metrics-b", "PATH", &metrics_b,
+                  "metrics snapshot of run B (optional)"),
+       DoubleFlag("--tolerance", &diff_options.relative_tolerance, 0, 1e3,
+                  "relative divergence margin (default 0.05)"),
+       DoubleFlag("--abs-tolerance", &diff_options.absolute_tolerance_seconds, 0,
+                  1e6, "absolute margin, seconds (default 0.02)"),
+       SwitchFlag("--report-improvements", &report_improvements,
+                  "drill into rows that got faster too"),
+       StringFlag("--ledger", "PATH", &ledger_path,
+                  "render trends + drift (exit 1 on drift)"),
+       StringFlag("--ledger-append", "PATH", &ledger_append_path,
+                  "append one entry from --bench-json"),
+       StringFlag("--bench-json", "PATH", &bench_json, "bench JSON to summarize"),
+       StringFlag("--spans", "PATH", &ledger_spans,
+                  "span dataset of the same run: records its\n"
+                  "dominant binding constraint so --ledger\n"
+                  "trends show compute- vs ingress-bound flips"),
+       StringFlag("--bench", "NAME", &bench_filter,
+                  "limit --ledger rendering to one bench"),
+       StringFlag("--commit", "ID", &commit, "commit id recorded in the entry"),
+       UintFlag("--top", &top_k, 1, 1000000, "top-k list length (default 10)"),
+       StringFlag("--json-out", "PATH", &json_out,
+                  "also write the machine-readable report")},
+      "exit status: 0 clean; 1 divergence beyond tolerance, identity\n"
+      "violation or ledger drift; 2 usage error or unreadable input");
+  flags.Positional("A.json B.json", &diff_paths, "--diff: the two bench files");
+  if (const auto exit_code = flags.ParseOrExitCode(argc, argv, 2)) {
+    return *exit_code;
+  }
+  if (flags.Given("--top")) diff_options.top_k = top_k;
+  if (diff_paths.size() > (diff_mode ? 2u : 0u)) {
+    std::fprintf(stderr, "error: unexpected argument: '%s'; try --help\n",
+                 diff_paths.back().c_str());
+    return 2;
   }
 
   if (utilization) {
@@ -485,12 +412,12 @@ int main(int argc, char** argv) {
                          top_k, json_out);
   }
   if (diff_mode) {
-    if (diff_a.empty() || diff_b.empty()) {
+    if (diff_paths.size() != 2) {
       std::fprintf(stderr, "--diff requires two bench JSON paths\n");
       return 2;
     }
-    return RunDiff(diff_a, diff_b, spans_a, spans_b, metrics_a, metrics_b,
-                   diff_options, report_improvements, json_out);
+    return RunDiff(diff_paths[0], diff_paths[1], spans_a, spans_b, metrics_a,
+                   metrics_b, diff_options, report_improvements, json_out);
   }
   if (!ledger_append_path.empty()) {
     return RunLedgerAppend(ledger_append_path, bench_json, ledger_spans, commit);
@@ -499,6 +426,6 @@ int main(int argc, char** argv) {
     return RunLedger(ledger_path, bench_filter, diff_options.relative_tolerance,
                      diff_options.absolute_tolerance_seconds, json_out);
   }
-  PrintUsage();
+  std::fputs(flags.Help().c_str(), stdout);
   return 2;
 }

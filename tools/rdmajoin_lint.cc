@@ -19,24 +19,20 @@
 #include <vector>
 
 #include "lint/lint.h"
+#include "tools/flags.h"
 #include "util/file.h"
 
 namespace {
 
+using ::rdmajoin::FlagTable;
 using ::rdmajoin::StatusOr;
+using ::rdmajoin::StringFlag;
 using ::rdmajoin::lint::BaselineEntry;
 using ::rdmajoin::lint::FileInput;
 using ::rdmajoin::lint::LayerModel;
 using ::rdmajoin::lint::LintConfig;
 using ::rdmajoin::lint::LintOptions;
 using ::rdmajoin::lint::LintResult;
-
-int Usage(const char* argv0) {
-  std::cerr << "usage: " << argv0
-            << " [--root=DIR] [--layers=FILE] [--config=FILE]\n"
-               "       [--baseline=FILE] [--json-out=FILE] [PATH...]\n";
-  return 2;
-}
 
 }  // namespace
 
@@ -48,30 +44,26 @@ int main(int argc, char** argv) {
   std::string json_out;
   std::vector<std::string> roots;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&arg](const std::string& flag) {
-      return arg.substr(flag.size());
-    };
-    if (arg.rfind("--root=", 0) == 0) {
-      root = value("--root=");
-    } else if (arg.rfind("--layers=", 0) == 0) {
-      layers_path = value("--layers=");
-    } else if (arg.rfind("--config=", 0) == 0) {
-      config_path = value("--config=");
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = value("--baseline=");
-    } else if (arg.rfind("--json-out=", 0) == 0) {
-      json_out = value("--json-out=");
-    } else if (arg == "--help" || arg == "-h") {
-      Usage(argv[0]);
-      return 0;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::cerr << "rdmajoin_lint: unknown flag " << arg << "\n";
-      return Usage(argv[0]);
-    } else {
-      roots.push_back(arg);
-    }
+  FlagTable flags(
+      "usage: rdmajoin_lint [--root=DIR] [--layers=FILE] [--config=FILE]\n"
+      "                     [--baseline=FILE] [--json-out=FILE] [PATH...]",
+      {StringFlag("--root", "DIR", &root, "repository root (default .)"),
+       StringFlag("--layers", "FILE", &layers_path,
+                  "layer DAG, relative to the root\n(default docs/layers.json)"),
+       StringFlag("--config", "FILE", &config_path,
+                  "allowlist, relative to the root\n"
+                  "(default tools/lint_config.json)"),
+       StringFlag("--baseline", "FILE", &baseline_path,
+                  "accepted findings, relative to the root\n"
+                  "(default tools/lint_baseline.json)"),
+       StringFlag("--json-out", "FILE", &json_out, "write the findings as JSON")},
+      "exit status: 0 clean, 1 unsuppressed findings, 2 usage or configuration\n"
+      "error");
+  flags.Positional("PATH...", &roots,
+                   "files or directories to scan, relative to the root\n"
+                   "(default: src tools bench tests)");
+  if (const auto exit_code = flags.ParseOrExitCode(argc, argv, 2)) {
+    return *exit_code;
   }
   if (roots.empty()) roots = {"src", "tools", "bench", "tests"};
 

@@ -14,9 +14,8 @@
 // The machine count is taken from the trace; the cluster preset supplies the
 // hardware model the replay runs under.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "cluster/presets.h"
@@ -25,6 +24,7 @@
 #include "timing/replay.h"
 #include "timing/span_trace.h"
 #include "timing/trace_io.h"
+#include "tools/flags.h"
 #include "util/file.h"
 #include "util/metrics.h"
 
@@ -38,21 +38,6 @@ int Fail(const Status& status, int code = 1) {
   return code;
 }
 
-void PrintUsage() {
-  std::printf(
-      "rdmajoin_trace -- render a recorded join trace as a Chrome trace\n\n"
-      "  --trace=PATH            input trace (rdmajoin_cli --trace-out,\n"
-      "                          rdmajoin_whatif --capture)\n"
-      "  --out=PATH              output Chrome trace-event JSON file\n"
-      "  --metrics-json=PATH     also write the metrics snapshot as JSON\n"
-      "  --spans-json=PATH       also write the causal span dataset as JSON\n"
-      "                          (inspect with rdmajoin_analyze --spans)\n"
-      "  --cluster=qdr|fdr|ipoib hardware preset for the replay (default qdr)\n"
-      "  --cores=N               cores per machine (default 8)\n"
-      "  --bucket-ms=F           utilization bucket width in milliseconds\n"
-      "                          (default 10)\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -60,61 +45,36 @@ int main(int argc, char** argv) {
       cluster_name = "qdr";
   uint32_t cores = 8;
   double bucket_ms = 10.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&arg](const char* name) -> const char* {
-      const size_t len = std::strlen(name);
-      if (arg.compare(0, len, name) == 0 && arg.size() > len && arg[len] == '=') {
-        return arg.c_str() + len + 1;
-      }
-      return nullptr;
-    };
-    if (arg == "--help" || arg == "-h") {
-      PrintUsage();
-      return 0;
-    } else if (const char* v = value("--trace")) {
-      trace_path = v;
-    } else if (const char* v = value("--out")) {
-      out_path = v;
-    } else if (const char* v = value("--metrics-json")) {
-      metrics_path = v;
-    } else if (const char* v = value("--spans-json")) {
-      spans_path = v;
-    } else if (const char* v = value("--cluster")) {
-      cluster_name = v;
-    } else if (const char* v = value("--cores")) {
-      cores = static_cast<uint32_t>(std::atoi(v));
-    } else if (const char* v = value("--bucket-ms")) {
-      bucket_ms = std::atof(v);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s (try --help)\n", arg.c_str());
-      return 1;
-    }
+  FlagTable flags(
+      "rdmajoin_trace -- render a recorded join trace as a Chrome trace",
+      {StringFlag("--trace", "PATH", &trace_path,
+                  "input trace (rdmajoin_cli --trace-out,\n"
+                  "rdmajoin_whatif --capture)"),
+       StringFlag("--out", "PATH", &out_path,
+                  "output Chrome trace-event JSON file"),
+       StringFlag("--metrics-json", "PATH", &metrics_path,
+                  "also write the metrics snapshot as JSON"),
+       StringFlag("--spans-json", "PATH", &spans_path,
+                  "also write the causal span dataset as JSON\n"
+                  "(inspect with rdmajoin_analyze --spans)"),
+       ChoiceFlag("--cluster", &cluster_name, PresetClusterNames(),
+                  "hardware preset for the replay (default qdr)"),
+       UintFlag("--cores", &cores, 1, kMaxCores, "cores per machine (default 8)"),
+       DoubleFlag("--bucket-ms", &bucket_ms, 1e-3, 1e6,
+                  "utilization bucket width in milliseconds\n(default 10)")});
+  if (const auto exit_code = flags.ParseOrExitCode(argc, argv, 1)) {
+    return *exit_code;
   }
   if (trace_path.empty() || out_path.empty()) {
     std::fprintf(stderr, "usage: rdmajoin_trace --trace=FILE --out=FILE\n");
-    return 1;
-  }
-  if (bucket_ms <= 0) {
-    std::fprintf(stderr, "--bucket-ms must be positive\n");
     return 1;
   }
 
   auto trace = ReadTraceFile(trace_path);
   if (!trace.ok()) return Fail(trace.status(), 2);
   const uint32_t machines = static_cast<uint32_t>(trace->machines.size());
-
-  ClusterConfig cluster;
-  if (cluster_name == "qdr") {
-    cluster = QdrCluster(machines, cores);
-  } else if (cluster_name == "fdr") {
-    cluster = FdrCluster(machines, cores);
-  } else if (cluster_name == "ipoib") {
-    cluster = IpoibCluster(machines, cores);
-  } else {
-    std::fprintf(stderr, "unknown cluster %s\n", cluster_name.c_str());
-    return 1;
-  }
+  auto cluster = PresetCluster(cluster_name, machines, cores);
+  if (!cluster.ok()) return Fail(cluster.status());
 
   JoinConfig config;
   config.scale_up = trace->scale_up;
@@ -123,10 +83,10 @@ int main(int argc, char** argv) {
   ReplayOptions options;
   options.metrics = &metrics;
   options.utilization_bucket_seconds = bucket_ms / 1e3;
-  const ReplayReport report = ReplayTrace(cluster, config, *trace, options);
+  const ReplayReport report = ReplayTrace(*cluster, config, *trace, options);
 
   ChromeTraceOptions trace_options;
-  trace_options.label = cluster.name + ", " + trace_path;
+  trace_options.label = cluster->name + ", " + trace_path;
   Status s = WriteChromeTraceFile(out_path, report, &metrics, trace_options);
   if (!s.ok()) return Fail(s);
   std::printf("wrote %s (%u machines, %.3f virtual s)\n", out_path.c_str(),

@@ -13,15 +13,15 @@
 //
 // The machine count of the replay cluster must match the trace.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "cluster/presets.h"
 #include "join/distributed_join.h"
 #include "timing/replay.h"
 #include "timing/trace_io.h"
+#include "tools/flags.h"
 #include "util/table_printer.h"
 #include "workload/generator.h"
 
@@ -40,73 +40,56 @@ int Fail(const Status& status, int code = 1) {
 int main(int argc, char** argv) {
   std::string capture_path, trace_path, cluster_name = "qdr";
   uint32_t machines = 4, cores = 8;
-  double inner_m = 2048, outer_m = 2048, scale = 1024, bandwidth_gbps = 0;
-  double congestion_mbps = -1;
+  double inner_m = 2048, outer_m = 2048, bandwidth_gbps = 0, congestion_mbps = 0;
   bool non_interleaved = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&arg](const char* name) -> const char* {
-      const size_t len = std::strlen(name);
-      if (arg.compare(0, len, name) == 0 && arg.size() > len && arg[len] == '=') {
-        return arg.c_str() + len + 1;
-      }
-      return nullptr;
-    };
-    if (const char* v = value("--capture")) {
-      capture_path = v;
-    } else if (const char* v = value("--trace")) {
-      trace_path = v;
-    } else if (const char* v = value("--cluster")) {
-      cluster_name = v;
-    } else if (const char* v = value("--machines")) {
-      machines = static_cast<uint32_t>(std::atoi(v));
-    } else if (const char* v = value("--cores")) {
-      cores = static_cast<uint32_t>(std::atoi(v));
-    } else if (const char* v = value("--inner")) {
-      inner_m = std::atof(v);
-    } else if (const char* v = value("--outer")) {
-      outer_m = std::atof(v);
-    } else if (const char* v = value("--scale")) {
-      scale = std::atof(v);
-    } else if (const char* v = value("--bandwidth-gbps")) {
-      bandwidth_gbps = std::atof(v);
-    } else if (const char* v = value("--congestion-mbps")) {
-      congestion_mbps = std::atof(v);
-    } else if (arg == "--non-interleaved") {
-      non_interleaved = true;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      return 1;
-    }
+  JoinConfig config;
+  config.scale_up = 1024;
+  FlagTable flags(
+      "rdmajoin_whatif -- replay a captured join trace under what-if hardware\n\n"
+      "  rdmajoin_whatif --capture=FILE ... | --trace=FILE ...",
+      {StringFlag("--capture", "PATH", &capture_path,
+                  "run the join and record its trace to PATH"),
+       StringFlag("--trace", "PATH", &trace_path, "replay the trace at PATH"),
+       ChoiceFlag("--cluster", &cluster_name, PresetClusterNames(),
+                  "hardware preset (default qdr)"),
+       UintFlag("--machines", &machines, 1, kMaxMachines,
+                "machines; must match the trace (default 4)"),
+       UintFlag("--cores", &cores, 1, kMaxCores, "cores per machine (default 8)"),
+       DoubleFlag("--inner", &inner_m, kMinMTuples, kMaxMTuples,
+                  "captured inner relation, millions of tuples (default 2048)"),
+       DoubleFlag("--outer", &outer_m, kMinMTuples, kMaxMTuples,
+                  "captured outer relation, millions of tuples (default 2048)"),
+       DoubleFlag("--scale", &config.scale_up, 1, kMaxScale,
+                  "simulation scale-up (default 1024)"),
+       DoubleFlag("--bandwidth-gbps", &bandwidth_gbps, 1e-3, 1e4,
+                  "what-if port bandwidth, GB/s (default: the preset's)"),
+       DoubleFlag("--congestion-mbps", &congestion_mbps, 0, 1e6,
+                  "what-if congestion penalty per extra machine, MB/s\n"
+                  "(default: the preset's)"),
+       SwitchFlag("--non-interleaved", &non_interleaved,
+                  "block on every send (Fig. 5b variant)")});
+  if (const auto exit_code = flags.ParseOrExitCode(argc, argv, 1)) {
+    return *exit_code;
   }
 
-  ClusterConfig cluster;
-  if (cluster_name == "qdr") {
-    cluster = QdrCluster(machines, cores);
-  } else if (cluster_name == "fdr") {
-    cluster = FdrCluster(machines, cores);
-  } else if (cluster_name == "ipoib") {
-    cluster = IpoibCluster(machines, cores);
-  } else {
-    std::fprintf(stderr, "unknown cluster %s\n", cluster_name.c_str());
-    return 1;
-  }
-  if (bandwidth_gbps > 0) {
+  auto preset = PresetCluster(cluster_name, machines, cores);
+  if (!preset.ok()) return Fail(preset.status());
+  ClusterConfig cluster = std::move(*preset);
+  if (flags.Given("--bandwidth-gbps")) {
     cluster.fabric.egress_bytes_per_sec = bandwidth_gbps * 1e9;
     cluster.fabric.ingress_bytes_per_sec = bandwidth_gbps * 1e9;
   }
-  if (congestion_mbps >= 0) {
+  if (flags.Given("--congestion-mbps")) {
     cluster.fabric.congestion_bytes_per_sec_per_extra_host = congestion_mbps * 1e6;
   }
   if (non_interleaved) cluster.interleave = InterleavePolicy::kNonInterleaved;
-
-  JoinConfig config;
-  config.scale_up = scale;
+  // A what-if knob can leave no effective bandwidth.
+  if (Status s = cluster.Validate(); !s.ok()) return Fail(s);
 
   if (!capture_path.empty()) {
     WorkloadSpec spec;
-    spec.inner_tuples = static_cast<uint64_t>(inner_m * 1e6 / scale);
-    spec.outer_tuples = static_cast<uint64_t>(outer_m * 1e6 / scale);
+    spec.inner_tuples = static_cast<uint64_t>(inner_m * 1e6 / config.scale_up);
+    spec.outer_tuples = static_cast<uint64_t>(outer_m * 1e6 / config.scale_up);
     auto workload = GenerateWorkload(spec, cluster.num_machines);
     if (!workload.ok()) return Fail(workload.status());
     DistributedJoin join(cluster, config);
