@@ -16,11 +16,17 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <memory>
+#include <vector>
 
 #include "bench_common.h"
 
 #include "baseline/radix_join.h"
+#include "cluster/presets.h"
+#include "join/assignment.h"
+#include "join/exchange.h"
 #include "join/hash_table.h"
 #include "join/histogram.h"
 #include "join/local_partition.h"
@@ -218,6 +224,45 @@ double BestOfThreeSeconds(const Fn& fn) {
   return best;
 }
 
+/// The network partitioning pass of a 10-machine QDR join at scale 4096,
+/// where every RDMA buffer holds one 16 B tuple: the verbs message path
+/// (Ship, PostSend/PostRecv, completion polls, pool acquire/release) runs
+/// once per remote tuple.
+constexpr uint32_t kExchangeMachines = 10;
+constexpr uint64_t kExchangeTuples = 62500;
+constexpr double kExchangeScale = 4096;
+
+struct ExchangeShape {
+  ClusterConfig cluster = QdrCluster(kExchangeMachines);
+  JoinConfig config;
+  Workload workload;
+  RadixPartitioner partitioner{JoinConfig{}.network_radix_bits};
+  std::vector<uint32_t> assignment;
+  std::vector<std::vector<uint64_t>> global_counts;
+};
+
+/// Runs the pass once on fresh memory budgets; returns it, or its error.
+StatusOr<Exchange::Result> RunExchange(const ExchangeShape& shape) {
+  const uint32_t nm = shape.cluster.num_machines;
+  Exchange exchange(shape.cluster, shape.config, &shape.partitioner,
+                    shape.assignment, shape.global_counts);
+  RunTrace trace;
+  trace.scale_up = shape.config.scale_up;
+  trace.machines.resize(nm);
+  std::vector<MemorySpace> memories(
+      nm, MemorySpace(shape.cluster.memory_per_machine_bytes));
+  std::vector<std::unique_ptr<ScopedReservation>> reservations;
+  std::vector<MemorySpace*> memory_ptrs;
+  std::vector<ScopedReservation*> reservation_ptrs;
+  for (uint32_t m = 0; m < nm; ++m) {
+    reservations.push_back(std::make_unique<ScopedReservation>(&memories[m]));
+    memory_ptrs.push_back(&memories[m]);
+    reservation_ptrs.push_back(reservations[m].get());
+  }
+  return exchange.Run({&shape.workload.inner, &shape.workload.outer},
+                      memory_ptrs, reservation_ptrs, &trace);
+}
+
 int RunBenchJson(int argc, char** argv) {
   bool bench_json = false;  // main() dispatched here on it
   const bench::Options opt = bench::ParseOptions(
@@ -291,6 +336,36 @@ int RunBenchJson(int argc, char** argv) {
                                           BaselineConfig{.bits_pass1 = 8});
                             benchmark::DoNotOptimize(result->stats.matches);
                           }));
+
+  ExchangeShape shape;
+  shape.config.scale_up = kExchangeScale;
+  WorkloadSpec exchange_spec;
+  exchange_spec.inner_tuples = kExchangeTuples;
+  exchange_spec.outer_tuples = kExchangeTuples;
+  exchange_spec.seed = 42;
+  auto exchange_workload = GenerateWorkload(exchange_spec, kExchangeMachines);
+  if (!exchange_workload.ok()) return 1;
+  shape.workload = std::move(*exchange_workload);
+  const uint32_t bits = shape.config.network_radix_bits;
+  shape.assignment = RoundRobinAssignment(uint32_t{1} << bits, kExchangeMachines);
+  shape.global_counts = {ComputeHistograms(shape.workload.inner, bits).global,
+                         ComputeHistograms(shape.workload.outer, bits).global};
+  StatusOr<Exchange::Result> pass = Status::Internal("not run");
+  const double exchange_s = BestOfThreeSeconds([&] { pass = RunExchange(shape); });
+  if (!pass.ok()) {
+    std::fprintf(stderr, "exchange_push: %s\n", pass.status().ToString().c_str());
+    return 1;
+  }
+  const bench::BenchReporter::Config exchange_cfg = {
+      {"machines", std::to_string(kExchangeMachines)},
+      {"tuples", std::to_string(kExchangeTuples)},
+      {"scale", std::to_string(static_cast<uint64_t>(kExchangeScale))}};
+  reporter.AddMeasurement("exchange_push", exchange_cfg, exchange_s);
+  reporter.AddMeasurement("exchange_push_messages", exchange_cfg,
+                          static_cast<double>(pass->messages_sent), "messages");
+  reporter.AddMeasurement("exchange_push_pool_acquisitions", exchange_cfg,
+                          static_cast<double>(pass->pool_acquisitions),
+                          "acquisitions");
 
   return reporter.Finish();
 }

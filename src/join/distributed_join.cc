@@ -299,6 +299,7 @@ StatusOr<JoinRunResult> DistributedJoin::Run(const DistributedRelation& inner,
       total_probe_bytes += lp.s.size_bytes(q);
       ++final_parts;
     });
+    mt.tasks.reserve(final_parts);
     const double avg_probe_bytes =
         final_parts == 0 ? 0 : total_probe_bytes / final_parts;
     const double split_threshold = config_.skew_split_factor > 0

@@ -77,23 +77,25 @@ PartitionStore::PartitionStore(uint32_t tuple_bytes, uint32_t num_partitions,
                                uint32_t num_relations)
     : tuple_bytes_(tuple_bytes),
       num_relations_(num_relations),
-      slots_(num_partitions) {}
+      slots_(static_cast<size_t>(num_partitions) * num_relations,
+             Slot{Relation(tuple_bytes), 0}),
+      prepared_(num_partitions, false) {}
 
 void PartitionStore::Prepare(uint32_t partition,
                              const std::vector<uint64_t>& tuples_per_relation) {
   assert(tuples_per_relation.size() == num_relations_);
-  auto slots = std::make_unique<Slot[]>(num_relations_);
   for (uint32_t r = 0; r < num_relations_; ++r) {
-    slots[r].rel = Relation(tuple_bytes_);
-    slots[r].rel.Reserve(tuples_per_relation[r]);
-    slots[r].expected = tuples_per_relation[r];
+    Slot& slot = At(partition, r);
+    slot.rel = Relation(tuple_bytes_);
+    slot.rel.Reserve(tuples_per_relation[r]);
+    slot.expected = tuples_per_relation[r];
   }
-  slots_[partition] = std::move(slots);
+  prepared_[partition] = true;
 }
 
 Status PartitionStore::Deliver(uint32_t partition, uint32_t relation,
                                const uint8_t* tuples, uint64_t bytes) {
-  if (partition >= slots_.size() || slots_[partition] == nullptr ||
+  if (partition >= prepared_.size() || !prepared_[partition] ||
       relation >= num_relations_) {
     return HistogramMismatch(partition, relation,
                              "delivery to a slot this machine does not own");
@@ -103,7 +105,7 @@ Status PartitionStore::Deliver(uint32_t partition, uint32_t relation,
                              "delivery of " + std::to_string(bytes) +
                                  " bytes is not a whole number of tuples");
   }
-  Slot& slot = slots_[partition][relation];
+  Slot& slot = At(partition, relation);
   const uint64_t n = bytes / tuple_bytes_;
   if (n > slot.expected - slot.rel.num_tuples()) {
     return HistogramMismatch(partition, relation,
@@ -115,7 +117,7 @@ Status PartitionStore::Deliver(uint32_t partition, uint32_t relation,
 }
 
 WriteWindow PartitionStore::OpenWindow(uint32_t partition, uint32_t relation) {
-  Slot& slot = slots_[partition][relation];
+  Slot& slot = At(partition, relation);
   const uint64_t room = slot.expected - slot.rel.num_tuples();
   uint8_t* first = slot.rel.ExtendUninitialized(room);
   return {first, first + room * tuple_bytes_};
@@ -123,15 +125,15 @@ WriteWindow PartitionStore::OpenWindow(uint32_t partition, uint32_t relation) {
 
 void PartitionStore::CloseWindow(uint32_t partition, uint32_t relation,
                                  const WriteWindow& window) {
-  Relation& rel = slots_[partition][relation].rel;
+  Relation& rel = At(partition, relation).rel;
   rel.Truncate(static_cast<uint64_t>(window.next - rel.data()) / tuple_bytes_);
 }
 
 Status PartitionStore::CheckFilled() const {
-  for (uint32_t p = 0; p < slots_.size(); ++p) {
-    if (slots_[p] == nullptr) continue;
+  for (uint32_t p = 0; p < prepared_.size(); ++p) {
+    if (!prepared_[p]) continue;
     for (uint32_t r = 0; r < num_relations_; ++r) {
-      const Slot& slot = slots_[p][r];
+      const Slot& slot = At(p, r);
       if (slot.rel.num_tuples() != slot.expected) {
         return HistogramMismatch(p, r,
                                  "holds " + std::to_string(slot.rel.num_tuples()) +
@@ -144,10 +146,10 @@ Status PartitionStore::CheckFilled() const {
 }
 
 Relation& PartitionStore::Rel(uint32_t partition, uint32_t relation) {
-  assert(partition < slots_.size());
-  assert(slots_[partition] != nullptr && "slot of an unassigned partition");
+  assert(partition < prepared_.size());
+  assert(prepared_[partition] && "slot of an unassigned partition");
   assert(relation < num_relations_);
-  return slots_[partition][relation].rel;
+  return At(partition, relation).rel;
 }
 
 ScopedReservation::~ScopedReservation() {
@@ -285,7 +287,8 @@ Status Exchange::RunPush(const std::vector<const DistributedRelation*>& inputs,
   const uint64_t payload_capacity = config_.ActualRdmaBufferBytes(tuple_bytes);
   const uint64_t buffer_bytes = payload_capacity + kWireHeaderBytes;
   // A buffer ships as soon as it cannot take another tuple.
-  const uint64_t buffer_tuple_bytes = payload_capacity / tuple_bytes * tuple_bytes;
+  const uint64_t buffer_tuples = payload_capacity / tuple_bytes;
+  const uint64_t buffer_tuple_bytes = buffer_tuples * tuple_bytes;
   const uint32_t threads = cluster_.PartitioningThreads();
   uint32_t remote_parts_max = 0;
   for (uint32_t m = 0; m < nm; ++m) {
@@ -383,6 +386,9 @@ Status Exchange::RunPush(const std::vector<const DistributedRelation*>& inputs,
         const uint64_t lo = n * t / threads;
         const uint64_t hi = n * (t + 1) / threads;
         const uint64_t compute_base = tt.compute_bytes;
+        // The slice ships at most one buffer per buffer_tuples tuples plus
+        // one flush per partition, so its sends never reallocate the trace.
+        tt.sends.reserve(tt.sends.size() + (hi - lo) / buffer_tuples + parts);
         auto refill = [&](uint32_t p, uint64_t) -> Status {
           if (assignment_[p] == m) {
             return HistogramMismatch(p, rel, "more local tuples than the global count");

@@ -58,7 +58,7 @@ class PartitionStore : public PartitionSink {
 
   /// The (partition, relation) slot; the partition must be prepared.
   Relation& Rel(uint32_t partition, uint32_t relation);
-  bool IsPrepared(uint32_t partition) const { return slots_[partition] != nullptr; }
+  bool IsPrepared(uint32_t partition) const { return prepared_[partition]; }
   uint32_t num_relations() const { return num_relations_; }
 
  private:
@@ -68,10 +68,19 @@ class PartitionStore : public PartitionSink {
     uint64_t expected = 0;
   };
 
+  Slot& At(uint32_t partition, uint32_t relation) {
+    return slots_[static_cast<size_t>(partition) * num_relations_ + relation];
+  }
+  const Slot& At(uint32_t partition, uint32_t relation) const {
+    return slots_[static_cast<size_t>(partition) * num_relations_ + relation];
+  }
+
   uint32_t tuple_bytes_;
   uint32_t num_relations_;
-  /// slots_[partition][relation]; null for partitions owned elsewhere.
-  std::vector<std::unique_ptr<Slot[]>> slots_;
+  /// One flat partition x relation array; the slots of partitions owned
+  /// elsewhere stay empty and unprepared.
+  std::vector<Slot> slots_;
+  std::vector<bool> prepared_;
 };
 
 /// Tracks memory reservations against a MemorySpace, releasing on scope exit.

@@ -1,6 +1,5 @@
 #include "rdma/buffer_pool.h"
 
-#include <algorithm>
 #include <cassert>
 #include <string>
 
@@ -17,9 +16,9 @@ RegisteredBufferPool::RegisteredBufferPool(RdmaDevice* device, uint64_t buffer_b
 
 RegisteredBufferPool::~RegisteredBufferPool() {
   ProtocolValidator* validator = device_->validator();
-  if (validator != nullptr && !outstanding_.empty()) {
+  if (validator != nullptr && outstanding_ > 0) {
     validator->Record(ProtocolViolation::kBufferLeak,
-                      std::to_string(outstanding_.size()) +
+                      std::to_string(outstanding_) +
                           " buffer(s) still outstanding at pool teardown (device " +
                           std::to_string(device_->id()) + ")");
   }
@@ -34,15 +33,25 @@ RegisteredBufferPool::~RegisteredBufferPool() {
 }
 
 StatusOr<RegisteredBuffer*> RegisteredBufferPool::CreateBuffer() {
-  auto buf = std::make_unique<RegisteredBuffer>();
+  RegisteredBuffer* buf;
+  if (shells_.empty()) {
+    all_.push_back(std::make_unique<RegisteredBuffer>());
+    buf = all_.back().get();
+    buf->owner_ = this;
+  } else {
+    buf = shells_.back();
+    shells_.pop_back();
+  }
   buf->data = std::make_unique<uint8_t[]>(buffer_bytes_);
   auto mr = device_->RegisterMemory(buf->data.get(), buffer_bytes_);
-  if (!mr.ok()) return mr.status();
+  if (!mr.ok()) {
+    buf->data.reset();
+    shells_.push_back(buf);
+    return mr.status();
+  }
   buf->mr = *mr;
   ++buffers_created_;
-  RegisteredBuffer* raw = buf.get();
-  all_.push_back(std::move(buf));
-  return raw;
+  return buf;
 }
 
 Status RegisteredBufferPool::Preallocate(size_t count) {
@@ -59,26 +68,22 @@ Status RegisteredBufferPool::Preallocate(size_t count) {
 }
 
 StatusOr<RegisteredBuffer*> RegisteredBufferPool::Acquire() {
-  ++acquisitions_;
-  if (policy_ == Policy::kPooled && !free_.empty()) {
-    RegisteredBuffer* buf = free_.back();
+  RegisteredBuffer* buf;
+  if (!free_.empty()) {
+    buf = free_.back();
     free_.pop_back();
-    buf->used = 0;
-    outstanding_.insert(buf);
-    UpdateOccupancy();
-    NotifyCredit(/*acquired=*/true);
-    return buf;
+  } else {
+    auto created = CreateBuffer();
+    if (!created.ok()) return created.status();
+    buf = *created;
   }
-  auto buf = CreateBuffer();
-  if (!buf.ok()) {
-    --acquisitions_;
-    return buf.status();
-  }
-  (*buf)->used = 0;
-  outstanding_.insert(*buf);
+  ++acquisitions_;
+  buf->used = 0;
+  buf->outstanding_ = true;
+  ++outstanding_;
   UpdateOccupancy();
   NotifyCredit(/*acquired=*/true);
-  return *buf;
+  return buf;
 }
 
 void RegisteredBufferPool::NotifyCredit(bool acquired) {
@@ -91,7 +96,7 @@ void RegisteredBufferPool::UpdateOccupancy() {
   // The gauge's max() is the occupancy high-water mark across every pool
   // drawing on the device.
   if (const DeviceMetrics* m = device_->metrics()) {
-    m->pool_outstanding->Set(static_cast<double>(outstanding_.size()));
+    m->pool_outstanding->Set(static_cast<double>(outstanding_));
   }
 }
 
@@ -99,8 +104,8 @@ Status RegisteredBufferPool::Release(RegisteredBuffer* buf) {
   if (buf == nullptr) {
     return Status::InvalidArgument("Release of a null buffer");
   }
-  if (outstanding_.erase(buf) == 0) {
-    // Double release (or a pointer this pool never handed out). Pushing it
+  if (buf->owner_ != this || !buf->outstanding_) {
+    // Double release (or a buffer this pool never handed out). Pushing it
     // onto the free list anyway would hand the same buffer to two owners,
     // so the release is refused in every mode.
     Status error = Status::FailedPrecondition(
@@ -110,6 +115,8 @@ Status RegisteredBufferPool::Release(RegisteredBuffer* buf) {
     validator->Record(ProtocolViolation::kDoubleRelease, error.message());
     return validator->strict() ? error : Status::OK();
   }
+  buf->outstanding_ = false;
+  --outstanding_;
   buf->used = 0;
   UpdateOccupancy();
   NotifyCredit(/*acquired=*/false);
@@ -117,13 +124,11 @@ Status RegisteredBufferPool::Release(RegisteredBuffer* buf) {
     free_.push_back(buf);
     return Status::OK();
   }
-  // Register-on-demand: tear the buffer down entirely.
+  // Register-on-demand: tear the buffer down to its shell.
   // lint: discard-ok(pool registered this region itself; failure impossible)
   (void)device_->DeregisterMemory(buf->mr);
-  auto it = std::find_if(all_.begin(), all_.end(),
-                         [buf](const auto& p) { return p.get() == buf; });
-  assert(it != all_.end());
-  all_.erase(it);
+  buf->data.reset();
+  shells_.push_back(buf);
   return Status::OK();
 }
 

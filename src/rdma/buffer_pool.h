@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "rdma/verbs.h"
@@ -11,6 +10,8 @@
 #include "util/statusor.h"
 
 namespace rdmajoin {
+
+class RegisteredBufferPool;
 
 /// A fixed-size buffer backed by a registered memory region.
 struct RegisteredBuffer {
@@ -21,6 +22,14 @@ struct RegisteredBuffer {
 
   uint8_t* bytes() { return data.get(); }
   uint64_t capacity() const { return mr.length; }
+
+ private:
+  friend class RegisteredBufferPool;
+  /// The pool that created this buffer (null if no pool did) and whether it
+  /// is acquired from that pool right now. Release checks both, so it needs
+  /// no set of outstanding buffers.
+  const RegisteredBufferPool* owner_ = nullptr;
+  bool outstanding_ = false;
 };
 
 /// A pool of preallocated, preregistered RDMA buffers.
@@ -36,6 +45,11 @@ struct RegisteredBuffer {
 /// when it is destroyed. Breaches are reported to the device's
 /// ProtocolValidator (double-release, buffer-leak) and, with or without a
 /// validator, never corrupt the free list.
+///
+/// The pool owns every buffer it ever created until it is destroyed. Under
+/// kRegisterOnDemand a released buffer keeps its shell (data freed, region
+/// deregistered) and the next acquisition registers fresh memory into it,
+/// so a stale pointer to a released buffer never dangles.
 class RegisteredBufferPool {
  public:
   enum class Policy {
@@ -75,9 +89,10 @@ class RegisteredBufferPool {
   /// Acquisitions served without a new registration.
   uint64_t reuses() const { return acquisitions_ - buffers_created_; }
   size_t free_buffers() const { return free_.size(); }
-  size_t outstanding() const { return outstanding_.size(); }
+  size_t outstanding() const { return outstanding_; }
 
  private:
+  /// Allocates and registers a buffer, in a released shell if one is left.
   StatusOr<RegisteredBuffer*> CreateBuffer();
   /// Pushes the current outstanding count into the device's occupancy gauge
   /// (no-op when metrics are disabled).
@@ -90,9 +105,12 @@ class RegisteredBufferPool {
   uint64_t buffer_bytes_;
   Policy policy_;
   std::vector<std::unique_ptr<RegisteredBuffer>> all_;
+  /// kPooled: registered buffers ready to be acquired.
   std::vector<RegisteredBuffer*> free_;
+  /// kRegisterOnDemand: released buffers without data or region.
+  std::vector<RegisteredBuffer*> shells_;
   /// Buffers currently acquired and not yet released.
-  std::unordered_set<RegisteredBuffer*> outstanding_;
+  size_t outstanding_ = 0;
   uint64_t buffers_created_ = 0;
   uint64_t acquisitions_ = 0;
 };

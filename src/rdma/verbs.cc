@@ -1,6 +1,5 @@
 #include "rdma/verbs.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <string>
@@ -143,21 +142,15 @@ void RdmaDevice::EnableMetrics(MetricsRegistry* registry,
 RdmaDevice::~RdmaDevice() {
   // Regions leaked by the caller are unpinned so the memory space stays
   // consistent across tests, but each one is a protocol violation: the
-  // contract requires deregistration before the device goes away. The leaks
-  // are reported in ascending lkey order: validator messages feed reports
-  // that must be byte-identical across runs and stdlib versions, so the
-  // unordered map's iteration order must not leak into them.
-  std::vector<uint32_t> leaked;
-  leaked.reserve(by_lkey_.size());
-  // lint: order-insensitive(keys are drained into a vector and sorted below)
-  for (const auto& [lkey, mr] : by_lkey_) leaked.push_back(lkey);
-  std::sort(leaked.begin(), leaked.end());
-  for (const uint32_t lkey : leaked) {
-    const MemoryRegion& mr = by_lkey_.at(lkey);
+  // contract requires deregistration before the device goes away. The table
+  // is in registration order, so the leaks are reported in ascending lkey
+  // order, as the byte-identical validator reports require.
+  for (const MemoryRegion& mr : regions_) {
+    if (mr.length == 0) continue;
     if (validator_ != nullptr) {
       validator_->Record(ProtocolViolation::kRegionLeak,
                          "device " + std::to_string(device_id_) + ": lkey " +
-                             std::to_string(lkey) + " (" +
+                             std::to_string(mr.lkey) + " (" +
                              std::to_string(mr.length) +
                              " bytes) still registered at teardown");
     }
@@ -169,32 +162,36 @@ StatusOr<MemoryRegion> RdmaDevice::RegisterMemory(uint8_t* addr, uint64_t length
   if (addr == nullptr || length == 0) {
     return Status::InvalidArgument("cannot register an empty memory region");
   }
+  // Region i takes keys 2i+1 and 2i+2; both must fit in 32 bits.
+  if (regions_.size() >= (uint64_t{1} << 31) - 1) {
+    return Status::ResourceExhausted("memory key space exhausted on device " +
+                                     std::to_string(device_id_));
+  }
   if (memory_ != nullptr) {
     RDMAJOIN_RETURN_IF_ERROR(memory_->Pin(PinBytes(length)));
   }
   MemoryRegion mr;
-  mr.lkey = next_key_++;
-  mr.rkey = next_key_++;
+  mr.lkey = static_cast<uint32_t>(2 * regions_.size() + 1);
+  mr.rkey = mr.lkey + 1;
   mr.addr = addr;
   mr.length = length;
   mr.device_id = device_id_;
-  by_lkey_[mr.lkey] = mr;
-  rkey_to_lkey_[mr.rkey] = mr.lkey;
+  regions_.push_back(mr);
+  ++live_regions_;
   ++stats_.regions_registered;
   stats_.bytes_registered += length;
   stats_.registration_seconds += costs_.RegistrationSeconds(length);
   if (metrics_enabled_) {
     metrics_.regions_registered->Increment();
     metrics_.bytes_registered->Add(static_cast<double>(length));
-    metrics_.live_regions->Set(static_cast<double>(by_lkey_.size()));
+    metrics_.live_regions->Set(static_cast<double>(live_regions_));
   }
   if (validator_ != nullptr) validator_->OnRegister(device_id_, mr.lkey, mr.rkey);
   return mr;
 }
 
 Status RdmaDevice::DeregisterMemory(const MemoryRegion& mr) {
-  auto it = by_lkey_.find(mr.lkey);
-  if (it == by_lkey_.end()) {
+  if (FindByLkey(mr.lkey) == nullptr) {
     Status error =
         Status::NotFound("memory region not registered with this device");
     if (validator_ == nullptr) return error;
@@ -203,29 +200,31 @@ Status RdmaDevice::DeregisterMemory(const MemoryRegion& mr) {
                        DescribeKey(this, validator_, mr.lkey, "DeregisterMemory"));
     return validator_->strict() ? error : Status::OK();
   }
-  if (memory_ != nullptr) memory_->Unpin(PinBytes(it->second.length));
-  stats_.deregistration_seconds += costs_.DeregistrationSeconds(it->second.length);
+  MemoryRegion& region = regions_[mr.lkey / 2];
+  if (memory_ != nullptr) memory_->Unpin(PinBytes(region.length));
+  stats_.deregistration_seconds += costs_.DeregistrationSeconds(region.length);
   ++stats_.regions_deregistered;
   if (validator_ != nullptr) {
-    validator_->OnDeregister(device_id_, it->second.lkey, it->second.rkey);
+    validator_->OnDeregister(device_id_, region.lkey, region.rkey);
   }
-  rkey_to_lkey_.erase(it->second.rkey);
-  by_lkey_.erase(it);
+  // The slot stays, so its keys are never issued again.
+  region.addr = nullptr;
+  region.length = 0;
+  --live_regions_;
   if (metrics_enabled_) {
-    metrics_.live_regions->Set(static_cast<double>(by_lkey_.size()));
+    metrics_.live_regions->Set(static_cast<double>(live_regions_));
   }
   return Status::OK();
 }
 
 const MemoryRegion* RdmaDevice::FindByLkey(uint32_t lkey) const {
-  auto it = by_lkey_.find(lkey);
-  return it == by_lkey_.end() ? nullptr : &it->second;
+  // lkeys are odd: lkey 2i+1 indexes region i.
+  return lkey % 2 == 1 ? LiveRegion(lkey / 2) : nullptr;
 }
 
 const MemoryRegion* RdmaDevice::FindByRkey(uint32_t rkey) const {
-  auto it = rkey_to_lkey_.find(rkey);
-  if (it == rkey_to_lkey_.end()) return nullptr;
-  return FindByLkey(it->second);
+  // rkeys are even and nonzero: rkey 2i+2 indexes region i.
+  return rkey % 2 == 0 && rkey != 0 ? LiveRegion(rkey / 2 - 1) : nullptr;
 }
 
 QueuePair::QueuePair(RdmaDevice* local, CompletionQueue* send_cq,

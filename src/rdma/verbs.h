@@ -2,15 +2,14 @@
 #define RDMAJOIN_RDMA_VERBS_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/cost_model.h"
 #include "cluster/memory_space.h"
 #include "rdma/validator.h"
+#include "util/ring_queue.h"
 #include "util/status.h"
 #include "util/statusor.h"
 
@@ -84,11 +83,11 @@ class RdmaEventSink {
   virtual void OnBufferCredit(uint32_t device, bool acquired) = 0;
 };
 
-/// FIFO of work completions. Shared by any number of queue pairs. A capacity
-/// of 0 (the default) means unbounded; with a capacity set, completions
-/// arriving at a full queue are dropped and reported as cq-overflow to the
-/// device's validator -- the simulated equivalent of an IBV_EVENT_CQ_ERR
-/// overrun.
+/// FIFO of work completions, held in a growable ring. Shared by any number
+/// of queue pairs. A capacity of 0 (the default) means unbounded; with a
+/// capacity set, completions arriving at a full queue are dropped and
+/// reported as cq-overflow to the device's validator -- the simulated
+/// equivalent of an IBV_EVENT_CQ_ERR overrun.
 class CompletionQueue {
  public:
   explicit CompletionQueue(size_t capacity = 0) : capacity_(capacity) {}
@@ -122,7 +121,7 @@ class CompletionQueue {
   uint64_t overflow_drops_ = 0;
   RdmaEventSink* event_sink_ = nullptr;
   uint32_t sink_device_ = 0;
-  std::deque<WorkCompletion> entries_;
+  RingQueue<WorkCompletion> entries_;
 };
 
 /// Metric handles for one device, created by RdmaDevice::EnableMetrics. The
@@ -204,13 +203,16 @@ class RdmaDevice {
   /// Deregisters a region, unpinning its pages.
   Status DeregisterMemory(const MemoryRegion& mr);
 
-  /// Looks up a region by local key; nullptr if unknown.
+  /// Looks up a live region by local key; nullptr if the key is unknown,
+  /// is an rkey, or names a deregistered region. The pointer stays valid
+  /// until the next RegisterMemory.
   const MemoryRegion* FindByLkey(uint32_t lkey) const;
-  /// Looks up a region by remote key; nullptr if unknown.
+  /// Looks up a live region by remote key; nullptr if the key is unknown,
+  /// is an lkey, or names a deregistered region. Same lifetime as above.
   const MemoryRegion* FindByRkey(uint32_t rkey) const;
 
   /// Regions currently registered (not yet deregistered).
-  size_t live_regions() const { return by_lkey_.size(); }
+  size_t live_regions() const { return live_regions_; }
 
   const DeviceStats& stats() const { return stats_; }
   DeviceStats* mutable_stats() { return &stats_; }
@@ -225,11 +227,20 @@ class RdmaDevice {
   MemorySpace* memory_;
   CostModel costs_;
   double pin_scale_;
+  /// The live region at `index` of regions_, or nullptr.
+  const MemoryRegion* LiveRegion(uint64_t index) const {
+    if (index >= regions_.size() || regions_[index].length == 0) return nullptr;
+    return &regions_[index];
+  }
+
   ProtocolValidator* validator_ = nullptr;
   RdmaEventSink* event_sink_ = nullptr;
-  uint32_t next_key_ = 1;
-  std::unordered_map<uint32_t, MemoryRegion> by_lkey_;
-  std::unordered_map<uint32_t, uint32_t> rkey_to_lkey_;
+  /// Every region ever registered, indexed by its keys: region i has lkey
+  /// 2i+1 and rkey 2i+2, so a lookup is one parity test and one bounds
+  /// check. Keys are never reused; a deregistered region keeps its slot
+  /// with length 0, which no live region has.
+  std::vector<MemoryRegion> regions_;
+  size_t live_regions_ = 0;
   DeviceStats stats_;
   DeviceMetrics metrics_{};
   bool metrics_enabled_ = false;
@@ -332,7 +343,7 @@ class QueuePair {
   State state_ = State::kReady;
   uint32_t fail_next_sends_ = 0;
   bool fail_drop_ = false;
-  std::deque<PostedRecv> recv_queue_;
+  RingQueue<PostedRecv> recv_queue_;
 };
 
 }  // namespace rdmajoin

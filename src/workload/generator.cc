@@ -1,7 +1,10 @@
 #include "workload/generator.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <numeric>
+#include <string>
 
 #include "util/random.h"
 #include "util/zipf.h"
@@ -32,6 +35,29 @@ Status WorkloadSpec::Validate() const {
     return Status::InvalidArgument("tuple width must be a multiple of 8, >= 16");
   }
   if (zipf_theta < 0) return Status::InvalidArgument("zipf_theta must be >= 0");
+  return Status::OK();
+}
+
+Status CheckWorkloadFitsMemory(const WorkloadSpec& spec, uint32_t num_machines,
+                               double scale_up, uint64_t memory_per_machine_bytes) {
+  if (num_machines == 0) {
+    return Status::InvalidArgument("need at least one machine");
+  }
+  // EvenSplit hands the remainders to the first machines, so machine 0
+  // holds the largest share. Doubles keep the product from overflowing; the
+  // floor matches the join's cast of the same product.
+  const double tuples =
+      static_cast<double>(EvenSplit(spec.inner_tuples, num_machines)[0]) +
+      static_cast<double>(EvenSplit(spec.outer_tuples, num_machines)[0]);
+  const double bytes = std::floor(tuples * spec.tuple_bytes * scale_up);
+  if (bytes > static_cast<double>(memory_per_machine_bytes)) {
+    char needed[32];
+    std::snprintf(needed, sizeof(needed), "%.0f", bytes);
+    return Status::ResourceExhausted(
+        "the input does not fit in machine memory: machine 0 holds " +
+        std::string(needed) + " bytes of R and S, memory_per_machine_bytes is " +
+        std::to_string(memory_per_machine_bytes));
+  }
   return Status::OK();
 }
 

@@ -57,6 +57,16 @@ struct Workload {
 /// mode samples keys from a Zipf distribution over [0, |R|).
 StatusOr<Workload> GenerateWorkload(const WorkloadSpec& spec, uint32_t num_machines);
 
+/// Checks, before anything is allocated, that the workload `spec` fits the
+/// cluster's memory: each machine's share of both relations, split as
+/// GenerateWorkload splits it, at `scale_up` virtual bytes per actual byte,
+/// against `memory_per_machine_bytes` -- the reservation the join makes for
+/// its inputs before it starts. ResourceExhausted, naming both numbers, when
+/// a share does not fit; a host with less RAM than an accepted request is
+/// not detected.
+Status CheckWorkloadFitsMemory(const WorkloadSpec& spec, uint32_t num_machines,
+                               double scale_up, uint64_t memory_per_machine_bytes);
+
 /// Inner rid for key k under the generator's rid scheme.
 inline uint64_t InnerRidForKey(uint64_t key) { return 2 * key + 1; }
 

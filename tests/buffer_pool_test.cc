@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cluster/cost_model.h"
 
 namespace rdmajoin {
@@ -134,6 +136,88 @@ TEST_F(BufferPoolTest, DestructorDeregistersEverything) {
   }
   EXPECT_EQ(dev_.stats().regions_registered, 5u);
   EXPECT_EQ(dev_.stats().regions_deregistered, 5u);
+}
+
+// Under register-on-demand a released buffer keeps its shell, so a stale
+// pointer to it is still a RegisteredBuffer of this pool: a second release
+// is refused without touching freed memory (ASan-checked in the sanitizer
+// build), and the next acquisition registers fresh memory into the shell.
+TEST_F(BufferPoolTest, OnDemandDoubleReleaseAfterDeregistrationIsRefused) {
+  RegisteredBufferPool pool(&dev_, 1024, RegisteredBufferPool::Policy::kRegisterOnDemand);
+  auto buf = pool.Acquire();
+  ASSERT_TRUE(buf.ok());
+  const uint32_t old_lkey = (*buf)->mr.lkey;
+  ASSERT_TRUE(pool.Release(*buf).ok());
+  EXPECT_EQ(dev_.FindByLkey(old_lkey), nullptr);
+  EXPECT_EQ((*buf)->bytes(), nullptr);
+  EXPECT_EQ(pool.Release(*buf).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(pool.outstanding(), 0u);
+  EXPECT_EQ(dev_.stats().regions_deregistered, 1u);
+
+  auto again = pool.Acquire();
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *buf);  // The shell is reused...
+  EXPECT_NE((*again)->mr.lkey, old_lkey);  // ...with a fresh registration.
+  ASSERT_NE(dev_.FindByLkey((*again)->mr.lkey), nullptr);
+  EXPECT_EQ(dev_.FindByLkey((*again)->mr.lkey)->addr, (*again)->bytes());
+  EXPECT_EQ(pool.buffers_created(), 2u);
+  ASSERT_TRUE(pool.Release(*again).ok());
+}
+
+TEST_F(BufferPoolTest, ReleaseOfAnotherPoolsBufferIsRefused) {
+  RegisteredBufferPool pool(&dev_, 256);
+  RegisteredBufferPool other(&dev_, 256);
+  auto buf = other.Acquire();
+  ASSERT_TRUE(buf.ok());
+  EXPECT_EQ(pool.Release(*buf).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(other.outstanding(), 1u);
+  ASSERT_TRUE(other.Release(*buf).ok());
+}
+
+class BufferPoolPolicyTest
+    : public ::testing::TestWithParam<RegisteredBufferPool::Policy> {
+ protected:
+  RdmaDevice dev_{0, nullptr, CostModel{}};
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, BufferPoolPolicyTest,
+    ::testing::Values(RegisteredBufferPool::Policy::kPooled,
+                      RegisteredBufferPool::Policy::kRegisterOnDemand),
+    [](const auto& info) {
+      return info.param == RegisteredBufferPool::Policy::kPooled ? "Pooled"
+                                                                 : "OnDemand";
+    });
+
+TEST_P(BufferPoolPolicyTest, OutstandingAndBuffersCreatedFollowThePolicy) {
+  const bool pooled = GetParam() == RegisteredBufferPool::Policy::kPooled;
+  RegisteredBufferPool pool(&dev_, 512, GetParam());
+  std::vector<RegisteredBuffer*> held;
+  for (int i = 0; i < 3; ++i) {
+    auto buf = pool.Acquire();
+    ASSERT_TRUE(buf.ok());
+    held.push_back(*buf);
+  }
+  EXPECT_EQ(pool.outstanding(), 3u);
+  EXPECT_EQ(pool.buffers_created(), 3u);
+  EXPECT_EQ(dev_.live_regions(), 3u);
+  ASSERT_TRUE(pool.Release(held[1]).ok());
+  ASSERT_TRUE(pool.Release(held[0]).ok());
+  EXPECT_EQ(pool.outstanding(), 1u);
+  // Pooled buffers stay registered on the free list; on-demand ones are
+  // deregistered at once.
+  EXPECT_EQ(pool.free_buffers(), pooled ? 2u : 0u);
+  EXPECT_EQ(dev_.live_regions(), pooled ? 3u : 1u);
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(pool.Acquire().ok());
+  EXPECT_EQ(pool.outstanding(), 3u);
+  EXPECT_EQ(pool.acquisitions(), 5u);
+  // Every on-demand acquisition is a registration; pooled ones reuse.
+  EXPECT_EQ(pool.buffers_created(), pooled ? 3u : 5u);
+  EXPECT_EQ(pool.reuses(), pooled ? 2u : 0u);
+  EXPECT_EQ(dev_.stats().regions_registered, pool.buffers_created());
+  EXPECT_EQ(pool.Release(held[0]).code(), StatusCode::kOk);
+  EXPECT_EQ(pool.Release(held[0]).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(pool.outstanding(), 2u);
 }
 
 }  // namespace

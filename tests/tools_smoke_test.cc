@@ -678,6 +678,31 @@ TEST_F(ToolsSmokeTest, ReplayToolsValidateThePresetAndTheWhatIfKnobs) {
             0);
 }
 
+// A request that the cluster model's memory cannot hold is refused before
+// the workload is generated: each tool exits with its runtime-error code and
+// names both byte counts, instead of aborting on std::bad_alloc while it
+// allocates a trillion-tuple relation on the host.
+TEST(MemorySmokeTest, OversizedInputIsRefusedBeforeGeneration) {
+  const std::string args =
+      " --machines=2 --inner=1000000 --outer=1000000 --scale=1";
+  const std::string err = TempPath("oversized.err");
+  for (const std::string& command :
+       {std::string(RDMAJOIN_CLI_BIN) + args,
+        std::string(RDMAJOIN_CHECK_BIN) + args,
+        std::string(RDMAJOIN_CHAOS_BIN) + args,
+        std::string(RDMAJOIN_WHATIF_BIN) +
+            " --capture=" + TempPath("oversized.trace") + args}) {
+    EXPECT_EQ(RunTool("(timeout 10 " + command + " 2>" + err + ")"), 1)
+        << command;
+    // 5e11 tuples of R and 5e11 of S, 16 B each, on machine 0 of a QDR
+    // cluster with 128 GB per machine.
+    const std::string text = ReadFileOrEmpty(err);
+    EXPECT_NE(text.find("ResourceExhausted"), std::string::npos) << text;
+    EXPECT_NE(text.find("16000000000000 bytes"), std::string::npos) << text;
+    EXPECT_NE(text.find("128000000000"), std::string::npos) << text;
+  }
+}
+
 TEST(HelpSmokeTest, EveryToolPrintsHelpAndExitsZero) {
   for (const char* bin :
        {RDMAJOIN_CLI_BIN, RDMAJOIN_CHECK_BIN, RDMAJOIN_CHAOS_BIN,

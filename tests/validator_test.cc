@@ -4,6 +4,8 @@
 
 #include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "cluster/cost_model.h"
 #include "cluster/presets.h"
@@ -176,6 +178,65 @@ TEST_P(ValidatorTest, RegionStillRegisteredAtDeviceTeardownIsRegionLeak) {
   ASSERT_TRUE(dev->RegisterMemory(buf, sizeof(buf)).ok());
   dev.reset();
   EXPECT_EQ(validator_->count(ProtocolViolation::kRegionLeak), 1u);
+}
+
+TEST_P(ValidatorTest, DeregisteredKeysStillReportWasDeregistered) {
+  uint8_t a[32], b[32];
+  auto mr_a = dev_b_->RegisterMemory(a, sizeof(a));
+  auto mr_b = dev_b_->RegisterMemory(b, sizeof(b));
+  auto local = dev_a_->RegisterMemory(a, sizeof(a));
+  ASSERT_TRUE(mr_a.ok() && mr_b.ok() && local.ok());
+  ASSERT_TRUE(dev_b_->DeregisterMemory(*mr_a).ok());
+  // A later registration does not revive the dead slot's keys.
+  auto mr_c = dev_b_->RegisterMemory(a, sizeof(a));
+  ASSERT_TRUE(mr_c.ok());
+
+  ExpectViolated(qp_a_->PostWrite(1, local->lkey, 0, mr_a->rkey, 0, 8),
+                 StatusCode::kInvalidArgument);
+  // A key of the wrong parity was never registered as that kind of key.
+  ExpectViolated(qp_a_->PostWrite(2, local->lkey, 0, mr_b->lkey, 0, 8),
+                 StatusCode::kInvalidArgument);
+  ExpectViolated(dev_b_->DeregisterMemory(*mr_a), StatusCode::kNotFound);
+  EXPECT_EQ(validator_->count(ProtocolViolation::kUseAfterDeregister), 3u);
+  const ProtocolReport report = validator_->report();
+  ASSERT_EQ(report.samples.size(), 3u);
+  EXPECT_EQ(report.samples[0],
+            "use-after-deregister: PostWrite dst: key 2 was deregistered "
+            "(device 1)");
+  EXPECT_EQ(report.samples[1],
+            "use-after-deregister: PostWrite dst: key 3 was never registered "
+            "(device 1)");
+  EXPECT_EQ(report.samples[2],
+            "use-after-deregister: DeregisterMemory: key 1 was deregistered "
+            "(device 1)");
+  ASSERT_TRUE(dev_b_->DeregisterMemory(*mr_b).ok());
+  ASSERT_TRUE(dev_b_->DeregisterMemory(*mr_c).ok());
+  ASSERT_TRUE(dev_a_->DeregisterMemory(*local).ok());
+}
+
+TEST_P(ValidatorTest, RegionLeaksAreReportedInAscendingLkeyOrder) {
+  uint8_t buf[5][16];
+  auto dev = std::make_unique<RdmaDevice>(9, nullptr, CostModel{});
+  dev->set_validator(validator_.get());
+  std::vector<MemoryRegion> mrs;
+  for (auto& b : buf) {
+    auto mr = dev->RegisterMemory(b, sizeof(b));
+    ASSERT_TRUE(mr.ok());
+    mrs.push_back(*mr);
+  }
+  // Deregister out of order, leaving lkeys 3, 7 and 9 registered.
+  ASSERT_TRUE(dev->DeregisterMemory(mrs[2]).ok());
+  ASSERT_TRUE(dev->DeregisterMemory(mrs[0]).ok());
+  dev.reset();
+  EXPECT_EQ(validator_->count(ProtocolViolation::kRegionLeak), 3u);
+  const ProtocolReport report = validator_->report();
+  ASSERT_EQ(report.samples.size(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    const uint32_t lkey = std::vector<uint32_t>{3, 7, 9}[i];
+    EXPECT_EQ(report.samples[i],
+              "region-leak: device 9: lkey " + std::to_string(lkey) +
+                  " (16 bytes) still registered at teardown");
+  }
 }
 
 TEST_P(ValidatorTest, CompletionQueueOverflowIsDetected) {

@@ -4,9 +4,11 @@
 
 #include <cstring>
 #include <memory>
+#include <vector>
 
 #include "cluster/cost_model.h"
 #include "cluster/memory_space.h"
+#include "util/ring_queue.h"
 
 namespace rdmajoin {
 namespace {
@@ -185,6 +187,155 @@ TEST_F(VerbsTest, ConnectRejectsReuseAndSelf) {
   QueuePair qp(&dev, &scq, &rcq);
   EXPECT_FALSE(QueuePair::Connect(&qp, &qp).ok());
   EXPECT_FALSE(QueuePair::Connect(qp_a_.get(), &qp).ok());  // a already paired
+}
+
+TEST_F(VerbsTest, KeysIndexRegionsByParityAndNeverCross) {
+  uint8_t a[32], b[64];
+  auto mr_a = dev_a_->RegisterMemory(a, sizeof(a));
+  auto mr_b = dev_a_->RegisterMemory(b, sizeof(b));
+  ASSERT_TRUE(mr_a.ok() && mr_b.ok());
+  // Region i holds lkey 2i+1 and rkey 2i+2.
+  EXPECT_EQ(mr_a->lkey, 1u);
+  EXPECT_EQ(mr_a->rkey, 2u);
+  EXPECT_EQ(mr_b->lkey, 3u);
+  EXPECT_EQ(mr_b->rkey, 4u);
+  EXPECT_EQ(dev_a_->FindByLkey(mr_b->lkey)->addr, b);
+  EXPECT_EQ(dev_a_->FindByRkey(mr_b->rkey)->length, sizeof(b));
+  // An lkey passed as an rkey, or an rkey as an lkey, misses; so do 0 and
+  // keys past the table.
+  for (const MemoryRegion* mr : {&*mr_a, &*mr_b}) {
+    EXPECT_EQ(dev_a_->FindByRkey(mr->lkey), nullptr) << mr->lkey;
+    EXPECT_EQ(dev_a_->FindByLkey(mr->rkey), nullptr) << mr->rkey;
+  }
+  for (const uint32_t key : {0u, 5u, 6u, 0xFFFFFFFFu, 0xFFFFFFFEu}) {
+    EXPECT_EQ(dev_a_->FindByLkey(key), nullptr) << key;
+    EXPECT_EQ(dev_a_->FindByRkey(key), nullptr) << key;
+  }
+  // The work-request paths refuse the crossed keys as unknown.
+  auto mr_dst = dev_b_->RegisterMemory(b, sizeof(b));
+  ASSERT_TRUE(mr_dst.ok());
+  EXPECT_EQ(qp_a_->PostSend(2, mr_a->rkey, 0, 8).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(qp_a_->PostWrite(3, mr_a->lkey, 0, mr_dst->lkey, 0, 8).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(qp_a_->PostWrite(4, mr_a->lkey, 0, mr_dst->rkey, 0, 8).code(),
+            StatusCode::kOk);
+  ASSERT_TRUE(dev_a_->DeregisterMemory(*mr_a).ok());
+  ASSERT_TRUE(dev_a_->DeregisterMemory(*mr_b).ok());
+  ASSERT_TRUE(dev_b_->DeregisterMemory(*mr_dst).ok());
+}
+
+TEST_F(VerbsTest, DeregisteredKeysAreNeverReissued) {
+  uint8_t buf[16];
+  auto first = dev_a_->RegisterMemory(buf, sizeof(buf));
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(dev_a_->DeregisterMemory(*first).ok());
+  EXPECT_EQ(dev_a_->FindByLkey(first->lkey), nullptr);
+  EXPECT_EQ(dev_a_->FindByRkey(first->rkey), nullptr);
+  EXPECT_EQ(dev_a_->live_regions(), 0u);
+  auto second = dev_a_->RegisterMemory(buf, sizeof(buf));
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->lkey, first->lkey + 2);
+  EXPECT_EQ(dev_a_->FindByLkey(first->lkey), nullptr);
+  EXPECT_EQ(dev_a_->live_regions(), 1u);
+  // A second deregistration of the dead region is refused and leaves the
+  // live one alone.
+  EXPECT_EQ(dev_a_->DeregisterMemory(*first).code(), StatusCode::kNotFound);
+  EXPECT_EQ(dev_a_->live_regions(), 1u);
+  ASSERT_TRUE(dev_a_->DeregisterMemory(*second).ok());
+}
+
+TEST(RingQueue, KeepsFifoOrderAcrossWrapAroundAndGrowth) {
+  RingQueue<uint64_t> ring;
+  uint64_t pushed = 0, popped = 0;
+  // Hold 5 entries while 100 pass through: head and tail wrap many times
+  // and the first 8 slots suffice.
+  for (; pushed < 5; ++pushed) ring.push_back(pushed);
+  for (int i = 0; i < 100; ++i) {
+    ring.push_back(pushed++);
+    ASSERT_EQ(ring.front(), popped++);
+    ring.pop_front();
+  }
+  EXPECT_EQ(ring.capacity(), 8u);
+  // Grow while wrapped: the live entries must come out in order.
+  for (int i = 0; i < 50; ++i) ring.push_back(pushed++);
+  EXPECT_EQ(ring.size(), 55u);
+  EXPECT_EQ(ring.capacity(), 64u);
+  while (!ring.empty()) {
+    ASSERT_EQ(ring.front(), popped++);
+    ring.pop_front();
+  }
+  EXPECT_EQ(popped, pushed);
+}
+
+TEST_F(VerbsTest, CompletionQueueStaysFifoAcrossWrapAndGrowth) {
+  uint8_t src[8] = {}, dst[8];
+  auto mr_src = dev_a_->RegisterMemory(src, sizeof(src));
+  auto mr_dst = dev_b_->RegisterMemory(dst, sizeof(dst));
+  ASSERT_TRUE(mr_src.ok() && mr_dst.ok());
+  uint64_t next_wr = 0, next_polled = 0;
+  WorkCompletion wc;
+  // Interleave bursts of posts with partial drains, so the ring wraps at
+  // one size and grows while wrapped.
+  for (const int burst : {3, 6, 9, 20, 40}) {
+    for (int i = 0; i < burst; ++i) {
+      ASSERT_TRUE(qp_a_->PostWrite(next_wr++, mr_src->lkey, 0, mr_dst->rkey, 0, 8).ok());
+    }
+    for (int i = 0; i < burst / 2; ++i) {
+      ASSERT_TRUE(send_cq_a_.PollOne(&wc));
+      ASSERT_EQ(wc.wr_id, next_polled++);
+    }
+  }
+  std::vector<WorkCompletion> rest;
+  EXPECT_EQ(send_cq_a_.Poll(1000, &rest), next_wr - next_polled);
+  for (const WorkCompletion& c : rest) ASSERT_EQ(c.wr_id, next_polled++);
+  EXPECT_EQ(send_cq_a_.depth(), 0u);
+}
+
+TEST_F(VerbsTest, BoundedCompletionQueueOverflowsAtExactlyItsCapacity) {
+  uint8_t src[8] = {}, dst[8];
+  auto mr_src = dev_a_->RegisterMemory(src, sizeof(src));
+  auto mr_dst = dev_b_->RegisterMemory(dst, sizeof(dst));
+  ASSERT_TRUE(mr_src.ok() && mr_dst.ok());
+  // 12 is not a ring size, so the bound must come from the capacity alone.
+  send_cq_a_.set_capacity(12);
+  for (uint64_t wr = 0; wr < 12; ++wr) {
+    ASSERT_TRUE(qp_a_->PostWrite(wr, mr_src->lkey, 0, mr_dst->rkey, 0, 8).ok());
+  }
+  EXPECT_EQ(send_cq_a_.depth(), 12u);
+  EXPECT_EQ(send_cq_a_.overflow_drops(), 0u);
+  ASSERT_TRUE(qp_a_->PostWrite(12, mr_src->lkey, 0, mr_dst->rkey, 0, 8).ok());
+  EXPECT_EQ(send_cq_a_.depth(), 12u);
+  EXPECT_EQ(send_cq_a_.overflow_drops(), 1u);
+  // One poll frees one slot; the oldest completion comes out first.
+  WorkCompletion wc;
+  ASSERT_TRUE(send_cq_a_.PollOne(&wc));
+  EXPECT_EQ(wc.wr_id, 0u);
+  ASSERT_TRUE(qp_a_->PostWrite(13, mr_src->lkey, 0, mr_dst->rkey, 0, 8).ok());
+  EXPECT_EQ(send_cq_a_.overflow_drops(), 1u);
+  ASSERT_TRUE(qp_a_->PostWrite(14, mr_src->lkey, 0, mr_dst->rkey, 0, 8).ok());
+  EXPECT_EQ(send_cq_a_.overflow_drops(), 2u);
+  EXPECT_EQ(send_cq_a_.depth(), 12u);
+}
+
+TEST_F(VerbsTest, PostedReceivesStayFifoAcrossWrapAndGrowth) {
+  uint8_t src[8] = {}, dst[8];
+  auto mr_src = dev_a_->RegisterMemory(src, sizeof(src));
+  auto mr_dst = dev_b_->RegisterMemory(dst, sizeof(dst));
+  ASSERT_TRUE(mr_src.ok() && mr_dst.ok());
+  uint64_t next_recv = 0, next_consumed = 0;
+  WorkCompletion wc;
+  for (const int burst : {5, 7, 30}) {
+    for (int i = 0; i < burst; ++i) {
+      ASSERT_TRUE(qp_b_->PostRecv(next_recv++, mr_dst->lkey, 0, 8).ok());
+    }
+    for (int i = 0; i < burst - 2; ++i) {
+      ASSERT_TRUE(qp_a_->PostSend(0, mr_src->lkey, 0, 8).ok());
+      ASSERT_TRUE(recv_cq_b_.PollOne(&wc));
+      ASSERT_EQ(wc.wr_id, next_consumed++);
+    }
+  }
+  EXPECT_EQ(qp_b_->posted_recvs(), next_recv - next_consumed);
 }
 
 TEST(VerbsPinning, RegistrationPinsMemoryAndEnforcesLimits) {

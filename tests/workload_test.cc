@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -66,6 +67,30 @@ TEST(WorkloadSpec, Validation) {
   spec = WorkloadSpec{};
   spec.zipf_theta = -1;
   EXPECT_FALSE(spec.Validate().ok());
+}
+
+TEST(CheckWorkloadFitsMemory, ComparesTheLargestMachineShareWithMemory) {
+  WorkloadSpec spec;
+  spec.inner_tuples = 7;
+  spec.outer_tuples = 10;
+  // Over 3 machines machine 0 holds 3 + 4 tuples of 16 B: 112 bytes, and
+  // 448 at scale 4.
+  EXPECT_TRUE(CheckWorkloadFitsMemory(spec, 3, 1.0, 112).ok());
+  const Status over = CheckWorkloadFitsMemory(spec, 3, 1.0, 111);
+  EXPECT_EQ(over.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(over.message().find("112 bytes"), std::string::npos) << over.message();
+  EXPECT_NE(over.message().find("111"), std::string::npos) << over.message();
+  EXPECT_TRUE(CheckWorkloadFitsMemory(spec, 3, 4.0, 448).ok());
+  EXPECT_FALSE(CheckWorkloadFitsMemory(spec, 3, 4.0, 447).ok());
+  spec.tuple_bytes = 32;
+  EXPECT_FALSE(CheckWorkloadFitsMemory(spec, 3, 1.0, 223).ok());
+  EXPECT_TRUE(CheckWorkloadFitsMemory(spec, 3, 1.0, 224).ok());
+  EXPECT_EQ(CheckWorkloadFitsMemory(spec, 0, 1.0, 1 << 20).code(),
+            StatusCode::kInvalidArgument);
+  // A trillion tuples are judged without being allocated.
+  spec.inner_tuples = spec.outer_tuples = 1000000000000ull;
+  EXPECT_EQ(CheckWorkloadFitsMemory(spec, 2, 1.0, 128000000000ull).code(),
+            StatusCode::kResourceExhausted);
 }
 
 TEST(GenerateWorkload, InnerKeysAreDistinctPermutation) {

@@ -117,6 +117,11 @@ int main(int argc, char** argv) {
   spec.outer_tuples =
       static_cast<uint64_t>(outer_mtuples * 1e6 / scale_up);
   spec.seed = seed;
+  if (Status fits = CheckWorkloadFitsMemory(spec, cluster.num_machines, scale_up,
+                                            cluster.memory_per_machine_bytes);
+      !fits.ok()) {
+    return Fail(fits);
+  }
   auto workload = GenerateWorkload(spec, cluster.num_machines);
   if (!workload.ok()) return Fail(workload.status());
 

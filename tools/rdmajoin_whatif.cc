@@ -90,6 +90,12 @@ int main(int argc, char** argv) {
     WorkloadSpec spec;
     spec.inner_tuples = static_cast<uint64_t>(inner_m * 1e6 / config.scale_up);
     spec.outer_tuples = static_cast<uint64_t>(outer_m * 1e6 / config.scale_up);
+    if (Status fits = CheckWorkloadFitsMemory(spec, cluster.num_machines,
+                                              config.scale_up,
+                                              cluster.memory_per_machine_bytes);
+        !fits.ok()) {
+      return Fail(fits);
+    }
     auto workload = GenerateWorkload(spec, cluster.num_machines);
     if (!workload.ok()) return Fail(workload.status());
     DistributedJoin join(cluster, config);
