@@ -1,8 +1,8 @@
 // Host-time (wall-clock) microbenchmarks of the fluid network engine
-// (LinkFabric): what a rate reshare costs at replay-like flow counts, what
-// flow telemetry adds, and the full-vs-incremental reshare speedups; the
-// trace codec (TraceToJson/TraceFromJson) the forensics tools run on a
-// captured trace; and a whole join's replay with spans off and on. Unlike
+// (LinkFabric): what a rate reshare costs at replay-like flow counts and
+// what flow telemetry adds; the trace codec (TraceToJson/TraceFromJson) the
+// forensics tools run on a captured trace; and a whole join's replay with
+// spans off and on. Unlike
 // every fig/abl harness (which reports *virtual* seconds and is
 // byte-identical across machines), these rows
 // measure the machine they run on; the committed baseline is gated in CI
@@ -57,16 +57,13 @@ constexpr uint32_t kReshareHosts = 10;  // 90 ordered pairs >= 64 active links
 constexpr int kReshareRounds = 40;
 constexpr int kQueueDepthPerLink = 6;
 
-FabricConfig EngineConfig(bool incremental) {
+FabricConfig EngineConfig() {
   FabricConfig f;
   f.num_hosts = kReshareHosts;
   f.egress_bytes_per_sec = 1000.0;
   f.ingress_bytes_per_sec = 1000.0;
   f.message_rate_per_host = 5.0;  // binding cap: head pops refresh rates
   f.base_latency_seconds = 1e-6;
-  f.sharing = SharingPolicy::kEqualShare;
-  f.incremental_reshare = incremental;
-  f.verify_incremental_reshare = false;  // measuring, not cross-checking
   return f;
 }
 
@@ -83,9 +80,8 @@ struct LinkPumpStats {
 /// fabric additionally tracks each head's open rate segment and reports it
 /// through `telemetry` once its rate or label changes or the head drains,
 /// which is exactly what a replay with span recording enabled pays.
-LinkPumpStats PumpLinkFabric(bool incremental,
-                             FlowTelemetry* telemetry = nullptr) {
-  LinkFabric fabric(EngineConfig(incremental));
+LinkPumpStats PumpLinkFabric(FlowTelemetry* telemetry = nullptr) {
+  LinkFabric fabric(EngineConfig());
   if (telemetry != nullptr) fabric.EnableFlowTelemetry(telemetry);
   LinkPumpStats stats;
   double t = 0.0;
@@ -106,55 +102,6 @@ LinkPumpStats PumpLinkFabric(bool incremental,
     t += 1e6;
     done.clear();
     fabric.AdvanceTo(t, &done);
-  }
-  stats.reshares = fabric.reshares();
-  stats.reshared_links = fabric.reshared_links();
-  return stats;
-}
-
-// --- Max-min engine pump: the asymptotic reshare win ----------------------
-
-constexpr uint32_t kMaxMinHosts = 128;
-constexpr uint32_t kMaxMinFlows = kMaxMinHosts / 2;  // 64 concurrent flows
-constexpr uint64_t kMaxMinEvents = 60000;
-
-struct MaxMinPumpStats {
-  uint64_t events = 0;
-  uint64_t reshares = 0;
-  uint64_t reshared_links = 0;
-};
-
-/// Steady-state max-min engine pump: 64 concurrent one-message links on
-/// disjoint host pairs with per-host distinct capacities, every completion
-/// immediately replaced. Each event dirties one two-host component, so the
-/// incremental path re-levels O(1) links while the full path reruns
-/// progressive filling over all 64 demands (one round per distinct
-/// bottleneck).
-MaxMinPumpStats PumpMaxMin(bool incremental) {
-  FabricConfig cfg = EngineConfig(incremental);
-  cfg.num_hosts = kMaxMinHosts;
-  cfg.sharing = SharingPolicy::kMaxMin;
-  LinkFabric fabric(cfg);
-  for (uint32_t h = 0; h < kMaxMinHosts; ++h) {
-    // Distinct per-host capacity: every link is its own bottleneck level, so
-    // full progressive filling freezes one link per round.
-    const double scale = 0.25 + 0.5 * static_cast<double>(h) / kMaxMinHosts;
-    fabric.SetHostCapacityScale(h, scale, scale);
-  }
-  MaxMinPumpStats stats;
-  std::vector<LinkFabric::Completion> done;
-  for (uint32_t i = 0; i < kMaxMinFlows; ++i) {
-    fabric.Enqueue(2 * i, 2 * i + 1, 1000.0 + 17.0 * i, 0.0, 2 * i);
-    ++stats.events;
-  }
-  while (stats.events < kMaxMinEvents) {
-    done.clear();
-    fabric.AdvanceTo(fabric.NextCompletionTime(), &done);
-    for (const LinkFabric::Completion& c : done) {
-      const uint32_t src = static_cast<uint32_t>(c.cookie);
-      fabric.Enqueue(src, src + 1, 1000.0 + 17.0 * (src / 2), c.time, c.cookie);
-      stats.events += 2;  // one completion + one replacement enqueue
-    }
   }
   stats.reshares = fabric.reshares();
   stats.reshared_links = fabric.reshared_links();
@@ -244,85 +191,36 @@ int Run(int argc, char** argv) {
   bench::BenchReporter reporter("micro_replay_engine", opt);
 
   // LinkFabric reshare cost (the replay hot path).
-  LinkPumpStats link_full, link_inc;
-  const double link_full_s =
-      BestOfThreeSeconds([&] { link_full = PumpLinkFabric(false); });
-  const double link_inc_s =
-      BestOfThreeSeconds([&] { link_inc = PumpLinkFabric(true); });
+  LinkPumpStats link;
+  const double link_s = BestOfThreeSeconds([&] { link = PumpLinkFabric(); });
   const bench::BenchReporter::Config link_cfg = {
       {"hosts", std::to_string(kReshareHosts)},
-      {"messages", std::to_string(link_full.messages)},
-      {"flows_at_peak", std::to_string(link_inc.flows_at_peak)}};
-  reporter.AddMeasurement("link_reshare_full", link_cfg, link_full_s);
-  reporter.AddMeasurement("link_reshare_incremental", link_cfg, link_inc_s);
-  reporter.AddMeasurement("link_reshare_speedup", link_cfg,
-                          link_full_s / link_inc_s, "x");
+      {"messages", std::to_string(link.messages)},
+      {"flows_at_peak", std::to_string(link.flows_at_peak)}};
+  reporter.AddMeasurement("link_reshare_incremental", link_cfg, link_s);
   reporter.AddMeasurement("link_pump_events_per_sec", link_cfg,
-                          static_cast<double>(link_inc.messages) / link_inc_s,
+                          static_cast<double>(link.messages) / link_s,
                           "events_per_sec");
   reporter.AddMeasurement(
-      "link_reshared_assignments_full", link_cfg,
-      static_cast<double>(link_full.reshared_links), "assignments");
-  reporter.AddMeasurement(
       "link_reshared_assignments_incremental", link_cfg,
-      static_cast<double>(link_inc.reshared_links), "assignments");
-  std::printf(
-      "link fabric: full %.3fs (%llu assignments), incremental %.3fs "
-      "(%llu assignments), %zu flows at peak\n",
-      link_full_s, static_cast<unsigned long long>(link_full.reshared_links),
-      link_inc_s, static_cast<unsigned long long>(link_inc.reshared_links),
-      link_inc.flows_at_peak);
+      static_cast<double>(link.reshared_links), "assignments");
+  std::printf("link fabric: %.3fs (%llu assignments), %zu flows at peak\n",
+              link_s, static_cast<unsigned long long>(link.reshared_links),
+              link.flows_at_peak);
 
-  // Telemetry overhead: the same incremental link pump with a SpanRecorder
-  // attached, so every fabric step additionally extends or closes each
-  // moving head's labeled segment, and every closed one lands in the
-  // recorder's ring. This is the marginal cost a replay pays for
-  // bottleneck forensics.
-  LinkPumpStats link_tel;
+  // Telemetry overhead: the same link pump with a SpanRecorder attached, so
+  // every fabric step additionally extends or closes each moving head's
+  // labeled segment, and every closed one lands in the recorder's ring.
+  // This is the marginal cost a replay pays for bottleneck forensics.
   const double link_tel_s = BestOfThreeSeconds([&] {
     SpanRecorder recorder;
-    link_tel = PumpLinkFabric(true, &recorder);
+    PumpLinkFabric(&recorder);
   });
   reporter.AddMeasurement("link_reshare_telemetry", link_cfg, link_tel_s);
   reporter.AddMeasurement("link_telemetry_overhead", link_cfg,
-                          link_tel_s / link_inc_s, "x");
-  std::printf(
-      "link fabric telemetry: %.3fs with recorder (%.2fx of bare "
-      "incremental)\n",
-      link_tel_s, link_tel_s / link_inc_s);
-
-  // Steady-state max-min engine. full = every event reruns progressive
-  // filling over all links; incremental = the shipped engine.
-  MaxMinPumpStats mm_full, mm_inc;
-  const double mm_full_s =
-      BestOfThreeSeconds([&] { mm_full = PumpMaxMin(false); });
-  const double mm_inc_s =
-      BestOfThreeSeconds([&] { mm_inc = PumpMaxMin(true); });
-  const bench::BenchReporter::Config mm_cfg = {
-      {"hosts", std::to_string(kMaxMinHosts)},
-      {"concurrent_flows", std::to_string(kMaxMinFlows)},
-      {"events", std::to_string(mm_full.events)}};
-  reporter.AddMeasurement("maxmin_engine_full", mm_cfg, mm_full_s);
-  reporter.AddMeasurement("maxmin_engine_incremental", mm_cfg, mm_inc_s);
-  reporter.AddMeasurement("maxmin_engine_speedup", mm_cfg, mm_full_s / mm_inc_s,
-                          "x");
-  reporter.AddMeasurement("maxmin_engine_events_per_sec_full", mm_cfg,
-                          static_cast<double>(mm_full.events) / mm_full_s,
-                          "events_per_sec");
-  reporter.AddMeasurement("maxmin_engine_events_per_sec_incremental", mm_cfg,
-                          static_cast<double>(mm_inc.events) / mm_inc_s,
-                          "events_per_sec");
-  reporter.AddMeasurement(
-      "maxmin_reshared_assignments_full", mm_cfg,
-      static_cast<double>(mm_full.reshared_links), "assignments");
-  reporter.AddMeasurement(
-      "maxmin_reshared_assignments_incremental", mm_cfg,
-      static_cast<double>(mm_inc.reshared_links), "assignments");
-  std::printf(
-      "maxmin engine: full %.3fs (%.0f events/s), incremental %.3fs "
-      "(%.0f events/s) -- %.2fx\n",
-      mm_full_s, static_cast<double>(mm_full.events) / mm_full_s, mm_inc_s,
-      static_cast<double>(mm_inc.events) / mm_inc_s, mm_full_s / mm_inc_s);
+                          link_tel_s / link_s, "x");
+  std::printf("link fabric telemetry: %.3fs with recorder (%.2fx of bare)\n",
+              link_tel_s, link_tel_s / link_s);
 
   // Trace codec: the write and the validated read of rdmajoin_trace and
   // rdmajoin_explain.

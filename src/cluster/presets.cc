@@ -20,7 +20,6 @@ FabricConfig InfinibandFabric(uint32_t num_hosts, double bandwidth,
   f.message_rate_per_host = bandwidth / kFullBandwidthMessageBytes;
   f.congestion_bytes_per_sec_per_extra_host = congestion_per_host;
   f.base_latency_seconds = 2e-6;
-  f.sharing = SharingPolicy::kEqualShare;
   return f;
 }
 
@@ -75,7 +74,6 @@ ClusterConfig QpiServer(uint32_t sockets, uint32_t cores_per_socket) {
   f.message_rate_per_host = 0.0;  // Loads/stores have no message-rate limit.
   f.congestion_bytes_per_sec_per_extra_host = 0.0;
   f.base_latency_seconds = 100e-9;
-  f.sharing = SharingPolicy::kEqualShare;
   c.fabric = f;
   c.costs = CostModel{};
   // The baseline's first and second partitioning passes use SIMD/AVX

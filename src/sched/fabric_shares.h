@@ -9,13 +9,14 @@
 
 namespace rdmajoin {
 
-/// Per-query fabric bandwidth shares, computed through the same max-min
-/// solver (sim/rate_sharing.h) that assigns rates inside the replay fabric
-/// rather than through an ad-hoc formula: each concurrent query contributes
-/// `weight` all-to-all demand sets (one flow per ordered host pair per unit
-/// of weight) against the configured per-host egress/ingress capacities, and
-/// a query's share is its aggregate solved rate normalized by the aggregate
-/// a single query gets when running alone.
+/// Per-query fabric bandwidth shares, computed through the max-min solver
+/// (sim/rate_sharing.h) rather than through an ad-hoc formula. The replay
+/// fabric itself shares ports equally (sim/link_fabric.h); across queries
+/// the scheduler wants weighted, work-conserving shares. Each concurrent
+/// query contributes `weight` all-to-all demand sets (one flow per ordered
+/// host pair per unit of weight) against the configured per-host
+/// egress/ingress capacities, and a query's share is its aggregate solved
+/// rate normalized by the aggregate a single query gets when running alone.
 ///
 /// The returned multipliers are therefore in (0, 1]: a query whose network
 /// stage runs concurrently with others progresses at multiplier x its solo

@@ -32,20 +32,6 @@ class FlowTelemetry {
                              RateConstraint bound, uint32_t bound_host) = 0;
 };
 
-/// How concurrent transfers share link capacity.
-enum class SharingPolicy {
-  /// Every active flow from a host gets an equal share of that host's egress
-  /// capacity (and of the destination's ingress capacity); the flow rate is
-  /// the minimum of the two shares. This mirrors the sharing assumption of
-  /// the paper's analytical model (Eq. 1: netMax divided equally among the
-  /// partitioning threads of a machine).
-  kEqualShare,
-  /// Global max-min fairness (progressive filling / water-filling) over all
-  /// egress and ingress capacities. Work-conserving: spare capacity freed by
-  /// a bottlenecked flow is redistributed.
-  kMaxMin,
-};
-
 /// Static description of a simulated switched network (one InfiniBand switch,
 /// full bisection bandwidth, per-host port limits).
 struct FabricConfig {
@@ -69,24 +55,6 @@ struct FabricConfig {
   /// port and its completion being visible (propagation + switch + remote
   /// HCA processing).
   double base_latency_seconds = 2e-6;
-  SharingPolicy sharing = SharingPolicy::kEqualShare;
-  /// When true (the default), a flow add/remove/capacity change re-levels
-  /// only the hosts transitively affected by the changed constraint instead
-  /// of recomputing every flow's rate. The result is identical: equal-share
-  /// rates are a pure function of per-host state, and max-min progressive
-  /// filling decomposes over connected components of the host-flow graph.
-  /// The flag exists so the differential tests (and anyone bisecting a
-  /// determinism report) can replay the same schedule through both paths.
-  bool incremental_reshare = true;
-  /// Cross-checks every incremental reshare against a full recompute
-  /// (kRateEps-relative comparison; aborts with a diagnostic on mismatch).
-  /// Defaults to on in assert-enabled (!NDEBUG) builds and off otherwise;
-  /// the equivalence tests enable it explicitly in every build mode.
-#ifndef NDEBUG
-  bool verify_incremental_reshare = true;
-#else
-  bool verify_incremental_reshare = false;
-#endif
 
   /// Effective per-host egress capacity after the congestion penalty.
   double EffectiveEgress() const {

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <cstdio>
 #include <cstddef>
-#include <cstdlib>
 #include <limits>
 
 #include "util/metrics.h"
@@ -14,16 +11,9 @@ namespace rdmajoin {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-// Relative tolerance for time comparisons; rate comparisons inside the
-// fair-share solver use kRateEps from sim/rate_sharing.h instead.
+// Relative tolerance for time comparisons; rate labels use kRateEps from
+// sim/rate_sharing.h instead.
 constexpr double kTimeEps = 1e-12;
-
-/// kRateEps-relative equality for the incremental-vs-full cross-check.
-bool RatesMatch(double a, double b) {
-  if (a == b) return true;
-  const double scale = std::max(std::fabs(a), std::fabs(b));
-  return std::fabs(a - b) <= kRateEps * scale;
-}
 }  // namespace
 
 LinkFabric::LinkFabric(const FabricConfig& config) : config_(config) {
@@ -33,7 +23,6 @@ LinkFabric::LinkFabric(const FabricConfig& config) : config_(config) {
   src_cnt_.assign(config_.num_hosts, 0);
   dst_cnt_.assign(config_.num_hosts, 0);
   host_dirty_.assign(config_.num_hosts, 0);
-  comp_host_.assign(config_.num_hosts, 0);
   links_.resize(static_cast<size_t>(config_.num_hosts) * config_.num_hosts);
   drains_ = IndexedMinHeap(links_.size());
   for (uint32_t s = 0; s < config_.num_hosts; ++s) {
@@ -83,9 +72,7 @@ double LinkFabric::LinkCap(const Link& l) const {
 void LinkFabric::RecomputeOneLinkEqualShare(uint32_t idx) {
   const Link& l = links_[idx];
   // Scale factors are exactly 1.0 without fault injection, so the shares
-  // are bit-identical to the unscaled expressions -- and bit-identical to
-  // what the full RecomputeRates pass assigns, because the denominators are
-  // the same maintained counts.
+  // are bit-identical to the unscaled expressions.
   const double e_share =
       config_.EffectiveEgress() * egress_scale_[l.src] / src_cnt_[l.src];
   const double i_share =
@@ -99,15 +86,16 @@ void LinkFabric::RecomputeOneLinkEqualShare(uint32_t idx) {
 void LinkFabric::Assign(uint32_t idx, double rate, RateConstraint bound,
                         uint32_t bound_host) {
   const Link& l = links_[idx];
-  // An unchanged assignment leaves the link's lazy state alone, so the full
-  // and the incremental reshare paths materialise exactly the same links.
+  // An unchanged assignment leaves the link's lazy state alone: only links
+  // whose rate or label moved are materialised.
   if (rate == l.rate && bound == l.bound && bound_host == l.bound_host) return;
   changes_.push_back(RateChange{idx, rate, bound, bound_host});
 }
 
 void LinkFabric::ApplyRateChanges() {
-  // Ascending link order, whichever path queued them: materialising can
-  // report a segment, and the report order must not depend on the path.
+  // Ascending link order, whatever order queued them: materialising can
+  // report a segment, and the report order is part of the determinism
+  // contract.
   std::sort(changes_.begin(), changes_.end(),
             [](const RateChange& a, const RateChange& b) { return a.idx < b.idx; });
   for (const RateChange& c : changes_) {
@@ -146,174 +134,30 @@ void LinkFabric::MarkDirty(uint32_t host) {
 void LinkFabric::ReshareDirty() {
   if (dirty_hosts_.empty() && head_dirty_idx_.empty()) return;
   ++reshares_;
-  if (!config_.incremental_reshare) {
-    RecomputeRates();
-    // Idle links already hold the full solve's (0, kNone, 0).
+  if (!dirty_hosts_.empty()) {
+    // The per-host denominators changed: re-level every active link
+    // touching a dirty host. Links touching only clean hosts keep their
+    // stored rates, which a full recompute would reproduce bit-for-bit.
     for (uint32_t idx : active_idx_) {
-      Assign(idx, full_rates_[idx], full_bounds_[idx], full_bound_hosts_[idx]);
-    }
-    reshared_links_ += active_idx_.size();
-  } else if (config_.sharing == SharingPolicy::kEqualShare) {
-    if (!dirty_hosts_.empty()) {
-      // The per-host denominators changed: re-level every active link
-      // touching a dirty host. Links touching only clean hosts keep their
-      // stored rates, which a full recompute would reproduce bit-for-bit.
-      for (uint32_t idx : active_idx_) {
-        const Link& l = links_[idx];
-        if (host_dirty_[l.src] == 0 && host_dirty_[l.dst] == 0) continue;
-        RecomputeOneLinkEqualShare(idx);
-        ++reshared_links_;
-      }
-    }
-    for (uint32_t idx : head_dirty_idx_) {
       const Link& l = links_[idx];
-      if (!l.active()) continue;  // drained later in the same batch
-      if (host_dirty_[l.src] != 0 || host_dirty_[l.dst] != 0) continue;
-      // Only this link's message-rate cap changed (new head size); the
-      // shares are unchanged, so this is an O(1) refresh.
+      if (host_dirty_[l.src] == 0 && host_dirty_[l.dst] == 0) continue;
       RecomputeOneLinkEqualShare(idx);
       ++reshared_links_;
     }
-  } else {
-    // Max-min couples links through residual capacities: fold changed heads
-    // into the dirty-host set and re-solve the affected component.
-    for (uint32_t idx : head_dirty_idx_) {
-      if (!links_[idx].active()) continue;
-      MarkDirty(links_[idx].src);
-      MarkDirty(links_[idx].dst);
-    }
-    IncrementalMaxMin();
+  }
+  for (uint32_t idx : head_dirty_idx_) {
+    const Link& l = links_[idx];
+    if (!l.active()) continue;  // drained later in the same batch
+    if (host_dirty_[l.src] != 0 || host_dirty_[l.dst] != 0) continue;
+    // Only this link's message-rate cap changed (new head size); the
+    // shares are unchanged, so this is an O(1) refresh.
+    RecomputeOneLinkEqualShare(idx);
+    ++reshared_links_;
   }
   ApplyRateChanges();
-  if (config_.incremental_reshare && config_.verify_incremental_reshare) {
-    VerifyAgainstFullReshare();
-  }
   for (uint32_t h : dirty_hosts_) host_dirty_[h] = 0;
   dirty_hosts_.clear();
   head_dirty_idx_.clear();
-}
-
-void LinkFabric::IncrementalMaxMin() {
-  // Close the dirty hosts under active-link adjacency; only that component's
-  // filling can change (residual capacity never crosses components).
-  std::fill(comp_host_.begin(), comp_host_.end(), 0);
-  for (uint32_t h : dirty_hosts_) comp_host_[h] = 1;
-  bool grew = true;
-  while (grew) {
-    grew = false;
-    for (uint32_t idx : active_idx_) {
-      const Link& l = links_[idx];
-      const bool s = comp_host_[l.src] != 0;
-      const bool d = comp_host_[l.dst] != 0;
-      if (s != d) {
-        comp_host_[l.src] = 1;
-        comp_host_[l.dst] = 1;
-        grew = true;
-      }
-    }
-  }
-  demand_scratch_.clear();
-  demand_link_.clear();
-  for (uint32_t idx : active_idx_) {
-    const Link& l = links_[idx];
-    if (comp_host_[l.src] == 0) continue;  // closure => dst is out too
-    demand_scratch_.push_back(RateDemand{l.src, l.dst, LinkCap(l), 0.0});
-    demand_link_.push_back(idx);
-  }
-  if (demand_scratch_.empty()) return;
-  egress_left_scratch_.resize(config_.num_hosts);
-  ingress_left_scratch_.resize(config_.num_hosts);
-  for (uint32_t h = 0; h < config_.num_hosts; ++h) {
-    egress_left_scratch_[h] = config_.EffectiveEgress() * egress_scale_[h];
-    ingress_left_scratch_[h] = config_.ingress_bytes_per_sec * ingress_scale_[h];
-  }
-  SolveMaxMinRates(&demand_scratch_, &egress_left_scratch_,
-                   &ingress_left_scratch_);
-  for (size_t k = 0; k < demand_scratch_.size(); ++k) {
-    const RateDemand& d = demand_scratch_[k];
-    Assign(demand_link_[k], d.rate, d.bound, d.bound_host);
-  }
-  reshared_links_ += demand_scratch_.size();
-}
-
-void LinkFabric::VerifyAgainstFullReshare() {
-  // Replays the full solver into scratch and compares; the links keep the
-  // incremental rates, so enabling the check never changes the output
-  // stream -- it can only abort.
-  RecomputeRates();
-  for (size_t i = 0; i < links_.size(); ++i) {
-    const Link& l = links_[i];
-    if (!RatesMatch(l.rate, full_rates_[i])) {
-      std::fprintf(stderr,
-                   "rdmajoin: incremental reshare mismatch: link %u->%u "
-                   "incremental=%.17g full=%.17g\n",
-                   l.src, l.dst, l.rate, full_rates_[i]);
-      std::abort();
-    }
-    // Labels are discrete: the two paths must agree exactly, not just within
-    // kRateEps, or the forensics layer would blame a different resource
-    // depending on which reshare path ran.
-    if (l.bound != full_bounds_[i] || l.bound_host != full_bound_hosts_[i]) {
-      std::fprintf(stderr,
-                   "rdmajoin: incremental reshare constraint mismatch: link "
-                   "%u->%u incremental=%s@%u full=%s@%u\n",
-                   l.src, l.dst, RateConstraintName(l.bound), l.bound_host,
-                   RateConstraintName(full_bounds_[i]), full_bound_hosts_[i]);
-      std::abort();
-    }
-  }
-}
-
-void LinkFabric::RecomputeRates() {
-  std::vector<uint32_t> src_cnt(config_.num_hosts, 0);
-  std::vector<uint32_t> dst_cnt(config_.num_hosts, 0);
-  for (const Link& l : links_) {
-    if (!l.active()) continue;
-    ++src_cnt[l.src];
-    ++dst_cnt[l.dst];
-  }
-  full_rates_.assign(links_.size(), 0.0);
-  full_bounds_.assign(links_.size(), RateConstraint::kNone);
-  full_bound_hosts_.assign(links_.size(), 0);
-  const double egress = config_.EffectiveEgress();
-  if (config_.sharing == SharingPolicy::kEqualShare) {
-    for (size_t i = 0; i < links_.size(); ++i) {
-      const Link& l = links_[i];
-      if (!l.active()) continue;
-      // Scale factors are exactly 1.0 without fault injection, so the shares
-      // are bit-identical to the unscaled expressions.
-      const double e_share = egress * egress_scale_[l.src] / src_cnt[l.src];
-      const double i_share = config_.ingress_bytes_per_sec * ingress_scale_[l.dst] /
-                             dst_cnt[l.dst];
-      const double cap = LinkCap(l);
-      full_rates_[i] = std::min({e_share, i_share, cap});
-      full_bounds_[i] = ClassifyEqualShare(e_share, i_share, cap);
-      full_bound_hosts_[i] =
-          full_bounds_[i] == RateConstraint::kReceiverIngress ? l.dst : l.src;
-    }
-    return;
-  }
-  // Max-min (progressive filling, sim/rate_sharing.h) over active links.
-  std::vector<double> egress_left(config_.num_hosts);
-  std::vector<double> ingress_left(config_.num_hosts);
-  for (uint32_t h = 0; h < config_.num_hosts; ++h) {
-    egress_left[h] = egress * egress_scale_[h];
-    ingress_left[h] = config_.ingress_bytes_per_sec * ingress_scale_[h];
-  }
-  std::vector<RateDemand> demands;
-  std::vector<size_t> active;
-  for (size_t i = 0; i < links_.size(); ++i) {
-    const Link& l = links_[i];
-    if (!l.active()) continue;
-    demands.push_back(RateDemand{l.src, l.dst, LinkCap(l), 0.0});
-    active.push_back(i);
-  }
-  SolveMaxMinRates(&demands, &egress_left, &ingress_left);
-  for (size_t k = 0; k < active.size(); ++k) {
-    full_rates_[active[k]] = demands[k].rate;
-    full_bounds_[active[k]] = demands[k].bound;
-    full_bound_hosts_[active[k]] = demands[k].bound_host;
-  }
 }
 
 LinkFabric::MessageId LinkFabric::Enqueue(uint32_t src, uint32_t dst, double bytes,

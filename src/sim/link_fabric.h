@@ -21,10 +21,16 @@ class TimeSeries;
 /// Fluid network model of the rack: one switch, per-host port limits.
 ///
 /// Traffic is aggregated into one FIFO queue per ordered (src, dst) machine
-/// pair. Each active link receives a bandwidth share (equal-share or max-min
-/// over the per-host egress/ingress capacities) and serves its message queue
-/// in order. Rates change only when a link activates or drains -- not per
-/// message.
+/// pair, and each active link serves its message queue in order. A link's
+/// rate is the minimum of an equal share of its source's egress capacity,
+/// an equal share of its destination's ingress capacity, and the head
+/// message's size times the message rate. This is the paper's model
+/// assumption (Eq. 1: the per-host bandwidth is shared equally among
+/// concurrent transfers). It is not work-conserving: capacity a link cannot
+/// use at one endpoint is not handed to its siblings. Rates change only when
+/// a link activates or drains, a host's capacity scale changes, or a head of
+/// another size takes over -- not per message -- which preserves per-message
+/// completion times for the double-buffering credit dynamics.
 ///
 /// The replay is event-driven. A link's head is lazy: it stores its bytes
 /// left at the time it was last brought up to date and its rate since then,
@@ -34,20 +40,15 @@ class TimeSeries;
 /// drain at an instant plus the ones the reshare re-levels, so a network
 /// partitioning pass costs O(log links) per event rather than O(links).
 ///
-/// Resharing is incremental by default (FabricConfig::incremental_reshare):
-/// the model maintains per-host active-link counts and a sorted index of
-/// active links, and a head pop that leaves its queue non-empty only
-/// refreshes that one link's message-rate cap -- the per-host denominators
-/// did not change, so every other link's rate is already exact. Activation
-/// and drain re-level just the links touching the affected hosts (equal
-/// share) or the affected max-min component (sim/rate_sharing.h). The full
-/// recompute survives as the reference path and debug cross-check oracle.
-/// Either path leaves a link whose (rate, bound, bound_host) did not change
-/// untouched, so both produce the same lazy state.
-///
-/// This matches the paper's model assumption (Eq. 1: the per-host bandwidth
-/// is shared equally among concurrent transfers) while preserving per-message
-/// completion times for the double-buffering credit dynamics.
+/// Resharing is incremental: the model maintains per-host active-link
+/// counts (the share denominators) and a sorted index of active links.
+/// Activation, drain and a capacity change re-level just the links touching
+/// the affected hosts; a head pop that leaves its queue non-empty only
+/// refreshes that one link's message-rate cap, because every other link's
+/// rate is already exact. A link whose (rate, bound, bound_host) did not
+/// change is left untouched. tests/link_fabric_reference_test.cc replays
+/// seeded schedules through a per-step, full-recompute reference fabric and
+/// requires identical rates.
 class LinkFabric {
  public:
   using MessageId = uint64_t;
@@ -114,9 +115,8 @@ class LinkFabric {
   /// Number of rate recomputations triggered so far (reshare cost metering
   /// for bench/micro_replay_engine.cc).
   uint64_t reshares() const { return reshares_; }
-  /// Total link-rate assignments performed across all reshares; the
-  /// incremental path keeps this near the number of *affected* links rather
-  /// than reshares * active_links.
+  /// Total link-rate assignments performed across all reshares; re-levelling
+  /// only the affected links keeps this well below reshares * active_links.
   uint64_t reshared_links() const { return reshared_links_; }
   /// Drain instants: batches of head pops, each followed by one reshare.
   uint64_t fabric_steps() const { return fabric_steps_; }
@@ -166,12 +166,8 @@ class LinkFabric {
   const Link& link(uint32_t src, uint32_t dst) const {
     return links_[src * config_.num_hosts + dst];
   }
-  /// Full recompute of every link's rate into the full_* scratch arrays
-  /// (reference path; also the cross-check oracle for the incremental path).
-  void RecomputeRates();
   double LinkCap(const Link& l) const;
-  /// Equal-share rate for link `idx` from the maintained per-host counts
-  /// (identical expressions to RecomputeRates).
+  /// Equal-share rate for link `idx` from the maintained per-host counts.
   void RecomputeOneLinkEqualShare(uint32_t idx);
   /// Queues `idx`'s new rate and label unless they equal the current ones.
   void Assign(uint32_t idx, double rate, RateConstraint bound,
@@ -185,8 +181,6 @@ class LinkFabric {
   /// Re-levels links affected by dirty hosts / changed heads and clears the
   /// dirty sets.
   void ReshareDirty();
-  void IncrementalMaxMin();
-  void VerifyAgainstFullReshare();
   /// Runs the fabric to `t`, leaving every completion in latency_.
   void Step(double t);
   /// Pops every head drained at now_ (ascending link order).
@@ -243,14 +237,6 @@ class LinkFabric {
   /// Scratch buffers kept across calls to avoid per-event allocation.
   std::vector<uint32_t> pop_scan_scratch_;
   std::vector<RateChange> changes_;
-  std::vector<uint8_t> comp_host_;
-  std::vector<RateDemand> demand_scratch_;
-  std::vector<uint32_t> demand_link_;
-  std::vector<double> egress_left_scratch_;
-  std::vector<double> ingress_left_scratch_;
-  std::vector<double> full_rates_;
-  std::vector<RateConstraint> full_bounds_;
-  std::vector<uint32_t> full_bound_hosts_;
   uint64_t reshares_ = 0;
   uint64_t reshared_links_ = 0;
   uint64_t fabric_steps_ = 0;

@@ -123,8 +123,7 @@ void SolveMaxMinRates(std::vector<RateDemand>* demands,
         ds[i].rate = bottleneck;
         // Label the tighter side; ties prefer egress so the label is a pure
         // function of the shares even when both ports saturate at once. The
-        // epsilon-aware compare mirrors the freeze condition above, keeping
-        // the full and incremental reshares in exact label agreement.
+        // epsilon-aware compare mirrors the freeze condition above.
         if (e_share <= i_share * (1 + kRateEps)) {
           ds[i].bound = RateConstraint::kSenderEgress;
           ds[i].bound_host = ds[i].src;

@@ -8,14 +8,12 @@
 
 namespace rdmajoin {
 
-/// Relative tolerance for comparing *rates* (bytes/second) inside the
-/// fair-share solvers. Historically both reshare loops reused the *time*
-/// epsilon `kTimeEps` for these comparisons; the units are unrelated (a time
-/// tolerance says nothing about how close two bandwidth shares are), so the
-/// rate tolerance gets its own named constant. The numeric value matches the
-/// old one on purpose: the determinism contract keeps every committed bench
-/// JSON and span dataset byte-identical, so only the *name* (and the audit
-/// trail it enables) changes here, not the arithmetic.
+/// Relative tolerance for comparing *rates* (bytes/second): the max-min
+/// solver's freeze condition and the equal-share label tie band. It is not
+/// the fabric's *time* epsilon `kTimeEps`, whose units are unrelated (a time
+/// tolerance says nothing about how close two bandwidth shares are). The
+/// value is pinned: changing it can move labels and shares in the committed
+/// bench JSON and span datasets, which must stay byte-identical.
 constexpr double kRateEps = 1e-12;
 
 /// Which fair-share constraint was binding when a demand's rate was frozen.
@@ -47,8 +45,8 @@ const char* RateConstraintName(RateConstraint c);
 /// Parses a RateConstraintName back; returns false on unknown names.
 bool ParseRateConstraintName(const std::string& name, RateConstraint* out);
 
-/// One bandwidth demand between two hosts: an active LinkFabric link, or a
-/// query's stage traffic in the scheduler (src/sched/). `cap` is the
+/// One bandwidth demand between two hosts: a query's stage traffic in the
+/// scheduler (src/sched/fabric_shares.h). `cap` is the
 /// per-demand rate ceiling from the message-rate limit (+infinity when
 /// uncapped); `rate`, `bound` and `bound_host` are the solver's outputs: the
 /// assigned rate, the constraint that froze it, and the host owning that
@@ -65,9 +63,9 @@ struct RateDemand {
 /// Labels an equal-share rate assignment `min(e_share, i_share, cap)`: the
 /// tightest of the three candidate shares wins, with ties resolved
 /// egress > ingress > message-rate. The epsilon band matches the max-min
-/// solver's freeze condition so both sharing policies (and the full and
-/// incremental reshare paths, which evaluate bit-identical expressions)
-/// agree on the label whenever they agree on the rate.
+/// solver's freeze condition. LinkFabric labels every reshared link with it,
+/// and the forensics check (timing/span_query.h) re-derives the label from
+/// the reconstructed shares, so both agree whenever they agree on the rate.
 inline RateConstraint ClassifyEqualShare(double e_share, double i_share,
                                          double cap) {
   const double m = e_share < i_share ? (e_share < cap ? e_share : cap)

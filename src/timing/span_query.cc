@@ -648,7 +648,6 @@ std::string CongestionReportToJson(const CongestionReport& report) {
 ConstraintCheckContext ConstraintCheckContextFromFabric(
     const FabricConfig& fc) {
   ConstraintCheckContext ctx;
-  ctx.sharing = fc.sharing;
   ctx.num_hosts = fc.num_hosts;
   ctx.egress_bytes_per_sec = fc.EffectiveEgress();
   ctx.ingress_bytes_per_sec = fc.ingress_bytes_per_sec;
@@ -798,81 +797,44 @@ SpanInvariantReport CheckConstraintInvariants(
               " exceeds the message-rate cap " + std::to_string(cap));
       return;
     }
-    if (ctx.sharing == SharingPolicy::kEqualShare) {
-      const double e_share =
-          egress_cap / static_cast<double>(by_src[g.src].size());
-      const double i_share =
-          ingress_cap / static_cast<double>(by_dst[g.dst].size());
-      if (g.rate > e_share * (1 + 64 * kRateEps) ||
-          g.rate > i_share * (1 + 64 * kRateEps)) {
-        violate(tag + ": rate " + std::to_string(g.rate) +
-                " exceeds its fair share (egress " + std::to_string(e_share) +
-                ", ingress " + std::to_string(i_share) + ")");
-        return;
-      }
-      if (cap_known) {
-        const double want = std::min(e_share, std::min(i_share, cap));
-        if (!near(g.rate, want)) {
-          violate(tag + ": rate " + std::to_string(g.rate) +
-                  " != equal-share minimum " + std::to_string(want));
-          return;
-        }
-        const RateConstraint cls = ClassifyEqualShare(e_share, i_share, cap);
-        if (cls != g.bound) {
-          violate(tag + ": labeled " + RateConstraintName(g.bound) +
-                  " but the tight equal-share constraint is " +
-                  RateConstraintName(cls) + " (egress " +
-                  std::to_string(e_share) + ", ingress " +
-                  std::to_string(i_share) + ", cap " + std::to_string(cap) +
-                  ")");
-        }
-      } else {
-        // Cap unreconstructable (span evicted): verify the labeled side only.
-        if (g.bound == RateConstraint::kSenderEgress && !near(g.rate, e_share)) {
-          violate(tag + ": labeled egress but rate " + std::to_string(g.rate) +
-                  " != egress share " + std::to_string(e_share));
-        } else if (g.bound == RateConstraint::kReceiverIngress &&
-                   !near(g.rate, i_share)) {
-          violate(tag + ": labeled ingress but rate " +
-                  std::to_string(g.rate) + " != ingress share " +
-                  std::to_string(i_share));
-        }
-      }
+    const double e_share =
+        egress_cap / static_cast<double>(by_src[g.src].size());
+    const double i_share =
+        ingress_cap / static_cast<double>(by_dst[g.dst].size());
+    if (g.rate > e_share * (1 + 64 * kRateEps) ||
+        g.rate > i_share * (1 + 64 * kRateEps)) {
+      violate(tag + ": rate " + std::to_string(g.rate) +
+              " exceeds its fair share (egress " + std::to_string(e_share) +
+              ", ingress " + std::to_string(i_share) + ")");
       return;
     }
-    // Max-min: the labeled port must be saturated with this segment at the
-    // port's maximum rate (progressive filling freezes every flow of the
-    // bottleneck port at the final, highest water level).
-    if (g.bound == RateConstraint::kSenderEgress ||
-        g.bound == RateConstraint::kReceiverIngress) {
-      const bool egress = g.bound == RateConstraint::kSenderEgress;
-      const std::vector<uint32_t>& at_port =
-          egress ? by_src[g.src] : by_dst[g.dst];
-      const double port_cap = egress ? egress_cap : ingress_cap;
-      double sum = 0, mx = 0;
-      for (uint32_t j : at_port) {
-        sum += segs[j].rate;
-        mx = std::max(mx, segs[j].rate);
+    if (cap_known) {
+      const double want = std::min(e_share, std::min(i_share, cap));
+      if (!near(g.rate, want)) {
+        violate(tag + ": rate " + std::to_string(g.rate) +
+                " != equal-share minimum " + std::to_string(want));
+        return;
       }
-      const double tol =
-          port_cap * kRateEps * static_cast<double>(at_port.size() + 2) +
-          64 * kRateEps * port_cap;
-      if (std::abs(sum - port_cap) > tol) {
+      const RateConstraint cls = ClassifyEqualShare(e_share, i_share, cap);
+      if (cls != g.bound) {
         violate(tag + ": labeled " + RateConstraintName(g.bound) +
-                " but host " + std::to_string(g.bound_host) + "'s " +
-                (egress ? "egress" : "ingress") + " port carries " +
-                std::to_string(sum) + " B/s of capacity " +
-                std::to_string(port_cap) + " (not saturated)");
-      } else if (mx > g.rate + tol) {
-        violate(tag + ": labeled " + RateConstraintName(g.bound) +
-                " but a sibling flow at host " + std::to_string(g.bound_host) +
-                " runs faster (" + std::to_string(mx) + " vs " +
-                std::to_string(g.rate) + " B/s)");
+                " but the tight equal-share constraint is " +
+                RateConstraintName(cls) + " (egress " +
+                std::to_string(e_share) + ", ingress " +
+                std::to_string(i_share) + ", cap " + std::to_string(cap) +
+                ")");
       }
-    } else if (g.bound == RateConstraint::kMessageRate && cap_known &&
-               !near(g.rate, cap)) {
-      violate(tag + ": labeled msg_rate but rate " + std::to_string(g.rate) +
-              " != cap " + std::to_string(cap));
+    } else {
+      // Cap unreconstructable (span evicted): verify the labeled side only.
+      if (g.bound == RateConstraint::kSenderEgress && !near(g.rate, e_share)) {
+        violate(tag + ": labeled egress but rate " + std::to_string(g.rate) +
+                " != egress share " + std::to_string(e_share));
+      } else if (g.bound == RateConstraint::kReceiverIngress &&
+                 !near(g.rate, i_share)) {
+        violate(tag + ": labeled ingress but rate " +
+                std::to_string(g.rate) + " != ingress share " +
+                std::to_string(i_share));
+      }
     }
   };
 

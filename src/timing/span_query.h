@@ -184,7 +184,6 @@ std::string CongestionReportToJson(const CongestionReport& report);
 /// fault injection) the per-host capacity-scale schedule. The scale
 /// callbacks may be null, meaning 1.0 everywhere.
 struct ConstraintCheckContext {
-  SharingPolicy sharing = SharingPolicy::kEqualShare;
   uint32_t num_hosts = 0;
   /// Effective per-host capacities (egress after the congestion term, i.e.
   /// FabricConfig::EffectiveEgress()).
@@ -204,12 +203,12 @@ ConstraintCheckContext ConstraintCheckContextFromFabric(const FabricConfig& fc);
 ///     label, and the constraining host is the segment's src (egress,
 ///     message-rate) or dst (ingress);
 ///  2. tightness: on every elementary interval between segment boundaries,
-///     a labeled constraint reproduces the segment's rate -- equal share
-///     recomputes the exact share expressions from the reconstructed
-///     per-host active counts, max-min requires the labeled port to be
-///     saturated (active rates sum to its capacity) with the segment at the
-///     port's maximum rate, and message-rate caps reproduce
-///     wire_bytes * message_rate via the flow's span;
+///     the segment's rate is the minimum of the equal egress and ingress
+///     shares (recomputed from the reconstructed per-host active counts)
+///     and the message-rate cap (wire_bytes * message_rate via the flow's
+///     span), and its label is the one ClassifyEqualShare gives them (a
+///     flow whose span was evicted has no known cap, so only its labeled
+///     share is compared);
 ///  3. consistency: a flow's rate never exceeds any reconstructable share of
 ///     its endpoints.
 /// Tightness checks are skipped when segments were dropped (the

@@ -46,7 +46,14 @@ Status ReadSeconds(const JsonValue& obj, const std::string& key,
   return Status::OK();
 }
 
+/// Largest integer a double holds exactly; a count beyond it is not exact.
+constexpr double kMaxExactCount = 9007199254740992.0;  // 2^53
+
 }  // namespace
+
+bool IsCountUnit(const std::string& unit) {
+  return unit == "assignments" || unit == "messages" || unit == "acquisitions";
+}
 
 const BenchJsonRow* BenchJsonDocument::FindRow(const std::string& label) const {
   for (const BenchJsonRow& row : rows) {
@@ -98,6 +105,22 @@ StatusOr<BenchJsonDocument> ParseBenchJson(const std::string& json) {
                                          &row.measured_seconds, &row.has_measured));
     RDMAJOIN_RETURN_IF_ERROR(ReadSeconds(item, "paper_seconds", row.label,
                                          &row.paper_seconds, &row.has_paper));
+    RDMAJOIN_RETURN_IF_ERROR(item.Get("unit", &row.unit));
+    if (const JsonValue* v = item.Find("measured_value");
+        v != nullptr && !v->is_null()) {
+      if (!v->is_number()) {
+        return RowError(row.label, "measured_value is not a number");
+      }
+      row.measured_value = v->number_value;
+      row.has_value = true;
+    }
+    if (row.has_value && IsCountUnit(row.unit) &&
+        !(row.measured_value >= 0 && row.measured_value <= kMaxExactCount &&
+          row.measured_value == std::floor(row.measured_value))) {
+      return RowError(row.label, "measured_value " +
+                                     JsonNumber(row.measured_value) +
+                                     " is not a count of " + row.unit);
+    }
     if (const JsonValue* model = item.Find("model"); model != nullptr) {
       RDMAJOIN_RETURN_IF_ERROR(ReadSeconds(*model, "total_seconds", row.label,
                                            &row.model_seconds, &row.has_model,
@@ -137,6 +160,18 @@ StatusOr<BenchJsonDocument> ReadBenchJsonFile(const std::string& path) {
 std::string BenchDiffResult::Summary(bool report_improvements) const {
   std::string out;
   for (const BenchDiffEntry& e : entries) {
+    if (!e.count_unit.empty()) {
+      const auto old_count = static_cast<unsigned long long>(e.old_count);
+      if (e.missing_in_new) {
+        Appendf(&out, "  %-40s %12llu %s -> MISSING\n", e.label.c_str(),
+                old_count, e.count_unit.c_str());
+      } else {
+        Appendf(&out, "  %-40s %12llu -> %12llu %s  %s\n", e.label.c_str(),
+                old_count, static_cast<unsigned long long>(e.new_count),
+                e.count_unit.c_str(), e.regression ? "CHANGED" : "exact");
+      }
+      continue;
+    }
     if (e.missing_in_new) {
       Appendf(&out, "  %-40s %10.4f s -> MISSING\n", e.label.c_str(),
               e.old_seconds);
@@ -189,7 +224,28 @@ StatusOr<BenchDiffResult> DiffBenchDocuments(const BenchJsonDocument& baseline,
   }
   BenchDiffResult result;
   for (const BenchJsonRow& old_row : baseline.rows) {
-    if (!old_row.ok || !old_row.has_measured) continue;
+    if (!old_row.ok) continue;
+    if (old_row.has_value && IsCountUnit(old_row.unit)) {
+      BenchDiffEntry entry;
+      entry.label = old_row.label;
+      entry.count_unit = old_row.unit;
+      entry.old_count = static_cast<uint64_t>(old_row.measured_value);
+      const BenchJsonRow* new_row = current.FindRow(old_row.label);
+      if (new_row == nullptr || !new_row->ok || !new_row->has_value ||
+          new_row->unit != old_row.unit) {
+        entry.missing_in_new = true;
+        if (options.require_all_baseline_rows) ++result.missing;
+      } else {
+        entry.new_count = static_cast<uint64_t>(new_row->measured_value);
+        if (entry.new_count != entry.old_count) {
+          entry.regression = true;
+          ++result.regressions;
+        }
+      }
+      result.entries.push_back(std::move(entry));
+      continue;
+    }
+    if (!old_row.has_measured) continue;
     BenchDiffEntry entry;
     entry.label = old_row.label;
     entry.old_seconds = old_row.measured_seconds;

@@ -30,6 +30,11 @@ struct BenchJsonRow {
   /// Total virtual seconds; NaN when the row did not produce a measurement.
   double measured_seconds = 0;
   bool has_measured = false;
+  /// A measurement in another unit (a rate, a ratio or an exact count),
+  /// named by `unit`; host-time benches emit these next to their seconds.
+  double measured_value = 0;
+  bool has_value = false;
+  std::string unit;
   /// The paper's reference value for this point, when the figure states one.
   double paper_seconds = 0;
   bool has_paper = false;
@@ -54,11 +59,18 @@ struct BenchJsonDocument {
   const BenchJsonRow* FindRow(const std::string& label) const;
 };
 
+/// Whether `unit` names an exact count (one closed list: "assignments",
+/// "messages", "acquisitions"). --diff compares such rows exactly; rates and
+/// ratios ("x", "events_per_sec", ...) stay ungated.
+bool IsCountUnit(const std::string& unit);
+
 /// Parses and structurally validates a bench JSON document. Rejects unknown
 /// schema versions, rows without labels or with a label an earlier row has,
 /// a measured_seconds, paper_seconds or model.total_seconds that is neither
-/// a non-negative number nor null (no measurement), and `counters` with more
-/// fabric_steps than events. Row errors name the row and the field.
+/// a non-negative number nor null (no measurement), a measured_value that is
+/// neither a number nor null, a count row (IsCountUnit) whose measured_value
+/// is not a non-negative integer, and `counters` with more fabric_steps than
+/// events. Row errors name the row and the field.
 StatusOr<BenchJsonDocument> ParseBenchJson(const std::string& json);
 
 /// Convenience: read + parse a file.
@@ -77,13 +89,17 @@ struct BenchDiffOptions {
   bool require_all_baseline_rows = true;
 };
 
-/// One row's comparison.
+/// One row's comparison: a seconds row against the tolerances, or a count
+/// row (non-empty `count_unit`) exactly, where any change is a regression.
 struct BenchDiffEntry {
   std::string label;
   double old_seconds = 0;
   double new_seconds = 0;
   double delta_seconds = 0;   // new - old
   double ratio = 0;           // new / old (0 when old == 0)
+  std::string count_unit;
+  uint64_t old_count = 0;
+  uint64_t new_count = 0;
   bool regression = false;
   bool improvement = false;   // faster by more than the same margins
   bool missing_in_new = false;
@@ -102,10 +118,11 @@ struct BenchDiffResult {
   std::string Summary(bool report_improvements = false) const;
 };
 
-/// Diffs two bench documents row by row (matched on label). Fails with
-/// InvalidArgument when the documents are not comparable: different bench
-/// names, schema versions, scale factors, or seeds -- CI must compare
-/// like for like.
+/// Diffs two bench documents row by row (matched on label): every ok row
+/// with measured_seconds against the tolerances, and every ok count row
+/// exactly. Fails with InvalidArgument when the documents are not
+/// comparable: different bench names, schema versions, scale factors, or
+/// seeds -- CI must compare like for like.
 StatusOr<BenchDiffResult> DiffBenchDocuments(const BenchJsonDocument& baseline,
                                              const BenchJsonDocument& current,
                                              const BenchDiffOptions& options);

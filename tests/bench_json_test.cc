@@ -556,6 +556,75 @@ TEST(BenchJson, RejectsMoreFabricStepsThanEvents) {
   EXPECT_TRUE(doc.rows[0].has_measured);
 }
 
+// A host-time bench's exact count sits next to its seconds and its rates:
+// the count is gated exactly, the rate not at all.
+std::string CountDoc(const std::string& messages, const std::string& ratio) {
+  return RowsDoc(
+      {R"({"label":"exchange_push","ok":true,"measured_seconds":0.0172})",
+       R"({"label":"exchange_push_messages","ok":true,"measured_value":)" +
+           messages + R"(,"unit":"messages"})",
+       R"({"label":"speedup","ok":true,"measured_value":)" + ratio +
+           R"(,"unit":"x"})"});
+}
+
+TEST(BenchDiff, CountRowsCompareExactly) {
+  const BenchJsonDocument base = MustParse(CountDoc("112458", "1.5"));
+  EXPECT_TRUE(IsCountUnit("messages"));
+  EXPECT_FALSE(IsCountUnit("x"));
+  EXPECT_FALSE(IsCountUnit("events_per_sec"));
+
+  // Equal count, and a ratio that moved: clean.
+  auto same = DiffBenchDocuments(base, MustParse(CountDoc("112458", "3")),
+                                 BenchDiffOptions{});
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  EXPECT_FALSE(same->HasRegressions());
+  ASSERT_EQ(same->entries.size(), 2u);  // the seconds row and the count row
+  EXPECT_EQ(same->entries[1].count_unit, "messages");
+  EXPECT_EQ(same->entries[1].old_count, 112458u);
+  EXPECT_EQ(same->entries[1].new_count, 112458u);
+  EXPECT_NE(same->Summary().find("exact"), std::string::npos);
+
+  // A doubled count fails, and so would a halved one.
+  for (const char* changed : {"224916", "56229"}) {
+    auto diff = DiffBenchDocuments(base, MustParse(CountDoc(changed, "1.5")),
+                                   BenchDiffOptions{});
+    ASSERT_TRUE(diff.ok());
+    EXPECT_TRUE(diff->HasRegressions()) << changed;
+    EXPECT_EQ(diff->regressions, 1u);
+    EXPECT_TRUE(diff->entries[1].regression);
+    EXPECT_NE(diff->Summary().find("CHANGED"), std::string::npos);
+  }
+
+  // A count row that goes missing fails the gate.
+  const BenchJsonDocument dropped = MustParse(RowsDoc(
+      {R"({"label":"exchange_push","ok":true,"measured_seconds":0.0172})"}));
+  auto missing = DiffBenchDocuments(base, dropped, BenchDiffOptions{});
+  ASSERT_TRUE(missing.ok());
+  EXPECT_TRUE(missing->HasRegressions());
+  EXPECT_EQ(missing->missing, 1u);
+  EXPECT_TRUE(missing->entries[1].missing_in_new);
+  EXPECT_NE(missing->Summary().find("MISSING"), std::string::npos);
+}
+
+TEST(BenchJson, CountRowsMustHoldACount) {
+  ExpectBenchRejected(
+      RowsDoc({R"({"label":"c","measured_value":1.5,"unit":"assignments"})"}),
+      {"row \"c\"", "measured_value 1.5", "not a count of assignments"});
+  ExpectBenchRejected(
+      RowsDoc({R"({"label":"c","measured_value":-1,"unit":"acquisitions"})"}),
+      {"row \"c\"", "not a count of acquisitions"});
+  ExpectBenchRejected(
+      RowsDoc({R"({"label":"c","measured_value":"7","unit":"messages"})"}),
+      {"row \"c\"", "measured_value is not a number"});
+  // 1.404e+05 is how the writer spells 140,400; rates may be fractional.
+  const BenchJsonDocument doc = MustParse(RowsDoc(
+      {R"({"label":"c","measured_value":1.404e+05,"unit":"assignments"})",
+       R"({"label":"r","measured_value":0.5,"unit":"x"})"}));
+  EXPECT_TRUE(doc.rows[0].has_value);
+  EXPECT_EQ(doc.rows[0].measured_value, 140400.0);
+  EXPECT_EQ(doc.rows[1].unit, "x");
+}
+
 TEST(BenchJson, CommittedBaselinesParse) {
   size_t parsed = 0;
   for (const auto& entry : std::filesystem::directory_iterator(

@@ -9,14 +9,13 @@
 namespace rdmajoin {
 namespace {
 
-FabricConfig StressConfig(SharingPolicy sharing, uint32_t hosts = 6) {
+FabricConfig StressConfig(uint32_t hosts) {
   FabricConfig config;
   config.num_hosts = hosts;
   config.egress_bytes_per_sec = 1000.0;
   config.ingress_bytes_per_sec = 800.0;
   config.message_rate_per_host = 0.0;
   config.base_latency_seconds = 1e-4;
-  config.sharing = sharing;
   return config;
 }
 
@@ -45,99 +44,64 @@ void CheckRateInvariants(const LinkFabric& fabric) {
   }
 }
 
-/// Regression for the max-min accumulation bug: with many links sharing a
-/// port, the subtraction of per-link rates from the residual capacities
-/// accumulates floating-point error and used to drive the residuals
-/// negative, which could then assign (tiny) negative rates. The recompute
-/// now clamps residuals at zero; rates must never be negative and hosts must
-/// never exceed capacity.
-TEST(FabricStress, MaxMinResidualsNeverGoNegative) {
-  FabricConfig config = StressConfig(SharingPolicy::kMaxMin, 8);
-  // Capacities chosen to produce non-terminating binary fractions in the
-  // per-link shares, maximizing accumulation error.
-  config.egress_bytes_per_sec = 1000.0 / 3.0;
-  config.ingress_bytes_per_sec = 700.0 / 3.0;
-  LinkFabric fabric(config);
-  std::mt19937 rng(42);
-  std::uniform_int_distribution<uint32_t> host(0, config.num_hosts - 1);
-  std::uniform_real_distribution<double> size(1.0, 100.0);
-
-  const int messages = 300;
-  for (int i = 0; i < messages; ++i) {
-    const uint32_t src = host(rng);
-    uint32_t dst = host(rng);
-    if (dst == src) dst = (dst + 1) % config.num_hosts;
-    ASSERT_NE(fabric.Enqueue(src, dst, size(rng), 0.0, i),
-              LinkFabric::kInvalidMessage);
-    CheckRateInvariants(fabric);
-  }
-  std::vector<LinkFabric::Completion> done;
-  fabric.AdvanceTo(1e6, &done);
-  EXPECT_EQ(done.size(), static_cast<size_t>(messages));
-}
-
 /// Drives the fabric with a long randomized interleaving of Enqueue and
-/// AdvanceTo calls under both sharing policies and checks global invariants:
-/// rates stay within capacity, completions arrive in monotone time order,
-/// every message completes exactly once, and delivered bytes equal enqueued
-/// bytes.
+/// AdvanceTo calls and checks global invariants: rates stay within capacity,
+/// completions arrive in monotone time order, every message completes
+/// exactly once, and delivered bytes equal enqueued bytes.
 TEST(FabricStress, LinkFabricRandomizedConservation) {
-  for (SharingPolicy sharing :
-       {SharingPolicy::kEqualShare, SharingPolicy::kMaxMin}) {
-    const FabricConfig config = StressConfig(sharing, 5);
-    LinkFabric fabric(config);
-    std::mt19937 rng(2024);
-    std::uniform_int_distribution<uint32_t> host(0, config.num_hosts - 1);
-    std::uniform_real_distribution<double> size(1.0, 3000.0);
-    std::uniform_real_distribution<double> dt(0.0, 0.4);
-    std::uniform_real_distribution<double> coin(0.0, 1.0);
+  const FabricConfig config = StressConfig(5);
+  LinkFabric fabric(config);
+  std::mt19937 rng(2024);
+  std::uniform_int_distribution<uint32_t> host(0, config.num_hosts - 1);
+  std::uniform_real_distribution<double> size(1.0, 3000.0);
+  std::uniform_real_distribution<double> dt(0.0, 0.4);
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
 
-    double now = 0.0;
-    double injected_bytes = 0.0;
-    uint64_t injected_count = 0;
-    double last_completion = 0.0;
-    uint64_t completed_count = 0;
-    std::vector<LinkFabric::Completion> done;
-    for (int step = 0; step < 1500; ++step) {
-      if (coin(rng) < 0.6) {
-        const uint32_t src = host(rng);
-        uint32_t dst = host(rng);
-        if (dst == src) dst = (dst + 1) % config.num_hosts;
-        const double bytes = size(rng);
-        ASSERT_NE(fabric.Enqueue(src, dst, bytes, now, step),
-                  LinkFabric::kInvalidMessage);
-        injected_bytes += bytes;
-        ++injected_count;
-      } else {
-        now += dt(rng);
-        done.clear();
-        fabric.AdvanceTo(now, &done);
-        for (const LinkFabric::Completion& c : done) {
-          EXPECT_GE(c.time, last_completion);
-          EXPECT_LE(c.time, now);
-          last_completion = c.time;
-          ++completed_count;
-        }
+  double now = 0.0;
+  double injected_bytes = 0.0;
+  uint64_t injected_count = 0;
+  double last_completion = 0.0;
+  uint64_t completed_count = 0;
+  std::vector<LinkFabric::Completion> done;
+  for (int step = 0; step < 1500; ++step) {
+    if (coin(rng) < 0.6) {
+      const uint32_t src = host(rng);
+      uint32_t dst = host(rng);
+      if (dst == src) dst = (dst + 1) % config.num_hosts;
+      const double bytes = size(rng);
+      ASSERT_NE(fabric.Enqueue(src, dst, bytes, now, step),
+                LinkFabric::kInvalidMessage);
+      injected_bytes += bytes;
+      ++injected_count;
+    } else {
+      now += dt(rng);
+      done.clear();
+      fabric.AdvanceTo(now, &done);
+      for (const LinkFabric::Completion& c : done) {
+        EXPECT_GE(c.time, last_completion);
+        EXPECT_LE(c.time, now);
+        last_completion = c.time;
+        ++completed_count;
       }
-      if (step % 50 == 0) CheckRateInvariants(fabric);
     }
-    done.clear();
-    fabric.AdvanceTo(now + 1e6, &done);
-    for (const LinkFabric::Completion& c : done) {
-      EXPECT_GE(c.time, last_completion);
-      last_completion = c.time;
-      ++completed_count;
-    }
-    EXPECT_EQ(fabric.queued_messages(), 0u);
-    EXPECT_EQ(completed_count, injected_count);
-    EXPECT_EQ(fabric.messages_delivered(), injected_count);
-    EXPECT_NEAR(fabric.total_bytes_delivered(), injected_bytes,
-                injected_bytes * 1e-9);
+    if (step % 50 == 0) CheckRateInvariants(fabric);
   }
+  done.clear();
+  fabric.AdvanceTo(now + 1e6, &done);
+  for (const LinkFabric::Completion& c : done) {
+    EXPECT_GE(c.time, last_completion);
+    last_completion = c.time;
+    ++completed_count;
+  }
+  EXPECT_EQ(fabric.queued_messages(), 0u);
+  EXPECT_EQ(completed_count, injected_count);
+  EXPECT_EQ(fabric.messages_delivered(), injected_count);
+  EXPECT_NEAR(fabric.total_bytes_delivered(), injected_bytes,
+              injected_bytes * 1e-9);
 }
 
 TEST(FabricStress, ZeroByteEnqueueIsRejectedInAllBuildModes) {
-  const FabricConfig config = StressConfig(SharingPolicy::kEqualShare, 2);
+  const FabricConfig config = StressConfig(2);
   LinkFabric fabric(config);
   EXPECT_EQ(fabric.Enqueue(0, 1, 0.0, 0.0), LinkFabric::kInvalidMessage);
   EXPECT_EQ(fabric.Enqueue(0, 1, -1.0, 0.0), LinkFabric::kInvalidMessage);

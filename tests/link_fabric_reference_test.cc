@@ -1,16 +1,20 @@
-// Differential test of LinkFabric's event-driven replay against the fabric it
-// replaced. ReferenceFabric below is that fabric's per-step AdvanceTo, kept
-// here as a test-only oracle: every step it finds the earliest head drain by
-// scanning all active links, moves every link by rate * dt, reports segments
-// one step at a time, and recomputes every rate from scratch after each
-// change. LinkFabric instead keeps lazy heads in a drain-time heap. The same
-// seeded schedule of enqueues, advances and capacity faults runs through
-// both; completions must come out in the same order with the same ids and
-// cookies, and each flow's rate segments must agree.
+// Differential test of LinkFabric's event-driven replay against a per-step,
+// full-recompute oracle. ReferenceFabric below is the fabric LinkFabric
+// replaced, kept here as a test-only oracle: every step it finds the
+// earliest head drain by scanning all active links, moves every link by
+// rate * dt, reports segments one step at a time, and recomputes every
+// link's equal share from scratch after each change. LinkFabric instead
+// keeps lazy heads in a drain-time heap and re-levels only the links whose
+// hosts changed. The same seeded schedule of enqueues, advances and capacity
+// faults runs through both; completions must come out in the same order
+// with the same ids and cookies, and each flow's rate segments must agree.
 //
-// The lazy fabric computes a head's bytes left as rate * (t - t0) rather
-// than as a sum of per-step decrements, so times agree to rounding (1e-9
-// relative), not bit for bit.
+// Rates must agree exactly: both fabrics evaluate the same share
+// expressions over the same per-host counts, so an incremental reshare that
+// skipped a link it should have re-levelled shows up as a rate mismatch.
+// Times agree to rounding (1e-9 relative), not bit for bit, because the
+// lazy fabric computes a head's bytes left as rate * (t - t0) rather than as
+// a sum of per-step decrements.
 
 #include <gtest/gtest.h>
 
@@ -64,7 +68,7 @@ class ReferenceFabric {
     l.queue.push_back(Message{next_id_, cookie, bytes});
     if (!was_active) {
       l.head_remaining = bytes;
-      RecomputeRates();
+      RecomputeEveryRate();
     }
     return next_id_++;
   }
@@ -72,7 +76,7 @@ class ReferenceFabric {
   void SetHostCapacityScale(uint32_t host, double egress, double ingress) {
     egress_scale_[host] = egress;
     ingress_scale_[host] = ingress;
-    RecomputeRates();
+    RecomputeEveryRate();
   }
 
   double NextCompletionTime() const {
@@ -129,7 +133,7 @@ class ReferenceFabric {
           if (l.active()) l.head_remaining = l.queue.front().size;
         }
       }
-      if (popped) RecomputeRates();
+      if (popped) RecomputeEveryRate();
     }
     now_ = t;
     for (size_t i = 0; i < due.size();) {
@@ -186,7 +190,7 @@ class ReferenceFabric {
     return l.queue.front().size * config_.message_rate_per_host;
   }
 
-  void RecomputeRates() {
+  void RecomputeEveryRate() {
     std::vector<uint32_t> src_cnt(config_.num_hosts, 0);
     std::vector<uint32_t> dst_cnt(config_.num_hosts, 0);
     for (Link& l : links_) {
@@ -198,37 +202,15 @@ class ReferenceFabric {
       ++dst_cnt[l.dst];
     }
     const double egress = config_.EffectiveEgress();
-    if (config_.sharing == SharingPolicy::kEqualShare) {
-      for (Link& l : links_) {
-        if (!l.active()) continue;
-        const double e = egress * egress_scale_[l.src] / src_cnt[l.src];
-        const double i =
-            config_.ingress_bytes_per_sec * ingress_scale_[l.dst] / dst_cnt[l.dst];
-        const double cap = LinkCap(l);
-        l.rate = std::min({e, i, cap});
-        l.bound = ClassifyEqualShare(e, i, cap);
-        l.bound_host = l.bound == RateConstraint::kReceiverIngress ? l.dst : l.src;
-      }
-      return;
-    }
-    std::vector<double> egress_left(config_.num_hosts);
-    std::vector<double> ingress_left(config_.num_hosts);
-    for (uint32_t h = 0; h < config_.num_hosts; ++h) {
-      egress_left[h] = egress * egress_scale_[h];
-      ingress_left[h] = config_.ingress_bytes_per_sec * ingress_scale_[h];
-    }
-    std::vector<RateDemand> demands;
-    std::vector<Link*> active;
     for (Link& l : links_) {
       if (!l.active()) continue;
-      demands.push_back(RateDemand{l.src, l.dst, LinkCap(l), 0.0});
-      active.push_back(&l);
-    }
-    SolveMaxMinRates(&demands, &egress_left, &ingress_left);
-    for (size_t k = 0; k < active.size(); ++k) {
-      active[k]->rate = demands[k].rate;
-      active[k]->bound = demands[k].bound;
-      active[k]->bound_host = demands[k].bound_host;
+      const double e = egress * egress_scale_[l.src] / src_cnt[l.src];
+      const double i =
+          config_.ingress_bytes_per_sec * ingress_scale_[l.dst] / dst_cnt[l.dst];
+      const double cap = LinkCap(l);
+      l.rate = std::min({e, i, cap});
+      l.bound = ClassifyEqualShare(e, i, cap);
+      l.bound_host = l.bound == RateConstraint::kReceiverIngress ? l.dst : l.src;
     }
   }
 
@@ -291,7 +273,6 @@ struct ScheduleRun {
 };
 
 struct Variant {
-  SharingPolicy sharing;
   double message_rate;  // 5/s binds below 200-byte heads at 1000 B/s
   double base_latency;
 };
@@ -308,8 +289,6 @@ FabricConfig VariantConfig(const Variant& v) {
   f.ingress_bytes_per_sec = 1000.0;
   f.message_rate_per_host = v.message_rate;
   f.base_latency_seconds = v.base_latency;
-  f.sharing = v.sharing;
-  f.verify_incremental_reshare = true;
   return f;
 }
 
@@ -381,9 +360,7 @@ void ExpectRunsMatch(const ScheduleRun& ref, const ScheduleRun& lazy) {
   }
   ASSERT_EQ(ref.rate_probes.size(), lazy.rate_probes.size());
   for (size_t i = 0; i < ref.rate_probes.size(); ++i) {
-    EXPECT_TRUE(Near(ref.rate_probes[i], lazy.rate_probes[i]))
-        << "rate probe " << i << ": " << ref.rate_probes[i] << " vs "
-        << lazy.rate_probes[i];
+    EXPECT_EQ(ref.rate_probes[i], lazy.rate_probes[i]) << "rate probe " << i;
   }
   ASSERT_EQ(ref.segments.size(), lazy.segments.size());
   for (size_t i = 0; i < ref.segments.size(); ++i) {
@@ -397,14 +374,14 @@ void ExpectRunsMatch(const ScheduleRun& ref, const ScheduleRun& lazy) {
     EXPECT_EQ(a.bound_host, b.bound_host) << "segment " << i;
     EXPECT_TRUE(Near(a.t0, b.t0)) << "segment " << i << ": " << a.t0 << " vs " << b.t0;
     EXPECT_TRUE(Near(a.t1, b.t1)) << "segment " << i << ": " << a.t1 << " vs " << b.t1;
-    EXPECT_TRUE(Near(a.rate, b.rate)) << "segment " << i;
+    EXPECT_EQ(a.rate, b.rate) << "segment " << i;
   }
 }
 
 // Readable (and padding-free) parameter text for the test listing.
 void PrintTo(const Variant& v, std::ostream* os) {
-  *os << (v.sharing == SharingPolicy::kEqualShare ? "equal-share" : "max-min")
-      << " msg_rate=" << v.message_rate << " latency=" << v.base_latency;
+  *os << "equal-share msg_rate=" << v.message_rate
+      << " latency=" << v.base_latency;
 }
 
 class LinkFabricReferenceTest : public ::testing::TestWithParam<Variant> {};
@@ -421,16 +398,10 @@ TEST_P(LinkFabricReferenceTest, LazyFabricMatchesPerStepReplay) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, LinkFabricReferenceTest,
-    ::testing::Values(Variant{SharingPolicy::kEqualShare, 5.0, 1e-6},
-                      Variant{SharingPolicy::kEqualShare, 0.0, 0.0},
-                      Variant{SharingPolicy::kMaxMin, 5.0, 1e-6},
-                      Variant{SharingPolicy::kMaxMin, 0.0, 0.0}),
+    ::testing::Values(Variant{5.0, 1e-6}, Variant{0.0, 0.0}),
     [](const ::testing::TestParamInfo<Variant>& info) {
-      std::string name = info.param.sharing == SharingPolicy::kEqualShare
-                             ? "EqualShare"
-                             : "MaxMin";
-      name += info.param.message_rate > 0 ? "MsgCapLatency" : "Plain";
-      return name;
+      return std::string(info.param.message_rate > 0 ? "EqualShareMsgCapLatency"
+                                                     : "EqualSharePlain");
     });
 
 }  // namespace

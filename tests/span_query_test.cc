@@ -158,7 +158,6 @@ SpanDataset IncastDataset() {
 
 ConstraintCheckContext IncastContext() {
   ConstraintCheckContext ctx;
-  ctx.sharing = SharingPolicy::kEqualShare;
   ctx.num_hosts = 4;
   ctx.egress_bytes_per_sec = 100.0;
   ctx.ingress_bytes_per_sec = 100.0;
