@@ -1,7 +1,7 @@
 // Extension (Section 7): the cost of materializing the join result instead
 // of leaving it in the operator pipeline (the paper defers this to future
 // work, noting that "distributed result materialization involves moving
-// large amounts of data"). Here the result tuples (<inner_rid, outer_rid>,
+// large amounts of data"). Here the result tuples (<join_key, inner_rid>,
 // 16 bytes per match) are written to local output buffers during the probe.
 //
 // Expected shape: the penalty grows with the match count -- for a 1:8

@@ -53,6 +53,12 @@ struct ClusterConfig {
     return cores_per_machine;
   }
   uint32_t TotalCores() const { return num_machines * cores_per_machine; }
+  /// Bytes per second one machine's port moves: the IPoIB rate under TCP,
+  /// the fabric's effective egress otherwise.
+  double PortBytesPerSec() const {
+    return transport == TransportKind::kTcp ? tcp.bytes_per_sec
+                                            : fabric.EffectiveEgress();
+  }
 
   Status Validate() const;
 };

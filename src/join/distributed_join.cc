@@ -1,18 +1,11 @@
 #include "join/distributed_join.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <memory>
 
-#include "cluster/memory_space.h"
-#include "join/assignment.h"
-#include "join/exchange.h"
 #include "join/hash_table.h"
-#include "join/histogram.h"
 #include "join/local_partition.h"
-#include "join/partitioner.h"
-#include "transport/collectives.h"
+#include "join/shuffle.h"
 #include "util/logging.h"
 
 namespace rdmajoin {
@@ -23,9 +16,7 @@ void DistributedJoin::RebalanceTasks(RunTrace* trace) const {
   const double scale = config_.scale_up;
   const double hb = cluster_.costs.build_bytes_per_sec;
   const double hp = cluster_.costs.probe_bytes_per_sec;
-  const double bandwidth = cluster_.transport == TransportKind::kTcp
-                               ? cluster_.tcp.bytes_per_sec
-                               : cluster_.fabric.EffectiveEgress();
+  const double bandwidth = cluster_.PortBytesPerSec();
   auto task_seconds = [&](const BuildProbeTask& t) {
     return t.build_bytes * scale / hb + t.probe_bytes * scale / hp;
   };
@@ -121,109 +112,18 @@ void DistributedJoin::RebalanceTasks(RunTrace* trace) const {
 
 StatusOr<JoinRunResult> DistributedJoin::Run(const DistributedRelation& inner,
                                              const DistributedRelation& outer) {
-  RDMAJOIN_RETURN_IF_ERROR(cluster_.Validate());
-  RDMAJOIN_RETURN_IF_ERROR(config_.Validate());
+  // ---- Phases 0 and 1: histograms and the network partitioning pass. ----
+  JoinRunResult result;
+  auto shuffled = Shuffle(cluster_, config_, {&inner, &outer},
+                          [this] { return RadixPartitioning(config_); }, &result.trace);
+  RDMAJOIN_RETURN_IF_ERROR(shuffled.status());
+  const std::vector<uint32_t>& assignment = shuffled->assignment;
+  auto& stores = shuffled->stores;
+  result.net = shuffled->net;
   const uint32_t nm = cluster_.num_machines;
-  if (inner.chunks.size() != nm || outer.chunks.size() != nm) {
-    return Status::InvalidArgument(
-        "relations must be fragmented over exactly num_machines machines");
-  }
-  if (inner.tuple_bytes() != outer.tuple_bytes()) {
-    return Status::InvalidArgument("relations must share one tuple width");
-  }
   const uint32_t tuple_bytes = inner.tuple_bytes();
   const uint32_t b1 = config_.network_radix_bits;
   const uint32_t parts = uint32_t{1} << b1;
-  const double scale = config_.scale_up;
-  auto virt = [scale](uint64_t actual) {
-    return static_cast<uint64_t>(static_cast<double>(actual) * scale);
-  };
-
-  JoinRunResult result;
-  result.trace.scale_up = scale;
-  result.trace.machines.resize(nm);
-
-  // Machine memory budgets; the loaded input chunks occupy memory for the
-  // whole join (the paper materializes the result later in the pipeline).
-  std::vector<MemorySpace> memories;
-  memories.reserve(nm);
-  for (uint32_t m = 0; m < nm; ++m) {
-    memories.emplace_back(cluster_.memory_per_machine_bytes);
-  }
-  std::vector<std::unique_ptr<ScopedReservation>> reservations;
-  for (uint32_t m = 0; m < nm; ++m) {
-    reservations.push_back(std::make_unique<ScopedReservation>(&memories[m]));
-    RDMAJOIN_RETURN_IF_ERROR(reservations[m]->Add(
-        virt(inner.chunks[m].size_bytes() + outer.chunks[m].size_bytes())));
-  }
-
-  // ---- Phase 0: histograms (thread -> machine -> global, Section 4.1). ----
-  RelationHistograms hist_r = ComputeHistograms(inner, b1);
-  RelationHistograms hist_s = ComputeHistograms(outer, b1);
-  // Exchange the machine-level histograms over the control plane (verbs
-  // all-gather) and reduce them into the global histograms every machine
-  // needs for buffer sizing and the machine-partition assignment.
-  if (nm > 1) {
-    auto collectives = CollectiveNetwork::Create(nm, 2ull * parts, cluster_.costs,
-                                                 config_.validator);
-    RDMAJOIN_RETURN_IF_ERROR(collectives.status());
-    std::vector<std::vector<uint64_t>> contributions(nm);
-    for (uint32_t m = 0; m < nm; ++m) {
-      contributions[m] = hist_r.per_machine[m];
-      contributions[m].insert(contributions[m].end(), hist_s.per_machine[m].begin(),
-                              hist_s.per_machine[m].end());
-    }
-    auto reduced = (*collectives)->AllReduceSum(contributions);
-    RDMAJOIN_RETURN_IF_ERROR(reduced.status());
-    hist_r.global.assign(reduced->begin(), reduced->begin() + parts);
-    hist_s.global.assign(reduced->begin() + parts, reduced->end());
-  }
-  const double port_bandwidth = cluster_.transport == TransportKind::kTcp
-                                    ? cluster_.tcp.bytes_per_sec
-                                    : cluster_.fabric.EffectiveEgress();
-  const double exchange_seconds = CollectiveNetwork::ExchangeSeconds(
-      nm, 2ull * parts * sizeof(uint64_t), port_bandwidth,
-      cluster_.fabric.base_latency_seconds);
-  for (uint32_t m = 0; m < nm; ++m) {
-    result.trace.machines[m].histogram_bytes =
-        inner.chunks[m].size_bytes() + outer.chunks[m].size_bytes();
-    result.trace.machines[m].histogram_exchange_seconds = exchange_seconds;
-  }
-
-  // Partition-to-machine assignment.
-  std::vector<uint32_t> assignment;
-  if (config_.assignment == AssignmentPolicy::kRoundRobin) {
-    assignment = RoundRobinAssignment(parts, nm);
-  } else {
-    std::vector<uint64_t> combined(parts);
-    for (uint32_t p = 0; p < parts; ++p) {
-      combined[p] = hist_r.global[p] + hist_s.global[p];
-    }
-    assignment = SkewAwareAssignment(combined, nm);
-  }
-
-  RDMAJOIN_LOG(kDebug) << "histograms exchanged over " << nm << " machines ("
-                       << parts << " partitions)";
-
-  // ---- Phase 1: network partitioning pass (Section 4.2). ----
-  RadixPartitioner partitioner(b1);
-  Exchange exchange(cluster_, config_, &partitioner, assignment,
-                    {hist_r.global, hist_s.global});
-  std::vector<MemorySpace*> memory_ptrs;
-  std::vector<ScopedReservation*> reservation_ptrs;
-  for (uint32_t m = 0; m < nm; ++m) {
-    memory_ptrs.push_back(&memories[m]);
-    reservation_ptrs.push_back(reservations[m].get());
-  }
-  auto exchanged = exchange.Run({&inner, &outer}, memory_ptrs, reservation_ptrs,
-                                &result.trace);
-  RDMAJOIN_RETURN_IF_ERROR(exchanged.status());
-  auto& stores = exchanged->stores;
-  result.net.virtual_wire_bytes = exchanged->virtual_wire_bytes;
-  result.net.messages_sent = exchanged->messages_sent;
-  result.net.pool_buffers_created = exchanged->pool_buffers_created;
-  result.net.pool_acquisitions = exchanged->pool_acquisitions;
-  result.net.setup_registration_seconds = exchanged->max_setup_registration_seconds;
 
   // ---- Phase 2: local partitioning passes (Section 4.2.3). ----
   const uint64_t cache_bytes = config_.ActualCachePartitionBytes(tuple_bytes);
@@ -324,7 +224,6 @@ StatusOr<JoinRunResult> DistributedJoin::Run(const DistributedRelation& inner,
     });
     // Execute: build the machine's one table over each final R partition,
     // probe with S.
-    uint64_t machine_matches = 0;
     Relation output_chunk(kNarrowTupleBytes);
     HashTable table;
     for_each_final(m, [&](const LocalPartitions& lp, uint32_t q) {
@@ -334,9 +233,7 @@ StatusOr<JoinRunResult> DistributedJoin::Run(const DistributedRelation& inner,
         const uint64_t key = s.Key(i);
         const uint64_t outer_rid = s.Rid(i);
         table.Probe(key, [&](uint64_t inner_rid) {
-          ++machine_matches;
-          result.stats.key_sum += key;
-          result.stats.inner_rid_sum += inner_rid;
+          result.stats.Count(key, inner_rid);
           if (config_.materialize_results) {
             result.stats.pairs.emplace_back(inner_rid, outer_rid);
             output_chunk.Append(key, inner_rid);
@@ -346,13 +243,8 @@ StatusOr<JoinRunResult> DistributedJoin::Run(const DistributedRelation& inner,
     });
     local[m].clear();
     if (config_.materialize_results) {
+      mt.materialized_bytes = output_chunk.size_bytes();
       result.output.chunks.push_back(std::move(output_chunk));
-    }
-    result.stats.matches += machine_matches;
-    if (config_.materialize_results) {
-      // Result tuples are <inner_rid, outer_rid>, 16 bytes each, written to
-      // local output buffers by the probing threads.
-      mt.materialized_bytes = machine_matches * 16;
     }
   }
 
@@ -362,15 +254,7 @@ StatusOr<JoinRunResult> DistributedJoin::Run(const DistributedRelation& inner,
   }
 
   // ---- Timing replay. ----
-  ReplayOptions replay_options;
-  replay_options.metrics = config_.metrics;
-  replay_options.spans.enabled = config_.enable_spans;
-  if (config_.span_budget_bytes > 0) {
-    replay_options.spans.max_bytes = config_.span_budget_bytes;
-  }
-  replay_options.span_recorder = config_.span_recorder;
-  replay_options.injector = config_.fault_injector;
-  result.replay = ReplayTrace(cluster_, config_, result.trace, replay_options);
+  result.replay = ReplayTrace(cluster_, config_, result.trace, ReplayOptionsFor(config_));
   result.times = result.replay.phases;
   RDMAJOIN_LOG(kInfo) << "join of " << (inner.total_tuples() + outer.total_tuples())
                       << " actual tuples on " << cluster_.name << ": "

@@ -8,6 +8,7 @@
 #include "cluster/cluster.h"
 #include "join/join_config.h"
 #include "join/result_stats.h"
+#include "join/shuffle.h"
 #include "timing/phase_times.h"
 #include "timing/replay.h"
 #include "timing/trace.h"
@@ -15,20 +16,6 @@
 #include "workload/relation.h"
 
 namespace rdmajoin {
-
-/// Network and buffer-management bookkeeping of one run (full-scale units
-/// where noted).
-struct NetworkSummary {
-  /// Bytes put on the wire, virtual (full-scale).
-  double virtual_wire_bytes = 0;
-  uint64_t messages_sent = 0;
-  /// Send-buffer pool behaviour, summed over machines.
-  uint64_t pool_buffers_created = 0;
-  uint64_t pool_acquisitions = 0;
-  /// Virtual seconds spent registering destination regions up front
-  /// (one-sided transport), max over machines.
-  double setup_registration_seconds = 0;
-};
 
 /// Complete result of a simulated distributed join execution.
 struct JoinRunResult {

@@ -76,9 +76,11 @@ struct JoinConfig {
   /// output streams must not exceed the TLB/cache-line budget (Section 3.1,
   /// radix clustering). The paper's configuration uses 10.
   uint32_t local_bits_per_pass = 10;
-  /// Materialize the join result: collect the matching <inner_rid,
-  /// outer_rid> pairs and charge the output writes (16 bytes per match at
-  /// memcpy speed) to the build/probe phase. The paper's evaluated setting
+  /// Materialize the result: a join writes one <join_key, inner_rid> tuple
+  /// per match on the machine that made it (and collects the matching
+  /// <inner_rid, outer_rid> pairs), the aggregation one <group_key, sum>
+  /// tuple per group; the output writes (16 bytes per tuple at memcpy speed)
+  /// are charged to the build/probe phase. The paper's evaluated setting
   /// leaves the result in the operator pipeline (Section 7) -- off by
   /// default.
   bool materialize_results = false;

@@ -30,10 +30,7 @@ ModelParams ParamsFromCluster(const ClusterConfig& cluster, uint64_t inner_bytes
   p.cores_per_machine = cluster.cores_per_machine;
   p.partitioning_threads = cluster.PartitioningThreads();
   p.ps_part = cluster.costs.partition_bytes_per_sec / kMB;
-  p.net_max = (cluster.transport == TransportKind::kTcp
-                   ? cluster.tcp.bytes_per_sec
-                   : cluster.fabric.EffectiveEgress()) /
-              kMB;
+  p.net_max = cluster.PortBytesPerSec() / kMB;
   p.hb_thread = cluster.costs.build_bytes_per_sec / kMB;
   p.hp_thread = cluster.costs.probe_bytes_per_sec / kMB;
   p.hist_thread = cluster.costs.histogram_bytes_per_sec / kMB;

@@ -7,6 +7,7 @@
 
 #include "cluster/cluster.h"
 #include "join/join_config.h"
+#include "join/shuffle.h"
 #include "timing/phase_times.h"
 #include "timing/replay.h"
 #include "timing/trace.h"
@@ -35,8 +36,7 @@ struct AggregateRunResult {
   PhaseTimes times;
   ReplayReport replay;
   RunTrace trace;
-  uint64_t messages_sent = 0;
-  double virtual_wire_bytes = 0;
+  NetworkSummary net;
   /// When JoinConfig::materialize_results is set: one <group_key, sum>
   /// tuple per group, partitioned by key across machines.
   DistributedRelation output;
@@ -45,9 +45,9 @@ struct AggregateRunResult {
 /// Distributed group-by aggregation (COUNT + SUM per key) built from the
 /// same primitives as the join -- the Section 7 claim that RDMA buffer
 /// pooling, buffer reuse and interleaving "can be used to create distributed
-/// versions of many database operators" made concrete: histogram exchange,
-/// radix partitioning into pooled RDMA buffers, then machine-local hash
-/// aggregation of each partition. There is no second relation, no local
+/// versions of many database operators" made concrete: the join's Shuffle
+/// (histogram exchange, radix partitioning into pooled RDMA buffers), then
+/// machine-local hash aggregation of each partition. There is no second relation, no local
 /// repartitioning pass, and the result stays partitioned across machines.
 class DistributedAggregate {
  public:

@@ -124,21 +124,12 @@ class JoinNode : public PlanNode {
     RDMAJOIN_RETURN_IF_ERROR(rhs.status());
     JoinConfig config = ctx.config;
     config.materialize_results = true;
-    PlanOutput out;
-    if (sort_merge_) {
-      DistributedSortMergeJoin join(ctx.cluster, config);
-      auto result = join.Run(lhs->relation, rhs->relation);
-      RDMAJOIN_RETURN_IF_ERROR(result.status());
-      // The sort-merge join reports pairs globally; rebuild per-machine
-      // output from its pairs is already keyed; use stats only.
-      out.relation = BuildOutputFromPairs(ctx, result->stats);
-      out.seconds = lhs->seconds + rhs->seconds + result->times.TotalSeconds();
-      out.rows = result->stats.matches;
-      return out;
-    }
-    DistributedJoin join(ctx.cluster, config);
-    auto result = join.Run(lhs->relation, rhs->relation);
+    auto result = sort_merge_ ? DistributedSortMergeJoin(ctx.cluster, config)
+                                    .Run(lhs->relation, rhs->relation)
+                              : DistributedJoin(ctx.cluster, config)
+                                    .Run(lhs->relation, rhs->relation);
     RDMAJOIN_RETURN_IF_ERROR(result.status());
+    PlanOutput out;
     out.relation = std::move(result->output);
     out.seconds = lhs->seconds + rhs->seconds + result->times.TotalSeconds();
     out.rows = result->stats.matches;
@@ -150,19 +141,6 @@ class JoinNode : public PlanNode {
   }
 
  private:
-  /// The sort-merge operator does not thread per-machine outputs; distribute
-  /// its pairs round-robin (keys already range-partitioned upstream).
-  DistributedRelation BuildOutputFromPairs(const PlanContext& ctx,
-                                           const JoinResultStats& stats) const {
-    DistributedRelation rel;
-    rel.chunks.assign(ctx.cluster.num_machines, Relation(kNarrowTupleBytes));
-    for (size_t i = 0; i < stats.pairs.size(); ++i) {
-      rel.chunks[i % rel.chunks.size()].Append(stats.pairs[i].first,
-                                               stats.pairs[i].second);
-    }
-    return rel;
-  }
-
   PlanNodePtr inner_;
   PlanNodePtr outer_;
   bool sort_merge_;

@@ -20,16 +20,17 @@ namespace rdmajoin {
 ///   0. Sample-based splitter selection + histogram exchange: every machine
 ///      samples its outer chunk, the samples are all-gathered over the
 ///      control plane, and 2^network_radix_bits - 1 range splitters are
-///      derived; range histograms size the destination buffers.
-///   1. Network range-partitioning pass: identical machinery to the hash
-///      join (pooled RDMA buffers, double buffering, interleaving), but
-///      partitioning by range so each machine receives a contiguous key
-///      range.
+///      derived; the range histograms are all-reduced and size the
+///      destination buffers.
+///   1. Network range-partitioning pass: the hash join's Shuffle (pooled
+///      RDMA buffers, double buffering, interleaving), partitioning by range
+///      so each machine receives a contiguous key range.
 ///   2. Local sort of every received range (both relations).
 ///   3. Merge join of the sorted runs, range by range.
 ///
-/// Returns the same JoinRunResult as DistributedJoin; the build/probe phase
-/// carries the merge work. With the calibrated cost model the radix hash
+/// Returns the same JoinRunResult as DistributedJoin, including the
+/// materialized <join_key, inner_rid> output; the build/probe phase carries
+/// the merge work. With the calibrated cost model the radix hash
 /// join wins (sorting is comparison-bound), matching the paper's choice of
 /// algorithm and the conclusion of [3].
 class DistributedSortMergeJoin {

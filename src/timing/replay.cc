@@ -75,6 +75,16 @@ double PerSendOverhead(const ClusterConfig& cluster, const MachineTrace& mt,
 
 }  // namespace
 
+ReplayOptions ReplayOptionsFor(const JoinConfig& config) {
+  ReplayOptions options;
+  options.metrics = config.metrics;
+  options.spans.enabled = config.enable_spans;
+  if (config.span_budget_bytes > 0) options.spans.max_bytes = config.span_budget_bytes;
+  options.span_recorder = config.span_recorder;
+  options.injector = config.fault_injector;
+  return options;
+}
+
 ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
                          const RunTrace& trace, const ReplayOptions& options) {
   ReplayReport report;
@@ -564,9 +574,7 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
   // Stolen partition data must first arrive over the network (serialized at
   // the effective port bandwidth); materialized output is written at memcpy
   // speed by the probing threads. ----
-  const double port_bandwidth = cluster.transport == TransportKind::kTcp
-                                    ? cluster.tcp.bytes_per_sec
-                                    : cluster.fabric.EffectiveEgress();
+  const double port_bandwidth = cluster.PortBytesPerSec();
   for (uint32_t m = 0; m < nm; ++m) {
     const MachineTrace& mt = trace.machines[m];
     std::vector<double> task_seconds;

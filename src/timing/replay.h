@@ -46,6 +46,11 @@ struct ReplayOptions {
   const FaultInjector* injector = nullptr;
 };
 
+/// The replay a run's JoinConfig asks for: its metrics registry, span
+/// settings (enable_spans, span_budget_bytes, span_recorder) and fault
+/// injector. Every operator replays its trace with these options.
+ReplayOptions ReplayOptionsFor(const JoinConfig& config);
+
 /// Deterministic work counters of the network-pass replay. A rerun of the
 /// same trace reproduces them exactly, so they are gated at zero tolerance
 /// where wall-clock time can only be gated loosely.

@@ -234,7 +234,7 @@ StatusOr<BenchDiffResult> DiffBenchDocuments(const BenchJsonDocument& baseline,
       if (new_row == nullptr || !new_row->ok || !new_row->has_value ||
           new_row->unit != old_row.unit) {
         entry.missing_in_new = true;
-        if (options.require_all_baseline_rows) ++result.missing;
+        ++result.missing;
       } else {
         entry.new_count = static_cast<uint64_t>(new_row->measured_value);
         if (entry.new_count != entry.old_count) {
@@ -252,7 +252,7 @@ StatusOr<BenchDiffResult> DiffBenchDocuments(const BenchJsonDocument& baseline,
     const BenchJsonRow* new_row = current.FindRow(old_row.label);
     if (new_row == nullptr || !new_row->ok || !new_row->has_measured) {
       entry.missing_in_new = true;
-      if (options.require_all_baseline_rows) ++result.missing;
+      ++result.missing;
       result.entries.push_back(std::move(entry));
       continue;
     }

@@ -79,14 +79,12 @@ StatusOr<BenchJsonDocument> ReadBenchJsonFile(const std::string& path);
 /// Regression-gate tolerances. A row regresses when the new measurement
 /// exceeds the old by BOTH margins -- the relative guard absorbs
 /// platform/FP noise proportional to the runtime, the absolute guard keeps
-/// micro-rows (milliseconds) from tripping on rounding.
+/// micro-rows (milliseconds) from tripping on rounding. A measured baseline
+/// row that disappears or stops being ok/verified in the new document
+/// always fails the gate: silently dropping a slow point must not pass.
 struct BenchDiffOptions {
   double relative_tolerance = 0.05;
   double absolute_tolerance_seconds = 0.02;
-  /// Also fail when a measured row disappears or stops being ok/verified in
-  /// the new document (on by default: silently dropping a slow point must
-  /// not pass the gate).
-  bool require_all_baseline_rows = true;
 };
 
 /// One row's comparison: a seconds row against the tolerances, or a count

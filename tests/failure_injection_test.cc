@@ -9,6 +9,7 @@
 #include "fault/injector.h"
 #include "fault/schedule.h"
 #include "join/distributed_join.h"
+#include "operator_runs.h"
 #include "operators/distributed_aggregate.h"
 #include "operators/sort_merge_join.h"
 #include "rdma/buffer_pool.h"
@@ -226,26 +227,29 @@ TEST(RuntimeFaults, RetryBudgetExhaustionAbortsEvenUnderRecovery) {
 
 TEST(RuntimeFaults, MidPassLinkFlapDelaysButCompletes) {
   Workload w = SmallWorkload(2);
-  JoinConfig jc = FastConfig();
-  auto baseline = DistributedJoin(QdrCluster(2), jc).Run(w.inner, w.outer);
-  ASSERT_TRUE(baseline.ok());
+  for (const Operator op : kAllOperators) {
+    SCOPED_TRACE(OperatorName(op));
+    JoinConfig jc = FastConfig();
+    const OperatorRun baseline = RunOperator(op, QdrCluster(2), jc, w);
+    ASSERT_TRUE(baseline.status.ok()) << baseline.status.ToString();
 
-  // Kill machine 0's link for a window in the middle of the network pass.
-  FaultSchedule s;
-  FaultEvent e;
-  e.kind = FaultKind::kLinkFlap;
-  e.machine = 0;
-  e.start_seconds = baseline->times.network_partition_seconds * 0.25;
-  e.duration_seconds = baseline->times.network_partition_seconds * 0.5;
-  s.events.push_back(e);
-  const FaultInjector injector(std::move(s));
-  jc.fault_injector = &injector;
-  auto flapped = DistributedJoin(QdrCluster(2), jc).Run(w.inner, w.outer);
-  ASSERT_TRUE(flapped.ok()) << flapped.status().ToString();
-  EXPECT_EQ(flapped->stats.matches, w.truth.expected_matches);
-  // Nothing was lost, but the dead window stretched the pass.
-  EXPECT_GT(flapped->times.network_partition_seconds,
-            baseline->times.network_partition_seconds);
+    // Kill machine 0's link for a window in the middle of the network pass.
+    FaultSchedule s;
+    FaultEvent e;
+    e.kind = FaultKind::kLinkFlap;
+    e.machine = 0;
+    e.start_seconds = baseline.times.network_partition_seconds * 0.25;
+    e.duration_seconds = baseline.times.network_partition_seconds * 0.5;
+    s.events.push_back(e);
+    const FaultInjector injector(std::move(s));
+    jc.fault_injector = &injector;
+    const OperatorRun flapped = RunOperator(op, QdrCluster(2), jc, w);
+    ASSERT_TRUE(flapped.status.ok()) << flapped.status.ToString();
+    EXPECT_TRUE(flapped.exact);
+    // Nothing was lost, but the dead window stretched the pass.
+    EXPECT_GT(flapped.times.network_partition_seconds,
+              baseline.times.network_partition_seconds);
+  }
 }
 
 TEST(RuntimeFaults, StragglerChargesExcessToFaultRecovery) {
@@ -259,24 +263,31 @@ TEST(RuntimeFaults, StragglerChargesExcessToFaultRecovery) {
   e.factor = 0.5;
   s.events.push_back(e);
   const FaultInjector injector(std::move(s));
-  JoinConfig jc = FastConfig();
-  jc.fault_injector = &injector;
-  auto result = DistributedJoin(QdrCluster(2), jc).Run(w.inner, w.outer);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->stats.matches, w.truth.expected_matches);
+  for (const Operator op : kAllOperators) {
+    SCOPED_TRACE(OperatorName(op));
+    JoinConfig jc = FastConfig();
+    const OperatorRun baseline = RunOperator(op, QdrCluster(2), jc, w);
+    ASSERT_TRUE(baseline.status.ok()) << baseline.status.ToString();
+    jc.fault_injector = &injector;
+    const OperatorRun result = RunOperator(op, QdrCluster(2), jc, w);
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_TRUE(result.exact);
+    EXPECT_GT(result.times.network_partition_seconds,
+              baseline.times.network_partition_seconds);
 
-  // The slowdown lands in the straggler's fault_recovery bucket, and the
-  // attribution invariant (components sum to the global phase time) holds
-  // with the fifth bucket included.
-  const auto& attr = result->replay.attribution;
-  ASSERT_EQ(attr.machines.size(), 2u);
-  const PhaseAttribution& straggler =
-      attr.machines[1].at(JoinPhase::kNetworkPartition);
-  EXPECT_GT(straggler.fault_recovery_seconds, 0.0);
-  for (uint32_t m = 0; m < 2; ++m) {
-    const PhaseAttribution& p =
-        attr.machines[m].at(JoinPhase::kNetworkPartition);
-    EXPECT_NEAR(p.TotalSeconds(), attr.phases.network_partition_seconds, 1e-9);
+    // The slowdown lands in the straggler's fault_recovery bucket, and the
+    // attribution invariant (components sum to the global phase time) holds
+    // with the fifth bucket included.
+    const AttributionReport& attr = result.attribution;
+    ASSERT_EQ(attr.machines.size(), 2u);
+    const PhaseAttribution& straggler =
+        attr.machines[1].at(JoinPhase::kNetworkPartition);
+    EXPECT_GT(straggler.fault_recovery_seconds, 0.0);
+    for (uint32_t m = 0; m < 2; ++m) {
+      const PhaseAttribution& p =
+          attr.machines[m].at(JoinPhase::kNetworkPartition);
+      EXPECT_NEAR(p.TotalSeconds(), attr.phases.network_partition_seconds, 1e-9);
+    }
   }
 }
 

@@ -16,7 +16,7 @@
 #include "cluster/presets.h"
 #include "fault/injector.h"
 #include "fault/schedule.h"
-#include "join/distributed_join.h"
+#include "operator_runs.h"
 #include "timing/span_trace.h"
 #include "workload/generator.h"
 
@@ -66,21 +66,18 @@ class FaultDeterminismTest : public testing::Test {
     return jc;
   }
 
-  static RunOutput RunJoin(const FaultInjector* injector,
-                           FaultPolicy policy = FaultPolicy::kAbort) {
+  static RunOutput Run(Operator op, const FaultInjector* injector,
+                       FaultPolicy policy = FaultPolicy::kAbort) {
     JoinConfig jc = BaseConfig();
     jc.fault_injector = injector;
     jc.fault_policy = policy;
     SpanRecorder recorder;
     jc.span_recorder = &recorder;
-    auto result = DistributedJoin(QdrCluster(kMachines), jc)
-                      .Run(workload_->inner, workload_->outer);
+    const OperatorRun result = RunOperator(op, QdrCluster(kMachines), jc, *workload_);
     RunOutput out;
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    if (result.ok()) {
-      out.times = result->times;
-      out.matches = result->stats.matches;
-    }
+    EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+    out.times = result.times;
+    out.matches = result.rows;
     out.span_json = SpanDatasetToJson(recorder.Snapshot());
     return out;
   }
@@ -91,13 +88,15 @@ class FaultDeterminismTest : public testing::Test {
 Workload* FaultDeterminismTest::workload_ = nullptr;
 
 TEST_F(FaultDeterminismTest, EmptyScheduleIsByteIdenticalToNoInjector) {
-  const RunOutput without = RunJoin(nullptr);
   const FaultInjector empty;  // default-constructed: inactive
-  const RunOutput with_empty = RunJoin(&empty);
-
-  EXPECT_TRUE(BitEqual(without.times, with_empty.times));
-  EXPECT_EQ(without.matches, with_empty.matches);
-  EXPECT_EQ(without.span_json, with_empty.span_json);
+  for (const Operator op : kAllOperators) {
+    SCOPED_TRACE(OperatorName(op));
+    const RunOutput without = Run(op, nullptr);
+    const RunOutput with_empty = Run(op, &empty);
+    EXPECT_TRUE(BitEqual(without.times, with_empty.times));
+    EXPECT_EQ(without.matches, with_empty.matches);
+    EXPECT_EQ(without.span_json, with_empty.span_json);
+  }
 }
 
 TEST_F(FaultDeterminismTest, SameScheduleSameSeedReplaysBitIdentically) {
@@ -105,8 +104,8 @@ TEST_F(FaultDeterminismTest, SameScheduleSameSeedReplaysBitIdentically) {
   ASSERT_FALSE(schedule.empty());
   const FaultInjector injector(std::move(schedule));
 
-  const RunOutput first = RunJoin(&injector, FaultPolicy::kRecover);
-  const RunOutput second = RunJoin(&injector, FaultPolicy::kRecover);
+  const RunOutput first = Run(Operator::kHashJoin, &injector, FaultPolicy::kRecover);
+  const RunOutput second = Run(Operator::kHashJoin, &injector, FaultPolicy::kRecover);
 
   EXPECT_TRUE(BitEqual(first.times, second.times));
   EXPECT_EQ(first.matches, second.matches);
@@ -123,8 +122,8 @@ TEST_F(FaultDeterminismTest, PresetInjectorsAreStableAcrossReconstruction) {
   ASSERT_TRUE(b.ok());
   const FaultInjector inj_a(std::move(*a));
   const FaultInjector inj_b(std::move(*b));
-  const RunOutput ra = RunJoin(&inj_a);
-  const RunOutput rb = RunJoin(&inj_b);
+  const RunOutput ra = Run(Operator::kHashJoin, &inj_a);
+  const RunOutput rb = Run(Operator::kHashJoin, &inj_b);
   EXPECT_TRUE(BitEqual(ra.times, rb.times));
   EXPECT_EQ(ra.span_json, rb.span_json);
 }
@@ -143,8 +142,8 @@ TEST_F(FaultDeterminismTest, OverlappingFaultWindowActuallyChangesTiming) {
   schedule.events.push_back(e);
   const FaultInjector injector(std::move(schedule));
 
-  const RunOutput baseline = RunJoin(nullptr);
-  const RunOutput degraded = RunJoin(&injector);
+  const RunOutput baseline = Run(Operator::kHashJoin, nullptr);
+  const RunOutput degraded = Run(Operator::kHashJoin, &injector);
   EXPECT_GT(degraded.times.network_partition_seconds,
             baseline.times.network_partition_seconds);
   EXPECT_EQ(degraded.matches, baseline.matches);

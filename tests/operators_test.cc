@@ -9,6 +9,7 @@
 #include "operators/distributed_aggregate.h"
 #include "operators/sort_merge_join.h"
 #include "operators/sort_utils.h"
+#include "transport/collectives.h"
 #include "util/random.h"
 #include "workload/generator.h"
 
@@ -237,7 +238,7 @@ TEST(DistributedAggregate, SingleMachineNeedsNoNetwork) {
   DistributedAggregate agg(FdrCluster(1), FastConfig());
   auto result = agg.Run(w->outer);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->messages_sent, 0u);
+  EXPECT_EQ(result->net.messages_sent, 0u);
   EXPECT_EQ(result->stats.groups, 1000u);
 }
 
@@ -261,6 +262,21 @@ TEST(SortMergeJoin, MatchesGroundTruthAndHashJoin) {
   ASSERT_TRUE(hash.ok());
   EXPECT_EQ(hash->stats.matches, sm->stats.matches);
   EXPECT_EQ(hash->stats.key_sum, sm->stats.key_sum);
+
+  // One all-gather carries both relations' 32 histogram counts, plus the
+  // sort-merge join's 256 splitter samples per machine.
+  const ClusterConfig qdr = QdrCluster(4);
+  auto exchange_seconds = [&](uint64_t words) {
+    return CollectiveNetwork::ExchangeSeconds(4, words * sizeof(uint64_t),
+                                              qdr.PortBytesPerSec(),
+                                              qdr.fabric.base_latency_seconds);
+  };
+  for (uint32_t m = 0; m < 4; ++m) {
+    EXPECT_EQ(hash->trace.machines[m].histogram_exchange_seconds,
+              exchange_seconds(2 * 32));
+    EXPECT_EQ(sm->trace.machines[m].histogram_exchange_seconds,
+              exchange_seconds(2 * 32 + 256));
+  }
 }
 
 TEST(SortMergeJoin, RadixHashJoinWinsOnCalibratedCosts) {
@@ -365,16 +381,33 @@ TEST(Materialization, ChargesOutputWritesToBuildProbe) {
   JoinConfig pipeline = FastConfig();
   JoinConfig materialize = FastConfig();
   materialize.materialize_results = true;
-  auto a = DistributedJoin(QdrCluster(4), pipeline).Run(w->inner, w->outer);
-  auto b = DistributedJoin(QdrCluster(4), materialize).Run(w->inner, w->outer);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_GT(b->times.build_probe_seconds, a->times.build_probe_seconds);
-  EXPECT_NEAR(a->times.network_partition_seconds, b->times.network_partition_seconds,
-              1e-12);
-  EXPECT_EQ(b->stats.pairs.size(), spec.outer_tuples);
-  uint64_t materialized = 0;
-  for (const auto& mt : b->trace.machines) materialized += mt.materialized_bytes;
-  EXPECT_EQ(materialized, spec.outer_tuples * 16);
+  for (const bool sort_merge : {false, true}) {
+    SCOPED_TRACE(sort_merge ? "sortmerge" : "hashjoin");
+    auto run = [&](const JoinConfig& jc) {
+      return sort_merge ? DistributedSortMergeJoin(QdrCluster(4), jc).Run(w->inner, w->outer)
+                        : DistributedJoin(QdrCluster(4), jc).Run(w->inner, w->outer);
+    };
+    auto a = run(pipeline);
+    auto b = run(materialize);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_GT(b->times.build_probe_seconds, a->times.build_probe_seconds);
+    EXPECT_NEAR(a->times.network_partition_seconds, b->times.network_partition_seconds,
+                1e-12);
+    EXPECT_EQ(b->stats.pairs.size(), spec.outer_tuples);
+    uint64_t materialized = 0;
+    for (const auto& mt : b->trace.machines) materialized += mt.materialized_bytes;
+    EXPECT_EQ(materialized, spec.outer_tuples * 16);
+    // One <join_key, inner_rid> tuple per match, on the machine that made it.
+    EXPECT_TRUE(a->output.chunks.empty());
+    ASSERT_EQ(b->output.chunks.size(), 4u);
+    for (uint32_t m = 0; m < 4; ++m) {
+      const Relation& chunk = b->output.chunks[m];
+      EXPECT_EQ(chunk.size_bytes(), b->trace.machines[m].materialized_bytes);
+      for (uint64_t i = 0; i < chunk.num_tuples(); ++i) {
+        ASSERT_EQ(chunk.Rid(i), 2 * chunk.Key(i) + 1) << "machine " << m;
+      }
+    }
+  }
 }
 
 }  // namespace

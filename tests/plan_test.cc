@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "cluster/presets.h"
 #include "workload/generator.h"
 
@@ -127,7 +131,21 @@ TEST(Plan, SortMergeJoinVariantAgrees) {
   auto s = sm->Execute(ctx);
   ASSERT_TRUE(h.ok() && s.ok());
   EXPECT_EQ(h->rows, s->rows);
-  EXPECT_EQ(h->relation.total_tuples(), s->relation.total_tuples());
+  // Both produce one <join_key, inner_rid> tuple per match: the same
+  // multiset, whatever machine or order each tuple landed in.
+  auto sorted_tuples = [](const DistributedRelation& rel) {
+    std::vector<std::pair<uint64_t, uint64_t>> tuples;
+    for (const Relation& chunk : rel.chunks) {
+      for (uint64_t i = 0; i < chunk.num_tuples(); ++i) {
+        tuples.emplace_back(chunk.Key(i), chunk.Rid(i));
+      }
+    }
+    std::sort(tuples.begin(), tuples.end());
+    return tuples;
+  };
+  const auto hash_tuples = sorted_tuples(h->relation);
+  EXPECT_EQ(hash_tuples.size(), spec.outer_tuples);
+  EXPECT_EQ(hash_tuples, sorted_tuples(s->relation));
 }
 
 TEST(Plan, ExplainRendersTree) {

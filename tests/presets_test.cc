@@ -22,6 +22,7 @@ TEST(Presets, QdrMatchesTable2AndEq15) {
   EXPECT_DOUBLE_EQ(c.fabric.congestion_bytes_per_sec_per_extra_host, 110e6);
   // Eq. 15 at 10 machines: 3400 - 9*110 = 2410 MB/s.
   EXPECT_DOUBLE_EQ(c.fabric.EffectiveEgress(), 2410e6);
+  EXPECT_EQ(c.PortBytesPerSec(), c.fabric.EffectiveEgress());
   EXPECT_DOUBLE_EQ(c.costs.partition_bytes_per_sec, 955e6);
   EXPECT_EQ(c.transport, TransportKind::kRdmaChannel);
   EXPECT_EQ(c.interleave, InterleavePolicy::kInterleaved);
@@ -58,8 +59,10 @@ TEST(Presets, IpoibOverridesTransportOnly) {
   EXPECT_TRUE(c.Validate().ok());
   EXPECT_EQ(c.transport, TransportKind::kTcp);
   EXPECT_DOUBLE_EQ(c.tcp.bytes_per_sec, 1.8e9);
-  // The underlying fabric is still the FDR hardware.
+  // The underlying fabric is still the FDR hardware, but a port moves
+  // only what IPoIB sustains.
   EXPECT_DOUBLE_EQ(c.fabric.egress_bytes_per_sec, 6.0e9);
+  EXPECT_EQ(c.PortBytesPerSec(), c.tcp.bytes_per_sec);
 }
 
 TEST(Presets, MessageRateYieldsFullBandwidthAtSmallMessages) {

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include "cluster/presets.h"
+#include "fault/injector.h"
 #include "timing/makespan.h"
 #include "timing/replay.h"
 #include "timing/span_trace.h"
 #include "timing/trace_io.h"
+#include "util/metrics.h"
 
 namespace rdmajoin {
 namespace {
@@ -83,6 +85,31 @@ ClusterConfig TinyCluster() {
   c.fabric.message_rate_per_host = 0;
   c.fabric.base_latency_seconds = 0;
   return c;
+}
+
+TEST(Replay, OptionsForAConfigCarryItsReplayFields) {
+  const ReplayOptions defaults = ReplayOptionsFor(JoinConfig());
+  EXPECT_EQ(defaults.metrics, nullptr);
+  EXPECT_TRUE(defaults.spans.enabled);
+  EXPECT_EQ(defaults.spans.max_bytes, SpanConfig().max_bytes);
+  EXPECT_EQ(defaults.span_recorder, nullptr);
+  EXPECT_EQ(defaults.injector, nullptr);
+
+  JoinConfig config;
+  MetricsRegistry metrics;
+  SpanRecorder recorder;
+  const FaultInjector injector;
+  config.metrics = &metrics;
+  config.enable_spans = false;
+  config.span_budget_bytes = 4096;
+  config.span_recorder = &recorder;
+  config.fault_injector = &injector;
+  const ReplayOptions options = ReplayOptionsFor(config);
+  EXPECT_EQ(options.metrics, &metrics);
+  EXPECT_FALSE(options.spans.enabled);
+  EXPECT_EQ(options.spans.max_bytes, 4096u);
+  EXPECT_EQ(options.span_recorder, &recorder);
+  EXPECT_EQ(options.injector, &injector);
 }
 
 TEST(Replay, HistogramPhaseUsesAllCores) {

@@ -201,8 +201,8 @@ int main(int argc, char** argv) {
     auto result = DistributedAggregate(cluster, config).Run(workload->outer);
     if (!result.ok()) return Fail(result.status());
     times = result->times;
-    messages = result->messages_sent;
-    wire_mb = result->virtual_wire_bytes / 1e6;
+    messages = result->net.messages_sent;
+    wire_mb = result->net.virtual_wire_bytes / 1e6;
     verified = result->stats.total_count == spec.outer_tuples ? "yes" : "NO";
   }
   if (!spans_json.empty()) {
