@@ -47,8 +47,6 @@ int main(int argc, char** argv) {
         cluster, jc, (*traces)[q], "join1024-q" + std::to_string(q)));
   }
   SchedulerConfig sc;
-  sc.fabric = cluster.fabric;
-  sc.fabric.num_hosts = cluster.num_machines;
 
   const SchedPolicy policies[] = {SchedPolicy::kSerial,
                                   SchedPolicy::kPhaseAligned,

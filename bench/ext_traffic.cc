@@ -94,8 +94,6 @@ int main(int argc, char** argv) {
 
   SchedulerConfig sc;
   sc.policy = *policy;
-  sc.fabric = cluster.fabric;
-  sc.fabric.num_hosts = cluster.num_machines;
   sc.admission.max_concurrent = 4;
   sc.admission.max_queue_length = 8;
 

@@ -108,13 +108,10 @@ struct JoinConfig {
   /// ReplayReport::spans. Recording is passive and never changes replayed
   /// times; set false to switch the recorder off entirely.
   bool enable_spans = true;
-  /// Byte budget of the span flight recorder; 0 keeps the recorder default
-  /// (SpanConfig::max_bytes, 8 MiB).
-  uint64_t span_budget_bytes = 0;
   /// Optional external span recorder. When set (and enabled), the replay
   /// records into it instead of creating its own, so execution-layer verbs
   /// counts and replay-time spans land in one dataset. Must outlive the run;
-  /// overrides enable_spans / span_budget_bytes.
+  /// overrides enable_spans.
   SpanRecorder* span_recorder = nullptr;
   /// Optional deterministic fault injector (src/fault/). When set and
   /// active, the execution layer injects the scheduled QP faults into the

@@ -29,7 +29,8 @@ enum class SchedPolicy : uint8_t {
   /// policy the paper's Section 7 asks for.
   kOverlap,
   /// Everything runs; per-query weights set both the core time-share and the
-  /// max-min fabric share (weight doubles as priority).
+  /// fabric share, each weight / total running weight (weight doubles as
+  /// priority).
   kWeightedFair,
 };
 

@@ -5,8 +5,10 @@
 #include <cstdio>
 #include <limits>
 #include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
-#include "sched/fabric_shares.h"
 #include "util/json.h"
 
 namespace rdmajoin {
@@ -143,6 +145,91 @@ class IdleTracker {
   int32_t candidate_ = -1;
 };
 
+/// Shape check at the ParseScheduleReport boundary: a document whose JSON
+/// types are right but which no RunSchedule could have written is rejected
+/// naming the field, before any report reads it.
+Status ValidateScheduleShape(const ScheduleReport& report) {
+  const size_t n = report.queries.size();
+  auto check_time = [](const std::string& where, const char* field, double v) {
+    return std::isfinite(v) && v >= 0
+               ? Status::OK()
+               : Status::InvalidArgument(where + field +
+                                         " must be finite and >= 0");
+  };
+  RDMAJOIN_RETURN_IF_ERROR(
+      check_time("schedule: ", "makespan_seconds", report.makespan_seconds));
+  std::vector<bool> seen(n, false);
+  uint32_t completed = 0;
+  uint32_t rejected = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const QueryOutcome& q = report.queries[i];
+    const std::string where = "schedule query " + std::to_string(i) + ": ";
+    if (q.id >= n) {
+      return Status::InvalidArgument(where + "id " + std::to_string(q.id) +
+                                     " outside [0, " + std::to_string(n) + ")");
+    }
+    if (seen[q.id]) {
+      return Status::InvalidArgument(where + "duplicate id " +
+                                     std::to_string(q.id));
+    }
+    seen[q.id] = true;
+    if (q.weight == 0) {
+      return Status::InvalidArgument(where + "weight must be >= 1");
+    }
+    completed += q.completed ? 1 : 0;
+    rejected += q.rejected ? 1 : 0;
+    for (const auto& [field, v] :
+         {std::pair<const char*, double>{"arrival_seconds", q.arrival_seconds},
+          {"admit_seconds", q.admit_seconds},
+          {"finish_seconds", q.finish_seconds},
+          {"latency_seconds", q.latency_seconds},
+          {"sched_queue_seconds", q.sched_queue_seconds},
+          {"solo_seconds", q.solo_seconds}}) {
+      RDMAJOIN_RETURN_IF_ERROR(check_time(where, field, v));
+    }
+    for (size_t p = 0; p < kNumJoinPhases; ++p) {
+      const std::string phase =
+          where + std::string(JoinPhaseName(static_cast<JoinPhase>(p))) + " ";
+      const PhaseAttribution& a = q.attribution[p];
+      for (const auto& [field, v] :
+           {std::pair<const char*, double>{
+                "scheduled_phases", PhaseFieldValue(q.scheduled_phases, p)},
+            {"compute_seconds", a.compute_seconds},
+            {"network_seconds", a.network_seconds},
+            {"buffer_stall_seconds", a.buffer_stall_seconds},
+            {"barrier_wait_seconds", a.barrier_wait_seconds},
+            {"fault_recovery_seconds", a.fault_recovery_seconds}}) {
+        RDMAJOIN_RETURN_IF_ERROR(check_time(phase, field, v));
+      }
+    }
+  }
+  if (report.completed != completed) {
+    return Status::InvalidArgument(
+        "schedule: completed " + std::to_string(report.completed) +
+        " does not match the " + std::to_string(completed) +
+        " queries flagged completed");
+  }
+  if (report.rejected != rejected) {
+    return Status::InvalidArgument(
+        "schedule: rejected " + std::to_string(report.rejected) +
+        " does not match the " + std::to_string(rejected) +
+        " queries flagged rejected");
+  }
+  for (size_t i = 0; i < report.idle_windows.size(); ++i) {
+    const SchedIdleWindow& w = report.idle_windows[i];
+    const std::string where = "schedule idle window " + std::to_string(i) + ": ";
+    if (w.candidate_query < -1 ||
+        w.candidate_query >= static_cast<int64_t>(n)) {
+      return Status::InvalidArgument(
+          where + "candidate_query " + std::to_string(w.candidate_query) +
+          " outside [-1, " + std::to_string(n) + ")");
+    }
+    RDMAJOIN_RETURN_IF_ERROR(check_time(where, "begin_seconds", w.begin_seconds));
+    RDMAJOIN_RETURN_IF_ERROR(check_time(where, "end_seconds", w.end_seconds));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 double QueryOutcome::AttributedSeconds() const {
@@ -180,7 +267,6 @@ StatusOr<ScheduleReport> RunSchedule(const std::vector<SchedQuery>& queries,
   }
 
   AdmissionController ctrl(config.admission);
-  FabricShareCache shares(config.fabric);
   IdleTracker net_idle(/*network=*/true, &report.idle_windows);
   IdleTracker cpu_idle(/*network=*/false, &report.idle_windows);
 
@@ -246,8 +332,6 @@ StatusOr<ScheduleReport> RunSchedule(const std::vector<SchedQuery>& queries,
 
   std::vector<QueryView> views;
   std::vector<StageDecision> decisions;
-  std::vector<uint32_t> net_weights;
-  std::vector<size_t> net_members;
 
   // Recomputes every active query's decision and resource share. Shares are
   // piecewise-constant until the next event.
@@ -265,16 +349,11 @@ StatusOr<ScheduleReport> RunSchedule(const std::vector<SchedQuery>& queries,
     }
     policy->Decide(views, &decisions);
     uint64_t cpu_weight = 0;
-    net_weights.clear();
-    net_members.clear();
+    uint64_t net_weight = 0;
     for (size_t i = 0; i < active.size(); ++i) {
       if (!decisions[i].run) continue;
-      if (IsNetStage(active[i].stage)) {
-        net_weights.push_back(active[i].weight);
-        net_members.push_back(i);
-      } else {
-        cpu_weight += active[i].weight;
-      }
+      (IsNetStage(active[i].stage) ? net_weight : cpu_weight) +=
+          active[i].weight;
     }
     for (size_t i = 0; i < active.size(); ++i) {
       Runner& r = active[i];
@@ -282,21 +361,14 @@ StatusOr<ScheduleReport> RunSchedule(const std::vector<SchedQuery>& queries,
         r.rate = 0;
         r.wait = decisions[i].wait == WaitKind::kNone ? WaitKind::kSchedQueue
                                                       : decisions[i].wait;
-      } else if (!IsNetStage(r.stage)) {
-        // The cluster's cores, time-shared by weight across the running
-        // compute stages.
-        r.rate = static_cast<double>(r.weight) / static_cast<double>(cpu_weight);
-        r.wait = WaitKind::kNone;
+        continue;
       }
-    }
-    if (!net_members.empty()) {
-      // Fabric shares for the concurrently running network stages, via the
-      // max-min solver (sched/fabric_shares.h).
-      const std::vector<double>& s = shares.Get(net_weights);
-      for (size_t k = 0; k < net_members.size(); ++k) {
-        active[net_members[k]].rate = s[k];
-        active[net_members[k]].wait = WaitKind::kNone;
-      }
+      // One share rule for both resources: a running stage gets its weight
+      // over the total weight running on the same resource, the cluster's
+      // cores for a compute stage and the fabric for a network stage.
+      const uint64_t total = IsNetStage(r.stage) ? net_weight : cpu_weight;
+      r.rate = static_cast<double>(r.weight) / static_cast<double>(total);
+      r.wait = WaitKind::kNone;
     }
   };
 
@@ -331,28 +403,26 @@ StatusOr<ScheduleReport> RunSchedule(const std::vector<SchedQuery>& queries,
           r.out->sched_queue_seconds += dt;
         }
       }
-      if (config.record_idle_windows) {
-        // A window is only a missed opportunity if some admitted query has
-        // pending work for the idle resource.
-        int32_t net_cand = -1;
-        int32_t cpu_cand = -1;
-        uint64_t net_best = 0;
-        uint64_t cpu_best = 0;
-        for (const Runner& r : active) {
-          if (HasPendingNetWork(r) &&
-              (net_cand < 0 || r.admit_seq < net_best)) {
-            net_cand = static_cast<int32_t>(r.id);
-            net_best = r.admit_seq;
-          }
-          if (HasPendingCpuWork(r) &&
-              (cpu_cand < 0 || r.admit_seq < cpu_best)) {
-            cpu_cand = static_cast<int32_t>(r.id);
-            cpu_best = r.admit_seq;
-          }
+      // A window is only a missed opportunity if some admitted query has
+      // pending work for the idle resource.
+      int32_t net_cand = -1;
+      int32_t cpu_cand = -1;
+      uint64_t net_best = 0;
+      uint64_t cpu_best = 0;
+      for (const Runner& r : active) {
+        if (HasPendingNetWork(r) &&
+            (net_cand < 0 || r.admit_seq < net_best)) {
+          net_cand = static_cast<int32_t>(r.id);
+          net_best = r.admit_seq;
         }
-        net_idle.Observe(t, t_next, net_busy, net_cand);
-        cpu_idle.Observe(t, t_next, cpu_busy, cpu_cand);
+        if (HasPendingCpuWork(r) &&
+            (cpu_cand < 0 || r.admit_seq < cpu_best)) {
+          cpu_cand = static_cast<int32_t>(r.id);
+          cpu_best = r.admit_seq;
+        }
       }
+      net_idle.Observe(t, t_next, net_busy, net_cand);
+      cpu_idle.Observe(t, t_next, cpu_busy, cpu_cand);
       t = t_next;
     }
 
@@ -624,6 +694,7 @@ StatusOr<ScheduleReport> ParseScheduleReport(const std::string& json) {
       }
     }
   }
+  RDMAJOIN_RETURN_IF_ERROR(ValidateScheduleShape(report));
   return report;
 }
 

@@ -9,7 +9,6 @@
 #include "sched/admission.h"
 #include "sched/policy.h"
 #include "sched/query_profile.h"
-#include "sim/fabric.h"
 #include "timing/attribution.h"
 #include "timing/phase_times.h"
 #include "util/statusor.h"
@@ -28,14 +27,6 @@ struct SchedQuery {
 struct SchedulerConfig {
   SchedPolicy policy = SchedPolicy::kOverlap;
   AdmissionConfig admission;
-  /// Fabric model used to turn concurrent network stages into per-query
-  /// bandwidth shares via the max-min solver (sched/fabric_shares.h).
-  /// Typically ClusterConfig::fabric with num_hosts set to the machine
-  /// count.
-  FabricConfig fabric;
-  /// Record resource idle windows (the explain --utilization per-query
-  /// view). Never changes any scheduled time.
-  bool record_idle_windows = true;
 };
 
 /// Final state of one submitted query. For completed queries the scheduled
@@ -107,11 +98,13 @@ struct ScheduleReport {
 /// compute/network stages (two per join phase, from its solo profile), a
 /// stage progresses at the query's current resource share, and shares are
 /// piecewise-constant between events (arrivals, admissions, stage
-/// completions). Compute shares time-share the cluster's cores by weight;
-/// network shares come from the max-min fabric solver over the concurrently
-/// running network stages. The policy decides, after every event, which
-/// admitted queries may progress and which wait (and in which bucket the
-/// wait lands).
+/// completions). One share rule covers both resources: a running stage gets
+/// weight / (total weight of the stages running on the same resource), the
+/// cluster's cores for compute stages and the fabric for network stages.
+/// The policy decides, after every event, which admitted queries may
+/// progress and which wait (and in which bucket the wait lands). Resource
+/// idle windows are always recorded (the explain --utilization per-query
+/// view); they never change any scheduled time.
 StatusOr<ScheduleReport> RunSchedule(const std::vector<SchedQuery>& queries,
                                      const SchedulerConfig& config);
 

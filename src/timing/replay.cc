@@ -79,7 +79,6 @@ ReplayOptions ReplayOptionsFor(const JoinConfig& config) {
   ReplayOptions options;
   options.metrics = config.metrics;
   options.spans.enabled = config.enable_spans;
-  if (config.span_budget_bytes > 0) options.spans.max_bytes = config.span_budget_bytes;
   options.span_recorder = config.span_recorder;
   options.injector = config.fault_injector;
   return options;

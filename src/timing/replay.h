@@ -47,8 +47,9 @@ struct ReplayOptions {
 };
 
 /// The replay a run's JoinConfig asks for: its metrics registry, span
-/// settings (enable_spans, span_budget_bytes, span_recorder) and fault
-/// injector. Every operator replays its trace with these options.
+/// settings (enable_spans, span_recorder) and fault injector. Every operator
+/// replays its trace with these options; a caller that needs a smaller span
+/// ring sets ReplayOptions::spans.max_bytes itself.
 ReplayOptions ReplayOptionsFor(const JoinConfig& config);
 
 /// Deterministic work counters of the network-pass replay. A rerun of the

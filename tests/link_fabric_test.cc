@@ -2,11 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <limits>
-#include <random>
-#include <utility>
 #include <vector>
 
 namespace rdmajoin {
@@ -146,8 +142,9 @@ TEST(LinkFabric, BaseLatencyShiftsCompletionTimes) {
 TEST(LinkFabric, EqualShareIsNotWorkConserving) {
   // Host 0 sends to hosts 1 and 2; hosts 3 and 4 also send to host 1, so
   // host 1's ingress holds every link into it at 1000/3. Equal share still
-  // gives 0->2 only half of host 0's egress, leaving 1000/6 of it idle
-  // (RateSharing.MaxMinIsWorkConserving: max-min hands it to 0->2).
+  // gives 0->2 only half of host 0's egress, leaving 1000/6 of it idle:
+  // the paper's model (Eqs. 1-5) shares each port equally, it does not
+  // redistribute what a flow cannot use.
   LinkFabric fabric(BasicConfig(5));
   fabric.Enqueue(0, 1, 1e6, 0.0);
   fabric.Enqueue(0, 2, 1e6, 0.0);
@@ -437,137 +434,6 @@ TEST(LinkFabric, AllToAllPumpMaterialisesOnlyDrainingLinks) {
   EXPECT_GT(fabric.fabric_steps(), 0u);
   EXPECT_GE(fabric.link_updates(), messages);  // every pop materialises
   EXPECT_LE(fabric.link_updates(), 4 * messages);
-}
-
-// SolveMaxMinRates is the scheduler's share solver (sched/fabric_shares.h).
-// These drive it directly over the demand sets a fabric would hand it: one
-// demand per active link, in ascending link order, each with the full
-// per-host capacities as residuals.
-struct MaxMinResult {
-  std::vector<RateDemand> demands;
-  std::vector<double> egress_left;
-  std::vector<double> ingress_left;
-};
-
-MaxMinResult SolveMaxMin(const std::vector<std::pair<uint32_t, uint32_t>>& links,
-                         const std::vector<double>& egress,
-                         const std::vector<double>& ingress) {
-  MaxMinResult r;
-  for (const auto& [src, dst] : links) {
-    r.demands.push_back(RateDemand{src, dst,
-                                   std::numeric_limits<double>::infinity(), 0.0});
-  }
-  r.egress_left = egress;
-  r.ingress_left = ingress;
-  SolveMaxMinRates(&r.demands, &r.egress_left, &r.ingress_left);
-  return r;
-}
-
-TEST(RateSharing, MaxMinRedistributesAcrossLinks) {
-  const std::vector<double> cap(4, 1000.0);
-  // Ingress(1) bottleneck: 500 each; 0->3 gets host 0's remaining 500.
-  const MaxMinResult r = SolveMaxMin({{0, 1}, {0, 3}, {2, 1}}, cap, cap);
-  EXPECT_DOUBLE_EQ(r.demands[0].rate, 500.0);
-  EXPECT_DOUBLE_EQ(r.demands[1].rate, 500.0);
-  EXPECT_DOUBLE_EQ(r.demands[2].rate, 500.0);
-}
-
-TEST(RateSharing, MaxMinIsWorkConserving) {
-  // The demand set of LinkFabric.EqualShareIsNotWorkConserving: max-min
-  // hands 0->2 everything 0->1 cannot use, where equal share leaves it idle.
-  const std::vector<double> cap(5, 1000.0);
-  const MaxMinResult r =
-      SolveMaxMin({{0, 1}, {0, 2}, {3, 1}, {4, 1}}, cap, cap);
-  EXPECT_NEAR(r.demands[0].rate, 1000.0 / 3, 1e-9);
-  EXPECT_NEAR(r.demands[1].rate, 2000.0 / 3, 1e-9);
-  EXPECT_NEAR(r.demands[2].rate, 1000.0 / 3, 1e-9);
-  EXPECT_NEAR(r.demands[3].rate, 1000.0 / 3, 1e-9);
-}
-
-// Regression for the kTimeEps-as-rate-epsilon reuse: with host 0 at a 1e-9
-// capacity scale, live rates span nine orders of magnitude (1e-6 .. 1e3
-// bytes/sec). The *relative* rate epsilon must freeze only the truly
-// bottlenecked demand -- an absolute-style tolerance at the old epsilon's
-// scale would glue the fast demand to the slow bottleneck (or never
-// converge).
-TEST(RateSharing, MaxMinRatesSpanningNineOrdersOfMagnitude) {
-  std::vector<double> cap(4, 1000.0);
-  cap[0] = 1000.0 * 1e-9;
-  // The fast demand 2->1 shares host 1's ingress with the slow 0->1; max-min
-  // gives it everything the slow one cannot use.
-  const MaxMinResult r = SolveMaxMin({{0, 1}, {2, 1}}, cap, cap);
-  EXPECT_NEAR(r.demands[0].rate, 1e-6, 1e-6 * 1e-9);
-  EXPECT_EQ(r.demands[0].bound, RateConstraint::kSenderEgress);
-  EXPECT_NEAR(r.demands[1].rate, 1000.0 - 1e-6, 1e-6);
-  EXPECT_EQ(r.demands[1].bound, RateConstraint::kReceiverIngress);
-  // A 1e-6 B message on the slow demand and a 1000 B one on the fast demand
-  // both finish at ~1 second.
-  EXPECT_NEAR(1e-6 / r.demands[0].rate, 1.0, 1e-5);
-  EXPECT_NEAR(1000.0 / r.demands[1].rate, 1.0, 1e-5);
-}
-
-// Regression for the max-min accumulation bug: with many demands sharing a
-// port, subtracting frozen rates from the residual capacities accumulates
-// floating-point error and used to drive the residuals negative, which
-// could then assign (tiny) negative rates. The solver clamps residuals at
-// zero. The demand set grows one link at a time, as 300 random enqueues
-// would activate them, and every solve must keep residuals and rates
-// non-negative and each host within its capacity.
-TEST(RateSharing, MaxMinResidualsNeverGoNegative) {
-  constexpr uint32_t kHosts = 8;
-  // Capacities chosen to produce non-terminating binary fractions in the
-  // per-demand shares, maximizing accumulation error.
-  const std::vector<double> egress(kHosts, 1000.0 / 3.0);
-  const std::vector<double> ingress(kHosts, 700.0 / 3.0);
-  std::mt19937 rng(42);
-  std::uniform_int_distribution<uint32_t> host(0, kHosts - 1);
-  std::uniform_real_distribution<double> size(1.0, 100.0);
-  std::vector<std::pair<uint32_t, uint32_t>> links;
-  for (int i = 0; i < 300; ++i) {
-    const uint32_t src = host(rng);
-    uint32_t dst = host(rng);
-    if (dst == src) dst = (dst + 1) % kHosts;
-    size(rng);  // the message size, which an uncapped demand ignores
-    const std::pair<uint32_t, uint32_t> link(src, dst);
-    const auto at = std::lower_bound(links.begin(), links.end(), link);
-    if (at != links.end() && *at == link) continue;  // already active
-    links.insert(at, link);
-    const MaxMinResult r = SolveMaxMin(links, egress, ingress);
-    std::vector<double> out(kHosts, 0.0), in(kHosts, 0.0);
-    for (const RateDemand& d : r.demands) {
-      ASSERT_GE(d.rate, 0.0);
-      ASSERT_FALSE(std::isnan(d.rate));
-      out[d.src] += d.rate;
-      in[d.dst] += d.rate;
-    }
-    for (uint32_t h = 0; h < kHosts; ++h) {
-      ASSERT_GE(r.egress_left[h], 0.0) << "host " << h;
-      ASSERT_GE(r.ingress_left[h], 0.0) << "host " << h;
-      EXPECT_LE(out[h], egress[h] * (1.0 + 1e-6)) << "host " << h;
-      EXPECT_LE(in[h], ingress[h] * (1.0 + 1e-6)) << "host " << h;
-    }
-  }
-  EXPECT_GT(links.size(), 40u);
-}
-
-// The progressive-filling non-progress guard is a hard failure in every
-// build mode (an assert in debug and a silent break in release would leave
-// stale rates). Only non-finite inputs can trigger it; the fabric rejects
-// those at its boundary, so drive the solver directly.
-using RateSharingDeathTest = ::testing::Test;
-
-void SolveWithNanInputs() {
-  std::vector<RateDemand> demands(1);
-  demands[0].src = 0;
-  demands[0].dst = 1;
-  demands[0].cap = std::nan("");
-  std::vector<double> egress = {std::nan(""), 1000.0};
-  std::vector<double> ingress = {1000.0, std::nan("")};
-  SolveMaxMinRates(&demands, &egress, &ingress);
-}
-
-TEST(RateSharingDeathTest, NanCapacityAbortsInsteadOfSilentBreak) {
-  EXPECT_DEATH(SolveWithNanInputs(), "max-min filling made no progress");
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include "cluster/presets.h"
 #include "join/distributed_join.h"
 #include "sched/admission.h"
-#include "sched/fabric_shares.h"
 #include "sched/policy.h"
 #include "sched/query_profile.h"
 #include "sched/scheduler.h"
@@ -50,13 +49,6 @@ class SchedTest : public ::testing::Test {
     delete traces_;
     delete jc_;
     delete cluster_;
-  }
-
-  static SchedulerConfig BaseConfig() {
-    SchedulerConfig sc;
-    sc.fabric = cluster_->fabric;
-    sc.fabric.num_hosts = cluster_->num_machines;
-    return sc;
   }
 
   static std::vector<SchedQuery> SameArrival(size_t n) {
@@ -110,53 +102,43 @@ TEST(SchedPolicyNames, RoundTrip) {
 
 // ----------------------------------------------------------- fabric shares
 
+/// Runs one query per weight under kWeightedFair, all arriving at t=0, each
+/// with 1 s of solo network work and nothing else, so every finish time is
+/// set by the queries' fabric shares alone.
+StatusOr<ScheduleReport> RunNetOnly(const std::vector<uint32_t>& weights) {
+  QueryProfile net_only;
+  net_only.phases[static_cast<size_t>(JoinPhase::kNetworkPartition)]
+      .net_seconds = 1.0;
+  net_only.solo_seconds = 1.0;
+  std::vector<SchedQuery> queries(weights.size());
+  for (size_t q = 0; q < weights.size(); ++q) {
+    queries[q].profile = net_only;
+    queries[q].weight = weights[q];
+  }
+  SchedulerConfig sc;
+  sc.policy = SchedPolicy::kWeightedFair;
+  return RunSchedule(queries, sc);
+}
+
 TEST(FabricShares, EqualWeightsSplitEvenly) {
-  FabricConfig fabric = QdrCluster(4).fabric;
-  fabric.num_hosts = 4;
-  for (size_t n = 1; n <= 4; ++n) {
-    const auto shares =
-        ComputeFabricShares(fabric, std::vector<uint32_t>(n, 1));
-    ASSERT_EQ(shares.size(), n);
-    for (const double s : shares) {
-      EXPECT_NEAR(s, 1.0 / static_cast<double>(n), 1e-9);
+  // n equal queries each get 1/n of the fabric and finish together at n s.
+  for (uint32_t n = 1; n <= 4; ++n) {
+    auto report = RunNetOnly(std::vector<uint32_t>(n, 1));
+    ASSERT_TRUE(report.ok());
+    for (const QueryOutcome& q : report->queries) {
+      EXPECT_NEAR(q.finish_seconds, static_cast<double>(n), 1e-12);
     }
   }
 }
 
 TEST(FabricShares, IntegerWeightsAreProportional) {
-  FabricConfig fabric = QdrCluster(4).fabric;
-  fabric.num_hosts = 4;
-  const auto shares = ComputeFabricShares(fabric, {2, 1, 1});
-  ASSERT_EQ(shares.size(), 3u);
-  EXPECT_NEAR(shares[0], 0.5, 1e-9);
-  EXPECT_NEAR(shares[1], 0.25, 1e-9);
-  EXPECT_NEAR(shares[2], 0.25, 1e-9);
-}
-
-TEST(FabricShares, ZeroWeightGetsZeroShare) {
-  FabricConfig fabric = QdrCluster(4).fabric;
-  fabric.num_hosts = 4;
-  const auto shares = ComputeFabricShares(fabric, {1, 0});
-  ASSERT_EQ(shares.size(), 2u);
-  EXPECT_NEAR(shares[0], 1.0, 1e-9);
-  EXPECT_EQ(shares[1], 0.0);
-}
-
-TEST(FabricShares, CacheReturnsIdenticalVectors) {
-  FabricConfig fabric = QdrCluster(4).fabric;
-  fabric.num_hosts = 4;
-  FabricShareCache cache(fabric);
-  const std::vector<uint32_t> weights = {1, 1, 2};
-  const std::vector<double> first = cache.Get(weights);
-  const std::vector<double> second = cache.Get(weights);
-  ASSERT_EQ(first.size(), second.size());
-  for (size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i], second[i]);
-  }
-  const auto direct = ComputeFabricShares(fabric, weights);
-  for (size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i], direct[i]);
-  }
+  // Shares 1/2, 1/4, 1/4: the weight-2 query finishes at 2 s; the others
+  // then have 0.5 s left at share 1/2 each and finish at 3 s.
+  auto report = RunNetOnly({2, 1, 1});
+  ASSERT_TRUE(report.ok());
+  EXPECT_NEAR(report->queries[0].finish_seconds, 2.0, 1e-12);
+  EXPECT_NEAR(report->queries[1].finish_seconds, 3.0, 1e-12);
+  EXPECT_NEAR(report->queries[2].finish_seconds, 3.0, 1e-12);
 }
 
 // -------------------------------------------------------------- admission
@@ -249,7 +231,7 @@ TEST_F(SchedTest, SingleQueryReproducesTheSoloMakespan) {
   for (const SchedPolicy policy :
        {SchedPolicy::kSerial, SchedPolicy::kPhaseAligned, SchedPolicy::kOverlap,
         SchedPolicy::kWeightedFair}) {
-    SchedulerConfig sc = BaseConfig();
+    SchedulerConfig sc;
     sc.policy = policy;
     auto report = RunSchedule(SameArrival(1), sc);
     ASSERT_TRUE(report.ok());
@@ -260,7 +242,7 @@ TEST_F(SchedTest, SingleQueryReproducesTheSoloMakespan) {
 }
 
 TEST_F(SchedTest, SerialRunsBackToBack) {
-  SchedulerConfig sc = BaseConfig();
+  SchedulerConfig sc;
   sc.policy = SchedPolicy::kSerial;
   auto report = RunSchedule(SameArrival(3), sc);
   ASSERT_TRUE(report.ok());
@@ -278,7 +260,7 @@ TEST_F(SchedTest, PhaseAlignedGainsNothingOverSerial) {
   // The ext_concurrent_queries finding, now a pinned unit test: aligning
   // the phases of concurrent queries on a saturated cluster just divides
   // each resource, so the makespan matches serial execution.
-  SchedulerConfig sc = BaseConfig();
+  SchedulerConfig sc;
   sc.policy = SchedPolicy::kSerial;
   auto serial = RunSchedule(IdenticalCopies(3), sc);
   ASSERT_TRUE(serial.ok());
@@ -295,7 +277,7 @@ TEST_F(SchedTest, PhaseAlignedGainsNothingOverSerial) {
 TEST_F(SchedTest, OverlapBeatsSerialAndPhaseAligned) {
   // The tentpole claim: overlapping one query's network pass with the
   // others' compute-bound phases shortens the makespan measurably.
-  SchedulerConfig sc = BaseConfig();
+  SchedulerConfig sc;
   sc.policy = SchedPolicy::kSerial;
   auto serial = RunSchedule(IdenticalCopies(3), sc);
   ASSERT_TRUE(serial.ok());
@@ -314,7 +296,7 @@ TEST_F(SchedTest, AttributionSumsToLatency) {
   for (const SchedPolicy policy :
        {SchedPolicy::kSerial, SchedPolicy::kPhaseAligned, SchedPolicy::kOverlap,
         SchedPolicy::kWeightedFair}) {
-    SchedulerConfig sc = BaseConfig();
+    SchedulerConfig sc;
     sc.policy = policy;
     std::vector<SchedQuery> queries = SameArrival(3);
     queries[1].arrival_seconds = 0.5;
@@ -337,7 +319,7 @@ TEST_F(SchedTest, AttributionSumsToLatency) {
 }
 
 TEST_F(SchedTest, WeightedFairFavorsTheHeavierQuery) {
-  SchedulerConfig sc = BaseConfig();
+  SchedulerConfig sc;
   sc.policy = SchedPolicy::kWeightedFair;
   std::vector<SchedQuery> queries = SameArrival(2);
   queries[0].profile = (*profiles_)[0];
@@ -350,8 +332,20 @@ TEST_F(SchedTest, WeightedFairFavorsTheHeavierQuery) {
             report->queries[0].latency_seconds);
 }
 
+// Network stages split the fabric by weight, exactly as compute stages
+// split the cores: with weights 2 and 1 the heavier query gets 2/3 of the
+// fabric until it finishes its 1 s of solo network work at 1.5 s; the lighter
+// one has 0.5 s left by then and finishes it alone at 2.0 s.
+TEST_F(SchedTest, NetworkStagesSplitTheFabricByWeight) {
+  auto report = RunNetOnly({2, 1});
+  ASSERT_TRUE(report.ok());
+  ASSERT_TRUE(CheckScheduleInvariants(*report).ok());
+  EXPECT_NEAR(report->queries[0].finish_seconds, 1.5, 1e-12);
+  EXPECT_NEAR(report->queries[1].finish_seconds, 2.0, 1e-12);
+}
+
 TEST_F(SchedTest, AdmissionBoundsAreFirstClassOutcomes) {
-  SchedulerConfig sc = BaseConfig();
+  SchedulerConfig sc;
   sc.policy = SchedPolicy::kOverlap;
   sc.admission.max_concurrent = 1;
   sc.admission.max_queue_length = 1;
@@ -368,7 +362,7 @@ TEST_F(SchedTest, AdmissionBoundsAreFirstClassOutcomes) {
 }
 
 TEST_F(SchedTest, MemoryBudgetRejectsOversizedQueries) {
-  SchedulerConfig sc = BaseConfig();
+  SchedulerConfig sc;
   sc.admission.memory_budget_bytes = (*profiles_)[0].memory_bytes * 0.5;
   auto report = RunSchedule(SameArrival(1), sc);
   ASSERT_TRUE(report.ok());
@@ -377,7 +371,7 @@ TEST_F(SchedTest, MemoryBudgetRejectsOversizedQueries) {
 }
 
 TEST_F(SchedTest, IdleWindowsAreWellFormedAndLabeled) {
-  SchedulerConfig sc = BaseConfig();
+  SchedulerConfig sc;
   sc.policy = SchedPolicy::kSerial;  // serial leaves the most gaps
   auto report = RunSchedule(SameArrival(3), sc);
   ASSERT_TRUE(report.ok());
@@ -393,7 +387,7 @@ TEST_F(SchedTest, IdleWindowsAreWellFormedAndLabeled) {
 }
 
 TEST_F(SchedTest, ScheduleJsonRoundTrips) {
-  SchedulerConfig sc = BaseConfig();
+  SchedulerConfig sc;
   sc.policy = SchedPolicy::kOverlap;
   sc.admission.max_concurrent = 2;
   sc.admission.max_queue_length = 1;
@@ -411,7 +405,7 @@ TEST_F(SchedTest, ScheduleJsonRoundTrips) {
 }
 
 TEST_F(SchedTest, DeterministicAcrossReruns) {
-  SchedulerConfig sc = BaseConfig();
+  SchedulerConfig sc;
   sc.policy = SchedPolicy::kOverlap;
   std::vector<SchedQuery> queries = SameArrival(3);
   queries[1].arrival_seconds = 0.25;

@@ -101,13 +101,11 @@ TEST(Replay, OptionsForAConfigCarryItsReplayFields) {
   const FaultInjector injector;
   config.metrics = &metrics;
   config.enable_spans = false;
-  config.span_budget_bytes = 4096;
   config.span_recorder = &recorder;
   config.fault_injector = &injector;
   const ReplayOptions options = ReplayOptionsFor(config);
   EXPECT_EQ(options.metrics, &metrics);
   EXPECT_FALSE(options.spans.enabled);
-  EXPECT_EQ(options.spans.max_bytes, 4096u);
   EXPECT_EQ(options.span_recorder, &recorder);
   EXPECT_EQ(options.injector, &injector);
 }

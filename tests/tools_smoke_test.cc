@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sched/query_profile.h"
+#include "sched/scheduler.h"
 #include "util/json.h"
 
 #ifndef RDMAJOIN_CLI_BIN
@@ -457,6 +459,92 @@ TEST(ExplainSmokeTest, UsageErrorsExitTwo) {
   EXPECT_EQ(RunTool(std::string(RDMAJOIN_EXPLAIN_BIN) + " --ledger-append=" +
                     TempPath("never.jsonl")),
             2);
+}
+
+/// Replaces the value of the `nth` (0-based) `"key":` member of a compact
+/// JSON document; false when there is no such member.
+bool SetNthValue(std::string* text, const std::string& key, int nth,
+                 const std::string& value) {
+  const std::string needle = "\"" + key + "\":";
+  size_t at = text->find(needle);
+  for (int i = 0; i < nth && at != std::string::npos; ++i) {
+    at = text->find(needle, at + 1);
+  }
+  if (at == std::string::npos) return false;
+  const size_t begin = at + needle.size();
+  const size_t end = text->find_first_of(",}", begin);
+  text->replace(begin, end - begin, value);
+  return true;
+}
+
+TEST(ExplainSmokeTest, HostileScheduleJsonExitsTwoNamingTheField) {
+  // A real schedule: three staggered queries of 0.5 s compute, 1 s network
+  // and 0.5 s compute, run serially so the fabric and the cores both sit
+  // idle with a candidate query waiting.
+  QueryProfile profile;
+  profile.label = "q";
+  profile.phases[static_cast<size_t>(JoinPhase::kHistogram)].cpu_seconds = 0.5;
+  profile.phases[static_cast<size_t>(JoinPhase::kNetworkPartition)]
+      .net_seconds = 1.0;
+  profile.phases[static_cast<size_t>(JoinPhase::kLocalPartition)].cpu_seconds =
+      0.5;
+  profile.solo_seconds = 2.0;
+  std::vector<SchedQuery> queries(3);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    queries[q].profile = profile;
+    queries[q].arrival_seconds = 0.1 * static_cast<double>(q);
+  }
+  SchedulerConfig sc;
+  sc.policy = SchedPolicy::kSerial;
+  auto report = RunSchedule(queries, sc);
+  ASSERT_TRUE(report.ok());
+  const std::string valid = ScheduleReportToJson(*report);
+  ASSERT_NE(valid.find("\"candidate_query\":"), std::string::npos);
+
+  // `timeout` turns a hang into exit 124.
+  auto run = [](const std::string& sched, const std::string& err) {
+    return RunTool("(timeout 10 " + std::string(RDMAJOIN_EXPLAIN_BIN) +
+                   " --utilization --sched=" + sched + " --check 2>" + err +
+                   ")");
+  };
+  const std::string base = TempPath("valid_sched.json");
+  {
+    std::ofstream out(base, std::ios::binary);
+    out << valid;
+  }
+  ASSERT_EQ(run(base, TempPath("valid_sched.err")), 0);
+
+  // One field mutated at a time. Each passes the JSON types; unvalidated,
+  // explain used to accept every one of them and exit 0.
+  struct Mutation {
+    const char* name;
+    const char* key;
+    int nth;
+    const char* value;
+    const char* field;
+  };
+  const Mutation mutations[] = {
+      {"weight", "weight", 0, "0", "weight must be >= 1"},
+      {"candidate_high", "candidate_query", 0, "99", "candidate_query 99"},
+      {"candidate_low", "candidate_query", 0, "-5", "candidate_query -5"},
+      {"duplicate_id", "id", 1, "0", "duplicate id 0"},
+      {"completed", "completed", 0, "9999", "completed 9999"},
+      {"arrival", "arrival_seconds", 0, "-1", "arrival_seconds"},
+  };
+  for (const Mutation& m : mutations) {
+    std::string text = valid;
+    ASSERT_TRUE(SetNthValue(&text, m.key, m.nth, m.value)) << m.name;
+    const std::string path =
+        TempPath(std::string("mutated_sched_") + m.name + ".json");
+    const std::string err = path + ".err";
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << text;
+    }
+    EXPECT_EQ(run(path, err), 2) << m.name;
+    EXPECT_NE(ReadFileOrEmpty(err).find(m.field), std::string::npos)
+        << m.name << ": " << ReadFileOrEmpty(err);
+  }
 }
 
 TEST(AnalyzeDiffSmokeTest, ReportImprovementsDoesNotChangeTheVerdict) {
