@@ -321,6 +321,48 @@ int RunBenchJson(int argc, char** argv) {
     benchmark::DoNotOptimize(matches);
   }));
 
+  // Radix-clustered partitions: the partitioning passes hand the build keys
+  // that all share their low b1 + b2 bits. One cache-sized partition (32 KiB
+  // of 16 B tuples) per width b1 + b2 from 10 to 30, its keys above those
+  // bits dense as the workload's dense keys make them, each probed with 4x
+  // its size of uniformly drawn matching keys. The chain-step count is
+  // exact, so a bucket function that piles such keys into long chains fails
+  // the gate even where the wall time hides it.
+  constexpr uint64_t kClusterN = 2048;
+  constexpr uint32_t kMinSharedBits = 10;
+  constexpr uint32_t kMaxSharedBits = 30;
+  const bench::BenchReporter::Config cluster_cfg = {
+      {"tuples", std::to_string(kClusterN)},
+      {"shared_low_bits", std::to_string(kMinSharedBits) + ".." +
+                              std::to_string(kMaxSharedBits)}};
+  std::vector<Relation> clustered_builds;
+  std::vector<std::vector<uint64_t>> clustered_probes;
+  Random cluster_rng(3);
+  for (uint32_t bits = kMinSharedBits; bits <= kMaxSharedBits; ++bits) {
+    const uint64_t low = cluster_rng.Next() & ((uint64_t{1} << bits) - 1);
+    Relation& build = clustered_builds.emplace_back(kNarrowTupleBytes);
+    for (uint64_t j = 0; j < kClusterN; ++j) build.Append((j << bits) | low, j);
+    std::vector<uint64_t>& probes = clustered_probes.emplace_back(kClusterN * 4);
+    for (uint64_t& key : probes) key = (cluster_rng.Uniform(kClusterN) << bits) | low;
+  }
+  std::vector<HashTable> clustered;
+  for (const Relation& build : clustered_builds) clustered.emplace_back(build);
+  reporter.AddMeasurement("hash_probe_clustered", cluster_cfg, BestOfThreeSeconds([&] {
+    uint64_t matches = 0;
+    for (size_t t = 0; t < clustered.size(); ++t) {
+      for (uint64_t key : clustered_probes[t]) {
+        clustered[t].Probe(key, [&matches](uint64_t) { ++matches; });
+      }
+    }
+    benchmark::DoNotOptimize(matches);
+  }));
+  uint64_t chain_steps = 0;
+  for (size_t t = 0; t < clustered.size(); ++t) {
+    for (uint64_t key : clustered_probes[t]) chain_steps += clustered[t].ChainLength(key);
+  }
+  reporter.AddMeasurement("hash_probe_clustered_chain_steps", cluster_cfg,
+                          static_cast<double>(chain_steps), "chain_steps");
+
   constexpr uint64_t kJoinN = 1 << 16;
   const bench::BenchReporter::Config join_cfg = {
       {"inner_tuples", std::to_string(kJoinN)},

@@ -164,12 +164,14 @@ Status ScopedReservation::Add(uint64_t bytes) {
 
 Exchange::Exchange(const ClusterConfig& cluster, const JoinConfig& config,
                    const Partitioner* partitioner, std::vector<uint32_t> assignment,
-                   std::vector<std::vector<uint64_t>> global_counts)
+                   std::vector<std::vector<uint64_t>> global_counts,
+                   std::vector<std::vector<std::vector<uint64_t>>> machine_counts)
     : cluster_(cluster),
       config_(config),
       partitioner_(partitioner),
       assignment_(std::move(assignment)),
-      global_counts_(std::move(global_counts)) {}
+      global_counts_(std::move(global_counts)),
+      machine_counts_(std::move(machine_counts)) {}
 
 StatusOr<Exchange::Result> Exchange::Run(
     const std::vector<const DistributedRelation*>& inputs,
@@ -197,6 +199,22 @@ StatusOr<Exchange::Result> Exchange::Run(
     if (rel->tuple_bytes() != tuple_bytes) {
       return Status::InvalidArgument("inputs must share one tuple width");
     }
+  }
+  // The one-sided transports size their staging from per-machine
+  // histograms; scan the inputs for them only if the caller has none.
+  if (machine_counts_.empty() && (cluster_.transport == TransportKind::kRdmaMemory ||
+                                  cluster_.transport == TransportKind::kRdmaRead)) {
+    for (const auto* rel : inputs) {
+      machine_counts_.push_back(ComputeHistogramsWith(*rel, *partitioner_).per_machine);
+    }
+  }
+  if (!machine_counts_.empty()) {
+    bool shaped = machine_counts_.size() == num_relations;
+    for (const auto& per_machine : machine_counts_) {
+      shaped = shaped && per_machine.size() == nm;
+      for (const auto& counts : per_machine) shaped = shaped && counts.size() == parts;
+    }
+    if (!shaped) return Status::InvalidArgument("per-machine count shape mismatch");
   }
   const double scale = config_.scale_up;
   auto virt = [scale](uint64_t actual) {
@@ -226,14 +244,11 @@ StatusOr<Exchange::Result> Exchange::Run(
   std::vector<std::vector<uint64_t>> incoming_bytes;
   if (cluster_.transport == TransportKind::kRdmaMemory) {
     incoming_bytes.assign(nm, std::vector<uint64_t>(nm, 0));
-    for (const auto* rel : inputs) {
-      const GenericHistograms hist = ComputeHistogramsWith(*rel, *partitioner_);
+    for (const auto& per_machine : machine_counts_) {
       for (uint32_t src = 0; src < nm; ++src) {
         for (uint32_t p = 0; p < parts; ++p) {
           const uint32_t dst = assignment_[p];
-          if (dst != src) {
-            incoming_bytes[dst][src] += hist.per_machine[src][p] * tuple_bytes;
-          }
+          if (dst != src) incoming_bytes[dst][src] += per_machine[src][p] * tuple_bytes;
         }
       }
     }
@@ -388,6 +403,9 @@ Status Exchange::RunPush(const std::vector<const DistributedRelation*>& inputs,
         const uint64_t compute_base = tt.compute_bytes;
         // The slice ships at most one buffer per buffer_tuples tuples plus
         // one flush per partition, so its sends never reallocate the trace.
+        // The next relation's reserve reallocates once, which copies these
+        // sends but drops their unused reserve; reserving for every relation
+        // up front would keep that slack for the whole run.
         tt.sends.reserve(tt.sends.size() + (hi - lo) / buffer_tuples + parts);
         auto refill = [&](uint32_t p, uint64_t) -> Status {
           if (assignment_[p] == m) {
@@ -444,10 +462,6 @@ Status Exchange::RunPull(const std::vector<const DistributedRelation*>& inputs,
   // region p * num_relations + rel is the tuple range [stage_offsets[m][idx],
   // stage_offsets[m][idx + 1]), sized from machine m's own histogram.
   const size_t regions = static_cast<size_t>(parts) * num_relations;
-  std::vector<GenericHistograms> hists;
-  for (const auto* rel : inputs) {
-    hists.push_back(ComputeHistogramsWith(*rel, *partitioner_));
-  }
   std::vector<Relation> stage(nm, Relation(tuple_bytes));
   std::vector<std::vector<uint64_t>> stage_offsets(nm);
   std::vector<std::vector<MemoryRegion>> stage_mrs(nm);
@@ -470,7 +484,7 @@ Status Exchange::RunPull(const std::vector<const DistributedRelation*>& inputs,
     for (uint32_t p = 0; p < parts; ++p) {
       if (assignment_[p] == m) continue;
       for (uint32_t rel = 0; rel < num_relations; ++rel) {
-        offsets[p * num_relations + rel + 1] = hists[rel].per_machine[m][p];
+        offsets[p * num_relations + rel + 1] = machine_counts_[rel][m][p];
       }
     }
     for (size_t idx = 0; idx < regions; ++idx) offsets[idx + 1] += offsets[idx];

@@ -122,9 +122,13 @@ class Exchange {
   /// `global_counts[rel][p]` the exact global tuple count (from the
   /// histogram exchange) that sizes each partition store slot. A count that
   /// disagrees with the inputs fails the pass with a histogram mismatch.
+  /// `machine_counts[rel][m][p]`, the per-machine histograms behind those
+  /// counts, size the staging of the one-sided transports (kRdmaMemory,
+  /// kRdmaRead); left empty, Run scans the inputs for them when needed.
   Exchange(const ClusterConfig& cluster, const JoinConfig& config,
            const Partitioner* partitioner, std::vector<uint32_t> assignment,
-           std::vector<std::vector<uint64_t>> global_counts);
+           std::vector<std::vector<uint64_t>> global_counts,
+           std::vector<std::vector<std::vector<uint64_t>>> machine_counts = {});
 
   /// Runs the pass over `inputs` (one or more relations fragmented across
   /// the cluster). `memories[m]` is machine m's budget; `reservations[m]`
@@ -158,6 +162,8 @@ class Exchange {
   const Partitioner* partitioner_;
   std::vector<uint32_t> assignment_;
   std::vector<std::vector<uint64_t>> global_counts_;
+  /// [relation][machine][partition]; empty unless given or computed.
+  std::vector<std::vector<std::vector<uint64_t>>> machine_counts_;
 };
 
 }  // namespace rdmajoin

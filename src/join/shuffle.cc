@@ -114,10 +114,15 @@ StatusOr<ShuffleResult> Shuffle(
 
   // ---- The network partitioning pass (Section 4.2). ----
   std::vector<std::vector<uint64_t>> global_counts;
+  std::vector<std::vector<std::vector<uint64_t>>> machine_counts;
   global_counts.reserve(hists.size());
-  for (GenericHistograms& h : hists) global_counts.push_back(std::move(h.global));
+  machine_counts.reserve(hists.size());
+  for (GenericHistograms& h : hists) {
+    global_counts.push_back(std::move(h.global));
+    machine_counts.push_back(std::move(h.per_machine));
+  }
   Exchange exchange(cluster, config, &partitioner, result.assignment,
-                    std::move(global_counts));
+                    std::move(global_counts), std::move(machine_counts));
   auto exchanged = exchange.Run(inputs, memory_ptrs, reservation_ptrs, trace);
   RDMAJOIN_RETURN_IF_ERROR(exchanged.status());
   result.stores = std::move(exchanged->stores);

@@ -65,7 +65,9 @@ struct ShuffleResult {
 ///      each machine's histogram_bytes and histogram_exchange_seconds;
 ///   5. assigns partitions to machines, round-robin or skew-aware over the
 ///      counts summed across the inputs;
-///   6. runs Exchange::Run, which fills the rest of `trace`'s network pass.
+///   6. runs Exchange::Run, which fills the rest of `trace`'s network pass;
+///      the per-machine histograms of step 4 size its staging, so the pass
+///      never scans the inputs for them again.
 /// `trace` gets the config's scale_up and one MachineTrace per machine.
 StatusOr<ShuffleResult> Shuffle(
     const ClusterConfig& cluster, const JoinConfig& config,

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <queue>
+#include <functional>
 
 namespace rdmajoin {
 
@@ -11,15 +11,15 @@ double LptMakespan(const std::vector<double>& task_seconds, uint32_t workers) {
   if (task_seconds.empty()) return 0.0;
   std::vector<double> sorted = task_seconds;
   std::sort(sorted.begin(), sorted.end(), std::greater<double>());
-  std::priority_queue<double, std::vector<double>, std::greater<double>> loads;
-  for (uint32_t w = 0; w < workers; ++w) loads.push(0.0);
+  // Each task goes to the least-loaded worker. Workers with tied loads hold
+  // equal values, so which of them takes the task cannot change the
+  // makespan; a linear argmin over the few workers beats a heap.
+  std::vector<double> loads(workers, 0.0);
   double makespan = 0.0;
   for (double t : sorted) {
-    double load = loads.top();
-    loads.pop();
+    double& load = *std::min_element(loads.begin(), loads.end());
     load += t;
     makespan = std::max(makespan, load);
-    loads.push(load);
   }
   return makespan;
 }

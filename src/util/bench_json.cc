@@ -52,7 +52,8 @@ constexpr double kMaxExactCount = 9007199254740992.0;  // 2^53
 }  // namespace
 
 bool IsCountUnit(const std::string& unit) {
-  return unit == "assignments" || unit == "messages" || unit == "acquisitions";
+  return unit == "assignments" || unit == "messages" || unit == "acquisitions" ||
+         unit == "chain_steps";
 }
 
 const BenchJsonRow* BenchJsonDocument::FindRow(const std::string& label) const {

@@ -33,8 +33,11 @@ constexpr uint64_t RadixBits(uint64_t key, uint32_t shift, uint32_t bits) {
 constexpr uint64_t CeilDiv(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
 
 /// Multiplicative 64-bit hash (Fibonacci hashing) used by the bucket-chained
-/// hash tables. Keys in the workloads are dense integers; the multiplication
-/// spreads them across buckets regardless of density.
+/// hash tables. Only the top bits of the product are well mixed: its low k
+/// bits depend only on the low k bits of `key`. Inside a radix partition
+/// every key shares its low b1 + b2 bits (the partitioning passes route on
+/// them), so a table of 2^k buckets must take the top k bits, as
+/// HashTable does, or every key of the partition falls into one bucket.
 constexpr uint64_t HashKey(uint64_t key) {
   return key * UINT64_C(0x9E3779B97F4A7C15);
 }

@@ -570,6 +570,7 @@ std::string CountDoc(const std::string& messages, const std::string& ratio) {
 TEST(BenchDiff, CountRowsCompareExactly) {
   const BenchJsonDocument base = MustParse(CountDoc("112458", "1.5"));
   EXPECT_TRUE(IsCountUnit("messages"));
+  EXPECT_TRUE(IsCountUnit("chain_steps"));
   EXPECT_FALSE(IsCountUnit("x"));
   EXPECT_FALSE(IsCountUnit("events_per_sec"));
 
@@ -604,6 +605,30 @@ TEST(BenchDiff, CountRowsCompareExactly) {
   EXPECT_EQ(missing->missing, 1u);
   EXPECT_TRUE(missing->entries[1].missing_in_new);
   EXPECT_NE(missing->Summary().find("MISSING"), std::string::npos);
+}
+
+// The hash-probe chain-step count is gated like the message counts: a
+// bucket function that lengthens the chains fails --diff even when the
+// probe's wall time stays inside its tolerance.
+TEST(BenchDiff, ChainStepRowsCompareExactly) {
+  auto doc = [](const std::string& steps) {
+    return MustParse(RowsDoc(
+        {R"({"label":"hash_probe_clustered","ok":true,"measured_seconds":0.002})",
+         R"({"label":"hash_probe_clustered_chain_steps","ok":true,"measured_value":)" +
+             steps + R"(,"unit":"chain_steps"})"}));
+  };
+  auto same = DiffBenchDocuments(doc("180000"), doc("180000"), BenchDiffOptions{});
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  EXPECT_FALSE(same->HasRegressions());
+  ASSERT_EQ(same->entries.size(), 2u);
+  EXPECT_EQ(same->entries[1].count_unit, "chain_steps");
+  auto longer = DiffBenchDocuments(doc("180000"), doc("180001"), BenchDiffOptions{});
+  ASSERT_TRUE(longer.ok());
+  EXPECT_EQ(longer->regressions, 1u);
+  EXPECT_TRUE(longer->entries[1].regression);
+  ExpectBenchRejected(
+      RowsDoc({R"({"label":"c","measured_value":2.5,"unit":"chain_steps"})"}),
+      {"row \"c\"", "not a count of chain_steps"});
 }
 
 TEST(BenchJson, CountRowsMustHoldACount) {

@@ -409,5 +409,78 @@ TEST(Exchange, RejectsMismatchedMemoryReservationAndTraceShapes) {
   }
 }
 
+// The per-machine histograms a caller hands over (as Shuffle does) size the
+// one-sided transports' staging exactly as Run's own scan of the inputs
+// would: same stores, same sends, same registration charges.
+TEST(Exchange, GivenMachineCountsMatchItsOwnScan) {
+  for (TransportKind transport :
+       {TransportKind::kRdmaMemory, TransportKind::kRdmaRead}) {
+    SCOPED_TRACE(static_cast<int>(transport));
+    const uint32_t nm = 3;
+    WorkloadSpec spec;
+    spec.inner_tuples = 3000;
+    spec.outer_tuples = 6000;
+    auto w = GenerateWorkload(spec, nm);
+    ASSERT_TRUE(w.ok());
+    ClusterConfig cluster = FdrCluster(nm);
+    cluster.transport = transport;
+    JoinConfig config;
+    config.network_radix_bits = 4;
+    config.scale_up = 64.0;
+    RadixPartitioner partitioner(4);
+    const GenericHistograms hist_r = ComputeHistogramsWith(w->inner, partitioner);
+    const GenericHistograms hist_s = ComputeHistogramsWith(w->outer, partitioner);
+    const auto assignment = RoundRobinAssignment(16, nm);
+
+    auto run = [&](Exchange& exchange, RunTrace* trace) {
+      trace->machines.resize(nm);
+      std::vector<MemorySpace> memories(nm, MemorySpace(1ull << 40));
+      std::vector<std::unique_ptr<ScopedReservation>> reservations;
+      std::vector<MemorySpace*> mptrs;
+      std::vector<ScopedReservation*> rptrs;
+      for (uint32_t m = 0; m < nm; ++m) {
+        reservations.push_back(std::make_unique<ScopedReservation>(&memories[m]));
+        mptrs.push_back(&memories[m]);
+        rptrs.push_back(reservations[m].get());
+      }
+      return exchange.Run({&w->inner, &w->outer}, mptrs, rptrs, trace);
+    };
+    Exchange scanning(cluster, config, &partitioner, assignment,
+                      {hist_r.global, hist_s.global});
+    Exchange given(cluster, config, &partitioner, assignment,
+                   {hist_r.global, hist_s.global},
+                   {hist_r.per_machine, hist_s.per_machine});
+    RunTrace scan_trace, given_trace;
+    auto scanned = run(scanning, &scan_trace);
+    auto handed = run(given, &given_trace);
+    ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+    ASSERT_TRUE(handed.ok()) << handed.status().ToString();
+    EXPECT_EQ(handed->messages_sent, scanned->messages_sent);
+    EXPECT_EQ(handed->virtual_wire_bytes, scanned->virtual_wire_bytes);
+    for (uint32_t m = 0; m < nm; ++m) {
+      EXPECT_EQ(given_trace.machines[m].setup_registration_seconds,
+                scan_trace.machines[m].setup_registration_seconds);
+      EXPECT_EQ(given_trace.machines[m].recv_bytes, scan_trace.machines[m].recv_bytes);
+    }
+    for (uint32_t p = 0; p < 16; ++p) {
+      for (uint32_t rel = 0; rel < 2; ++rel) {
+        const Relation& a = handed->stores[assignment[p]]->Rel(p, rel);
+        const Relation& b = scanned->stores[assignment[p]]->Rel(p, rel);
+        ASSERT_EQ(a.size_bytes(), b.size_bytes());
+        EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size_bytes()), 0);
+      }
+    }
+
+    // Counts for the wrong number of machines are rejected, not indexed.
+    Exchange misshapen(cluster, config, &partitioner, assignment,
+                       {hist_r.global, hist_s.global},
+                       {hist_r.per_machine, {hist_s.per_machine[0]}});
+    RunTrace bad_trace;
+    auto bad = run(misshapen, &bad_trace);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 }  // namespace
 }  // namespace rdmajoin

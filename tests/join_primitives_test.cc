@@ -162,6 +162,68 @@ TEST(HashTable, BucketsArePowerOfTwoAndCoverEntries) {
   EXPECT_GE(table.num_buckets(), table.num_entries());
 }
 
+// Radix partitioning with b1 = b2 = 10 hands the build keys that share
+// their low 20 bits; their buckets must still spread them. A table that
+// bucketed by the low bits of the hash put all of them in one chain, so a
+// probe walked the whole partition.
+TEST(HashTable, RadixClusteredKeysKeepChainsShort) {
+  constexpr uint64_t kKeys = 2048;
+  constexpr uint64_t kLowBits = 0x5A5A5;
+  Relation r(16);
+  Random rng(17);
+  std::vector<uint64_t> highs(kKeys);
+  std::iota(highs.begin(), highs.end(), 0);
+  for (uint64_t i = kKeys; i > 1; --i) std::swap(highs[i - 1], highs[rng.Uniform(i)]);
+  for (uint64_t j : highs) {
+    r.Append((j << 20) | kLowBits, j);
+    r.Append((j << 20) | 3, j);  // Another partition's key.
+  }
+  RadixPartitions parts;
+  RadixPartition(r, 0, 20, 10, &parts);
+  ASSERT_EQ(parts.end(kLowBits) - parts.begin(kLowBits), kKeys);
+  const HashTable table(parts.tuples, parts.begin(kLowBits), parts.end(kLowBits));
+  uint64_t visited = 0;
+  for (uint64_t j = 0; j < kKeys; ++j) {
+    const uint64_t key = (j << 20) | kLowBits;
+    ASSERT_EQ(table.CountMatches(key), 1u) << "key " << key;
+    visited += table.ChainLength(key);
+  }
+  EXPECT_LE(visited, 2 * kKeys);
+}
+
+// Duplicated keys that share their low bits: a probe emits their rids in
+// reverse insertion order whatever bucket they land in, so the join's
+// materialized pairs do not depend on the bucket function.
+TEST(HashTable, DuplicateClusteredKeysEmitPinnedRidOrder) {
+  Relation r(16);
+  for (uint64_t rep = 0; rep < 3; ++rep) {
+    for (uint64_t j = 0; j < 64; ++j) r.Append((j << 20) | 7, rep * 1000 + j);
+  }
+  const HashTable table(r);
+  for (uint64_t j : {0u, 5u, 63u}) {
+    std::vector<uint64_t> rids;
+    table.Probe((j << 20) | 7, [&rids](uint64_t rid) { rids.push_back(rid); });
+    EXPECT_EQ(rids, (std::vector<uint64_t>{2000 + j, 1000 + j, j})) << "j " << j;
+  }
+  std::vector<uint64_t> none;
+  table.Probe((64 << 20) | 7, [&none](uint64_t rid) { none.push_back(rid); });
+  EXPECT_TRUE(none.empty());
+}
+
+TEST(HashTable, ChainLengthCountsWhatProbeVisits) {
+  Relation r(16);
+  EXPECT_EQ(HashTable(r).ChainLength(1), 0u);
+  for (int i = 0; i < 5; ++i) r.Append(42, i);
+  const HashTable one_key(r);
+  EXPECT_EQ(one_key.ChainLength(42), 5u);
+  r.Append(9, 5);
+  const HashTable single(r, 5, 6);
+  EXPECT_EQ(single.num_buckets(), 1u);
+  EXPECT_EQ(single.ChainLength(9), 1u);
+  EXPECT_EQ(single.ChainLength(10), 1u);  // One bucket: every key visits it.
+  EXPECT_EQ(single.CountMatches(9), 1u);
+}
+
 // ---------- Radix scatter ----------
 
 TEST(RadixScatter, PreservesMultisetAndRoutesCorrectly) {

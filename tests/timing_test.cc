@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <queue>
+
 #include "cluster/presets.h"
 #include "fault/injector.h"
 #include "timing/makespan.h"
@@ -7,6 +11,7 @@
 #include "timing/span_trace.h"
 #include "timing/trace_io.h"
 #include "util/metrics.h"
+#include "util/random.h"
 
 namespace rdmajoin {
 namespace {
@@ -48,6 +53,38 @@ TEST(Makespan, MoreWorkersNeverIncreaseMakespan) {
     const double ms = LptMakespan(tasks, w);
     EXPECT_LE(ms, prev + 1e-12);
     prev = ms;
+  }
+}
+
+/// LPT over a min-heap of worker loads: the reference LptMakespan's linear
+/// argmin must match bit for bit.
+double HeapLptMakespan(std::vector<double> tasks, uint32_t workers) {
+  std::sort(tasks.begin(), tasks.end(), std::greater<double>());
+  std::priority_queue<double, std::vector<double>, std::greater<double>> loads;
+  for (uint32_t w = 0; w < workers; ++w) loads.push(0.0);
+  double makespan = 0.0;
+  for (double t : tasks) {
+    const double load = loads.top() + t;
+    loads.pop();
+    makespan = std::max(makespan, load);
+    loads.push(load);
+  }
+  return makespan;
+}
+
+TEST(Makespan, MatchesHeapSchedulingExactly) {
+  Random rng(2024);
+  for (int round = 0; round < 200; ++round) {
+    const uint64_t n = rng.Uniform(300);
+    std::vector<double> tasks(n);
+    // Odd rounds draw from a few values, so many worker loads tie.
+    for (double& t : tasks) {
+      t = round % 2 == 0 ? rng.NextDouble() * 1e-3
+                         : static_cast<double>(rng.Uniform(4)) * 0.125;
+    }
+    const uint32_t workers = 1 + static_cast<uint32_t>(rng.Uniform(16));
+    ASSERT_EQ(LptMakespan(tasks, workers), HeapLptMakespan(tasks, workers))
+        << "round " << round << ", " << n << " tasks, " << workers << " workers";
   }
 }
 
