@@ -1,8 +1,9 @@
 // Host-time (wall-clock) microbenchmarks of the fluid network engine
 // (LinkFabric): what a rate reshare costs at replay-like flow counts and
 // what flow telemetry adds; the trace codec (TraceToJson/TraceFromJson) the
-// forensics tools run on a captured trace; and a whole join's replay with
-// spans off and on. Unlike
+// forensics tools run on a captured trace; a whole join's replay with
+// spans off and on; and a whole DistributedJoin::Run, whose network-pass
+// replay runs beside its local phases. Unlike
 // every fig/abl harness (which reports *virtual* seconds and is
 // byte-identical across machines), these rows
 // measure the machine they run on; the committed baseline is gated in CI
@@ -186,6 +187,15 @@ ReplayJoin MakeReplayJoin() {
   return r;
 }
 
+// --- A whole join: Run with spans on -------------------------------------
+
+// Fig. 7a's 2-machine 2048M x 2048M QDR join at scale 4096 (e2ebench's
+// pair2_fine runs it at scale 256): the local phases and the network-pass
+// replay, which Run overlaps, cost about the same.
+constexpr uint32_t kRunMachines = 2;
+constexpr uint64_t kRunTuples = 500000;
+constexpr double kRunScale = 4096;
+
 int Run(int argc, char** argv) {
   const bench::Options opt = bench::ParseOptions(argc, argv);
   bench::BenchReporter reporter("micro_replay_engine", opt);
@@ -270,6 +280,41 @@ int Run(int argc, char** argv) {
               static_cast<unsigned long long>(join.sends), off_s, on_s,
               static_cast<unsigned long long>(spans_recorded));
   if (spans_recorded != join.sends) return 1;
+
+  // A whole Run with spans on (the default): data path, network-pass replay
+  // on its helper thread, and the rest of the replay once both are done.
+  WorkloadSpec run_spec;
+  run_spec.inner_tuples = kRunTuples;
+  run_spec.outer_tuples = kRunTuples;
+  run_spec.seed = 42;
+  const StatusOr<Workload> run_workload = GenerateWorkload(run_spec, kRunMachines);
+  if (!run_workload.ok()) {
+    std::printf("join run: %s\n", run_workload.status().ToString().c_str());
+    return 1;
+  }
+  const ClusterConfig run_cluster = QdrCluster(kRunMachines);
+  JoinConfig run_config;
+  run_config.scale_up = kRunScale;
+  bool run_ok = true;
+  uint64_t run_events = 0;
+  const double run_s = BestOfThreeSeconds([&] {
+    const StatusOr<JoinRunResult> run =
+        DistributedJoin(run_cluster, run_config)
+            .Run(run_workload->inner, run_workload->outer);
+    run_ok = run_ok && run.ok() &&
+             run->stats.matches == run_workload->truth.expected_matches;
+    if (run.ok()) run_events = run->replay.counters.events;
+  });
+  const bench::BenchReporter::Config run_cfg = {
+      {"machines", std::to_string(kRunMachines)},
+      {"tuples", std::to_string(2 * kRunTuples)}};
+  reporter.AddMeasurement("join_run_spans_on", run_cfg, run_s);
+  reporter.AddMeasurement("join_run_replay_events", run_cfg,
+                          static_cast<double>(run_events), "events");
+  std::printf("join run: %.3fs spans on, %llu replay events%s\n", run_s,
+              static_cast<unsigned long long>(run_events),
+              run_ok ? "" : " (JOIN FAILED)");
+  if (!run_ok) return 1;
 
   return reporter.Finish();
 }

@@ -117,6 +117,9 @@ StatusOr<JoinRunResult> DistributedJoin::Run(const DistributedRelation& inner,
   auto shuffled = Shuffle(cluster_, config_, {&inner, &outer},
                           [this] { return RadixPartitioning(config_); }, &result.trace);
   RDMAJOIN_RETURN_IF_ERROR(shuffled.status());
+  // The network-pass replay reads only what Shuffle wrote; it runs beside
+  // phases 2-3, which write the local-phase trace fields and log nothing.
+  OverlappedReplay replay(cluster_, config_, result.trace);
   const std::vector<uint32_t>& assignment = shuffled->assignment;
   auto& stores = shuffled->stores;
   result.net = shuffled->net;
@@ -253,8 +256,8 @@ StatusOr<JoinRunResult> DistributedJoin::Run(const DistributedRelation& inner,
     RebalanceTasks(&result.trace);
   }
 
-  // ---- Timing replay. ----
-  result.replay = ReplayTrace(cluster_, config_, result.trace, ReplayOptionsFor(config_));
+  // ---- Timing replay: join the network pass, then the local phases. ----
+  result.replay = replay.Finish();
   result.times = result.replay.phases;
   RDMAJOIN_LOG(kInfo) << "join of " << (inner.total_tuples() + outer.total_tuples())
                       << " actual tuples on " << cluster_.name << ": "

@@ -17,6 +17,8 @@ StatusOr<AggregateRunResult> DistributedAggregate::Run(
   auto shuffled = Shuffle(cluster_, config_, {&input},
                           [this] { return RadixPartitioning(config_); }, &result.trace);
   RDMAJOIN_RETURN_IF_ERROR(shuffled.status());
+  // The network-pass replay runs beside the local aggregation.
+  OverlappedReplay replay(cluster_, config_, result.trace);
   result.net = shuffled->net;
   const uint32_t nm = cluster_.num_machines;
   const uint32_t parts = static_cast<uint32_t>(shuffled->assignment.size());
@@ -63,7 +65,7 @@ StatusOr<AggregateRunResult> DistributedAggregate::Run(
     }
   }
 
-  result.replay = ReplayTrace(cluster_, config_, result.trace, ReplayOptionsFor(config_));
+  result.replay = replay.Finish();
   result.times = result.replay.phases;
   return result;
 }

@@ -49,6 +49,8 @@ StatusOr<JoinRunResult> DistributedSortMergeJoin::Run(
   auto shuffled = Shuffle(cluster_, config_, {&inner, &outer}, sample_splitters,
                           &result.trace);
   RDMAJOIN_RETURN_IF_ERROR(shuffled.status());
+  // The network-pass replay runs beside the local sort and merge.
+  OverlappedReplay replay(cluster_, config_, result.trace);
   result.net = shuffled->net;
   const uint32_t ranges = static_cast<uint32_t>(shuffled->assignment.size());
 
@@ -81,7 +83,7 @@ StatusOr<JoinRunResult> DistributedSortMergeJoin::Run(
     }
   }
 
-  result.replay = ReplayTrace(cluster_, config_, result.trace, ReplayOptionsFor(config_));
+  result.replay = replay.Finish();
   result.times = result.replay.phases;
   return result;
 }

@@ -191,8 +191,12 @@ LinkFabric::MessageId LinkFabric::Enqueue(uint32_t src, uint32_t dst, double byt
 }
 
 double LinkFabric::NextCompletionTime() const {
-  double best = drains_.empty() ? kInf : drains_.top_key();
-  for (const Completion& c : latency_) best = std::min(best, c.time);
+  // A head that drains at d is delivered at d + base latency (PopDrained),
+  // so the drain heap's top plus the latency is the earliest delivery of a
+  // message still on the wire.
+  double best = drains_.empty() ? kInf
+                                : drains_.top_key() + config_.base_latency_seconds;
+  if (!latency_.empty()) best = std::min(best, latency_.front().time);
   return best;
 }
 
@@ -203,15 +207,11 @@ void LinkFabric::AdvanceTo(double t, std::vector<Completion>* completed) {
   // Completions whose latency has elapsed by t are delivered; later ones stay.
   const size_t first = completed->size();
   const double due_by = t * (1 + kTimeEps) + kTimeEps;
-  for (size_t i = 0; i < latency_.size();) {
-    if (latency_[i].time <= due_by) {
-      completed->push_back(latency_[i]);
-      latency_[i] = latency_.back();
-      latency_.pop_back();
-    } else {
-      ++i;
-    }
+  while (!latency_.empty() && latency_.front().time <= due_by) {
+    completed->push_back(latency_.front());
+    latency_.pop_front();
   }
+  // Equal times come from one drain instant; order them by id.
   std::sort(completed->begin() + static_cast<std::ptrdiff_t>(first),
             completed->end(), [](const Completion& a, const Completion& b) {
               if (a.time != b.time) return a.time < b.time;

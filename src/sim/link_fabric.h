@@ -9,6 +9,7 @@
 #include "sim/fabric.h"
 #include "sim/rate_sharing.h"
 #include "util/indexed_heap.h"
+#include "util/ring_queue.h"
 
 namespace rdmajoin {
 
@@ -99,7 +100,13 @@ class LinkFabric {
   void SetHostCapacityScale(uint32_t host, double egress_scale,
                             double ingress_scale);
 
-  /// Earliest tentative completion; +infinity if idle.
+  /// Earliest time at which AdvanceTo would hand out a completion: the
+  /// earliest head drain plus the base latency, or a drained message still
+  /// in its latency stage if that one is due sooner; +infinity if idle.
+  /// Advancing to an earlier time only moves heads and delivers nothing, so
+  /// a caller that waits for deliveries wakes exactly at this time (a head
+  /// that rounding re-keys past its drain time is the one exception: the
+  /// advance then delivers nothing, and this time moves later).
   double NextCompletionTime() const;
 
   /// Advances to time `t`, appending completions due by `t` in time order.
@@ -245,8 +252,10 @@ class LinkFabric {
   double bytes_delivered_ = 0;
   uint64_t messages_delivered_ = 0;
   /// Messages drained but not yet handed out by AdvanceTo (still within
-  /// base latency, or drained by Enqueue's catch-up).
-  std::vector<Completion> latency_;
+  /// base latency, or drained by Enqueue's catch-up). Pops push them at
+  /// now_ + base latency with now_ monotone, so they are in time order and
+  /// the front is the earliest.
+  RingQueue<Completion> latency_;
   // Metric handles (all null / empty when metrics are disabled).
   std::vector<HostMetrics> host_metrics_;
   FlowTelemetry* telemetry_ = nullptr;

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "fault/injector.h"
 #include "sim/link_fabric.h"
@@ -84,8 +85,8 @@ ReplayOptions ReplayOptionsFor(const JoinConfig& config) {
   return options;
 }
 
-ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
-                         const RunTrace& trace, const ReplayOptions& options) {
+ReplayReport ReplayNetworkPass(const ClusterConfig& cluster, const JoinConfig& config,
+                               const RunTrace& trace, const ReplayOptions& options) {
   ReplayReport report;
   const uint32_t nm = cluster.num_machines;
   assert(trace.machines.size() == nm);
@@ -361,7 +362,7 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
       const double t_fault = next_fault;
       done.clear();
       fabric.AdvanceTo(t_fault, &done);
-      process_completions(done);
+      if (!done.empty()) process_completions(done);
       if (inj->HasLinkFaults()) {
         for (uint32_t h = 0; h < nm; ++h) {
           fabric.SetHostCapacityScale(h, inj->EgressScale(h, t_fault),
@@ -387,9 +388,11 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
 
     if (t_net <= t_thread) {
       if (t_net == kInf) break;  // Nothing left to happen.
+      // t_net is the earliest delivery, so this batch is empty only when
+      // rounding re-keyed a head past its drain time.
       done.clear();
       fabric.AdvanceTo(t_net, &done);
-      process_completions(done);
+      if (!done.empty()) process_completions(done);
       continue;
     }
 
@@ -552,6 +555,18 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
   if (net_end > 0) {
     report.avg_network_rate_bytes_per_sec = total_virtual_wire / net_end;
   }
+  return report;
+}
+
+ReplayReport FinishReplay(const ClusterConfig& cluster, const RunTrace& trace,
+                          const ReplayOptions& options, ReplayReport network_pass) {
+  ReplayReport report = std::move(network_pass);
+  const uint32_t nm = cluster.num_machines;
+  assert(trace.machines.size() == nm && report.machine_phases.size() == nm);
+  const double scale = trace.scale_up;
+  const CostModel& costs = cluster.costs;
+  const uint32_t cores = cluster.cores_per_machine;
+  const double ps_part = costs.partition_bytes_per_sec;
 
   // ---- Local phase: partitioning passes at full partitioning speed plus
   // any local sorting (sort-merge operator), all cores. ----
@@ -619,6 +634,26 @@ ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
   }
 
   return report;
+}
+
+ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
+                         const RunTrace& trace, const ReplayOptions& options) {
+  return FinishReplay(cluster, trace, options,
+                      ReplayNetworkPass(cluster, config, trace, options));
+}
+
+OverlappedReplay::OverlappedReplay(const ClusterConfig& cluster,
+                                   const JoinConfig& config, const RunTrace& trace)
+    : cluster_(cluster),
+      config_(config),
+      trace_(trace),
+      options_(ReplayOptionsFor(config)),
+      network_pass_(std::async(std::launch::async, [this] {
+        return ReplayNetworkPass(cluster_, config_, trace_, options_);
+      })) {}
+
+ReplayReport OverlappedReplay::Finish() {
+  return FinishReplay(cluster_, trace_, options_, network_pass_.get());
 }
 
 }  // namespace rdmajoin

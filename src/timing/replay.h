@@ -1,6 +1,7 @@
 #ifndef RDMAJOIN_TIMING_REPLAY_H_
 #define RDMAJOIN_TIMING_REPLAY_H_
 
+#include <future>
 #include <memory>
 #include <vector>
 
@@ -113,9 +114,68 @@ struct ReplayReport {
 /// partitioning and build/probe phases are barrier-synchronized compute
 /// phases evaluated per machine (build/probe via LPT scheduling of the
 /// recorded tasks).
+///
+/// ReplayTrace is the serial composition FinishReplay(ReplayNetworkPass(..)).
 ReplayReport ReplayTrace(const ClusterConfig& cluster, const JoinConfig& config,
                          const RunTrace& trace,
                          const ReplayOptions& options = ReplayOptions());
+
+/// The first half of ReplayTrace: the histogram phase and the network-pass
+/// discrete-event simulation (DES). Of the trace it reads scale_up, the
+/// machine count and, per machine, only the fields the network pass writes
+/// (Shuffle / Exchange): histogram_bytes, histogram_exchange_seconds,
+/// net_threads, setup_registration_seconds and per_send_registration_seconds
+/// (the ownership contract in timing/trace.h). Fills the histogram and
+/// network-partition entries of phases, machine_phases and attribution, and
+/// receiver_busy_seconds, net_thread_finish_seconds, last_completion_seconds,
+/// avg_network_rate_bytes_per_sec, spans and counters. It is the only user
+/// of options.metrics and the span recorder while it runs.
+ReplayReport ReplayNetworkPass(const ClusterConfig& cluster, const JoinConfig& config,
+                               const RunTrace& trace, const ReplayOptions& options);
+
+/// The second half of ReplayTrace: the local phase (from local_pass_bytes
+/// and sort_bytes), build/probe LPT scheduling (from tasks, merge_tasks,
+/// stolen_in_bytes and materialized_bytes), FinalizeAttribution and the
+/// per-machine phase gauges in options.metrics, on top of `network_pass`,
+/// which ReplayNetworkPass returned for the same cluster, trace and options.
+ReplayReport FinishReplay(const ClusterConfig& cluster, const RunTrace& trace,
+                          const ReplayOptions& options, ReplayReport network_pass);
+
+/// Runs an operator's replay beside its local phases. The constructor starts
+/// ReplayNetworkPass(cluster, config, trace, ReplayOptionsFor(config)) on a
+/// helper thread; Finish joins it and returns FinishReplay over the fields
+/// the local phases wrote. The result equals ReplayTrace with the same
+/// options. Every distributed operator constructs one right after Shuffle
+/// returns and calls Finish after its local phases (phases 2-3).
+///
+/// The contract that makes this race-free: while the helper runs,
+///   - the caller writes only the MachineTrace fields FinishReplay reads
+///     (local_pass_bytes, sort_bytes, merge_tasks, tasks, stolen_in_bytes,
+///     materialized_bytes), never scale_up, the machines vector itself or a
+///     field ReplayNetworkPass reads, and does not move the trace;
+///   - the DES is the only user of the config's metrics registry and span
+///     recorder, and the caller's local phases log nothing.
+/// `cluster`, `config` and `trace` must outlive this object. Destroying it
+/// without Finish (an error return) waits for the helper and drops its
+/// result.
+class OverlappedReplay {
+ public:
+  OverlappedReplay(const ClusterConfig& cluster, const JoinConfig& config,
+                   const RunTrace& trace);
+  OverlappedReplay(const OverlappedReplay&) = delete;
+  OverlappedReplay& operator=(const OverlappedReplay&) = delete;
+
+  /// Joins the helper and completes the replay. Call at most once.
+  ReplayReport Finish();
+
+ private:
+  const ClusterConfig& cluster_;
+  const JoinConfig& config_;
+  const RunTrace& trace_;
+  const ReplayOptions options_;
+  /// Declared last, so it is destroyed (and the helper joined) first.
+  std::future<ReplayReport> network_pass_;
+};
 
 }  // namespace rdmajoin
 

@@ -54,6 +54,23 @@ struct BuildProbeTask {
 /// Everything the timing replay needs to know about one machine's execution.
 /// All byte quantities are actual (scaled); the replay converts to virtual
 /// full-scale bytes via RunTrace::scale_up.
+///
+/// Field ownership. The fields come in two groups, and an operator's run
+/// writes and replays them on two threads (OverlappedReplay,
+/// timing/replay.h):
+///   - network pass: histogram_bytes, histogram_exchange_seconds,
+///     net_threads, recv_bytes, recv_messages, setup_registration_seconds
+///     and per_send_registration_seconds. Shuffle / Exchange write them
+///     before the helper thread starts; from then on they are read-only,
+///     and ReplayNetworkPass reads them (all but the recv_* counts) on the
+///     helper thread.
+///   - local phases: local_pass_bytes, sort_bytes, merge_tasks, tasks,
+///     stolen_in_bytes and materialized_bytes. The operator's phases 2-3
+///     write them on the calling thread while the helper runs; only
+///     FinishReplay reads them, after the helper has been joined.
+/// Distinct fields are distinct memory locations, so the two threads never
+/// touch the same bytes. RunTrace::scale_up and the machines vector are set
+/// by Shuffle and not changed afterwards.
 struct MachineTrace {
   /// Input bytes scanned during the histogram phase.
   uint64_t histogram_bytes = 0;

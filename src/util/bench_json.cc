@@ -53,7 +53,7 @@ constexpr double kMaxExactCount = 9007199254740992.0;  // 2^53
 
 bool IsCountUnit(const std::string& unit) {
   return unit == "assignments" || unit == "messages" || unit == "acquisitions" ||
-         unit == "chain_steps";
+         unit == "chain_steps" || unit == "events";
 }
 
 const BenchJsonRow* BenchJsonDocument::FindRow(const std::string& label) const {

@@ -60,8 +60,9 @@ struct BenchJsonDocument {
 };
 
 /// Whether `unit` names an exact count (one closed list: "assignments",
-/// "messages", "acquisitions", "chain_steps"). --diff compares such rows
-/// exactly; rates and ratios ("x", "events_per_sec", ...) stay ungated.
+/// "messages", "acquisitions", "chain_steps", "events"). --diff compares
+/// such rows exactly; rates and ratios ("x", "events_per_sec", ...) stay
+/// ungated.
 bool IsCountUnit(const std::string& unit);
 
 /// Parses and structurally validates a bench JSON document. Rejects unknown

@@ -18,7 +18,9 @@ enum class LogLevel {
 /// Minimal leveled logger. Off by default (benches and tests stay quiet);
 /// enable with SetLogLevel or the RDMAJOIN_LOG_LEVEL environment variable
 /// (debug|info|warning|error). Messages go to stderr unless a sink is
-/// installed. Single-threaded by design, like the simulator.
+/// installed. Safe to use from several threads: the level is atomic, the
+/// environment is read once, and sink installs and writes are serialised
+/// (a sink is never called concurrently with itself).
 ///
 ///   RDMAJOIN_LOG(kInfo) << "network pass done in " << seconds << " s";
 class Logger {
@@ -30,7 +32,8 @@ class Logger {
   static void SetLevel(LogLevel level);
   /// Redirects output (tests); nullptr restores stderr.
   static void SetSink(Sink sink);
-  /// Reads RDMAJOIN_LOG_LEVEL; called lazily on first use.
+  /// Reads RDMAJOIN_LOG_LEVEL once; called lazily on first use. A SetLevel
+  /// before the first use overrides the environment.
   static void InitFromEnvironment();
 
   static void Write(LogLevel level, const std::string& message);

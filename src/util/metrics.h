@@ -16,9 +16,10 @@ namespace rdmajoin {
 /// per-phase breakdowns (Fig. 7), bandwidth over message size (Fig. 3), the
 /// CPU-bound/network-bound crossover -- so the rdma, sim and join layers all
 /// report into one MetricsRegistry. Handles are plain pointers resolved once
-/// (by name) and then updated with a single add/compare; there is no locking
-/// because the simulation is single-threaded, and no string work on the hot
-/// path. A registry snapshot serializes to JSON (docs/observability.md) and
+/// (by name) and then updated with a single add/compare; there is no locking,
+/// because one thread at a time writes a registry (the network-pass replay
+/// runs beside an operator's local phases, which record no metrics:
+/// OverlappedReplay in timing/replay.h), and no string work on the hot path. A registry snapshot serializes to JSON (docs/observability.md) and
 /// feeds the Chrome-trace exporter (timing/chrome_trace.h).
 
 /// Monotonically increasing sum. Stored as a double so byte totals from the

@@ -571,6 +571,7 @@ TEST(BenchDiff, CountRowsCompareExactly) {
   const BenchJsonDocument base = MustParse(CountDoc("112458", "1.5"));
   EXPECT_TRUE(IsCountUnit("messages"));
   EXPECT_TRUE(IsCountUnit("chain_steps"));
+  EXPECT_TRUE(IsCountUnit("events"));
   EXPECT_FALSE(IsCountUnit("x"));
   EXPECT_FALSE(IsCountUnit("events_per_sec"));
 

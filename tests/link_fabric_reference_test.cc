@@ -79,12 +79,15 @@ class ReferenceFabric {
     RecomputeEveryRate();
   }
 
+  // The earliest delivery: a buffered completion, or a head's drain plus
+  // the base latency (LinkFabric's rule; a drain alone delivers nothing).
   double NextCompletionTime() const {
     double best = kInf;
     for (const Completion& c : latency_) best = std::min(best, c.time);
     for (const Link& l : links_) {
       if (l.active() && l.rate > 0) {
-        best = std::min(best, now_ + l.head_remaining / l.rate);
+        best = std::min(best, now_ + l.head_remaining / l.rate +
+                                  config_.base_latency_seconds);
       }
     }
     return best;

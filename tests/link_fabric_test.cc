@@ -139,6 +139,50 @@ TEST(LinkFabric, BaseLatencyShiftsCompletionTimes) {
   EXPECT_NEAR(done[0].time, 1.25, 1e-9);
 }
 
+TEST(LinkFabric, NextCompletionTimeIsTheFirstAdvanceThatDelivers) {
+  // The replay wakes only at NextCompletionTime, so it must name the first
+  // instant at which AdvanceTo hands out a completion -- not a head's drain,
+  // which is base_latency earlier and delivers nothing. Distinct sizes make
+  // the heads drain one at a time, and several drain within one latency.
+  FabricConfig f = BasicConfig(4);
+  f.message_rate_per_host = 5.0;
+  f.base_latency_seconds = 0.05;
+  LinkFabric fabric(f);
+  uint64_t cookie = 0;
+  for (uint32_t s = 0; s < 4; ++s) {
+    for (uint32_t d = 0; d < 4; ++d) {
+      if (s == d) continue;
+      for (int k = 0; k < 3; ++k) {
+        fabric.Enqueue(s, d, 50.0 + 7.0 * static_cast<double>(cookie), 0.0, cookie);
+        ++cookie;
+      }
+    }
+  }
+  const double kInf = std::numeric_limits<double>::infinity();
+  std::vector<LinkFabric::Completion> done;
+  double prev = 0;
+  uint64_t delivered = 0;
+  while (fabric.NextCompletionTime() != kInf) {
+    const double next = fabric.NextCompletionTime();
+    ASSERT_GT(next, prev);
+    // Advancing anywhere short of `next` pops heads but delivers nothing,
+    // and leaves the answer unchanged.
+    for (double frac : {0.25, 0.5, 0.999}) {
+      done.clear();
+      fabric.AdvanceTo(prev + (next - prev) * frac, &done);
+      ASSERT_TRUE(done.empty()) << "delivered before " << next;
+      ASSERT_EQ(fabric.NextCompletionTime(), next);
+    }
+    done.clear();
+    fabric.AdvanceTo(next, &done);
+    ASSERT_FALSE(done.empty()) << "nothing delivered at " << next;
+    for (const LinkFabric::Completion& c : done) EXPECT_EQ(c.time, next);
+    delivered += done.size();
+    prev = next;
+  }
+  EXPECT_EQ(delivered, cookie);
+}
+
 TEST(LinkFabric, EqualShareIsNotWorkConserving) {
   // Host 0 sends to hosts 1 and 2; hosts 3 and 4 also send to host 1, so
   // host 1's ingress holds every link into it at 1000/3. Equal share still

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace rdmajoin {
@@ -56,6 +58,38 @@ TEST_F(LoggingTest, DisabledStatementDoesNotEvaluateOperands) {
   EXPECT_EQ(evaluations, 0);
   RDMAJOIN_LOG(kError) << expensive();
   EXPECT_EQ(evaluations, 1);
+}
+
+TEST_F(LoggingTest, TwoThreadsLogWholeLinesInTheirOwnOrder) {
+  // The replay's network pass logs from a helper thread while the caller may
+  // log too. Every line must reach the sink whole, each thread's lines in
+  // the order it wrote them, while a third thread keeps setting the level.
+  Logger::SetLevel(LogLevel::kInfo);
+  constexpr int kLines = 500;
+  auto writer = [](char tag) {
+    for (int i = 0; i < kLines; ++i) RDMAJOIN_LOG(kInfo) << tag << i;
+  };
+  std::thread setter([] {
+    for (int i = 0; i < kLines; ++i) {
+      Logger::SetLevel(i % 2 == 0 ? LogLevel::kDebug : LogLevel::kInfo);
+    }
+  });
+  std::thread a(writer, 'a');
+  std::thread b(writer, 'b');
+  setter.join();
+  a.join();
+  b.join();
+  ASSERT_EQ(captured_.size(), 2u * kLines);
+  int next_a = 0;
+  int next_b = 0;
+  for (const auto& [level, message] : captured_) {
+    EXPECT_EQ(level, LogLevel::kInfo);
+    ASSERT_FALSE(message.empty());
+    int& next = message[0] == 'a' ? next_a : next_b;
+    EXPECT_EQ(message, std::string(1, message[0]) + std::to_string(next++));
+  }
+  EXPECT_EQ(next_a, kLines);
+  EXPECT_EQ(next_b, kLines);
 }
 
 TEST_F(LoggingTest, LevelNames) {
