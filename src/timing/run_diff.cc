@@ -25,14 +25,6 @@ constexpr const char* kBucketName[] = {"compute", "network", "buffer_stall",
                                        "barrier_wait", "fault_recovery"};
 constexpr size_t kNumBuckets = 5;
 
-/// Two-sided divergence test, same contract as the rdmajoin_analyze gate:
-/// |b - a| must exceed BOTH margins. Zero tolerances demand exact equality.
-bool Beyond(double a, double b, const RunDiffOptions& opt) {
-  const double delta = std::fabs(b - a);
-  return delta > opt.relative_tolerance * std::fabs(a) &&
-         delta > opt.absolute_tolerance_seconds;
-}
-
 /// The critical_path entry of `phase` in a row's attribution, or null.
 const JsonValue* FindCriticalStep(const JsonValue& row, std::string_view phase) {
   const JsonValue* attribution = row.Find("attribution");
@@ -93,15 +85,13 @@ std::string Pct(double delta, double base) {
   return buf;
 }
 
-Status DiffPhases(const BenchJsonRow& a, const BenchJsonRow& b, RowDelta* row,
-                  bool* exact) {
+Status DiffPhases(const BenchJsonRow& a, const BenchJsonRow& b, RowDelta* row) {
   for (size_t p = 0; p < kNumJoinPhases; ++p) {
     PhaseDelta pd;
     pd.phase = std::string(JoinPhaseName(static_cast<JoinPhase>(p)));
     pd.a_seconds = PhaseFromRow(a.raw, p);
     pd.b_seconds = PhaseFromRow(b.raw, p);
     pd.delta_seconds = pd.b_seconds - pd.a_seconds;
-    if (pd.a_seconds != pd.b_seconds) *exact = false;
 
     const JsonValue* step_a = FindCriticalStep(a.raw, pd.phase);
     const JsonValue* step_b = FindCriticalStep(b.raw, pd.phase);
@@ -118,7 +108,6 @@ Status DiffPhases(const BenchJsonRow& a, const BenchJsonRow& b, RowDelta* row,
         bd.a_seconds = breakdown_a == nullptr ? 0 : breakdown_a->NumberOr(key, 0);
         bd.b_seconds = breakdown_b == nullptr ? 0 : breakdown_b->NumberOr(key, 0);
         bd.delta_seconds = bd.b_seconds - bd.a_seconds;
-        if (bd.a_seconds != bd.b_seconds) *exact = false;
         if (std::fabs(bd.delta_seconds) > best) {
           best = std::fabs(bd.delta_seconds);
           pd.dominant_bucket = bd.bucket;
@@ -158,8 +147,8 @@ Status DiffPhases(const BenchJsonRow& a, const BenchJsonRow& b, RowDelta* row,
   return Status::OK();
 }
 
-void DiffSpans(const SpanDataset& a, const SpanDataset& b,
-               const RunDiffOptions& options, RunDiffReport* report) {
+void DiffSpans(const SpanDataset& a, const SpanDataset& b, size_t top_k,
+               RunDiffReport* report) {
   for (int s = 0; s < kNumSpanStages; ++s) {
     const SpanStage stage = static_cast<SpanStage>(s);
     const StageStats sa = ComputeStageStats(a, stage);
@@ -205,7 +194,7 @@ void DiffSpans(const SpanDataset& a, const SpanDataset& b,
     }
     return x.id < y.id;
   });
-  if (flows.size() > options.top_k) flows.resize(options.top_k);
+  if (flows.size() > top_k) flows.resize(top_k);
   report->flows = std::move(flows);
 
   // The byte-level determinism cross-check: identical runs must serialize
@@ -215,8 +204,8 @@ void DiffSpans(const SpanDataset& a, const SpanDataset& b,
   }
 }
 
-void DiffMetrics(const JsonValue& a, const JsonValue& b,
-                 const RunDiffOptions& options, RunDiffReport* report) {
+void DiffMetrics(const JsonValue& a, const JsonValue& b, size_t top_k,
+                 RunDiffReport* report) {
   std::vector<MetricDelta> deltas;
   // Scalar sections: counters (name -> number) and gauges (name -> {value}).
   for (const char* section : {"counters", "gauges"}) {
@@ -253,7 +242,7 @@ void DiffMetrics(const JsonValue& a, const JsonValue& b,
               }
               return x.name < y.name;
             });
-  if (deltas.size() > options.top_k) deltas.resize(options.top_k);
+  if (deltas.size() > top_k) deltas.resize(top_k);
   report->metrics = std::move(deltas);
   if (!JsonEquals(a, b)) report->zero_divergence = false;
 }
@@ -261,78 +250,52 @@ void DiffMetrics(const JsonValue& a, const JsonValue& b,
 }  // namespace
 
 StatusOr<RunDiffReport> DiffRuns(const RunArtifacts& a, const RunArtifacts& b,
-                                 const RunDiffOptions& options) {
+                                 const BenchDiffOptions& options, size_t top_k) {
   const BenchJsonDocument& da = a.bench;
   const BenchJsonDocument& db = b.bench;
-  if (da.bench != db.bench) {
-    return Status::InvalidArgument("bench mismatch: run A is '" + da.bench +
-                                   "', run B is '" + db.bench + "'");
-  }
-  if (da.schema_version != db.schema_version) {
-    return Status::InvalidArgument("schema version mismatch");
-  }
-  if (da.scale_up != db.scale_up) {
-    return Status::InvalidArgument(
-        "scale mismatch: run A used scale_up=" + std::to_string(da.scale_up) +
-        ", run B " + std::to_string(db.scale_up) +
-        " (virtual times are only comparable at one scale)");
-  }
-
   RunDiffReport report;
+  RDMAJOIN_ASSIGN_OR_RETURN(report.diff, DiffBenchDocuments(da, db, options));
   report.bench = da.bench;
   report.scale_up = da.scale_up;
   report.seed_a = da.seed;
   report.seed_b = db.seed;
 
-  for (const BenchJsonRow& row_a : da.rows) {
+  for (const BenchDiffEntry& e : report.diff.entries) {
     RowDelta rd;
-    rd.label = row_a.label;
-    const BenchJsonRow* row_b = db.FindRow(row_a.label);
-    if (row_b == nullptr || (row_a.has_measured && !row_b->has_measured) ||
-        (row_a.ok && !row_b->ok)) {
-      rd.missing_in_b = true;
-      rd.a_seconds = row_a.measured_seconds;
+    rd.row = e;
+    if (e.missing_in_new) {
       rd.narrative = "row missing (or no longer ok) in run B";
-      ++report.rows_missing;
-      report.zero_divergence = false;
-      report.rows.push_back(rd);
-      continue;
+    } else if (e.added_in_new) {
+      rd.narrative = "row only present in run B";
+    } else if (!e.count_unit.empty()) {
+      if (e.regression) {
+        rd.narrative = std::to_string(e.old_count) + " -> " +
+                       std::to_string(e.new_count) + " " + e.count_unit;
+      }
+    } else {
+      report.a_total_seconds += e.old_seconds;
+      report.b_total_seconds += e.new_seconds;
+      if (e.regression || e.improvement) {
+        RDMAJOIN_RETURN_IF_ERROR(
+            DiffPhases(*da.FindRow(e.label), *db.FindRow(e.label), &rd));
+      }
     }
-    rd.a_seconds = row_a.has_measured ? row_a.measured_seconds : 0;
-    rd.b_seconds = row_b->has_measured ? row_b->measured_seconds : 0;
-    rd.delta_seconds = rd.b_seconds - rd.a_seconds;
-    rd.ratio = rd.a_seconds != 0 ? rd.b_seconds / rd.a_seconds : 0;
-    if (Beyond(rd.a_seconds, rd.b_seconds, options)) {
-      (rd.delta_seconds > 0 ? rd.slower : rd.faster) = true;
-    }
-    report.rows_slower += rd.slower ? 1 : 0;
-    report.rows_faster += rd.faster ? 1 : 0;
-    report.a_total_seconds += rd.a_seconds;
-    report.b_total_seconds += rd.b_seconds;
-    bool exact = rd.a_seconds == rd.b_seconds;
-    RDMAJOIN_RETURN_IF_ERROR(DiffPhases(row_a, *row_b, &rd, &exact));
-    if (!exact) report.zero_divergence = false;
-    report.rows.push_back(std::move(rd));
-  }
-  for (const BenchJsonRow& row_b : db.rows) {
-    if (da.FindRow(row_b.label) != nullptr) continue;
-    RowDelta rd;
-    rd.label = row_b.label;
-    rd.b_seconds = row_b.has_measured ? row_b.measured_seconds : 0;
-    rd.narrative = "row only present in run B";
-    ++report.rows_missing;
-    report.zero_divergence = false;
     report.rows.push_back(std::move(rd));
   }
   report.delta_total_seconds = report.b_total_seconds - report.a_total_seconds;
 
+  report.zero_divergence =
+      !report.HasDivergence() && da.rows.size() == db.rows.size();
+  for (size_t i = 0; report.zero_divergence && i < da.rows.size(); ++i) {
+    report.zero_divergence = JsonEquals(da.rows[i].raw, db.rows[i].raw);
+  }
   if (a.spans.has_value() && b.spans.has_value()) {
-    DiffSpans(*a.spans, *b.spans, options, &report);
+    DiffSpans(*a.spans, *b.spans, top_k, &report);
   } else if (a.spans.has_value() != b.spans.has_value()) {
     report.zero_divergence = false;
   }
   if (a.metrics.has_value() && b.metrics.has_value()) {
-    DiffMetrics(*a.metrics, *b.metrics, options, &report);
+    DiffMetrics(*a.metrics, *b.metrics, top_k, &report);
   } else if (a.metrics.has_value() != b.metrics.has_value()) {
     report.zero_divergence = false;
   }
@@ -347,17 +310,21 @@ StatusOr<RunDiffReport> DiffRuns(const RunArtifacts& a, const RunArtifacts& b,
   } else {
     const RowDelta* worst = nullptr;
     for (const RowDelta& rd : report.rows) {
-      if (!rd.slower && !rd.faster && !rd.missing_in_b) continue;
+      const BenchDiffEntry& e = rd.row;
+      if (!(e.regression || e.improvement || e.missing_in_new || e.added_in_new)) {
+        continue;
+      }
       if (worst == nullptr ||
-          std::fabs(rd.delta_seconds) > std::fabs(worst->delta_seconds)) {
+          std::fabs(e.delta_seconds) > std::fabs(worst->row.delta_seconds)) {
         worst = &rd;
       }
     }
-    if (worst != nullptr) {
-      report.verdict = "'" + worst->label + "' " +
-                       Pct(worst->delta_seconds, worst->a_seconds);
-      if (!worst->narrative.empty()) report.verdict += ": " + worst->narrative;
+    const BenchDiffEntry& w = worst->row;
+    report.verdict = "'" + w.label + "'";
+    if (!w.missing_in_new && !w.added_in_new && w.count_unit.empty()) {
+      report.verdict += " " + Pct(w.delta_seconds, w.old_seconds);
     }
+    if (!worst->narrative.empty()) report.verdict += ": " + worst->narrative;
   }
   return report;
 }
@@ -397,30 +364,18 @@ std::string FormatRunDiff(const RunDiffReport& report, bool report_improvements)
                 static_cast<unsigned long long>(report.seed_b));
   out += buf;
   out += "verdict: " + report.verdict + "\n";
-  std::snprintf(buf, sizeof(buf),
-                "totals: %.6f s -> %.6f s (%s); %zu slower, %zu faster, %zu "
-                "missing\n\n",
+  std::snprintf(buf, sizeof(buf), "totals: %.6f s -> %.6f s (%s)\n\n",
                 report.a_total_seconds, report.b_total_seconds,
-                Pct(report.delta_total_seconds, report.a_total_seconds).c_str(),
-                report.rows_slower, report.rows_faster, report.rows_missing);
+                Pct(report.delta_total_seconds, report.a_total_seconds).c_str());
   out += buf;
-
-  out += "  row                              A (s)        B (s)      delta  verdict\n";
-  for (const RowDelta& rd : report.rows) {
-    const char* flag = rd.missing_in_b ? "MISSING"
-                       : rd.slower     ? "SLOWER"
-                       : rd.faster     ? "faster"
-                                       : "ok";
-    std::snprintf(buf, sizeof(buf), "  %-28s %12.6f %12.6f %10s  %s\n",
-                  rd.label.c_str(), rd.a_seconds, rd.b_seconds,
-                  Pct(rd.delta_seconds, rd.a_seconds).c_str(), flag);
-    out += buf;
-  }
+  out += report.diff.Summary(report_improvements);
 
   // Drill-downs for the rows that moved.
   for (const RowDelta& rd : report.rows) {
-    if (!(rd.slower || (report_improvements && rd.faster))) continue;
-    out += "\n'" + rd.label + "': " +
+    if (!(rd.row.regression || (report_improvements && rd.row.improvement))) {
+      continue;
+    }
+    out += "\n'" + rd.row.label + "': " +
            (rd.narrative.empty() ? "no phase-level movement" : rd.narrative) +
            "\n";
     for (const PhaseDelta& pd : rd.phases) {
@@ -492,20 +447,23 @@ std::string RunDiffToJson(const RunDiffReport& report) {
   w.Key("b_total_seconds").Number(report.b_total_seconds);
   w.Key("delta_total_seconds").Number(report.delta_total_seconds);
   w.Key("zero_divergence").Bool(report.zero_divergence);
-  count("rows_slower", report.rows_slower);
-  count("rows_faster", report.rows_faster);
-  count("rows_missing", report.rows_missing);
+  count("rows_slower", report.diff.regressions);
+  count("rows_faster", report.diff.improvements);
+  count("rows_missing", report.diff.missing);
+  count("rows_added", report.diff.added);
   w.Key("verdict").String(report.verdict);
   w.Key("rows").BeginArray();
   for (const RowDelta& rd : report.rows) {
-    w.BeginObject().Key("label").String(rd.label);
-    w.Key("a_seconds").Number(rd.a_seconds);
-    w.Key("b_seconds").Number(rd.b_seconds);
-    w.Key("delta_seconds").Number(rd.delta_seconds);
-    w.Key("ratio").Number(rd.ratio);
-    w.Key("slower").Bool(rd.slower);
-    w.Key("faster").Bool(rd.faster);
-    w.Key("missing_in_b").Bool(rd.missing_in_b);
+    const BenchDiffEntry& e = rd.row;
+    w.BeginObject().Key("label").String(e.label);
+    w.Key("a_seconds").Number(e.old_seconds);
+    w.Key("b_seconds").Number(e.new_seconds);
+    w.Key("delta_seconds").Number(e.delta_seconds);
+    w.Key("ratio").Number(e.ratio);
+    w.Key("slower").Bool(e.regression);
+    w.Key("faster").Bool(e.improvement);
+    w.Key("missing_in_b").Bool(e.missing_in_new);
+    w.Key("added_in_b").Bool(e.added_in_new);
     if (!rd.dominant_phase.empty()) {
       w.Key("dominant_phase").String(rd.dominant_phase);
     }

@@ -30,16 +30,6 @@ struct RunArtifacts {
   std::optional<JsonValue> metrics;
 };
 
-struct RunDiffOptions {
-  /// A quantity diverges when |new - old| exceeds BOTH margins
-  /// (max(relative * old, absolute)), same two-sided contract as the
-  /// rdmajoin_analyze gate. Zero both to demand exact equality.
-  double relative_tolerance = 0.05;
-  double absolute_tolerance_seconds = 0.02;
-  /// How many diverging flows / stages / metrics to keep per list.
-  size_t top_k = 5;
-};
-
 /// One attribution bucket's movement inside one phase.
 struct BucketDelta {
   std::string bucket;  ///< "compute", "network", "buffer_stall", ...
@@ -68,16 +58,10 @@ struct PhaseDelta {
   double dominant_bucket_share = 0;
 };
 
-/// One bench row's comparison (matched by label).
+/// One bench row's comparison: the regression gate's verdict, plus the
+/// phase drill-down when the row moved beyond the margins.
 struct RowDelta {
-  std::string label;
-  double a_seconds = 0;
-  double b_seconds = 0;
-  double delta_seconds = 0;
-  double ratio = 0;  ///< b / a (0 when a == 0)
-  bool slower = false;      ///< beyond both margins, b > a
-  bool faster = false;      ///< beyond both margins, b < a
-  bool missing_in_b = false;
+  BenchDiffEntry row;
   std::vector<PhaseDelta> phases;
   /// The phase with the largest |delta|; empty when nothing moved.
   std::string dominant_phase;
@@ -121,18 +105,19 @@ struct RunDiffReport {
   double scale_up = 0;
   uint64_t seed_a = 0;
   uint64_t seed_b = 0;
-  double a_total_seconds = 0;  ///< summed measured rows
+  double a_total_seconds = 0;  ///< summed seconds rows both runs measured
   double b_total_seconds = 0;
   double delta_total_seconds = 0;
-  /// Rows in run A's order, one entry per A row (plus rows only in B).
+  /// The regression gate's row comparison (DiffBenchDocuments).
+  BenchDiffResult diff;
+  /// One entry per diff entry, in the same order.
   std::vector<RowDelta> rows;
-  size_t rows_slower = 0;
-  size_t rows_faster = 0;
-  size_t rows_missing = 0;
-  /// True iff every aligned quantity is *exactly* equal: row times, phases,
-  /// buckets, span datasets (when both present), metric scalars (when both
-  /// present), and no row is missing. Independent of the tolerances -- this
-  /// is the determinism cross-check CI asserts on a double run.
+  /// True iff no row diverges (HasDivergence), every row's parsed JSON is
+  /// equal (same rows, same order), the span datasets serialize identically
+  /// (when both present) and the metrics documents are equal (when both
+  /// present), with no artifact present for one run only. Equal rows never
+  /// diverge, so this does not depend on the tolerances -- it is the
+  /// determinism cross-check CI asserts on a double run.
   bool zero_divergence = true;
   /// Deepening drills, present when both runs supplied the artifact.
   std::vector<StageDelta> stages;   ///< all five stages
@@ -144,14 +129,19 @@ struct RunDiffReport {
   /// zero-divergence / within-tolerance statement).
   std::string verdict;
 
-  bool HasDivergence() const { return rows_slower + rows_faster + rows_missing > 0; }
+  /// Any row regressed, improved, went missing or was added.
+  bool HasDivergence() const {
+    return diff.regressions + diff.improvements + diff.missing + diff.added > 0;
+  }
 };
 
-/// Diffs two runs. Fails with InvalidArgument when the bench documents are
-/// not comparable (different bench names, schema versions, scale factors --
-/// seeds MAY differ, the report records both).
+/// Diffs two runs: the bench rows through DiffBenchDocuments (which fails
+/// with InvalidArgument when the documents are not comparable; seeds MAY
+/// differ, the report records both), and the span datasets and metrics
+/// snapshots when supplied. `top_k` bounds the flow and metric lists.
 StatusOr<RunDiffReport> DiffRuns(const RunArtifacts& a, const RunArtifacts& b,
-                                 const RunDiffOptions& options = {});
+                                 const BenchDiffOptions& options = {},
+                                 size_t top_k = 10);
 
 /// Reads the artifacts of one run from disk: required bench JSON, optional
 /// span dataset and metrics snapshot (empty path = absent).
@@ -159,9 +149,10 @@ StatusOr<RunArtifacts> LoadRunArtifacts(const std::string& bench_path,
                                         const std::string& spans_path = "",
                                         const std::string& metrics_path = "");
 
-/// Human-readable forensics report: verdict, per-row drill-downs, stage and
-/// flow tables. `report_improvements` includes rows that got faster in the
-/// drill-down section (they are always counted in the summary).
+/// Human-readable forensics report: verdict, the gate's row table
+/// (BenchDiffResult::Summary), per-row drill-downs, stage and flow tables.
+/// `report_improvements` also drills rows that got faster and appends the
+/// summary's speedups section (they are always counted in the summary).
 std::string FormatRunDiff(const RunDiffReport& report,
                           bool report_improvements = false);
 

@@ -46,6 +46,37 @@ Status ReadSeconds(const JsonValue& obj, const std::string& key,
   return Status::OK();
 }
 
+bool IsCountRow(const BenchJsonRow& row) {
+  return row.has_value && IsCountUnit(row.unit);
+}
+
+/// Whether the gate compares `row`: an ok count row or an ok measured row.
+bool IsCompared(const BenchJsonRow& row) {
+  return row.ok && (IsCountRow(row) || row.has_measured);
+}
+
+/// Whether `now` holds a measurement comparable to compared row `base`.
+bool Matches(const BenchJsonRow& base, const BenchJsonRow* now) {
+  if (now == nullptr || !now->ok) return false;
+  return IsCountRow(base) ? now->has_value && now->unit == base.unit
+                          : now->has_measured;
+}
+
+/// One side of an entry: "   112458 messages" or "    1.5000 s".
+std::string EntryValue(const BenchDiffEntry& e, bool old_side) {
+  char buf[96];
+  if (e.count_unit.empty()) {
+    std::snprintf(buf, sizeof(buf), "%10.4f s",
+                  old_side ? e.old_seconds : e.new_seconds);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%12llu %s",
+                  static_cast<unsigned long long>(old_side ? e.old_count
+                                                           : e.new_count),
+                  e.count_unit.c_str());
+  }
+  return buf;
+}
+
 /// Largest integer a double holds exactly; a count beyond it is not exact.
 constexpr double kMaxExactCount = 9007199254740992.0;  // 2^53
 
@@ -115,7 +146,7 @@ StatusOr<BenchJsonDocument> ParseBenchJson(const std::string& json) {
       row.measured_value = v->number_value;
       row.has_value = true;
     }
-    if (row.has_value && IsCountUnit(row.unit) &&
+    if (IsCountRow(row) &&
         !(row.measured_value >= 0 && row.measured_value <= kMaxExactCount &&
           row.measured_value == std::floor(row.measured_value))) {
       return RowError(row.label, "measured_value " +
@@ -158,36 +189,41 @@ StatusOr<BenchJsonDocument> ReadBenchJsonFile(const std::string& path) {
   return doc;
 }
 
+bool ExceedsMargin(double old_value, double new_value,
+                   const BenchDiffOptions& options) {
+  return std::fabs(new_value - old_value) >
+         std::max(options.relative_tolerance * std::fabs(old_value),
+                  options.absolute_tolerance_seconds);
+}
+
 std::string BenchDiffResult::Summary(bool report_improvements) const {
   std::string out;
   for (const BenchDiffEntry& e : entries) {
-    if (!e.count_unit.empty()) {
-      const auto old_count = static_cast<unsigned long long>(e.old_count);
-      if (e.missing_in_new) {
-        Appendf(&out, "  %-40s %12llu %s -> MISSING\n", e.label.c_str(),
-                old_count, e.count_unit.c_str());
-      } else {
-        Appendf(&out, "  %-40s %12llu -> %12llu %s  %s\n", e.label.c_str(),
-                old_count, static_cast<unsigned long long>(e.new_count),
-                e.count_unit.c_str(), e.regression ? "CHANGED" : "exact");
-      }
-      continue;
-    }
+    const std::string old_value = EntryValue(e, true);
+    const std::string new_value = EntryValue(e, false);
     if (e.missing_in_new) {
-      Appendf(&out, "  %-40s %10.4f s -> MISSING\n", e.label.c_str(),
-              e.old_seconds);
-      continue;
+      Appendf(&out, "  %-40s %s -> MISSING\n", e.label.c_str(),
+              old_value.c_str());
+    } else if (e.added_in_new) {
+      Appendf(&out, "  %-40s ADDED -> %s\n", e.label.c_str(),
+              new_value.c_str());
+    } else if (!e.count_unit.empty()) {
+      Appendf(&out, "  %-40s %s -> %s  %s\n", e.label.c_str(),
+              old_value.c_str(), new_value.c_str(),
+              e.regression ? "CHANGED" : "exact");
+    } else {
+      Appendf(&out, "  %-40s %s -> %s  (%+7.2f%%)  %s\n", e.label.c_str(),
+              old_value.c_str(), new_value.c_str(),
+              e.old_seconds > 0 ? 100.0 * e.delta_seconds / e.old_seconds : 0.0,
+              e.regression    ? "REGRESSION"
+              : e.improvement ? "improved"
+                              : "ok");
     }
-    const char* verdict = e.regression     ? "REGRESSION"
-                          : e.improvement ? "improved"
-                                          : "ok";
-    Appendf(&out, "  %-40s %10.4f s -> %10.4f s  (%+7.2f%%)  %s\n",
-            e.label.c_str(), e.old_seconds, e.new_seconds,
-            e.old_seconds > 0 ? 100.0 * e.delta_seconds / e.old_seconds : 0.0,
-            verdict);
   }
-  Appendf(&out, "%zu row(s): %zu regression(s), %zu improvement(s), %zu missing\n",
-          entries.size(), regressions, improvements, missing);
+  Appendf(&out,
+          "%zu row(s): %zu regression(s), %zu improvement(s), %zu missing, "
+          "%zu added\n",
+          entries.size(), regressions, improvements, missing, added);
   if (report_improvements && improvements > 0) {
     double saved = 0;
     Appendf(&out, "speedups beyond tolerance:\n");
@@ -211,65 +247,63 @@ StatusOr<BenchDiffResult> DiffBenchDocuments(const BenchJsonDocument& baseline,
                                    baseline.bench + "', current is '" +
                                    current.bench + "'");
   }
+  if (baseline.schema_version != current.schema_version) {
+    return Status::InvalidArgument("schema version mismatch");
+  }
   if (baseline.scale_up != current.scale_up) {
     return Status::InvalidArgument(
         "scale_up mismatch: baseline ran at " +
         std::to_string(baseline.scale_up) + ", current at " +
         std::to_string(current.scale_up) + " -- not comparable");
   }
-  if (baseline.seed != current.seed) {
-    return Status::InvalidArgument("seed mismatch: baseline used " +
-                                   std::to_string(baseline.seed) +
-                                   ", current used " +
-                                   std::to_string(current.seed));
-  }
   BenchDiffResult result;
   for (const BenchJsonRow& old_row : baseline.rows) {
-    if (!old_row.ok) continue;
-    if (old_row.has_value && IsCountUnit(old_row.unit)) {
-      BenchDiffEntry entry;
-      entry.label = old_row.label;
-      entry.count_unit = old_row.unit;
-      entry.old_count = static_cast<uint64_t>(old_row.measured_value);
-      const BenchJsonRow* new_row = current.FindRow(old_row.label);
-      if (new_row == nullptr || !new_row->ok || !new_row->has_value ||
-          new_row->unit != old_row.unit) {
-        entry.missing_in_new = true;
-        ++result.missing;
-      } else {
-        entry.new_count = static_cast<uint64_t>(new_row->measured_value);
-        if (entry.new_count != entry.old_count) {
-          entry.regression = true;
-          ++result.regressions;
-        }
-      }
-      result.entries.push_back(std::move(entry));
-      continue;
-    }
-    if (!old_row.has_measured) continue;
+    if (!IsCompared(old_row)) continue;
     BenchDiffEntry entry;
     entry.label = old_row.label;
-    entry.old_seconds = old_row.measured_seconds;
     const BenchJsonRow* new_row = current.FindRow(old_row.label);
-    if (new_row == nullptr || !new_row->ok || !new_row->has_measured) {
+    if (IsCountRow(old_row)) {
+      entry.count_unit = old_row.unit;
+      entry.old_count = static_cast<uint64_t>(old_row.measured_value);
+    } else {
+      entry.old_seconds = old_row.measured_seconds;
+    }
+    if (!Matches(old_row, new_row)) {
       entry.missing_in_new = true;
       ++result.missing;
-      result.entries.push_back(std::move(entry));
+    } else if (IsCountRow(old_row)) {
+      entry.new_count = static_cast<uint64_t>(new_row->measured_value);
+      entry.regression = entry.new_count != entry.old_count;
+    } else {
+      entry.new_seconds = new_row->measured_seconds;
+      entry.delta_seconds = entry.new_seconds - entry.old_seconds;
+      entry.ratio =
+          entry.old_seconds > 0 ? entry.new_seconds / entry.old_seconds : 0;
+      if (ExceedsMargin(entry.old_seconds, entry.new_seconds, options)) {
+        (entry.delta_seconds > 0 ? entry.regression : entry.improvement) = true;
+      }
+    }
+    result.regressions += entry.regression ? 1 : 0;
+    result.improvements += entry.improvement ? 1 : 0;
+    result.entries.push_back(std::move(entry));
+  }
+  for (const BenchJsonRow& new_row : current.rows) {
+    if (!IsCompared(new_row)) continue;
+    const BenchJsonRow* old_row = baseline.FindRow(new_row.label);
+    if (old_row != nullptr && IsCompared(*old_row) &&
+        Matches(*old_row, &new_row)) {
       continue;
     }
-    entry.new_seconds = new_row->measured_seconds;
-    entry.delta_seconds = entry.new_seconds - entry.old_seconds;
-    entry.ratio = entry.old_seconds > 0 ? entry.new_seconds / entry.old_seconds : 0;
-    const double margin = std::max(
-        entry.old_seconds * options.relative_tolerance,
-        options.absolute_tolerance_seconds);
-    if (entry.delta_seconds > margin) {
-      entry.regression = true;
-      ++result.regressions;
-    } else if (-entry.delta_seconds > margin) {
-      entry.improvement = true;
-      ++result.improvements;
+    BenchDiffEntry entry;
+    entry.label = new_row.label;
+    entry.added_in_new = true;
+    if (IsCountRow(new_row)) {
+      entry.count_unit = new_row.unit;
+      entry.new_count = static_cast<uint64_t>(new_row.measured_value);
+    } else {
+      entry.new_seconds = new_row.measured_seconds;
     }
+    ++result.added;
     result.entries.push_back(std::move(entry));
   }
   return result;

@@ -77,16 +77,20 @@ StatusOr<BenchJsonDocument> ParseBenchJson(const std::string& json);
 /// Convenience: read + parse a file.
 StatusOr<BenchJsonDocument> ReadBenchJsonFile(const std::string& path);
 
-/// Regression-gate tolerances. A row regresses when the new measurement
-/// exceeds the old by BOTH margins -- the relative guard absorbs
-/// platform/FP noise proportional to the runtime, the absolute guard keeps
-/// micro-rows (milliseconds) from tripping on rounding. A measured baseline
-/// row that disappears or stops being ok/verified in the new document
-/// always fails the gate: silently dropping a slow point must not pass.
+/// Regression-gate tolerances. A value moves when it differs from the old
+/// one by more than BOTH margins -- the relative guard absorbs platform/FP
+/// noise proportional to the runtime, the absolute guard keeps micro-rows
+/// (milliseconds) from tripping on rounding. Zero both to demand exact
+/// equality.
 struct BenchDiffOptions {
   double relative_tolerance = 0.05;
   double absolute_tolerance_seconds = 0.02;
 };
+
+/// The one margin rule of the gate, the run differ and the ledger drift:
+/// |new_value - old_value| > max(relative * |old_value|, absolute).
+bool ExceedsMargin(double old_value, double new_value,
+                   const BenchDiffOptions& options);
 
 /// One row's comparison: a seconds row against the tolerances, or a count
 /// row (non-empty `count_unit`) exactly, where any change is a regression.
@@ -101,14 +105,23 @@ struct BenchDiffEntry {
   uint64_t new_count = 0;
   bool regression = false;
   bool improvement = false;   // faster by more than the same margins
+  /// A compared baseline row that is absent, failed or unmeasured in the
+  /// current document.
   bool missing_in_new = false;
+  /// A current row the gate would compare whose baseline row is absent,
+  /// failed or unmeasured; only the new_* fields are set.
+  bool added_in_new = false;
 };
 
 struct BenchDiffResult {
+  /// Baseline rows in baseline order, then added rows in current order.
   std::vector<BenchDiffEntry> entries;
   size_t regressions = 0;
   size_t improvements = 0;
   size_t missing = 0;
+  size_t added = 0;
+  /// The regression gate's verdict: a row slowed down, a count changed, or
+  /// a baseline row went missing. Improvements and added rows pass.
   bool HasRegressions() const { return regressions > 0 || missing > 0; }
   /// Human-readable comparison table plus verdict line. With
   /// `report_improvements` the summary appends a dedicated speedups section
@@ -120,8 +133,8 @@ struct BenchDiffResult {
 /// Diffs two bench documents row by row (matched on label): every ok row
 /// with measured_seconds against the tolerances, and every ok count row
 /// exactly. Fails with InvalidArgument when the documents are not
-/// comparable: different bench names, schema versions, scale factors, or
-/// seeds -- CI must compare like for like.
+/// comparable: different bench names, schema versions or scale factors.
+/// Seeds may differ; rdmajoin_analyze --diff requires them to match.
 StatusOr<BenchDiffResult> DiffBenchDocuments(const BenchJsonDocument& baseline,
                                              const BenchJsonDocument& current,
                                              const BenchDiffOptions& options);

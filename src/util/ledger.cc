@@ -1,7 +1,6 @@
 #include "util/ledger.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -11,6 +10,9 @@
 namespace rdmajoin {
 
 namespace {
+
+/// A series needs this many points (history plus the latest) to drift.
+constexpr size_t kMinDriftPoints = 3;
 
 double MedianOf(std::vector<double> values) {
   std::sort(values.begin(), values.end());
@@ -224,9 +226,7 @@ Status AppendLedgerEntry(const std::string& path, const LedgerEntry& entry) {
 }
 
 std::vector<LedgerDrift> DetectLedgerDrift(const std::vector<LedgerEntry>& ledger,
-                                           double relative_tolerance,
-                                           double absolute_tolerance_seconds,
-                                           size_t min_points) {
+                                           const BenchDiffOptions& options) {
   std::vector<LedgerDrift> drifts;
   for (const Series& s : CollectSeries(ledger, "")) {
     LedgerDrift d;
@@ -238,11 +238,8 @@ std::vector<LedgerDrift> DetectLedgerDrift(const std::vector<LedgerEntry>& ledge
       std::vector<double> prior(s.values.begin(), s.values.end() - 1);
       d.median = MedianOf(prior);
       d.delta = d.latest - d.median;
-      if (s.values.size() >= min_points) {
-        const double margin = std::max(
-            relative_tolerance * std::fabs(d.median), absolute_tolerance_seconds);
-        d.drift = std::fabs(d.delta) > margin;
-      }
+      d.drift = s.values.size() >= kMinDriftPoints &&
+                ExceedsMargin(d.median, d.latest, options);
     }
     drifts.push_back(std::move(d));
   }
@@ -251,15 +248,13 @@ std::vector<LedgerDrift> DetectLedgerDrift(const std::vector<LedgerEntry>& ledge
 
 std::string FormatLedger(const std::vector<LedgerEntry>& ledger,
                          const std::string& bench_filter,
-                         double relative_tolerance,
-                         double absolute_tolerance_seconds) {
+                         const BenchDiffOptions& options) {
   std::string out;
   char buf[256];
   const std::vector<Series> series = CollectSeries(ledger, bench_filter);
   const std::vector<ConstraintSeries> constraints =
       CollectConstraintSeries(ledger, bench_filter);
-  std::vector<LedgerDrift> drifts =
-      DetectLedgerDrift(ledger, relative_tolerance, absolute_tolerance_seconds);
+  std::vector<LedgerDrift> drifts = DetectLedgerDrift(ledger, options);
   std::snprintf(buf, sizeof(buf), "perf ledger: %zu entr%s, %zu series\n",
                 ledger.size(), ledger.size() == 1 ? "y" : "ies", series.size());
   out += buf;

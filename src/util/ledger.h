@@ -82,25 +82,22 @@ struct LedgerDrift {
   double median = 0;      ///< median of the prior points
   double latest = 0;
   double delta = 0;       ///< latest - median
-  bool drift = false;     ///< |delta| beyond both margins
+  bool drift = false;     ///< ExceedsMargin(median, latest)
 };
 
 /// Drift detection over a ledger: per (bench, label) series in first-seen
 /// order, compares the latest point to the median of the prior points with
-/// the same two-sided margins as the bench gate. Series with fewer than
-/// `min_points` entries are reported with drift=false (not enough history).
+/// the bench gate's margin rule (ExceedsMargin, two-sided). Series with
+/// fewer than 3 entries are reported with drift=false (not enough history).
 std::vector<LedgerDrift> DetectLedgerDrift(const std::vector<LedgerEntry>& ledger,
-                                           double relative_tolerance = 0.05,
-                                           double absolute_tolerance_seconds = 0.02,
-                                           size_t min_points = 3);
+                                           const BenchDiffOptions& options = {});
 
 /// Trend rendering: per bench and label, the series' history as an ASCII
 /// sparkline (min..max normalized) with first/median/latest values and the
 /// drift verdict. `bench_filter` non-empty limits output to one bench.
 std::string FormatLedger(const std::vector<LedgerEntry>& ledger,
                          const std::string& bench_filter = "",
-                         double relative_tolerance = 0.05,
-                         double absolute_tolerance_seconds = 0.02);
+                         const BenchDiffOptions& options = {});
 
 }  // namespace rdmajoin
 

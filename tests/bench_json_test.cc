@@ -470,12 +470,17 @@ TEST(BenchDiff, IncomparableDocumentsAreRejected) {
   EXPECT_FALSE(
       DiffBenchDocuments(base, MustParse(Doc(4.0, 8.0, "y")), BenchDiffOptions{})
           .ok());
-  EXPECT_FALSE(DiffBenchDocuments(base, MustParse(Doc(4.0, 8.0, "x", 43)),
-                                  BenchDiffOptions{})
-                   .ok());
+  BenchJsonDocument other_schema = base;
+  other_schema.schema_version = kBenchJsonSchemaVersion + 1;
+  EXPECT_FALSE(DiffBenchDocuments(base, other_schema, BenchDiffOptions{}).ok());
   EXPECT_FALSE(DiffBenchDocuments(base, MustParse(Doc(4.0, 8.0, "x", 42, 1024.0)),
                                   BenchDiffOptions{})
                    .ok());
+  // Seeds may differ here (rdmajoin_explain compares a new seed against
+  // history); rdmajoin_analyze --diff rejects a seed mismatch itself.
+  EXPECT_TRUE(DiffBenchDocuments(base, MustParse(Doc(4.0, 8.0, "x", 43)),
+                                 BenchDiffOptions{})
+                  .ok());
 }
 
 TEST(BenchJson, RejectsBadDocuments) {

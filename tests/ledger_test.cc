@@ -114,7 +114,7 @@ TEST(Ledger, DriftNeedsHistoryAndMargin) {
 
   // A third point far beyond both margins: row0 drifts, row1 does not.
   ledger.push_back(MakeEntry("fig07a", "c3", 1.50, 2.0));
-  drifts = DetectLedgerDrift(ledger, 0.05, 0.02);
+  drifts = DetectLedgerDrift(ledger, BenchDiffOptions{0.05, 0.02});
   bool row0_drifted = false, row1_drifted = false;
   for (const LedgerDrift& d : drifts) {
     if (d.label == "row0") {
@@ -129,7 +129,7 @@ TEST(Ledger, DriftNeedsHistoryAndMargin) {
   EXPECT_FALSE(row1_drifted);
 
   // The same latest value inside wide margins: no drift.
-  drifts = DetectLedgerDrift(ledger, 0.60, 0.02);
+  drifts = DetectLedgerDrift(ledger, BenchDiffOptions{0.60, 0.02});
   for (const LedgerDrift& d : drifts) EXPECT_FALSE(d.drift);
 }
 

@@ -245,12 +245,12 @@ INSTANTIATE_TEST_SUITE_P(
     Cases, OverlappedReplayTest,
     testing::Values(Case{"Channel", kChannel, false, false, false, false},
                     Case{"Memory", kMemory, false, false, false, false},
-                    Case{"Read", TransportKind::kRdmaRead, false, false, false, false},
-                    Case{"Tcp", TransportKind::kTcp, false, false, false, false},
+                    Case{"RdmaRead", TransportKind::kRdmaRead, false, false, false, false},
+                    Case{"TcpSocket", TransportKind::kTcp, false, false, false, false},
                     Case{"SkewWorkStealing", kChannel, true, false, false, false},
                     Case{"FaultSchedule", kChannel, false, true, false, false},
                     Case{"ExternalRecorder", kChannel, false, false, true, false},
-                    Case{"Metrics", kChannel, false, false, false, true}),
+                    Case{"MetricsRegistry", kChannel, false, false, false, true}),
     [](const testing::TestParamInfo<Case>& info) {
       return std::string(info.param.name);
     });

@@ -15,6 +15,7 @@
 #include "join/distributed_join.h"
 #include "timing/replay.h"
 #include "util/json.h"
+#include "util/ledger.h"
 #include "workload/generator.h"
 
 namespace rdmajoin {
@@ -133,7 +134,7 @@ TEST(RunDiff, IdenticalRunsReportZeroDivergence) {
   EXPECT_FALSE(report->stages.empty());
   EXPECT_TRUE(report->flows.empty());
   // Zero tolerances (the CI determinism cross-check) still exit clean.
-  RunDiffOptions exact;
+  BenchDiffOptions exact;
   exact.relative_tolerance = 0;
   exact.absolute_tolerance_seconds = 0;
   auto strict = DiffRuns(a, b, exact);
@@ -151,8 +152,8 @@ TEST(RunDiff, SlowerRowDrillsToDominantPhaseAndBucket) {
   EXPECT_TRUE(report->HasDivergence());
   ASSERT_EQ(report->rows.size(), 1u);
   const RowDelta& rd = report->rows[0];
-  EXPECT_TRUE(rd.slower);
-  EXPECT_FALSE(rd.faster);
+  EXPECT_TRUE(rd.row.regression);
+  EXPECT_FALSE(rd.row.improvement);
   EXPECT_EQ(rd.dominant_phase, "network-partition");
   const PhaseDelta& net = rd.phases[1];
   EXPECT_EQ(net.phase, "network-partition");
@@ -169,7 +170,7 @@ TEST(RunDiff, SlowerRowDrillsToDominantPhaseAndBucket) {
   EXPECT_NE(report->verdict.find("r0"), std::string::npos);
   // The human report prints the drill-down for the slower row.
   const std::string text = FormatRunDiff(*report);
-  EXPECT_NE(text.find("SLOWER"), std::string::npos);
+  EXPECT_NE(text.find("REGRESSION"), std::string::npos);
   EXPECT_NE(text.find("critical machine 1 -> 2"), std::string::npos);
 }
 
@@ -179,8 +180,8 @@ TEST(RunDiff, FasterRowOnlyDrilledWithReportImprovements) {
   auto report = DiffRuns(a, b);
   ASSERT_TRUE(report.ok());
   ASSERT_EQ(report->rows.size(), 1u);
-  EXPECT_TRUE(report->rows[0].faster);
-  EXPECT_EQ(report->rows_faster, 1u);
+  EXPECT_TRUE(report->rows[0].row.improvement);
+  EXPECT_EQ(report->diff.improvements, 1u);
   const std::string quiet = FormatRunDiff(*report, false);
   const std::string loud = FormatRunDiff(*report, true);
   EXPECT_EQ(quiet.find("critical machine"), std::string::npos);
@@ -212,7 +213,7 @@ TEST(RunDiff, LinkDegradeLocalizesToTheNetworkPass) {
 
   const RunArtifacts a = ArtifactsFromReplay(clean.replay, 42);
   const RunArtifacts b = ArtifactsFromReplay(degraded.replay, 42);
-  RunDiffOptions options;
+  BenchDiffOptions options;
   options.relative_tolerance = 0.01;
   options.absolute_tolerance_seconds = 1e-6;
   auto report = DiffRuns(a, b, options);
@@ -220,7 +221,7 @@ TEST(RunDiff, LinkDegradeLocalizesToTheNetworkPass) {
   EXPECT_TRUE(report->HasDivergence());
   ASSERT_EQ(report->rows.size(), 1u);
   const RowDelta& rd = report->rows[0];
-  EXPECT_TRUE(rd.slower);
+  EXPECT_TRUE(rd.row.regression);
   EXPECT_EQ(rd.dominant_phase, "network-partition");
   const PhaseDelta& net = rd.phases[1];
   EXPECT_GT(net.delta_seconds, 0);
@@ -287,12 +288,102 @@ TEST(RunDiff, MissingRowIsDivergence) {
   b.bench.rows[0].label = "r1";
   auto report = DiffRuns(a, b);
   ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->rows_missing, 2u);
+  EXPECT_EQ(report->diff.missing + report->diff.added, 2u);
   EXPECT_FALSE(report->zero_divergence);
   EXPECT_TRUE(report->HasDivergence());
   ASSERT_EQ(report->rows.size(), 2u);
-  EXPECT_TRUE(report->rows[0].missing_in_b);
+  EXPECT_TRUE(report->rows[0].row.missing_in_new);
+  EXPECT_TRUE(report->rows[1].row.added_in_new);
   EXPECT_EQ(report->rows[1].narrative, "row only present in run B");
+}
+
+TEST(RunDiff, ChangedCountersAreNotZeroDivergence) {
+  // The replay's exact work counters ride in each join row; one more event
+  // is a different run even though every seconds row is unchanged.
+  RunArtifacts a = HandArtifacts(2.0, 1.0, 0.5, 1);
+  RunArtifacts b = HandArtifacts(2.0, 1.0, 0.5, 1);
+  auto counters = [](uint64_t events) {
+    return ParseJson("{\"events\":" + std::to_string(events) +
+                     ",\"fabric_steps\":10}");
+  };
+  auto ca = counters(100);
+  auto cb = counters(101);
+  ASSERT_TRUE(ca.ok() && cb.ok());
+  a.bench.rows[0].raw.object_members.emplace_back("counters", std::move(*ca));
+  b.bench.rows[0].raw.object_members.emplace_back("counters", std::move(*cb));
+  auto report = DiffRuns(a, b, BenchDiffOptions{0, 0});
+  ASSERT_TRUE(report.ok());
+  EXPECT_FALSE(report->zero_divergence);
+  EXPECT_FALSE(report->HasDivergence());
+  EXPECT_NE(report->verdict.find("within tolerance"), std::string::npos);
+}
+
+TEST(RunDiff, RowOkOnlyInRunBIsDivergence) {
+  RunArtifacts a = HandArtifacts(2.0, 1.0, 0.5, 1);
+  RunArtifacts b = HandArtifacts(2.0, 1.0, 0.5, 1);
+  a.bench.rows[0].ok = false;
+  auto report = DiffRuns(a, b);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->diff.added, 1u);
+  EXPECT_EQ(report->diff.missing, 0u);
+  EXPECT_TRUE(report->HasDivergence());
+  ASSERT_EQ(report->rows.size(), 1u);
+  EXPECT_TRUE(report->rows[0].row.added_in_new);
+  // The regression gate lets an added row pass.
+  EXPECT_FALSE(report->diff.HasRegressions());
+}
+
+/// One measured row of `seconds` in bench "margin".
+BenchJsonDocument OneRowDoc(double seconds) {
+  auto doc = ParseBenchJson(
+      "{\"schema_version\":1,\"bench\":\"margin\",\"scale_up\":1,"
+      "\"seed\":1,\"rows\":[{\"label\":\"r\",\"ok\":true,"
+      "\"measured_seconds\":" + JsonNumber(seconds) + "}]}");
+  EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+  return *doc;
+}
+
+TEST(DiffMargin, GateRunDiffAndLedgerAgreeAtTheBoundary) {
+  struct Case {
+    double old_seconds;
+    double new_at_margin;  // old + max(rel * old, abs), exactly
+    BenchDiffOptions options;
+  };
+  const Case cases[] = {
+      {4.0, 5.0, {0.25, 0.0}},  // the relative margin binds
+      {0.5, 0.75, {0.0, 0.25}},  // the absolute margin binds
+      {2.0, 2.5, {0.25, 0.5}},  // both margins are equal
+  };
+  for (const Case& c : cases) {
+    for (const double now :
+         {c.new_at_margin, std::nextafter(c.new_at_margin, 1e300)}) {
+      const bool beyond = now != c.new_at_margin;
+      SCOPED_TRACE(JsonNumber(c.old_seconds) + " -> " + JsonNumber(now));
+      EXPECT_EQ(ExceedsMargin(c.old_seconds, now, c.options), beyond);
+
+      auto gate = DiffBenchDocuments(OneRowDoc(c.old_seconds), OneRowDoc(now),
+                                     c.options);
+      ASSERT_TRUE(gate.ok());
+      EXPECT_EQ(gate->regressions, beyond ? 1u : 0u);
+
+      RunArtifacts a, b;
+      a.bench = OneRowDoc(c.old_seconds);
+      b.bench = OneRowDoc(now);
+      auto run = DiffRuns(a, b, c.options);
+      ASSERT_TRUE(run.ok());
+      EXPECT_EQ(run->HasDivergence(), beyond);
+
+      std::vector<LedgerEntry> ledger(3);
+      const double points[] = {c.old_seconds, c.old_seconds, now};
+      for (size_t i = 0; i < 3; ++i) {
+        ledger[i].bench = "margin";
+        ledger[i].rows.push_back(LedgerRow{"r", points[i]});
+      }
+      const std::vector<LedgerDrift> drifts = DetectLedgerDrift(ledger, c.options);
+      ASSERT_EQ(drifts.size(), 1u);
+      EXPECT_EQ(drifts[0].drift, beyond);
+    }
+  }
 }
 
 TEST(RunDiff, IncomparableDocumentsAreRejected) {

@@ -334,11 +334,12 @@ TEST_F(ToolsSmokeTest, ExplainCongestionReportsAndChecksLabels) {
 
 /// Writes a small two-row bench JSON document for the explain diff/ledger
 /// smoke tests; `r1_seconds` varies the second row's measurement.
-std::string WriteBenchDoc(const std::string& name, double r1_seconds) {
+std::string WriteBenchDoc(const std::string& name, double r1_seconds,
+                          uint64_t seed = 42) {
   const std::string path = TempPath(name);
   std::ofstream out(path, std::ios::binary);
   out << "{\"schema_version\":1,\"bench\":\"smoke\",\"scale_up\":65536,"
-      << "\"seed\":42,\"rows\":["
+      << "\"seed\":" << seed << ",\"rows\":["
       << "{\"label\":\"r0\",\"ok\":true,\"verified\":true,"
       << "\"measured_seconds\":1.5,\"phases\":{\"histogram\":0.1,"
       << "\"network-partition\":0.9,\"local-partition\":0.2,"
@@ -387,6 +388,32 @@ TEST(ExplainSmokeTest, DiffExitCodesFollowTheContract) {
   EXPECT_EQ(RunTool(std::string(RDMAJOIN_EXPLAIN_BIN) + " --diff " + a + " " +
                     malformed),
             2);
+}
+
+TEST(ExplainSmokeTest, ChangedCountRowIsDivergence) {
+  auto write = [](const std::string& name, const std::string& messages) {
+    const std::string path = TempPath(name);
+    std::ofstream(path, std::ios::binary)
+        << "{\"schema_version\":1,\"bench\":\"smoke\",\"scale_up\":1024,"
+        << "\"seed\":42,\"rows\":[{\"label\":\"push\",\"ok\":true,"
+        << "\"measured_seconds\":0.0172},{\"label\":\"push_messages\","
+        << "\"ok\":true,\"measured_value\":" << messages
+        << ",\"unit\":\"messages\"}]}";
+    return path;
+  };
+  const std::string a = write("count_a.json", "112458");
+  const std::string b = write("count_b.json", "999999");
+  const std::string out = TempPath("count_diff.txt");
+  EXPECT_EQ(RunTool("(" + std::string(RDMAJOIN_EXPLAIN_BIN) + " --diff " + a +
+                    " " + b + " --tolerance=0 --abs-tolerance=0 >" + out + ")"),
+            1);
+  const std::string text = ReadFileOrEmpty(out);
+  EXPECT_EQ(text.find("identical"), std::string::npos) << text;
+  EXPECT_NE(text.find("push_messages"), std::string::npos) << text;
+  // The gate agrees.
+  EXPECT_EQ(RunTool(std::string(RDMAJOIN_ANALYZE_BIN) + " --diff " + a + " " +
+                    b),
+            1);
 }
 
 TEST(ExplainSmokeTest, LedgerAppendsRendersAndFlagsDrift) {
@@ -561,6 +588,20 @@ TEST(AnalyzeDiffSmokeTest, ReportImprovementsDoesNotChangeTheVerdict) {
   EXPECT_EQ(RunTool(std::string(RDMAJOIN_ANALYZE_BIN) + " --diff " + a + " " +
                     slow + " --report-improvements"),
             1);
+}
+
+TEST(AnalyzeDiffSmokeTest, SeedMismatchExitsTwo) {
+  const std::string a = WriteBenchDoc("analyze_seed42.json", 1.5, 42);
+  const std::string b = WriteBenchDoc("analyze_seed43.json", 1.5, 43);
+  const std::string err = TempPath("analyze_seed.err");
+  EXPECT_EQ(RunTool("(" + std::string(RDMAJOIN_ANALYZE_BIN) + " --diff " + a +
+                    " " + b + " 2>" + err + ")"),
+            2);
+  EXPECT_NE(ReadFileOrEmpty(err).find("seed mismatch"), std::string::npos);
+  // The run differ compares across seeds.
+  EXPECT_EQ(RunTool(std::string(RDMAJOIN_EXPLAIN_BIN) + " --diff " + a + " " +
+                    b),
+            0);
 }
 
 TEST(AnalyzeDiffSmokeTest, InvalidRowsExitTwo) {

@@ -4,8 +4,8 @@
 //   rdmajoin_analyze --bench=BENCH_fig07a_phase_breakdown.json
 //
 //   # Gate on performance regressions between two bench runs (same bench,
-//   # scale and seed; exits 1 when any row slowed down beyond tolerance or
-//   # disappeared):
+//   # schema, scale and seed; exits 1 when any row slowed down beyond
+//   # tolerance, a count row changed, or a row disappeared):
 //   rdmajoin_analyze --diff baseline.json current.json
 //                    [--tolerance=0.05] [--abs-tolerance=0.02]
 //
@@ -181,6 +181,12 @@ int DiffBench(const std::string& old_path, const std::string& new_path,
   if (!baseline.ok()) return Fail(baseline.status());
   auto current = ReadBenchJsonFile(new_path);
   if (!current.ok()) return Fail(current.status());
+  // The gate compares like for like; seeds may differ for rdmajoin_explain.
+  if (baseline->seed != current->seed) {
+    return Fail(Status::InvalidArgument(
+        "seed mismatch: baseline used " + std::to_string(baseline->seed) +
+        ", current used " + std::to_string(current->seed)));
+  }
   auto diff = DiffBenchDocuments(*baseline, *current, options);
   if (!diff.ok()) return Fail(diff.status());
   std::printf("diff %s -> %s (bench %s, rel tolerance %.1f%%, abs %.3f s)\n",

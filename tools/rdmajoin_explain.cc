@@ -27,7 +27,9 @@
 //
 // Exit codes (same contract as rdmajoin_analyze):
 //   0  clean
-//   1  divergence beyond tolerance, identity violation, or ledger drift
+//   1  --diff: a row regressed, improved, went missing or was added
+//      (rdmajoin_analyze --diff fails only on a regressed or missing row);
+//      identity violation; or ledger drift
 //   2  usage error or unreadable/malformed input
 
 #include <algorithm>
@@ -238,13 +240,13 @@ int RunCongestion(const std::string& trace_path,
 int RunDiff(const std::string& a_path, const std::string& b_path,
             const std::string& spans_a, const std::string& spans_b,
             const std::string& metrics_a, const std::string& metrics_b,
-            const RunDiffOptions& options, bool report_improvements,
-            const std::string& json_out) {
+            const BenchDiffOptions& options, size_t top_k,
+            bool report_improvements, const std::string& json_out) {
   auto a = LoadRunArtifacts(a_path, spans_a, metrics_a);
   if (!a.ok()) return Fail(a.status());
   auto b = LoadRunArtifacts(b_path, spans_b, metrics_b);
   if (!b.ok()) return Fail(b.status());
-  auto report = DiffRuns(*a, *b, options);
+  auto report = DiffRuns(*a, *b, options, top_k);
   if (!report.ok()) return Fail(report.status());
   std::fputs(FormatRunDiff(*report, report_improvements).c_str(), stdout);
   if (!json_out.empty() && !WriteFileOrWarn(json_out, RunDiffToJson(*report))) {
@@ -254,12 +256,10 @@ int RunDiff(const std::string& a_path, const std::string& b_path,
 }
 
 int RunLedger(const std::string& path, const std::string& bench_filter,
-              double tolerance, double abs_tolerance, const std::string& json_out) {
+              const BenchDiffOptions& options, const std::string& json_out) {
   auto ledger = ReadLedgerFile(path);
   if (!ledger.ok()) return Fail(ledger.status());
-  std::fputs(
-      FormatLedger(*ledger, bench_filter, tolerance, abs_tolerance).c_str(),
-      stdout);
+  std::fputs(FormatLedger(*ledger, bench_filter, options).c_str(), stdout);
   if (!json_out.empty()) {
     std::string out;
     JsonWriter w(&out);
@@ -269,7 +269,7 @@ int RunLedger(const std::string& path, const std::string& bench_filter,
     if (!WriteFileOrWarn(json_out, out)) return 2;
   }
   bool drifted = false;
-  for (const LedgerDrift& d : DetectLedgerDrift(*ledger, tolerance, abs_tolerance)) {
+  for (const LedgerDrift& d : DetectLedgerDrift(*ledger, options)) {
     if (d.drift) drifted = true;
   }
   return drifted ? 1 : 0;
@@ -315,7 +315,7 @@ int main(int argc, char** argv) {
   std::string ledger_spans;
   uint32_t cores = 8;
   size_t buckets = 48, top_k = 10;
-  RunDiffOptions diff_options;
+  BenchDiffOptions diff_options;
   bool diff_mode = false;
   std::vector<std::string> diff_paths;
   FlagTable flags(
@@ -385,7 +385,6 @@ int main(int argc, char** argv) {
   if (const auto exit_code = flags.ParseOrExitCode(argc, argv, 2)) {
     return *exit_code;
   }
-  if (flags.Given("--top")) diff_options.top_k = top_k;
   if (diff_paths.size() > (diff_mode ? 2u : 0u)) {
     std::fprintf(stderr, "error: unexpected argument: '%s'; try --help\n",
                  diff_paths.back().c_str());
@@ -417,14 +416,14 @@ int main(int argc, char** argv) {
       return 2;
     }
     return RunDiff(diff_paths[0], diff_paths[1], spans_a, spans_b, metrics_a,
-                   metrics_b, diff_options, report_improvements, json_out);
+                   metrics_b, diff_options, top_k, report_improvements,
+                   json_out);
   }
   if (!ledger_append_path.empty()) {
     return RunLedgerAppend(ledger_append_path, bench_json, ledger_spans, commit);
   }
   if (!ledger_path.empty()) {
-    return RunLedger(ledger_path, bench_filter, diff_options.relative_tolerance,
-                     diff_options.absolute_tolerance_seconds, json_out);
+    return RunLedger(ledger_path, bench_filter, diff_options, json_out);
   }
   std::fputs(flags.Help().c_str(), stdout);
   return 2;
